@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint race bench bench-gp bench-gp-scale bench-multifidelity benchstat fuzz fuzz-journal fuzz-server fault-stress crash-stress crash-stress-campaign load-test
+.PHONY: build test lint race bench bench-smoke bench-gp bench-gp-scale bench-multifidelity benchstat fuzz fuzz-journal fuzz-server fault-stress crash-stress crash-stress-campaign load-test
 
 build:
 	$(GO) build ./...
@@ -34,7 +34,14 @@ race:
 # Parallelism benchmarks: forest training, permutation importance and
 # acquisition multistart at workers=1 vs workers=GOMAXPROCS.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart' -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart' -benchmem -benchtime 2x .
+
+# Perf-harness smoke test: every bench/ workload at toy scale, plain and
+# traced, including its set-up repeatability and traced == plain hash
+# checks. bench/ is a Go module of its own (it replaces repro with ..),
+# so the root `go test ./...` never reaches it.
+bench-smoke:
+	cd bench && GOWORK=off $(GO) test -count 1 ./...
 
 # GP fast-path benchmarks: surrogate fit, posterior prediction, and
 # engine Suggest across training-set sizes, with allocation counts.

@@ -550,10 +550,11 @@ func BenchmarkForestPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkPermImportance measures MDA permutation importance over the
-// full 44-parameter grouping at workers=1 and workers=GOMAXPROCS. Each
-// (group, repeat) OOB pass is independent, so this path also scales
-// with cores while producing bit-identical drops.
+// BenchmarkPermImportance measures MDA permutation importance in the
+// selection's real shape — 100 trees, the 34 groups of the
+// 44-parameter space, 10 repeats — at workers=1 and workers=GOMAXPROCS.
+// Each (group, repeat) OOB pass is independent, so this path also
+// scales with cores while producing bit-identical drops.
 func BenchmarkPermImportance(b *testing.B) {
 	space := conf.SparkSpace()
 	x := sample.LHS(100, space.Dim(), sample.NewRNG(4))
@@ -561,14 +562,12 @@ func BenchmarkPermImportance(b *testing.B) {
 	for i, u := range x {
 		y[i] = u[0]*100 + u[5]*u[7]*50
 	}
-	cfg := forest.RFDefaults()
-	cfg.Trees = 60
-	f := forest.Train(x, y, cfg)
+	f := forest.Train(x, y, forest.RFDefaults())
 	groups := space.Groups()
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f.PermutationImportance(groups, 2, uint64(i), workers)
+				f.PermutationImportance(groups, 10, uint64(i), workers)
 			}
 		})
 	}

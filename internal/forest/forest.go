@@ -2,7 +2,7 @@ package forest
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"repro/internal/par"
 	"repro/internal/sample"
@@ -46,6 +46,9 @@ type Forest struct {
 	x     [][]float64
 	y     []float64
 	cfg   Config
+
+	oobOnce sync.Once
+	oob     *oobTable // see oobCells
 }
 
 // Train grows a forest on x (rows = samples) and y. It panics on
@@ -72,24 +75,25 @@ func Train(x [][]float64, y []float64, cfg Config) *Forest {
 		y:     y,
 		cfg:   cfg,
 	}
+	ds := newDataset(x, y)
 	n := len(x)
 	par.ForEach(cfg.Workers, cfg.Trees, func(t int) {
 		rng := sample.NewRNG(par.SplitSeed(cfg.Seed, uint64(t)))
-		idx := make([]int, n)
+		idx := make([]int32, n)
 		bag := make([]bool, n)
 		if cfg.Bootstrap {
 			for i := range idx {
 				j := rng.IntN(n)
-				idx[i] = j
+				idx[i] = int32(j)
 				bag[j] = true
 			}
 		} else {
 			for i := range idx {
-				idx[i] = i
+				idx[i] = int32(i)
 				bag[i] = true
 			}
 		}
-		f.trees[t] = growTree(x, y, idx, cfg.Tree, rng)
+		f.trees[t] = ds.growTree(idx, cfg.Tree, rng)
 		f.inBag[t] = bag
 	})
 	return f
@@ -121,48 +125,92 @@ func (f *Forest) Trees() int { return len(f.trees) }
 // that are in-bag everywhere are skipped. Returns NaN when no sample
 // has OOB coverage (e.g. Bootstrap=false).
 func (f *Forest) OOBR2() float64 {
-	pred, obs := f.oobPredictions(nil, nil)
-	if len(obs) == 0 {
-		return math.NaN()
-	}
-	return stats.R2(obs, pred)
+	o := f.oobCells()
+	return stats.R2(o.obs, o.base) // NaN for empty obs
 }
 
-// oobPredictions computes OOB predictions, optionally permuting the
-// feature columns in permCols using permutation perm (perm[i] gives
-// the row whose value replaces row i's). perm == nil means no
-// permutation.
-func (f *Forest) oobPredictions(permCols []int, perm []int) (pred, obs []float64) {
-	n := len(f.x)
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	row := make([]float64, len(f.x[0]))
-	for t, tree := range f.trees {
-		bag := f.inBag[t]
-		for i := 0; i < n; i++ {
-			if bag[i] {
-				continue
-			}
-			xr := f.x[i]
-			if perm != nil {
-				copy(row, xr)
-				for _, c := range permCols {
-					row[c] = f.x[perm[i]][c]
+// oobTable records every out-of-bag (tree, sample) cell of a forest in
+// tree order: the tree's prediction for the sample, and the set of
+// features tested on the sample's root-to-leaf path. Permuting columns
+// off that path cannot change the cell's prediction.
+type oobTable struct {
+	start  []int     // tree t owns cells start[t]:start[t+1]
+	sample []int32   // cell → sample
+	pred   []float64 // cell → prediction on the unpermuted row
+	path   []uint64  // cell c's feature bitset is path[c*words:(c+1)*words]
+	words  int
+	counts []int     // OOB cells per sample
+	obs    []float64 // targets of the samples with OOB coverage, ascending
+	base   []float64 // their unpermuted OOB predictions
+}
+
+// oobCells returns the forest's OOB cell table, built on first use.
+func (f *Forest) oobCells() *oobTable {
+	f.oobOnce.Do(func() {
+		n, d := len(f.x), len(f.x[0])
+		o := &oobTable{start: make([]int, len(f.trees)+1), words: (d + 63) / 64, counts: make([]int, n)}
+		for t, tree := range f.trees {
+			for i, in := range f.inBag[t] {
+				if in {
+					continue
 				}
-				xr = row
+				o.path = append(o.path, make([]uint64, o.words)...)
+				o.sample = append(o.sample, int32(i))
+				o.pred = append(o.pred, tree.predictPath(f.x[i], o.path[len(o.path)-o.words:]))
+				o.counts[i]++
 			}
-			sums[i] += tree.Predict(xr)
-			counts[i]++
+			o.start[t+1] = len(o.sample)
+		}
+		sums := make([]float64, n)
+		for c, i := range o.sample {
+			sums[i] += o.pred[c]
+		}
+		for i, k := range o.counts {
+			if k > 0 {
+				o.base = append(o.base, sums[i]/float64(k))
+				o.obs = append(o.obs, f.y[i])
+			}
+		}
+		f.oob = o
+	})
+	return f.oob
+}
+
+// permutedPredictions returns the OOB predictions (in the order of
+// obs) with the columns in mask read from row perm[i] instead of row i.
+// Only cells whose path tests a permuted column are walked again; every
+// other cell keeps its recorded prediction. Each sample still sums its
+// trees in tree order, so the result is bit-identical to re-predicting
+// every cell on a permuted copy of the rows.
+func (f *Forest) permutedPredictions(mask []uint64, perm []int) []float64 {
+	o := f.oobCells()
+	sums := make([]float64, len(f.x))
+	for t, tree := range f.trees {
+		for c := o.start[t]; c < o.start[t+1]; c++ {
+			i := o.sample[c]
+			p := o.pred[c]
+			if intersects(o.path[c*o.words:(c+1)*o.words], mask) {
+				p = tree.predictSwapped(f.x[i], f.x[perm[i]], mask)
+			}
+			sums[i] += p
 		}
 	}
-	for i := 0; i < n; i++ {
-		if counts[i] == 0 {
-			continue
+	pred := make([]float64, 0, len(o.obs))
+	for i, k := range o.counts {
+		if k > 0 {
+			pred = append(pred, sums[i]/float64(k))
 		}
-		pred = append(pred, sums[i]/float64(counts[i]))
-		obs = append(obs, f.y[i])
 	}
-	return pred, obs
+	return pred
+}
+
+func intersects(a, b []uint64) bool {
+	for w := range a {
+		if a[w]&b[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // GroupImportance holds one permutation-importance result.
@@ -189,8 +237,15 @@ func (f *Forest) PermutationImportance(groups [][]int, repeats int, seed uint64,
 	if repeats < 1 {
 		repeats = 1
 	}
-	basePred, baseObs := f.oobPredictions(nil, nil)
-	baseline := stats.R2(baseObs, basePred)
+	o := f.oobCells()
+	baseline := stats.R2(o.obs, o.base)
+	masks := make([][]uint64, len(groups))
+	for g, cols := range groups {
+		masks[g] = make([]uint64, o.words)
+		for _, c := range cols {
+			masks[g][c/64] |= 1 << (c % 64)
+		}
+	}
 
 	n := len(f.x)
 	drops := make([]float64, len(groups)*repeats)
@@ -198,8 +253,7 @@ func (f *Forest) PermutationImportance(groups [][]int, repeats int, seed uint64,
 		g := job / repeats
 		rng := sample.NewRNG(par.SplitSeed(seed, uint64(job)))
 		perm := rng.Perm(n)
-		pred, obs := f.oobPredictions(groups[g], perm)
-		drops[job] = baseline - stats.R2(obs, pred)
+		drops[job] = baseline - stats.R2(o.obs, f.permutedPredictions(masks[g], perm))
 	})
 
 	out := make([]GroupImportance, len(groups))

@@ -26,14 +26,18 @@ func synth(n, d int, seed uint64, noise float64) ([][]float64, []float64) {
 	return x, y
 }
 
+// allSamples returns the sample indices 0..n-1, each drawn once.
+func allSamples(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
 func TestTreeFitsTrainingData(t *testing.T) {
 	x, y := synth(80, 5, 1, 0)
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := sample.NewRNG(2)
-	tree := growTree(x, y, idx, TreeConfig{MinLeaf: 1}.withDefaults(5), rng)
+	tree := newDataset(x, y).growTree(allSamples(len(x)), TreeConfig{MinLeaf: 1}.withDefaults(5), sample.NewRNG(2))
 	// With MinLeaf 1 and no depth cap, an unpruned CART should fit
 	// training data almost perfectly.
 	pred := make([]float64, len(x))
@@ -53,11 +57,7 @@ func TestTreeFitsTrainingData(t *testing.T) {
 
 func TestTreeMaxDepth(t *testing.T) {
 	x, y := synth(200, 5, 3, 0)
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	tree := growTree(x, y, idx, TreeConfig{MinLeaf: 1, MaxDepth: 3}.withDefaults(5), sample.NewRNG(4))
+	tree := newDataset(x, y).growTree(allSamples(len(x)), TreeConfig{MinLeaf: 1, MaxDepth: 3}.withDefaults(5), sample.NewRNG(4))
 	if d := tree.Depth(); d > 3 {
 		t.Errorf("depth = %d, want <= 3", d)
 	}
@@ -66,8 +66,7 @@ func TestTreeMaxDepth(t *testing.T) {
 func TestTreeConstantTarget(t *testing.T) {
 	x := [][]float64{{0}, {0.5}, {1}}
 	y := []float64{7, 7, 7}
-	idx := []int{0, 1, 2}
-	tree := growTree(x, y, idx, TreeConfig{}.withDefaults(1), sample.NewRNG(5))
+	tree := newDataset(x, y).growTree(allSamples(3), TreeConfig{}.withDefaults(1), sample.NewRNG(5))
 	if tree.Leaves() != 1 {
 		t.Errorf("constant target should not split, leaves = %d", tree.Leaves())
 	}

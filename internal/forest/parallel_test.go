@@ -2,6 +2,8 @@ package forest
 
 import (
 	"testing"
+
+	"repro/internal/sample"
 )
 
 // TestTrainWorkersParity asserts the determinism contract of parallel
@@ -39,6 +41,23 @@ func TestTrainWorkersParity(t *testing.T) {
 	// contract, not just the trees).
 	if a, b := train(1, false).OOBR2(), train(8, false).OOBR2(); a != b {
 		t.Errorf("OOB R² differs: serial %v, workers=8 %v", a, b)
+	}
+}
+
+// TestTrainAllocations guards the selection-sized training run (100
+// trees on 100 samples × 44 features) against per-node buffers creeping
+// back: growth reuses one set of per-tree buffers, so a forest costs
+// about 20 allocations per tree, not one per (node, feature) sort.
+func TestTrainAllocations(t *testing.T) {
+	x := sample.LHS(100, 44, sample.NewRNG(3))
+	y := make([]float64, len(x))
+	for i, u := range x {
+		y[i] = u[0]*100 + u[1]*u[2]*50
+	}
+	cfg := RFDefaults()
+	allocs := testing.AllocsPerRun(3, func() { Train(x, y, cfg) })
+	if allocs > 40000 {
+		t.Errorf("Train allocates %.0f times per forest, want <= 40000", allocs)
 	}
 }
 
