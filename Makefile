@@ -85,11 +85,13 @@ fault-stress:
 # checks the stitched result is bit-identical to an uninterrupted run.
 # The deterministic in-process sweeps (truncate-at-every-k, graceful
 # cancel, replay divergence) run under plain `make test`; this target
-# adds the real-process half.
+# adds the real-process half, then re-runs the resume suites of both
+# drivers of the shared session kernel (tuners.Drive and robotuned).
 crash-stress:
 	ROBOTUNE_CRASH_STRESS=1 $(GO) test -run 'TestKillResumeStress' -v -count 1 -timeout 600s ./internal/core
 	ROBOTUNE_CRASH_STRESS=1 $(GO) test -run 'TestWireKillResume' -v -count 1 -timeout 600s ./internal/server
 	$(GO) test -run 'Resume|Journal|Truncate|BitFlip|Snapshot' -count 1 ./internal/journal ./internal/core ./internal/tuners
+	$(GO) test -run 'Resume|Rehydrat|Finished|Replay' -count 1 ./internal/server
 
 # Campaign-level kill/resume stress: a 4-session concurrent campaign
 # (ledger + per-session journals) is SIGKILLed at escalating depths

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/bo"
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -243,7 +244,7 @@ func BenchmarkAblationHedge(b *testing.B) {
 		opts.BO.GP.Restarts = 1
 		rt := core.New(nil, opts)
 		ev := tsObjective(seed)
-		res := rt.Tune(ev, conf.SparkSpace(), 50, seed)
+		res := rt.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 50, Seed: seed}))
 		if !res.Found {
 			return 480
 		}
@@ -278,7 +279,7 @@ func BenchmarkAblationLHS(b *testing.B) {
 		b.Fatal(err)
 	}
 	ev := tsObjective(3)
-	evalAt := func(u []float64) float64 { return ev.EvaluateSpec(sub.Decode(u), sparksim.EvalSpec{}).Seconds }
+	evalAt := func(u []float64) float64 { return ev.EvaluateSpec(sub.Decode(u), backend.EvalSpec{}).Seconds }
 	fitAndScore := func(design sample.Design, seed uint64) float64 {
 		y := make([]float64, len(design))
 		for i, u := range design {
@@ -330,7 +331,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 		opts.BO.GP.Restarts = 1
 		rt := core.New(nil, opts)
 		ev := tsObjective(seed)
-		res := rt.Tune(ev, space, 50, seed)
+		res := rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 50, Seed: seed}))
 		sel = 480.0
 		if res.Found {
 			sel = ev.Measure(res.Best, 3, 77)
@@ -350,7 +351,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 		bestFull := math.Inf(1)
 		var bestCfg conf.Config
 		for _, u := range sample.LHS(20, space.Dim(), rng) {
-			rec := ev2.EvaluateSpec(space.Decode(u), sparksim.EvalSpec{})
+			rec := ev2.EvaluateSpec(space.Decode(u), backend.EvalSpec{})
 			engine.Tell(u, math.Log(rec.Seconds))
 			if rec.Completed && rec.Seconds < bestFull {
 				bestFull, bestCfg = rec.Seconds, rec.Config
@@ -361,7 +362,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 			if err != nil {
 				break
 			}
-			rec := ev2.EvaluateSpec(space.Decode(u), sparksim.EvalSpec{})
+			rec := ev2.EvaluateSpec(space.Decode(u), backend.EvalSpec{})
 			engine.Tell(u, math.Log(rec.Seconds))
 			if rec.Completed && rec.Seconds < bestFull {
 				bestFull, bestCfg = rec.Seconds, rec.Config
@@ -397,7 +398,7 @@ func BenchmarkAblationMDIvsMDA(b *testing.B) {
 	y := make([]float64, len(design))
 	for i, u := range design {
 		x[i] = u
-		y[i] = ev.EvaluateSpec(space.Decode(u), sparksim.EvalSpec{}).Seconds
+		y[i] = ev.EvaluateSpec(space.Decode(u), backend.EvalSpec{}).Seconds
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -469,7 +470,7 @@ func BenchmarkAblationGuard(b *testing.B) {
 		opts.BO.GP.Restarts = 1
 		rt := core.New(nil, opts)
 		ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(400), seed, 480)
-		res := rt.Tune(ev, conf.SparkSpace(), 40, seed)
+		res := rt.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 40, Seed: seed}))
 		return res.SearchCost
 	}
 	for i := 0; i < b.N; i++ {
@@ -814,7 +815,7 @@ func BenchmarkEvaluatorThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.EvaluateSpec(cfgs[i%len(cfgs)], sparksim.EvalSpec{})
+		ev.EvaluateSpec(cfgs[i%len(cfgs)], backend.EvalSpec{})
 	}
 }
 
@@ -830,7 +831,7 @@ func BenchmarkFullTuningSession(b *testing.B) {
 		opts.BO.GP.Restarts = 1
 		rt := core.New(memo.NewStore(), opts)
 		ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(200), uint64(i), 480)
-		res := rt.Tune(ev, space, 40, uint64(i))
+		res := rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 40, Seed: uint64(i)}))
 		if res.Found {
 			b.ReportMetric(res.BestSeconds, "best-s")
 		}
@@ -856,12 +857,12 @@ func BenchmarkAblationARD(b *testing.B) {
 	design := sample.LHS(40, sub.Dim(), sample.NewRNG(17))
 	y := make([]float64, len(design))
 	for i, u := range design {
-		y[i] = ev.EvaluateSpec(sub.Decode(u), sparksim.EvalSpec{}).Seconds
+		y[i] = ev.EvaluateSpec(sub.Decode(u), backend.EvalSpec{}).Seconds
 	}
 	probes := sample.LHS(30, sub.Dim(), sample.NewRNG(18))
 	probeY := make([]float64, len(probes))
 	for i, u := range probes {
-		probeY[i] = ev.EvaluateSpec(sub.Decode(u), sparksim.EvalSpec{}).Seconds
+		probeY[i] = ev.EvaluateSpec(sub.Decode(u), backend.EvalSpec{}).Seconds
 	}
 	score := func(ard bool) float64 {
 		cfg := gp.DefaultConfig()
@@ -895,7 +896,7 @@ func BenchmarkExtensionSHA(b *testing.B) {
 	space := conf.SparkSpace()
 	for i := 0; i < b.N; i++ {
 		evSHA := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.PageRank(10), 51, 480)
-		sha := tuners.SuccessiveHalving{}.Tune(evSHA, space, 60, 51)
+		sha := tuners.SuccessiveHalving{}.Run(tuners.NewSession(evSHA, space, tuners.Request{Budget: 60, Seed: 51}))
 		shaQ := 480.0
 		if sha.Found {
 			shaQ = evSHA.Measure(sha.Best, 3, 99)
@@ -908,7 +909,7 @@ func BenchmarkExtensionSHA(b *testing.B) {
 		opts.BO.GP.Restarts = 1
 		rt := core.New(nil, opts)
 		evRT := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.PageRank(10), 51, 480)
-		res := rt.Tune(evRT, space, 60, 51)
+		res := rt.Run(tuners.NewSession(evRT, space, tuners.Request{Budget: 60, Seed: 51}))
 		rtQ := 480.0
 		if res.Found {
 			rtQ = evRT.Measure(res.Best, 3, 99)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/sparksim"
+	"repro/internal/tuners"
 )
 
 func main() {
@@ -24,7 +25,7 @@ func main() {
 	// Baseline: minimize execution time.
 	evTime := sparksim.NewEvaluator(cluster, workload, 5, 480)
 	rtTime := core.New(nil, core.Options{})
-	fast := rtTime.Tune(evTime, space, 80, 5)
+	fast := rtTime.Run(tuners.NewSession(evTime, space, tuners.Request{Budget: 80, Seed: 5}))
 	if !fast.Found {
 		log.Fatal("time-objective tuning found nothing")
 	}
@@ -33,7 +34,7 @@ func main() {
 	evCostBase := sparksim.NewEvaluator(cluster, workload, 5, 480)
 	evCost := sparksim.NewResourceCostEvaluator(evCostBase, 0.1)
 	rtCost := core.New(nil, core.Options{})
-	cheap := rtCost.Tune(evCost, space, 80, 5)
+	cheap := rtCost.Run(tuners.NewSession(evCost, space, tuners.Request{Budget: 80, Seed: 5}))
 	if !cheap.Found {
 		log.Fatal("cost-objective tuning found nothing")
 	}

@@ -116,7 +116,7 @@ func main() {
 	// Compare ROBOTune against Random Search on the custom workload.
 	ev := newEval()
 	rt := core.New(nil, core.Options{})
-	res := rt.Tune(ev, space, 80, 7)
+	res := rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 80, Seed: 7}))
 	if !res.Found {
 		log.Fatal("ROBOTune found nothing")
 	}
@@ -124,7 +124,7 @@ func main() {
 
 	evRS := newEval()
 	rs := tuners.RandomSearch{}
-	resRS := rs.Tune(evRS, space, 80, 7)
+	resRS := rs.Run(tuners.NewSession(evRS, space, tuners.Request{Budget: 80, Seed: 7}))
 	rsQuality := measure(evRS, resRS, bk.DefaultCap())
 
 	fmt.Printf("workload: %s\n\n", w.ID())

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/sparksim"
+	"repro/internal/tuners"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 		}
 		tuner := core.New(store, core.Options{})
 		ev := sparksim.NewEvaluator(cluster, w, uint64(100+i), 480)
-		res := tuner.Tune(ev, space, 100, uint64(100+i))
+		res := tuner.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 100, Seed: uint64(100 + i)}))
 		if !res.Found {
 			log.Fatalf("%s: nothing found", w.ID())
 		}

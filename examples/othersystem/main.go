@@ -94,7 +94,7 @@ func main() {
 	}
 
 	rt := core.New(nil, core.Options{GenericSamples: 60})
-	res := rt.Tune(obj, space, 60, 7)
+	res := rt.Run(tuners.NewSession(obj, space, tuners.Request{Budget: 60, Seed: 7}))
 	if !res.Found {
 		log.Fatal("nothing found")
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/sparksim"
+	"repro/internal/tuners"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 	tuner := core.New(nil, core.Options{})
 
 	space := conf.SparkSpace() // the 44-parameter Spark 2.4 space
-	result := tuner.Tune(evaluator, space, 100, 42)
+	result := tuner.Run(tuners.NewSession(evaluator, space, tuners.Request{Budget: 100, Seed: 42}))
 	if !result.Found {
 		log.Fatal("no completing configuration found")
 	}

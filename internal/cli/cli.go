@@ -95,10 +95,10 @@ func SaveConfigValues(c conf.Config, path string) error {
 // BuildTuner constructs a tuner by (case-insensitive) name. ROBOTune
 // is backed by the given store (nil for in-memory) and runs its
 // internal math on `workers` goroutines (0 = GOMAXPROCS, 1 = serial;
-// results are identical either way). Every tuner is a SessionTuner,
-// so callers can attach a context, deadline and retry policy via
-// tuners.NewSession.
-func BuildTuner(name string, store *memo.Store, workers int) (tuners.SessionTuner, error) {
+// results are identical either way). Every tuner runs under a
+// tuners.Session, so callers can attach a context, deadline and retry
+// policy via tuners.NewSession.
+func BuildTuner(name string, store *memo.Store, workers int) (tuners.Tuner, error) {
 	return BuildTunerOpts(name, store, core.Options{Workers: workers})
 }
 
@@ -106,7 +106,7 @@ func BuildTuner(name string, store *memo.Store, workers int) (tuners.SessionTune
 // callers that thread scaling knobs (refit budget, sparse surrogate)
 // beyond the worker count. opts only applies to ROBOTune; the
 // baselines ignore it.
-func BuildTunerOpts(name string, store *memo.Store, opts core.Options) (tuners.SessionTuner, error) {
+func BuildTunerOpts(name string, store *memo.Store, opts core.Options) (tuners.Tuner, error) {
 	switch strings.ToLower(name) {
 	case "robotune":
 		return core.New(store, opts), nil

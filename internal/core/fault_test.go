@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"math"
-	"repro/internal/backend"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/sparksim"
 	"repro/internal/tuners"
@@ -129,7 +129,7 @@ func (c *cancellingObjective) tick() {
 
 // EvaluateSpec keeps the cancel hook on the unified entry point the
 // session actually routes through.
-func (c *cancellingObjective) EvaluateSpec(cfg conf.Config, spec sparksim.EvalSpec) sparksim.EvalRecord {
+func (c *cancellingObjective) EvaluateSpec(cfg conf.Config, spec backend.EvalSpec) backend.EvalRecord {
 	defer c.tick()
 	return c.Evaluator.EvaluateSpec(cfg, spec)
 }

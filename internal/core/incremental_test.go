@@ -24,7 +24,7 @@ func TestTuneIncrementalSurrogateParity(t *testing.T) {
 		o.BO.DisableIncremental = disable
 		r := New(nil, o)
 		ev := newEvaluator(sparksim.TeraSort(20), 29)
-		return r.Tune(ev, space, 25, 29)
+		return r.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 25, Seed: 29}))
 	}
 	inc := run(false)
 	full := run(true)

@@ -24,7 +24,7 @@ func TestTuneWorkersParity(t *testing.T) {
 		o.PermuteRepeats = 2
 		r := New(nil, o)
 		ev := newEvaluator(sparksim.TeraSort(20), 17)
-		return r.Tune(ev, space, 25, 17)
+		return r.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 25, Seed: 17}))
 	}
 	serial := run(1)
 	if !serial.Found {

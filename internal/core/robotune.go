@@ -205,8 +205,8 @@ type ROBOTune struct {
 	store *memo.Store
 	opts  Options
 
-	// Inspection hooks populated by the most recent Tune call (not
-	// safe for concurrent Tune calls): the BO engine and subspace,
+	// Inspection hooks populated by the most recent Run (not safe for
+	// concurrent Runs): the BO engine and subspace,
 	// used by the response-surface experiment (Figure 9), and the
 	// selection outcome when this session ran it (nil on cache hits).
 	LastEngine    *bo.Engine
@@ -233,13 +233,7 @@ func (r *ROBOTune) Store() *memo.Store { return r.store }
 // caches; backend evaluators implement it (backend.Identifiable).
 type identifiable = backend.Identifiable
 
-// Tune implements tuners.Tuner; it is Run under a request with no
-// cancellation, deadline or retries — the legacy positional surface.
-func (r *ROBOTune) Tune(obj tuners.Objective, space *conf.Space, budget int, seed uint64) tuners.Result {
-	return r.Run(tuners.NewSession(obj, space, tuners.Request{Budget: budget, Seed: seed}))
-}
-
-// Run implements tuners.SessionTuner: it runs parameter selection (or
+// Run implements tuners.Tuner: it runs parameter selection (or
 // a cache hit), then the memoized-sampling + BO pipeline, spending at
 // most the session budget in the tuning phase. Selection evaluations
 // on a cache miss are reported separately in the Result, matching
@@ -252,8 +246,8 @@ func (r *ROBOTune) Tune(obj tuners.Objective, space *conf.Space, budget int, see
 //
 // Run is a thin driver over the ask/tell Stepper (see stepper.go):
 // prepare performs the cache check and snapshot fast-skip, and
-// tuners.Drive owns every evaluation, retry, journal commit and
-// replay substitution.
+// tuners.Drive and the session kernel own every evaluation, retry,
+// journal commit and replay.
 func (r *ROBOTune) Run(s *tuners.Session) tuners.Result {
 	return tuners.Drive(r.prepare(s), s)
 }
@@ -533,11 +527,11 @@ func randomUnit(d int, rng interface{ Float64() float64 }) []float64 {
 	return u
 }
 
-// Explain renders a human-readable account of the most recent Tune
-// call: how the subspace was chosen, how the Hedge portfolio ended
-// up weighted, and how the best configuration differs from the
-// framework default. It reads the Last* inspection hooks, so call it
-// right after Tune (robotune's -explain flag does).
+// Explain renders a human-readable account of the most recent Run:
+// how the subspace was chosen, how the Hedge portfolio ended up
+// weighted, and how the best configuration differs from the framework
+// default. It reads the Last* inspection hooks, so call it
+// right after Run (robotune's -explain flag does).
 func (r *ROBOTune) Explain(space *conf.Space, res tuners.Result) string {
 	var sb strings.Builder
 

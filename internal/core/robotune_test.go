@@ -34,7 +34,7 @@ func newEvaluator(w sparksim.Workload, seed uint64) *sparksim.Evaluator {
 func TestTuneEndToEnd(t *testing.T) {
 	r := New(nil, fastOptions())
 	ev := newEvaluator(sparksim.TeraSort(20), 1)
-	res := r.Tune(ev, conf.SparkSpace(), 40, 1)
+	res := r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 40, Seed: 1}))
 
 	if !res.Found {
 		t.Fatal("ROBOTune found no completing configuration")
@@ -64,14 +64,14 @@ func TestSelectionCacheHitSkipsSelection(t *testing.T) {
 	space := conf.SparkSpace()
 
 	ev1 := newEvaluator(sparksim.PageRank(5), 2)
-	res1 := r.Tune(ev1, space, 30, 2)
+	res1 := r.Run(tuners.NewSession(ev1, space, tuners.Request{Budget: 30, Seed: 2}))
 	if res1.SelectionEvals == 0 {
 		t.Fatal("first session should run selection")
 	}
 
 	// Same workload family, different dataset: cache hit.
 	ev2 := newEvaluator(sparksim.PageRank(10), 3)
-	res2 := r.Tune(ev2, space, 30, 3)
+	res2 := r.Run(tuners.NewSession(ev2, space, tuners.Request{Budget: 30, Seed: 3}))
 	if res2.SelectionEvals != 0 || res2.SelectionCost != 0 {
 		t.Errorf("repeat session ran selection: evals=%d cost=%v",
 			res2.SelectionEvals, res2.SelectionCost)
@@ -118,7 +118,7 @@ func TestMemoizationSeedsRepeatSessions(t *testing.T) {
 	space := conf.SparkSpace()
 
 	ev1 := newEvaluator(sparksim.KMeans(200), 5)
-	res1 := r.Tune(ev1, space, 40, 5)
+	res1 := r.Run(tuners.NewSession(ev1, space, tuners.Request{Budget: 40, Seed: 5}))
 	if !res1.Found {
 		t.Fatal("session 1 failed")
 	}
@@ -131,7 +131,7 @@ func TestMemoizationSeedsRepeatSessions(t *testing.T) {
 	// evaluated first, so an early observation should already be
 	// competitive (§5.4: memoized sampling reaches ~10% of best fast).
 	ev2 := newEvaluator(sparksim.KMeans(300), 6)
-	res2 := r.Tune(ev2, space, 40, 6)
+	res2 := r.Run(tuners.NewSession(ev2, space, tuners.Request{Budget: 40, Seed: 6}))
 	if !res2.Found {
 		t.Fatal("session 2 failed")
 	}
@@ -154,13 +154,13 @@ func TestGuardCapsLongRuns(t *testing.T) {
 	base := fastOptions()
 	withGuard := New(nil, base)
 	evA := newEvaluator(sparksim.KMeans(400), 7)
-	resA := withGuard.Tune(evA, conf.SparkSpace(), 30, 7)
+	resA := withGuard.Run(tuners.NewSession(evA, conf.SparkSpace(), tuners.Request{Budget: 30, Seed: 7}))
 
 	noGuard := base
 	noGuard.GuardMultiple = -1
 	without := New(nil, noGuard)
 	evB := newEvaluator(sparksim.KMeans(400), 7)
-	resB := without.Tune(evB, conf.SparkSpace(), 30, 7)
+	resB := without.Run(tuners.NewSession(evB, conf.SparkSpace(), tuners.Request{Budget: 30, Seed: 7}))
 
 	if !resA.Found || !resB.Found {
 		t.Fatalf("found: guard=%v noguard=%v", resA.Found, resB.Found)
@@ -199,7 +199,7 @@ func TestDeterministicTune(t *testing.T) {
 	run := func() tuners.Result {
 		r := New(nil, fastOptions())
 		ev := newEvaluator(sparksim.TeraSort(20), 9)
-		return r.Tune(ev, conf.SparkSpace(), 25, 9)
+		return r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 25, Seed: 9}))
 	}
 	a, b := run(), run()
 	if a.BestSeconds != b.BestSeconds || a.SearchCost != b.SearchCost {
@@ -211,7 +211,7 @@ func TestDeterministicTune(t *testing.T) {
 func TestInspectionHooksPopulated(t *testing.T) {
 	r := New(nil, fastOptions())
 	ev := newEvaluator(sparksim.TeraSort(20), 10)
-	r.Tune(ev, conf.SparkSpace(), 25, 10)
+	r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 25, Seed: 10}))
 	if r.LastEngine == nil || r.LastSubspace == nil {
 		t.Fatal("inspection hooks not populated")
 	}
@@ -227,12 +227,12 @@ func TestMemoStorePersistenceAcrossInstances(t *testing.T) {
 	store := memo.NewStore()
 	r1 := New(store, fastOptions())
 	ev := newEvaluator(sparksim.ConnectedComponents(5), 11)
-	r1.Tune(ev, conf.SparkSpace(), 25, 11)
+	r1.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 25, Seed: 11}))
 
 	// A new ROBOTune sharing the store inherits the caches.
 	r2 := New(store, fastOptions())
 	ev2 := newEvaluator(sparksim.ConnectedComponents(10), 12)
-	res := r2.Tune(ev2, conf.SparkSpace(), 25, 12)
+	res := r2.Run(tuners.NewSession(ev2, conf.SparkSpace(), tuners.Request{Budget: 25, Seed: 12}))
 	if res.SelectionEvals != 0 {
 		t.Error("shared store should give a selection cache hit")
 	}
@@ -244,7 +244,7 @@ func TestTuneRespectsWallClockSanity(t *testing.T) {
 	start := time.Now()
 	r := New(nil, fastOptions())
 	ev := newEvaluator(sparksim.LogisticRegression(100), 13)
-	r.Tune(ev, conf.SparkSpace(), 30, 13)
+	r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 30, Seed: 13}))
 	if el := time.Since(start); el > 30*time.Second {
 		t.Errorf("tiny session took %v", el)
 	}
@@ -255,7 +255,7 @@ func TestEarlyStoppingSavesBudget(t *testing.T) {
 	opts.EarlyStopPatience = 8
 	r := New(nil, opts)
 	ev := newEvaluator(sparksim.TeraSort(20), 15)
-	res := r.Tune(ev, conf.SparkSpace(), 100, 15)
+	res := r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 100, Seed: 15}))
 	if !res.Found {
 		t.Fatal("nothing found")
 	}
@@ -265,7 +265,7 @@ func TestEarlyStoppingSavesBudget(t *testing.T) {
 	// The full run with the same seed finds at most marginally better.
 	full := New(nil, fastOptions())
 	evFull := newEvaluator(sparksim.TeraSort(20), 15)
-	resFull := full.Tune(evFull, conf.SparkSpace(), 100, 15)
+	resFull := full.Run(tuners.NewSession(evFull, conf.SparkSpace(), tuners.Request{Budget: 100, Seed: 15}))
 	if res.BestSeconds > resFull.BestSeconds*1.25 {
 		t.Errorf("early-stopped best %v much worse than full-budget %v",
 			res.BestSeconds, resFull.BestSeconds)
@@ -292,7 +292,7 @@ func TestWorkloadMappingInheritsSelection(t *testing.T) {
 
 	// Tune PageRank: full selection runs, signature gets registered.
 	ev1 := newEvaluator(sparksim.PageRank(5), 21)
-	res1 := r.Tune(ev1, space, 25, 21)
+	res1 := r.Run(tuners.NewSession(ev1, space, tuners.Request{Budget: 25, Seed: 21}))
 	if res1.SelectionEvals <= opts.Mapper.ProbeCount() {
 		t.Fatalf("first session should probe AND select, spent %d", res1.SelectionEvals)
 	}
@@ -302,7 +302,7 @@ func TestWorkloadMappingInheritsSelection(t *testing.T) {
 	w := sparksim.PageRank(7.5)
 	w.Name = "WebGraphRank"
 	ev2 := newEvaluator(w, 22)
-	res2 := r.Tune(ev2, space, 25, 22)
+	res2 := r.Run(tuners.NewSession(ev2, space, tuners.Request{Budget: 25, Seed: 22}))
 	if res2.SelectionEvals != opts.Mapper.ProbeCount() {
 		t.Errorf("mapped session spent %d selection evals, want just the %d probes",
 			res2.SelectionEvals, opts.Mapper.ProbeCount())
@@ -325,11 +325,11 @@ func TestWorkloadMappingFallsBackBelowThreshold(t *testing.T) {
 	space := conf.SparkSpace()
 
 	ev1 := newEvaluator(sparksim.PageRank(5), 23)
-	r.Tune(ev1, space, 25, 23)
+	r.Run(tuners.NewSession(ev1, space, tuners.Request{Budget: 25, Seed: 23}))
 
 	w := sparksim.KMeans(200)
 	ev2 := newEvaluator(w, 24)
-	res := r.Tune(ev2, space, 25, 24)
+	res := r.Run(tuners.NewSession(ev2, space, tuners.Request{Budget: 25, Seed: 24}))
 	// Probes + full selection: mapping tried but did not match.
 	want := opts.Mapper.ProbeCount() + opts.GenericSamples
 	if res.SelectionEvals != want {
@@ -373,7 +373,7 @@ func TestExplain(t *testing.T) {
 	r := New(nil, fastOptions())
 	space := conf.SparkSpace()
 	ev := newEvaluator(sparksim.TeraSort(20), 61)
-	res := r.Tune(ev, space, 25, 61)
+	res := r.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 25, Seed: 61}))
 	out := r.Explain(space, res)
 	for _, want := range []string{"parameter selection", "acquisition portfolio", "default"} {
 		if !strings.Contains(out, want) {
@@ -382,7 +382,7 @@ func TestExplain(t *testing.T) {
 	}
 	// A cache-hit session explains the hit.
 	ev2 := newEvaluator(sparksim.TeraSort(30), 62)
-	res2 := r.Tune(ev2, space, 25, 62)
+	res2 := r.Run(tuners.NewSession(ev2, space, tuners.Request{Budget: 25, Seed: 62}))
 	_ = res2
 	r.LastSelection = nil // simulate hit path (selection was cached)
 	out2 := r.Explain(space, res2)
@@ -396,7 +396,7 @@ func TestBOBatchRounds(t *testing.T) {
 	opts.BOBatch = 4
 	r := New(nil, opts)
 	ev := newEvaluator(sparksim.TeraSort(20), 81)
-	res := r.Tune(ev, conf.SparkSpace(), 40, 81)
+	res := r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 40, Seed: 81}))
 	if !res.Found {
 		t.Fatal("batched BO found nothing")
 	}
@@ -406,7 +406,7 @@ func TestBOBatchRounds(t *testing.T) {
 	// Quality stays in the same league as sequential BO.
 	seq := New(nil, fastOptions())
 	evSeq := newEvaluator(sparksim.TeraSort(20), 81)
-	resSeq := seq.Tune(evSeq, conf.SparkSpace(), 40, 81)
+	resSeq := seq.Run(tuners.NewSession(evSeq, conf.SparkSpace(), tuners.Request{Budget: 40, Seed: 81}))
 	if res.BestSeconds > resSeq.BestSeconds*1.4 {
 		t.Errorf("batched best %v much worse than sequential %v",
 			res.BestSeconds, resSeq.BestSeconds)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gp"
 	"repro/internal/sample"
+	"repro/internal/tuners"
 )
 
 // AblationResult collects the design-choice ablations of DESIGN.md in
@@ -54,7 +55,7 @@ func Ablations(cfg Config) AblationResult {
 	quality := func(opts core.Options, seed uint64) float64 {
 		rt := core.New(nil, opts)
 		ev := newEval(seed)
-		res := rt.Tune(ev, space, budget, seed)
+		res := rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: budget, Seed: seed}))
 		if !res.Found {
 			return 480
 		}
@@ -86,7 +87,7 @@ func Ablations(cfg Config) AblationResult {
 		opts.GuardMultiple = guard
 		rt := core.New(nil, opts)
 		ev := newEval(seed)
-		res := rt.Tune(ev, space, budget, seed)
+		res := rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: budget, Seed: seed}))
 		return res.SearchCost
 	}
 	rows = append(rows, AblationRow{

@@ -114,7 +114,7 @@ func (c Config) newEvaluator(w backend.Workload, seed uint64) sparkEval {
 
 // tune runs one tuning session under the configured retry policy. A
 // zero policy reproduces the plain Tune path exactly.
-func (c Config) tune(tn tuners.SessionTuner, obj tuners.Objective, space *conf.Space, budget int, seed uint64) tuners.Result {
+func (c Config) tune(tn tuners.Tuner, obj tuners.Objective, space *conf.Space, budget int, seed uint64) tuners.Result {
 	return tn.Run(tuners.NewSession(obj, space, tuners.Request{
 		Budget: budget,
 		Seed:   seed,
@@ -172,7 +172,7 @@ type Comparison struct {
 
 // buildTuner constructs a fresh tuner by name; ROBOTune receives the
 // given store so sessions within one repeat share memoization.
-func (c Config) buildTuner(name string, store *memo.Store) tuners.SessionTuner {
+func (c Config) buildTuner(name string, store *memo.Store) tuners.Tuner {
 	switch name {
 	case "ROBOTune":
 		return core.New(store, c.robotuneOptions())

@@ -42,7 +42,7 @@ func ExtendedComparison(cfg Config, workloads []string) ([]ExtendedRow, *Compari
 	space := sparkSpace()
 	comp := &Comparison{Config: cfg}
 
-	buildExtended := func(name string, store *memo.Store) tuners.SessionTuner {
+	buildExtended := func(name string, store *memo.Store) tuners.Tuner {
 		switch name {
 		case "SuccessiveHalving":
 			return tuners.SuccessiveHalving{}

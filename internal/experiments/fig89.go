@@ -9,6 +9,7 @@ import (
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/memo"
+	"repro/internal/tuners"
 )
 
 // Fig8Result holds Figure 8: every configuration each tuner sampled
@@ -46,10 +47,10 @@ func Fig8SamplingBehavior(cfg Config) Fig8Result {
 			opts.MinSelected = 10
 			*rt = *core.New(store, opts)
 			warm := newSparkEval(grid["PageRank"][0], cfg.Seed+3, backend.FaultPlan{})
-			rt.Tune(warm, space, cfg.Budget/2, cfg.Seed+3)
+			rt.Run(tuners.NewSession(warm, space, tuners.Request{Budget: cfg.Budget / 2, Seed: cfg.Seed + 3}))
 		}
 		ev := &recordingEvaluator{sparkEval: newSparkEval(w, cfg.Seed+7, backend.FaultPlan{})}
-		tn.Tune(ev, space, cfg.Budget, cfg.Seed+7)
+		tn.Run(tuners.NewSession(ev, space, tuners.Request{Budget: cfg.Budget, Seed: cfg.Seed + 7}))
 		pts := ev.points
 		// ROBOTune's one-time selection samples precede the tuning
 		// session; Figure 8 plots the tuning session only.
@@ -166,9 +167,9 @@ func Fig9ResponseSurface(cfg Config, iterations []int, gridSize int) Fig9Result 
 		opts.MinSelected = 10
 		rt := core.New(store, opts)
 		warm := newSparkEval(grid["PageRank"][0], cfg.Seed+3, backend.FaultPlan{})
-		rt.Tune(warm, space, cfg.Budget/2, cfg.Seed+3)
+		rt.Run(tuners.NewSession(warm, space, tuners.Request{Budget: cfg.Budget / 2, Seed: cfg.Seed + 3}))
 		ev := newSparkEval(w, cfg.Seed+9, backend.FaultPlan{})
-		res := rt.Tune(ev, space, iters, cfg.Seed+9)
+		res := rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: iters, Seed: cfg.Seed + 9}))
 
 		ss := rt.LastSubspace
 		engine := rt.LastEngine

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/memo"
+	"repro/internal/tuners"
 )
 
 // MappingRow is one workload's outcome in the mapping experiment.
@@ -59,14 +60,14 @@ func MappingExperiment(cfg Config) []MappingRow {
 		// Seed with the known families.
 		for i, w := range []backend.Workload{scaledWorkload("PageRank", 5), scaledWorkload("KMeans", 200)} {
 			ev := newSparkEval(w, cfg.Seed+uint64(i), backend.FaultPlan{})
-			rt.Tune(ev, space, cfg.Budget, cfg.Seed+uint64(i))
+			rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: cfg.Budget, Seed: cfg.Seed + uint64(i)}))
 		}
 
 		out := map[string]MappingRow{}
 		for i, w := range arrivals {
 			seed := cfg.Seed + 50 + uint64(i)
 			ev := newSparkEval(w, seed, backend.FaultPlan{})
-			res := rt.Tune(ev, space, cfg.Budget, seed)
+			res := rt.Run(tuners.NewSession(ev, space, tuners.Request{Budget: cfg.Budget, Seed: seed}))
 			row := MappingRow{
 				Workload:       w.WorkloadName(),
 				SelectionEvals: res.SelectionEvals,

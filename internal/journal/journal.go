@@ -121,22 +121,23 @@ type EvalEntry struct {
 	// Config holds the evaluated configuration's raw values by
 	// parameter name.
 	Config map[string]float64 `json:"config"`
-	// Seconds, Raw and the outcome flags mirror sparksim.EvalRecord.
+	// Seconds, Raw and the outcome flags mirror backend.EvalRecord.
 	Seconds    float64 `json:"seconds"`
 	Raw        float64 `json:"raw"`
 	Completed  bool    `json:"completed"`
 	OOM        bool    `json:"oom,omitempty"`
 	Infeasible bool    `json:"infeasible,omitempty"`
 	Transient  bool    `json:"transient,omitempty"`
-	// Skipped marks a trial whose evaluation was abandoned by the
-	// driver (a remote client dropping a proposal) rather than run: it
-	// advanced the tuner's protocol state but charged no evaluation.
-	// The in-process session never journals skipped trials; the
-	// robotuned wire server does, so a resumed session replays the
-	// abandonment instead of waiting forever for the lost observation.
+	// Skipped marks a trial whose evaluation was abandoned rather than
+	// run: it advanced the tuner's protocol state but charged no
+	// evaluation. Wire skips (a remote client dropping a proposal) are
+	// journaled, so a resumed session replays the abandonment instead of
+	// waiting forever for the lost observation. In-process cancellation
+	// skips (batch entries never dispatched) are not: the cancelled run
+	// ends there, and a resume evaluates those trials live.
 	Skipped bool `json:"skipped,omitempty"`
 	// FidelityInput and FidelityStage mirror the evaluation's
-	// sparksim.Fidelity (input-scale fraction and stage fraction; 0 =
+	// backend.Fidelity (input-scale fraction and stage fraction; 0 =
 	// full fidelity, the journal stays dependency-free). Replay
 	// validates them against the resumed run's proposal as a
 	// divergence tripwire, so a ladder change invalidates the stale
@@ -151,7 +152,10 @@ type EvalEntry struct {
 	// consume exactly the streams the original would have.
 	ObjEvals int     `json:"obj_evals"`
 	ObjCost  float64 `json:"obj_cost"`
-	// Stats is the session failure ledger after this trial.
+	// Stats is the session failure ledger after this trial. Replay
+	// re-derives the outcome counts (failed, OOM, infeasible, skipped)
+	// from the records and restores the attempt counts (transient,
+	// retries, backoff) from here.
 	Stats FailureCounts `json:"stats"`
 }
 

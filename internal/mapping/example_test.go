@@ -3,6 +3,7 @@ package mapping_test
 import (
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/mapping"
 	"repro/internal/sparksim"
@@ -17,7 +18,7 @@ func ExampleMapper() {
 	characterize := func(w sparksim.Workload, seed uint64) mapping.Signature {
 		ev := sparksim.NewEvaluator(sparksim.PaperCluster(), w, seed, 480)
 		return m.Characterize(func(c conf.Config) float64 {
-			return ev.EvaluateSpec(c, sparksim.EvalSpec{}).Seconds
+			return ev.EvaluateSpec(c, backend.EvalSpec{}).Seconds
 		})
 	}
 	if err := m.Register("PageRank", characterize(sparksim.PageRank(5), 2)); err != nil {

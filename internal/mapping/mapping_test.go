@@ -5,13 +5,14 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/sparksim"
 )
 
 func evaluatorFor(w sparksim.Workload, seed uint64) Evaluator {
 	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), w, seed, 480)
-	return func(c conf.Config) float64 { return ev.EvaluateSpec(c, sparksim.EvalSpec{}).Seconds }
+	return func(c conf.Config) float64 { return ev.EvaluateSpec(c, backend.EvalSpec{}).Seconds }
 }
 
 func TestPearson(t *testing.T) {

@@ -45,7 +45,7 @@ type Task struct {
 	// (names, order, journal paths) must match on resume.
 	Name string
 	// New builds the task's tuner and objective.
-	New func() (tuners.SessionTuner, tuners.Objective)
+	New func() (tuners.Tuner, tuners.Objective)
 	// Space is the search space (also used to decode recorded results).
 	Space *conf.Space
 	// Request is the session request; Journal and Grants are owned by

@@ -3,12 +3,12 @@ package schedule
 import (
 	"context"
 	"math"
-	"repro/internal/backend"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/journal"
 	"repro/internal/sparksim"
@@ -46,12 +46,12 @@ func countingObjective(calls *int32, hook func(n int32)) *tuners.FuncObjective {
 
 // funcTask assembles one durable campaign task over a counting
 // functional objective. dir == "" builds a non-durable task.
-func funcTask(space *conf.Space, name string, tn tuners.SessionTuner, budget int, seed uint64, dir string, calls *int32, hook func(n int32)) Task {
+func funcTask(space *conf.Space, name string, tn tuners.Tuner, budget int, seed uint64, dir string, calls *int32, hook func(n int32)) Task {
 	t := Task{
 		Name:    name,
 		Space:   space,
 		Request: tuners.Request{Budget: budget, Seed: seed},
-		New: func() (tuners.SessionTuner, tuners.Objective) {
+		New: func() (tuners.Tuner, tuners.Objective) {
 			return tn, countingObjective(calls, hook)
 		},
 	}
@@ -221,7 +221,7 @@ func TestCampaignPanicContainment(t *testing.T) {
 			funcTask(space, "crasher", tuners.RandomSearch{}, 10, 5, dir, boom, nil),
 			funcTask(space, "steady-b", tuners.BestConfig{RoundSize: 4}, 8, 7, dir, ok, nil),
 		}
-		ts[1].New = func() (tuners.SessionTuner, tuners.Objective) {
+		ts[1].New = func() (tuners.Tuner, tuners.Objective) {
 			return tuners.RandomSearch{}, panicObjective(boom, 4)
 		}
 		return ts
@@ -265,10 +265,6 @@ type earlyStopTuner struct{ use int }
 
 func (t earlyStopTuner) Name() string { return "EarlyStop" }
 
-func (t earlyStopTuner) Tune(obj tuners.Objective, space *conf.Space, budget int, seed uint64) tuners.Result {
-	return t.Run(tuners.NewSession(obj, space, tuners.Request{Budget: budget, Seed: seed}))
-}
-
 func (t earlyStopTuner) Run(s *tuners.Session) tuners.Result {
 	return tuners.Drive(&earlyStopStepper{space: s.Space(), left: t.use}, s)
 }
@@ -289,7 +285,7 @@ func (st *earlyStopStepper) Propose(n int) []tuners.Proposal {
 	return p
 }
 
-func (st *earlyStopStepper) Observe(c conf.Config, rec sparksim.EvalRecord) { st.Observed(c) }
+func (st *earlyStopStepper) Observe(c conf.Config, rec backend.EvalRecord) { st.Observed(c) }
 
 // reallocTasks: task 0 early-stops 15 trials short; task 1 is a
 // random search that can absorb every grant.

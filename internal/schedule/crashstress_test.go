@@ -57,12 +57,12 @@ func stressOptions() core.Options {
 // must keep it at zero for settled tasks.
 func stressTasks(space *conf.Space, dir string, newCount *int32) []Task {
 	cluster := sparksim.PaperCluster()
-	mk := func(name string, tn tuners.SessionTuner, w sparksim.Workload, evSeed uint64, budget int, seed uint64) Task {
+	mk := func(name string, tn tuners.Tuner, w sparksim.Workload, evSeed uint64, budget int, seed uint64) Task {
 		return Task{
 			Name:    name,
 			Space:   space,
 			Request: tuners.Request{Budget: budget, Seed: seed},
-			New: func() (tuners.SessionTuner, tuners.Objective) {
+			New: func() (tuners.Tuner, tuners.Objective) {
 				if newCount != nil {
 					atomic.AddInt32(newCount, 1)
 				}

@@ -350,7 +350,7 @@ func skipAllCancelled(ctx context.Context, cfgs []conf.Config) ([]backend.EvalRe
 // objective, the search space, the session request and the slot
 // priority class.
 type Job struct {
-	Tuner     tuners.SessionTuner
+	Tuner     tuners.Tuner
 	Objective tuners.Objective
 	Space     *conf.Space
 	Request   tuners.Request

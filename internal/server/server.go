@@ -278,14 +278,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			skips++
 		}
 	}
+	_, best, found := sess.k.Best()
 	resp := ObserveResponse{
 		Applied: applied,
-		Trials:  len(sess.trace),
-		Done:    sess.finished || sess.st.Done(),
-		Found:   sess.found,
+		Trials:  sess.k.Trials(),
+		Done:    sess.done(),
+		Found:   found,
 	}
-	if sess.found {
-		resp.BestSeconds = sess.bestSec
+	if found {
+		resp.BestSeconds = best
 	}
 	sess.mu.Unlock()
 	s.metrics.Observations.Add(int64(applied))

@@ -245,51 +245,71 @@ func TestObserveProtocolErrors(t *testing.T) {
 }
 
 // TestFinishedSession: a sealed session stays queryable, rejects
-// observations with 410, and survives rehydration as sealed.
+// observations with 410, and survives rehydration as sealed — with
+// nothing outstanding and nothing to hand out, even when the proposal
+// it left unanswered precedes the observed one.
 func TestFinishedSession(t *testing.T) {
-	dir := t.TempDir()
-	env := newEnv(t, server.Options{JournalDir: dir})
-	sess, err := env.cl.Create(spec("randomsearch", 20, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	props, _, err := sess.Propose(2)
-	if err != nil || len(props) < 1 {
-		t.Fatalf("propose: %v %v", props, err)
-	}
-	sec, ok := objective(props[0].Config)
-	if _, err := sess.Observe(client.Observation{Config: props[0].Config, Seconds: sec, Completed: ok}); err != nil {
-		t.Fatal(err)
-	}
-	// Early finish, mid-campaign: the client owns the decision.
-	res, err := sess.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || res.Trials != 1 {
-		t.Fatalf("early finish result: %+v", res)
-	}
+	for _, tc := range []struct {
+		name           string
+		observed, left int // indices into a 2-proposal batch
+	}{
+		{"in-order", 0, 1},
+		{"out-of-order", 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			env := newEnv(t, server.Options{JournalDir: dir})
+			sess, err := env.cl.Create(spec("randomsearch", 20, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			props, _, err := sess.Propose(2)
+			if err != nil || len(props) != 2 {
+				t.Fatalf("propose: %v %v", props, err)
+			}
+			sec, ok := objective(props[tc.observed].Config)
+			if _, err := sess.Observe(client.Observation{Config: props[tc.observed].Config, Seconds: sec, Completed: ok}); err != nil {
+				t.Fatal(err)
+			}
+			// Early finish, mid-campaign: the client owns the decision.
+			res, err := sess.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Found || res.Trials != 1 {
+				t.Fatalf("early finish result: %+v", res)
+			}
 
-	// The session rehydrates sealed from its journal's done record.
-	st, err := sess.Status()
-	if err != nil {
-		t.Fatalf("status after finish: %v", err)
-	}
-	if !st.Done || !st.Resumed {
-		t.Fatalf("rehydrated finished session: done=%v resumed=%v", st.Done, st.Resumed)
-	}
-	// Observing into it is 410, not a resurrection.
-	_, err = sess.Observe(client.Observation{Config: props[1].Config, Seconds: 1, Completed: true})
-	if !client.IsFinished(err) {
-		t.Fatalf("observe after finish: %v, want 410", err)
-	}
-	// A second finish returns the same sealed result.
-	res2, err := sess.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Found != res.Found || res2.BestSeconds != res.BestSeconds || res2.Evals != res.Evals {
-		t.Fatalf("re-finish drifted: %+v vs %+v", res2, res)
+			// The session rehydrates sealed from its journal's done record.
+			st, err := sess.Status()
+			if err != nil {
+				t.Fatalf("status after finish: %v", err)
+			}
+			if !st.Done || !st.Resumed {
+				t.Fatalf("rehydrated finished session: done=%v resumed=%v", st.Done, st.Resumed)
+			}
+			if st.Outstanding != 0 || st.Unclaimed != 0 {
+				t.Fatalf("sealed session reports outstanding=%d unclaimed=%d, want 0/0", st.Outstanding, st.Unclaimed)
+			}
+			// A sealed session hands out nothing.
+			again, done, err := sess.Propose(0)
+			if err != nil || len(again) != 0 || !done {
+				t.Fatalf("propose into a sealed session: %d proposals, done=%v, %v", len(again), done, err)
+			}
+			// Observing into it is 410, not a resurrection.
+			_, err = sess.Observe(client.Observation{Config: props[tc.left].Config, Seconds: 1, Completed: true})
+			if !client.IsFinished(err) {
+				t.Fatalf("observe after finish: %v, want 410", err)
+			}
+			// A second finish returns the same sealed result.
+			res2, err := sess.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res2.Found != res.Found || res2.BestSeconds != res.BestSeconds || res2.Evals != res.Evals {
+				t.Fatalf("re-finish drifted: %+v vs %+v", res2, res)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,11 +15,14 @@ import (
 	"repro/internal/tuners"
 )
 
-// session is one hosted tuning session: a stepper, its journal, and
-// the protocol bookkeeping that turns the in-process ask/tell
-// contract into a crash-safe wire protocol. All fields below mu are
-// guarded by it; lastTouch is atomic so the eviction janitor can scan
-// without taking session locks.
+// session is one hosted tuning session: the ask/tell kernel
+// (tuners.Session, which owns the stepper's pending proposals, the
+// journal, the incumbent, the failure ledger and the done record) plus
+// what only the wire needs — the unclaimed handout after a restart,
+// HTTP error mapping, the observation cap and the compute-pool gate
+// around Propose. All fields below mu are guarded by it; lastTouch is
+// atomic so the eviction janitor can scan without taking session
+// locks.
 type session struct {
 	id     string
 	tenant string
@@ -32,8 +36,9 @@ type session struct {
 	maxObs int
 
 	mu sync.Mutex
-	st tuners.Stepper
-	jn *journal.Journal // nil on an ephemeral (journal-less) server
+	k  *tuners.Session
+	st tuners.Stepper   // the kernel's stepper, sampled by /metrics
+	jn *journal.Journal // nil on an ephemeral server, or once closed
 
 	// pool gates the stepper's propose computation when the server runs
 	// with a bounded compute pool (nil = ungated); class is the spec's
@@ -41,42 +46,16 @@ type session struct {
 	pool  *schedule.Pool
 	class schedule.Class
 
-	// pending counts proposed-but-unobserved configurations by
-	// Config.Key — the server-side mirror of the stepper's Protocol
-	// state, checked before Observe so protocol misuse surfaces as a
-	// 409 instead of a panic.
-	pending map[string]int
 	// unclaimed holds proposals regenerated during journal replay that
 	// no live client has received yet (their original handout died with
 	// the previous process). They are served before new stepper
 	// proposals so a reattaching client picks up exactly where the
 	// crashed conversation stopped.
-	unclaimed []unclaimedProposal
-
-	// Incumbent / history (mirrors tuners.tracker; the generic
-	// steppers do not expose theirs).
-	trace     []float64
-	completed []bool
-	proxy     []bool
-	best      conf.Config
-	bestSec   float64
-	found     bool
-	evals     int
-	cost      float64
-	failed    int
-	skipped   int
+	unclaimed []tuners.Proposal
 
 	resumed  bool
 	evicted  bool
-	finished bool
-	sealed   bool // done record appended
 	poisoned error
-	result   *ResultResponse
-}
-
-type unclaimedProposal struct {
-	prop tuners.Proposal
-	key  string
 }
 
 // apiErr is an error with an HTTP mapping.
@@ -141,10 +120,10 @@ func journalMeta(spec SessionSpec, space *conf.Space) journal.Meta {
 
 // newSession builds (or rebuilds) a session from its validated spec.
 // journalPath == "" makes the session ephemeral. When the journal
-// already holds records, they are replayed through a fresh stepper —
-// the bit-identical resume path — and any proposals regenerated along
-// the way that the journal never saw observed become the unclaimed
-// queue.
+// already holds records, the kernel replays them through a fresh
+// stepper — the bit-identical resume path — and any proposals
+// regenerated along the way that the journal never saw observed become
+// the unclaimed queue.
 func newSession(id, tenant string, ps ParsedSpec, journalPath string, nowUnix int64, maxObs int, pool *schedule.Pool) (*session, error) {
 	st, err := cli.BuildStepper(ps.Spec.Tuner, ps.Space, ps.Spec.Budget, ps.Spec.Seed,
 		ps.Spec.Workload, ps.Spec.Dataset, ps.Spec.Options.coreOptions())
@@ -161,8 +140,6 @@ func newSession(id, tenant string, ps ParsedSpec, journalPath string, nowUnix in
 		st:      st,
 		pool:    pool,
 		class:   ps.Spec.Class(),
-		pending: make(map[string]int),
-		bestSec: math.Inf(1),
 	}
 	s.lastTouch.Store(nowUnix)
 	if journalPath != "" {
@@ -174,170 +151,40 @@ func newSession(id, tenant string, ps ParsedSpec, journalPath string, nowUnix in
 		if err != nil {
 			return nil, err
 		}
-		s.jn = jn
-		if jn.Resumed() {
-			s.resumed = true
-			s.replay()
+		s.jn, s.resumed = jn, jn.Resumed()
+	}
+	s.k = tuners.NewSession(nil, ps.Space, tuners.Request{Budget: ps.Spec.Budget, Seed: ps.Spec.Seed, Journal: s.jn})
+	if err := s.guard(true, func() { s.unclaimed = s.k.Start(st) }); err != nil {
+		if s.jn != nil {
+			_ = s.jn.Close()
 		}
+		return nil, err
 	}
 	return s, nil
 }
 
-// stepperPropose calls Propose with panics converted to errors; a
-// panic poisons nothing by itself (Propose panics only on
-// propose-after-done, before mutating state). On a server with a
-// bounded compute pool the call holds one slot in the session's
-// priority class — Propose is where ROBOTune refits its surrogate and
-// searches the acquisition, the expensive part of hosting a session —
-// so "latency" sessions overtake queued "bulk" refits.
-func (s *session) stepperPropose(n int) (props []tuners.Proposal, err error) {
-	if s.pool != nil {
+// guard runs a stepper-driving kernel call with panics converted to
+// errors. With pooled set, on a server with a bounded compute pool the
+// call holds one slot in the session's priority class — Propose (and
+// the replay of a rehydration) is where ROBOTune refits its surrogate
+// and searches the acquisition, the expensive part of hosting a
+// session — so "latency" sessions overtake queued "bulk" refits.
+func (s *session) guard(pooled bool, f func()) (err error) {
+	if pooled && s.pool != nil {
 		s.pool.Acquire(s.class)
 		defer s.pool.Release()
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("propose: %v", p)
+			err = fmt.Errorf("%v", p)
 		}
 	}()
-	return s.st.Propose(n), nil
-}
-
-// stepperObserve calls Observe with panics converted to errors.
-// Protocol.Observed panics before any stepper state changes, so a
-// recovered panic leaves the session consistent.
-func (s *session) stepperObserve(c conf.Config, rec backend.EvalRecord) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("observe: %v", p)
-		}
-	}()
-	s.st.Observe(c, rec)
+	f()
 	return nil
 }
 
-// register adds freshly proposed trials to the pending ledger.
-func (s *session) register(props []tuners.Proposal) {
-	for _, p := range props {
-		s.pending[p.Config.Key()]++
-	}
-}
-
-// replay feeds the journal's recovered records through the fresh
-// stepper: for each journaled observation, proposals are drawn one at
-// a time until the journaled configuration is pending (steppers
-// propose deterministically, so the regenerated stream matches the
-// original), then the recorded outcome is observed. A mismatch —
-// corrupt record, diverged stepper — aborts replay, truncating the
-// stale tail exactly like the in-process resume path.
-func (s *session) replay() {
-	jn := s.jn
-	// Bounds the propose loop against a diverged stepper that keeps
-	// emitting non-matching proposals.
-	guard := s.spec.Budget*4 + 256
-	for {
-		e, ok := jn.PeekReplay()
-		if !ok {
-			break
-		}
-		cfg, err := s.space.FromRaw(e.Config)
-		if err != nil {
-			jn.AbortReplay(fmt.Sprintf("trial %d: journaled config invalid for the session space: %v", e.Trial, err))
-			break
-		}
-		key := cfg.Key()
-		diverged := false
-		for s.pending[key] == 0 {
-			if guard <= 0 || s.st.Done() {
-				jn.AbortReplay(fmt.Sprintf("trial %d: stepper never re-proposed the journaled config", e.Trial))
-				diverged = true
-				break
-			}
-			guard--
-			props, perr := s.stepperPropose(1)
-			if perr != nil || len(props) == 0 {
-				jn.AbortReplay(fmt.Sprintf("trial %d: stepper stopped proposing before the journaled config", e.Trial))
-				diverged = true
-				break
-			}
-			s.register(props)
-			for _, p := range props {
-				s.unclaimed = append(s.unclaimed, unclaimedProposal{prop: p, key: p.Config.Key()})
-			}
-		}
-		if diverged {
-			break
-		}
-		jn.NextReplay()
-		rec := backend.EvalRecord{
-			Config:     cfg,
-			Seconds:    e.Seconds,
-			Raw:        e.Raw,
-			Completed:  e.Completed,
-			OOM:        e.OOM,
-			Infeasible: e.Infeasible,
-			Transient:  e.Transient,
-			Skipped:    e.Skipped,
-			Fidelity:   backend.Fidelity{InputScale: e.FidelityInput, StageFrac: e.FidelityStage},
-		}
-		if oerr := s.stepperObserve(cfg, rec); oerr != nil {
-			jn.AbortReplay(fmt.Sprintf("trial %d: replayed observation rejected by the stepper: %v", e.Trial, oerr))
-			break
-		}
-		s.consumePending(key)
-		s.note(cfg, rec, e.ObjEvals, e.ObjCost)
-	}
-	if d, ok := jn.Done(); ok {
-		// A done record is authoritative: the session was sealed (to
-		// completion, or early by an explicit finish) and must come back
-		// sealed — reproduce its recorded result without spending
-		// anything. The stepper may disagree (an early finish leaves it
-		// mid-campaign); the seal wins.
-		s.finished, s.sealed = true, true
-		s.result = s.resultFromDone(d)
-	}
-}
-
-// consumePending removes one pending count for key and drops the
-// first matching unclaimed proposal, if any (an observation may race
-// ahead of the client re-claiming it).
-func (s *session) consumePending(key string) {
-	if s.pending[key] <= 1 {
-		delete(s.pending, key)
-	} else {
-		s.pending[key]--
-	}
-	for i := range s.unclaimed {
-		if s.unclaimed[i].key == key {
-			s.unclaimed = append(s.unclaimed[:i], s.unclaimed[i+1:]...)
-			break
-		}
-	}
-}
-
-// note updates the incumbent, trace and counters for one observation.
-// evalsAfter/costAfter are the post-trial counter values (from the
-// journal during replay, computed live otherwise).
-func (s *session) note(c conf.Config, rec backend.EvalRecord, evalsAfter int, costAfter float64) {
-	if rec.Skipped {
-		s.skipped++
-		return
-	}
-	s.trace = append(s.trace, rec.Seconds)
-	s.completed = append(s.completed, rec.Completed)
-	s.proxy = append(s.proxy, !rec.Fidelity.Full())
-	if !rec.Completed {
-		s.failed++
-	}
-	// Only full-fidelity completions can take the incumbent: a
-	// reduced-fidelity run's seconds measure a scaled-down workload and
-	// are incomparable with full-fidelity observations.
-	if rec.Completed && rec.Fidelity.Full() && rec.Seconds < s.bestSec {
-		s.best, s.bestSec, s.found = c, rec.Seconds, true
-	}
-	s.evals = evalsAfter
-	s.cost = costAfter
-}
+// done reports whether the session will never propose again.
+func (s *session) done() bool { return s.k.Sealed() || s.st.Done() }
 
 // propose hands out up to n trials (n <= 0 or > MaxBatch means
 // MaxBatch): first the unclaimed queue left behind by a resume, then
@@ -352,24 +199,22 @@ func (s *session) propose(n int) (ProposeResponse, *apiErr) {
 	}
 	out := make([]WireProposal, 0, min(want, 16))
 	for len(s.unclaimed) > 0 && len(out) < want {
-		u := s.unclaimed[0]
+		out = append(out, wireProposal(s.unclaimed[0]))
 		s.unclaimed = s.unclaimed[1:]
-		out = append(out, wireProposal(u.prop))
 	}
-	if len(out) < want && !s.finished && !s.st.Done() {
-		props, err := s.stepperPropose(want - len(out))
-		if err != nil {
-			return ProposeResponse{}, errConflict("%v", err)
+	if len(out) < want {
+		var props []tuners.Proposal
+		if err := s.guard(true, func() { props = s.k.Propose(want - len(out)) }); err != nil {
+			return ProposeResponse{}, errConflict("propose: %v", err)
 		}
-		s.register(props)
 		for _, p := range props {
 			out = append(out, wireProposal(p))
 		}
 	}
 	return ProposeResponse{
 		Proposals:   out,
-		Done:        s.finished || s.st.Done(),
-		Outstanding: s.outstanding(),
+		Done:        s.done(),
+		Outstanding: s.k.Outstanding(),
 	}, nil
 }
 
@@ -384,30 +229,21 @@ func wireProposal(p tuners.Proposal) WireProposal {
 	}
 }
 
-func (s *session) outstanding() int {
-	total := 0
-	for _, c := range s.pending {
-		total += c
-	}
-	return total
-}
-
 // observe applies one client-reported outcome: it must match a
-// pending proposal (409 otherwise), is committed to the journal
-// before the stepper acts on it, and then advances the stepper.
+// pending proposal (409 otherwise); the kernel commits it to the
+// journal before the stepper acts on it.
 func (s *session) observe(o Observation) *apiErr {
 	if s.poisoned != nil {
 		return errInternal("session is poisoned: %v", s.poisoned)
 	}
-	if s.finished {
+	if s.k.Sealed() {
 		return errGone("session already finished")
 	}
 	cfg, err := s.space.FromRaw(o.Config)
 	if err != nil {
 		return errBadRequest("%v", err)
 	}
-	key := cfg.Key()
-	if s.pending[key] == 0 {
+	if !s.k.Pending(cfg) {
 		return errConflict("no matching pending proposal for the observed config (never proposed, already observed, or lost to a restart)")
 	}
 	rec := backend.EvalRecord{
@@ -424,110 +260,28 @@ func (s *session) observe(o Observation) *apiErr {
 	// The cap counts evaluated (non-skipped) observations — the ones
 	// that grow the surrogate and the replayable history. Skips stay
 	// exempt so a client at the cap can still resolve its outstanding
-	// proposals before finishing. Checked before the journal append, so
+	// proposals before finishing. Checked before the kernel commits, so
 	// a rejected observation leaves no state anywhere.
-	if s.maxObs > 0 && !rec.Skipped && s.evals >= s.maxObs {
+	if evals, _ := s.k.Spent(); s.maxObs > 0 && !rec.Skipped && evals >= s.maxObs {
 		return errMaxObservations("session at its %d-observation cap; skip outstanding proposals and finish the session (DELETE)", s.maxObs)
 	}
-	evalsAfter, costAfter := s.evals, s.cost
-	if !rec.Skipped {
-		evalsAfter++
-		costAfter += math.Min(rec.Raw, rec.Seconds)
-	}
-	if s.jn != nil {
-		// Durability before action, exactly like the in-process session:
-		// the observation is on disk before the tuner state advances, so
-		// a crash immediately after loses nothing a client paid for.
-		_ = s.jn.Append(journal.EvalEntry{
-			Config:        cfg.ToMap(),
-			Seconds:       rec.Seconds,
-			Raw:           rec.Raw,
-			Completed:     rec.Completed,
-			OOM:           rec.OOM,
-			Infeasible:    rec.Infeasible,
-			Transient:     rec.Transient,
-			Skipped:       rec.Skipped,
-			FidelityInput: rec.Fidelity.InputScale,
-			FidelityStage: rec.Fidelity.StageFrac,
-			ObjEvals:      evalsAfter,
-			ObjCost:       costAfter,
-			Stats:         journal.FailureCounts{Failed: s.failed, Skipped: s.skipped},
-		})
-	}
-	if oerr := s.stepperObserve(cfg, rec); oerr != nil {
+	var oerr error
+	if err := s.guard(false, func() { oerr = s.k.Observe(cfg, rec) }); err != nil || oerr != nil {
 		// Cannot happen after the pending precheck; if it does, the
 		// journal and stepper disagree — stop serving rather than let
 		// them drift further apart.
-		s.poisoned = oerr
-		return errInternal("stepper rejected a prechecked observation: %v", oerr)
+		s.poisoned = errors.Join(err, oerr)
+		return errInternal("stepper rejected a prechecked observation: %v", s.poisoned)
 	}
-	s.consumePending(key)
-	s.note(cfg, rec, evalsAfter, costAfter)
-	// Done means "will never propose again", not "nothing pending":
-	// batch steppers hand out their whole budget before the first
-	// observation lands. Seal only once every handout is answered.
-	if s.st.Done() && s.outstanding() == 0 {
-		s.seal()
+	// An observation may race ahead of the client re-claiming its
+	// proposal.
+	for i, u := range s.unclaimed {
+		if u.Config.Equal(cfg) {
+			s.unclaimed = slices.Delete(s.unclaimed, i, i+1)
+			break
+		}
 	}
 	return nil
-}
-
-// seal records the session outcome: the stepper's own sealed result
-// when it has one (ROBOTune's Result memoizes and carries the
-// selection), the generic incumbent otherwise, plus the journal done
-// record that lets a resume reproduce the result without spending
-// evaluations.
-func (s *session) seal() {
-	if s.sealed {
-		return
-	}
-	s.sealed, s.finished = true, true
-	res := tuners.Result{
-		Best:        s.best,
-		BestSeconds: s.bestSec,
-		Found:       s.found,
-		Evals:       s.evals,
-		SearchCost:  s.cost,
-		Trace:       s.trace,
-		Completed:   s.completed,
-		Proxy:       s.proxy,
-	}
-	if rm, ok := s.st.(interface{ Result() tuners.Result }); ok {
-		sealed := rm.Result()
-		res.SelectedParams = sealed.SelectedParams
-	}
-	tuners.AppendDone(s.jn, res)
-	s.result = &ResultResponse{
-		ID:             s.id,
-		Found:          s.found,
-		BestSeconds:    s.bestSec,
-		Trials:         len(s.trace),
-		Evals:          s.evals,
-		Cost:           s.cost,
-		SelectedParams: res.SelectedParams,
-	}
-	if s.found {
-		s.result.Best = s.best.ToMap()
-	} else {
-		s.result.BestSeconds = 0
-	}
-}
-
-// resultFromDone rebuilds a sealed result from a journal done record
-// (the resume-of-a-completed-session path).
-func (s *session) resultFromDone(d journal.DoneEntry) *ResultResponse {
-	r := &ResultResponse{
-		ID:     s.id,
-		Found:  d.Found,
-		Trials: len(s.trace),
-		Evals:  d.Evals,
-		Cost:   d.SearchCost,
-	}
-	if d.Found {
-		r.Best = d.Best
-		r.BestSeconds = d.BestSeconds
-	}
-	return r
 }
 
 // finish seals the session (even mid-campaign — the client owns the
@@ -536,12 +290,28 @@ func (s *session) finish() (ResultResponse, *apiErr) {
 	if s.poisoned != nil {
 		return ResultResponse{}, errInternal("session is poisoned: %v", s.poisoned)
 	}
-	s.seal()
+	var res tuners.Result
+	if err := s.guard(false, func() { res = s.k.Seal() }); err != nil {
+		return ResultResponse{}, errInternal("seal: %v", err)
+	}
+	s.unclaimed = nil
 	if s.jn != nil {
 		_ = s.jn.Close()
 		s.jn = nil
 	}
-	return *s.result, nil
+	r := ResultResponse{
+		ID:             s.id,
+		Found:          res.Found,
+		Trials:         len(res.Trace),
+		Evals:          res.Evals,
+		Cost:           res.SearchCost,
+		SelectedParams: res.SelectedParams,
+	}
+	if res.Found {
+		r.Best = res.Best.ToMap()
+		r.BestSeconds = res.BestSeconds
+	}
+	return r, nil
 }
 
 // suspend writes an advisory shutdown snapshot and closes the
@@ -551,11 +321,11 @@ func (s *session) suspend(phase string) {
 	if s.jn == nil {
 		return
 	}
-	if !s.sealed {
+	if !s.k.Sealed() {
 		_ = s.jn.WriteSnapshot(journal.Snapshot{
 			Phase:  phase,
 			Trials: s.jn.Trials(),
-			Stats:  journal.FailureCounts{Failed: s.failed, Skipped: s.skipped},
+			Stats:  s.k.Stats().Counts(),
 		})
 	}
 	_ = s.jn.Close()
@@ -565,6 +335,7 @@ func (s *session) suspend(phase string) {
 // status reports the session's current state. traceTail <= 0 returns
 // the full trace.
 func (s *session) status(traceTail int) StatusResponse {
+	res := s.k.Result()
 	st := StatusResponse{
 		ID:            s.id,
 		Tuner:         s.spec.Tuner,
@@ -573,14 +344,14 @@ func (s *session) status(traceTail int) StatusResponse {
 		Dataset:       s.spec.Dataset,
 		Budget:        s.spec.Budget,
 		Seed:          s.spec.Seed,
-		Done:          s.finished || s.st.Done(),
-		Found:         s.found,
-		Trials:        len(s.trace),
-		Outstanding:   s.outstanding(),
+		Done:          s.done(),
+		Found:         res.Found,
+		Trials:        len(res.Trace),
+		Outstanding:   s.k.Outstanding(),
 		Unclaimed:     len(s.unclaimed),
-		Evals:         s.evals,
-		Cost:          s.cost,
-		Failed:        s.failed,
+		Evals:         res.Evals,
+		Cost:          res.SearchCost,
+		Failed:        res.Failures.Failed,
 		Resumed:       s.resumed,
 		CreatedUnix:   s.created,
 		LastTouchUnix: s.lastTouch.Load(),
@@ -588,17 +359,17 @@ func (s *session) status(traceTail int) StatusResponse {
 	if s.jn != nil {
 		st.Diverged = s.jn.Diverged()
 	}
-	if s.found {
-		st.Best = s.best.ToMap()
-		st.BestSeconds = s.bestSec
+	if res.Found {
+		st.Best = res.Best.ToMap()
+		st.BestSeconds = res.BestSeconds
 	}
 	start := 0
-	if traceTail > 0 && len(s.trace) > traceTail {
-		start = len(s.trace) - traceTail
+	if traceTail > 0 && len(res.Trace) > traceTail {
+		start = len(res.Trace) - traceTail
 	}
-	st.Trace = append([]float64(nil), s.trace[start:]...)
-	st.Completed = append([]bool(nil), s.completed[start:]...)
-	st.TraceProxy = append([]bool(nil), s.proxy[start:]...)
+	st.Trace = res.Trace[start:]
+	st.Completed = res.Completed[start:]
+	st.TraceProxy = res.Proxy[start:]
 	st.TraceStart = start
 	return st
 }

@@ -362,7 +362,7 @@ type Observation struct {
 	// Completed is true when the run finished (Seconds is a
 	// measurement, not a floor).
 	Completed bool `json:"completed"`
-	// OOM / Infeasible / Transient mirror sparksim.EvalRecord.
+	// OOM / Infeasible / Transient mirror backend.EvalRecord.
 	OOM        bool `json:"oom,omitempty"`
 	Infeasible bool `json:"infeasible,omitempty"`
 	Transient  bool `json:"transient,omitempty"`

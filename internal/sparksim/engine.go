@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 )
 
@@ -136,25 +137,25 @@ type engine struct {
 // for reproducibility. capSeconds truncates runs that exceed it
 // (pass +Inf for no cap — the Evaluator applies the paper's 480 s).
 func Run(cl Cluster, w Workload, c conf.Config, rng *rand.Rand, capSeconds float64) Outcome {
-	return run(cl, w, c, rng, capSeconds, false, FaultPlan{}, nil)
+	return run(cl, w, c, rng, capSeconds, false, backend.FaultPlan{}, nil)
 }
 
 // RunDetailed is Run with per-stage accounting: the returned
 // Outcome.Breakdown lists every executed stage's duration and cost
 // decomposition (robosim's -stages flag).
 func RunDetailed(cl Cluster, w Workload, c conf.Config, rng *rand.Rand, capSeconds float64) Outcome {
-	return run(cl, w, c, rng, capSeconds, true, FaultPlan{}, nil)
+	return run(cl, w, c, rng, capSeconds, true, backend.FaultPlan{}, nil)
 }
 
 // RunWithFaults is Run with fault injection: the plan's incidents are
 // drawn from frng (a dedicated stream, so the run's noise sequence is
 // untouched) and applied at stage boundaries. A zero plan or nil frng
 // reduces to Run exactly.
-func RunWithFaults(cl Cluster, w Workload, c conf.Config, rng *rand.Rand, capSeconds float64, plan FaultPlan, frng *rand.Rand) Outcome {
+func RunWithFaults(cl Cluster, w Workload, c conf.Config, rng *rand.Rand, capSeconds float64, plan backend.FaultPlan, frng *rand.Rand) Outcome {
 	return run(cl, w, c, rng, capSeconds, false, plan, frng)
 }
 
-func run(cl Cluster, w Workload, c conf.Config, rng *rand.Rand, capSeconds float64, collect bool, plan FaultPlan, frng *rand.Rand) Outcome {
+func run(cl Cluster, w Workload, c conf.Config, rng *rand.Rand, capSeconds float64, collect bool, plan backend.FaultPlan, frng *rand.Rand) Outcome {
 	ex, ok := PackExecutors(cl, c)
 	if !ok {
 		return Outcome{Infeasible: true, Seconds: 15, Events: []string{"resource negotiation failed: executor does not fit"}}

@@ -8,13 +8,6 @@ import (
 	"repro/internal/sample"
 )
 
-// EvalRecord, EvalSpec and the evaluation entry points are the
-// backend-neutral contracts; sparksim is their first implementation.
-type (
-	EvalRecord = backend.EvalRecord
-	EvalSpec   = backend.EvalSpec
-)
-
 // Evaluator exposes the simulator as the expensive black-box
 // objective f(x) of §3.1, with the paper's per-evaluation time limit
 // (§5.1 uses 480 s) and bookkeeping of search cost — "the total time
@@ -54,7 +47,7 @@ func (ev *Evaluator) DatasetName() string { return ev.Workload.Dataset }
 // streams are seeded by the index alone, so a proxy run at index i
 // consumes exactly the stream a full-fidelity run at i would have —
 // fidelity never shifts the randomness of later evaluations.
-func (ev *Evaluator) runAt(c conf.Config, seed uint64, idx int, plan FaultPlan, cap float64, fid Fidelity) backend.Outcome {
+func (ev *Evaluator) runAt(c conf.Config, seed uint64, idx int, plan backend.FaultPlan, cap float64, fid backend.Fidelity) backend.Outcome {
 	w := ApplyFidelity(fid, ev.Workload)
 	rng := sample.NewRNG(seed*1e9 + uint64(idx))
 	var out Outcome

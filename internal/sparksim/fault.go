@@ -6,15 +6,9 @@ import (
 	"repro/internal/backend"
 )
 
-// FaultPlan is the backend-neutral fault-injection plan; sparksim
-// realizes its classes as executor loss at a stage boundary, per-stage
-// straggler amplification, transient run aborts and spurious OOM
-// kills. See backend.FaultPlan for the stream discipline.
-type FaultPlan = backend.FaultPlan
-
 // DefaultFaultPlan returns backend.DefaultFaultPlan — the moderate
 // plan the fault-injection stress suite runs under.
-func DefaultFaultPlan() FaultPlan { return backend.DefaultFaultPlan() }
+func DefaultFaultPlan() backend.FaultPlan { return backend.DefaultFaultPlan() }
 
 // faultSchedule is the per-run realization of a FaultPlan: which
 // faults strike, and at which stage.
@@ -30,7 +24,7 @@ type faultSchedule struct {
 // unconditionally and in a fixed order, so the randomness consumed per
 // run is constant and the schedule is a pure function of the stream —
 // the property that keeps batch and sequential evaluation bit-equal.
-func scheduleFaults(p FaultPlan, frng *rand.Rand, nStages int) faultSchedule {
+func scheduleFaults(p backend.FaultPlan, frng *rand.Rand, nStages int) faultSchedule {
 	fs := faultSchedule{active: true, transientStage: -1, execLossStage: -1, oomStage: -1}
 	if nStages < 1 {
 		nStages = 1

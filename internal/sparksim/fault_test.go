@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/sample"
 )
@@ -26,7 +27,7 @@ func sampleConfigs(n int, seed uint64) []conf.Config {
 
 // recEq compares the observation payload of two records (Config is
 // not comparable; identical indices imply identical configs here).
-func recEq(a, b EvalRecord) bool {
+func recEq(a, b backend.EvalRecord) bool {
 	return a.Seconds == b.Seconds && a.Raw == b.Raw &&
 		a.Completed == b.Completed && a.OOM == b.OOM &&
 		a.Infeasible == b.Infeasible && a.Transient == b.Transient &&
@@ -40,7 +41,7 @@ func TestZeroPlanConsumesNoRandomness(t *testing.T) {
 	w := TeraSort(300)
 	for _, c := range sampleConfigs(20, 11) {
 		a := Run(cl, w, c, sample.NewRNG(42), 480)
-		b := RunWithFaults(cl, w, c, sample.NewRNG(42), 480, FaultPlan{}, sample.NewRNG(7))
+		b := RunWithFaults(cl, w, c, sample.NewRNG(42), 480, backend.FaultPlan{}, sample.NewRNG(7))
 		if a.Seconds != b.Seconds || a.Completed != b.Completed || a.OOM != b.OOM {
 			t.Fatalf("zero plan changed outcome: %+v vs %+v", a, b)
 		}
@@ -55,13 +56,13 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	plan := DefaultFaultPlan()
 	cfgs := sampleConfigs(40, 3)
 
-	runAll := func(planSeed uint64) []EvalRecord {
+	runAll := func(planSeed uint64) []backend.EvalRecord {
 		p := plan
 		p.Seed = planSeed
 		ev := NewEvaluator(cl, w, 9, 480)
 		ev.Faults = p
 		for _, c := range cfgs {
-			ev.EvaluateSpec(c, EvalSpec{})
+			ev.EvaluateSpec(c, backend.EvalSpec{})
 		}
 		return ev.History()
 	}
@@ -89,7 +90,7 @@ func TestFaultPlanDeterministic(t *testing.T) {
 func TestFaultKindsAllStrike(t *testing.T) {
 	cl := PaperCluster()
 	w := TeraSort(300)
-	plan := FaultPlan{
+	plan := backend.FaultPlan{
 		ExecutorLossProb: 0.5,
 		StragglerProb:    0.3,
 		StragglerFactor:  3,
@@ -140,11 +141,11 @@ func TestFaultBatchSequentialParity(t *testing.T) {
 	seq := NewEvaluator(cl, w, 77, 480)
 	seq.Faults = DefaultFaultPlan()
 	for _, c := range cfgs {
-		seq.EvaluateSpec(c, EvalSpec{})
+		seq.EvaluateSpec(c, backend.EvalSpec{})
 	}
 	par := NewEvaluator(cl, w, 77, 480)
 	par.Faults = DefaultFaultPlan()
-	par.EvaluateSpecCtx(context.Background(), cfgs, EvalSpec{Workers: 4})
+	par.EvaluateSpecCtx(context.Background(), cfgs, backend.EvalSpec{Workers: 4})
 
 	a, b := seq.History(), par.History()
 	if len(a) != len(b) {
@@ -166,7 +167,7 @@ func TestEvaluateBatchCtxPreCancelled(t *testing.T) {
 	ev := NewEvaluator(PaperCluster(), TeraSort(300), 5, 480)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	recs := ev.EvaluateSpecCtx(ctx, sampleConfigs(8, 2), EvalSpec{Workers: 4})
+	recs := ev.EvaluateSpecCtx(ctx, sampleConfigs(8, 2), backend.EvalSpec{Workers: 4})
 	if len(recs) != 8 {
 		t.Fatalf("want 8 records, got %d", len(recs))
 	}

@@ -6,11 +6,6 @@ import (
 	"repro/internal/backend"
 )
 
-// Fidelity is the backend-neutral proxy-scale selector; sparksim
-// interprets InputScale as a per-stage data-volume fraction and
-// StageFrac as a stage-prefix truncation. See ApplyFidelity.
-type Fidelity = backend.Fidelity
-
 // FullFidelity is the explicit full-scale value; identical to the
 // zero Fidelity.
 var FullFidelity = backend.FullFidelity
@@ -25,7 +20,7 @@ var FullFidelity = backend.FullFidelity
 // The result satisfies Workload.Validate whenever w does, and the same
 // (workload, fidelity) pair always yields the same proxy, so journaled
 // evaluations replay bit-identically.
-func ApplyFidelity(f Fidelity, w Workload) Workload {
+func ApplyFidelity(f backend.Fidelity, w Workload) Workload {
 	if f.Full() {
 		return w
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 )
 
@@ -47,7 +48,7 @@ func (r *ResourceCostEvaluator) rate(c conf.Config) float64 {
 	return cores + r.MemoryWeight*memGB
 }
 
-func (r *ResourceCostEvaluator) price(c conf.Config, rec EvalRecord) EvalRecord {
+func (r *ResourceCostEvaluator) price(c conf.Config, rec backend.EvalRecord) backend.EvalRecord {
 	rec.Seconds = rec.Seconds * r.rate(c)
 	return rec
 }
@@ -55,13 +56,13 @@ func (r *ResourceCostEvaluator) price(c conf.Config, rec EvalRecord) EvalRecord 
 // EvaluateSpec forwards the unified spec entry point and prices the
 // result; low-fidelity proxy runs are priced at the same per-second
 // rate (the layout occupies the cluster either way).
-func (r *ResourceCostEvaluator) EvaluateSpec(c conf.Config, spec EvalSpec) EvalRecord {
+func (r *ResourceCostEvaluator) EvaluateSpec(c conf.Config, spec backend.EvalSpec) backend.EvalRecord {
 	return r.price(c, r.Evaluator.EvaluateSpec(c, spec))
 }
 
 // EvaluateSpecCtx forwards the unified batch entry point; skipped
 // entries carry no observation and are left unpriced.
-func (r *ResourceCostEvaluator) EvaluateSpecCtx(ctx context.Context, cfgs []conf.Config, spec EvalSpec) []EvalRecord {
+func (r *ResourceCostEvaluator) EvaluateSpecCtx(ctx context.Context, cfgs []conf.Config, spec backend.EvalSpec) []backend.EvalRecord {
 	recs := r.Evaluator.EvaluateSpecCtx(ctx, cfgs, spec)
 	for i := range recs {
 		if recs[i].Skipped {

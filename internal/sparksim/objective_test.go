@@ -3,6 +3,7 @@ package sparksim
 import (
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 )
 
@@ -13,8 +14,8 @@ func TestResourceCostObjectiveScalesWithFootprint(t *testing.T) {
 	big := tunedConfig(t) // 20 executors x 8 cores
 	small := tunedConfig(t).With(conf.ExecutorInstances, 5)
 
-	recBig := rc.EvaluateSpec(big, EvalSpec{})
-	recSmall := rc.EvaluateSpec(small, EvalSpec{})
+	recBig := rc.EvaluateSpec(big, backend.EvalSpec{})
+	recSmall := rc.EvaluateSpec(small, backend.EvalSpec{})
 	if !recBig.Completed || !recSmall.Completed {
 		t.Fatalf("runs failed: %+v %+v", recBig, recSmall)
 	}
@@ -32,7 +33,7 @@ func TestResourceCostObjectiveScalesWithFootprint(t *testing.T) {
 func TestResourceCostEvaluatorKeepsTimeAccounting(t *testing.T) {
 	ev := NewEvaluator(PaperCluster(), TeraSort(20), 2, 480)
 	rc := NewResourceCostEvaluator(ev, 0.1)
-	rec := rc.EvaluateSpec(tunedConfig(t), EvalSpec{})
+	rec := rc.EvaluateSpec(tunedConfig(t), backend.EvalSpec{})
 	// Search cost stays in simulated seconds (the paper's metric),
 	// not in priced units.
 	if rc.SearchCost() != min(rec.Raw, 480) {
@@ -54,7 +55,7 @@ func TestResourceCostInfeasiblePricedAtWorstCase(t *testing.T) {
 		With(conf.ExecutorMemoryOverhead, 8192).
 		With(conf.OffHeapEnabled, 1).
 		With(conf.OffHeapSize, 16384)
-	rec := rc.EvaluateSpec(bad, EvalSpec{})
+	rec := rc.EvaluateSpec(bad, backend.EvalSpec{})
 	if !rec.Infeasible {
 		t.Fatal("expected infeasible")
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/sample"
 )
@@ -327,8 +328,8 @@ func TestRunNeverNegativeProperty(t *testing.T) {
 func TestEvaluatorAccounting(t *testing.T) {
 	ev := NewEvaluator(PaperCluster(), KMeans(200), 1, 480)
 	c := tunedConfig(t)
-	r1 := ev.EvaluateSpec(c, EvalSpec{})
-	r2 := ev.EvaluateSpec(c, EvalSpec{})
+	r1 := ev.EvaluateSpec(c, backend.EvalSpec{})
+	r2 := ev.EvaluateSpec(c, backend.EvalSpec{})
 	if ev.Evals() != 2 {
 		t.Fatalf("Evals = %d", ev.Evals())
 	}
@@ -351,7 +352,7 @@ func TestEvaluatorAccounting(t *testing.T) {
 func TestEvaluatorFailureChargesOnlyConsumedTime(t *testing.T) {
 	ev := NewEvaluator(PaperCluster(), PageRank(10), 3, 480)
 	def := space().Default() // OOMs quickly
-	r := ev.EvaluateSpec(def, EvalSpec{})
+	r := ev.EvaluateSpec(def, backend.EvalSpec{})
 	if !r.OOM {
 		t.Fatalf("default PageRank should OOM, got %+v", r)
 	}
@@ -372,7 +373,7 @@ func TestEvaluatorCapDefaults(t *testing.T) {
 
 func TestEvaluatorReset(t *testing.T) {
 	ev := NewEvaluator(PaperCluster(), KMeans(200), 1, 480)
-	ev.EvaluateSpec(tunedConfig(t), EvalSpec{})
+	ev.EvaluateSpec(tunedConfig(t), backend.EvalSpec{})
 	ev.Reset(2)
 	if ev.Evals() != 0 || ev.SearchCost() != 0 || len(ev.History()) != 0 {
 		t.Error("Reset did not clear state")
@@ -399,7 +400,7 @@ func TestEvaluatorConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				ev.EvaluateSpec(c, EvalSpec{})
+				ev.EvaluateSpec(c, backend.EvalSpec{})
 			}
 		}()
 	}
@@ -416,7 +417,7 @@ func TestInfeasibleConfigFailsFast(t *testing.T) {
 		With(conf.ExecutorMemoryOverhead, 8192).
 		With(conf.OffHeapEnabled, 1).
 		With(conf.OffHeapSize, 16384)
-	r := ev.EvaluateSpec(bad, EvalSpec{})
+	r := ev.EvaluateSpec(bad, backend.EvalSpec{})
 	if !r.Infeasible {
 		t.Fatal("expected infeasible")
 	}
@@ -453,13 +454,13 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	}
 
 	seq := NewEvaluator(PaperCluster(), TeraSort(20), 99, 480)
-	var seqRecs []EvalRecord
+	var seqRecs []backend.EvalRecord
 	for _, c := range cfgs {
-		seqRecs = append(seqRecs, seq.EvaluateSpec(c, EvalSpec{}))
+		seqRecs = append(seqRecs, seq.EvaluateSpec(c, backend.EvalSpec{}))
 	}
 
 	par := NewEvaluator(PaperCluster(), TeraSort(20), 99, 480)
-	parRecs := par.EvaluateSpecCtx(context.Background(), cfgs, EvalSpec{Workers: 8})
+	parRecs := par.EvaluateSpecCtx(context.Background(), cfgs, backend.EvalSpec{Workers: 8})
 
 	if len(parRecs) != len(seqRecs) {
 		t.Fatalf("record counts differ: %d vs %d", len(parRecs), len(seqRecs))
@@ -486,7 +487,7 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 
 func TestEvaluateBatchEmpty(t *testing.T) {
 	ev := NewEvaluator(PaperCluster(), TeraSort(20), 1, 480)
-	if got := ev.EvaluateSpecCtx(context.Background(), nil, EvalSpec{Workers: 4}); got != nil {
+	if got := ev.EvaluateSpecCtx(context.Background(), nil, backend.EvalSpec{Workers: 4}); got != nil {
 		t.Errorf("empty batch = %v", got)
 	}
 	if ev.Evals() != 0 {
@@ -505,7 +506,7 @@ func TestCrossClusterOptimaDiffer(t *testing.T) {
 		best := math.Inf(1)
 		var bestCfg conf.Config
 		for _, u := range sample.LHS(120, space.Dim(), sample.NewRNG(seed)) {
-			rec := ev.EvaluateSpec(space.Decode(u), EvalSpec{})
+			rec := ev.EvaluateSpec(space.Decode(u), backend.EvalSpec{})
 			if rec.Completed && rec.Seconds < best {
 				best, bestCfg = rec.Seconds, rec.Config
 			}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/sample"
 )
@@ -72,7 +73,7 @@ func TestExtraWorkloadsTunable(t *testing.T) {
 		found := false
 		for i, u := range sample.LHS(25, space.Dim(), sample.NewRNG(9)) {
 			_ = i
-			if rec := ev.EvaluateSpec(space.Decode(u), EvalSpec{}); rec.Completed {
+			if rec := ev.EvaluateSpec(space.Decode(u), backend.EvalSpec{}); rec.Completed {
 				found = true
 				break
 			}

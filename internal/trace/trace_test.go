@@ -48,7 +48,7 @@ func TestRecorderThroughROBOTuneAndRoundTrip(t *testing.T) {
 	rec := NewRecorder(ev)
 	opts := core.Options{GenericSamples: 40, PermuteRepeats: 2}
 	rt := core.New(nil, opts)
-	res := rt.Tune(rec, conf.SparkSpace(), 20, 2)
+	res := rt.Run(tuners.NewSession(rec, conf.SparkSpace(), tuners.Request{Budget: 20, Seed: 2}))
 	if !res.Found {
 		t.Fatal("tuning failed")
 	}
@@ -113,7 +113,7 @@ func TestSeedStoreRecoversSession(t *testing.T) {
 	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.TeraSort(20), 5, 480)
 	rec := NewRecorder(ev)
 	rt := core.New(nil, core.Options{GenericSamples: 40, PermuteRepeats: 2})
-	res := rt.Tune(rec, conf.SparkSpace(), 20, 5)
+	res := rt.Run(tuners.NewSession(rec, conf.SparkSpace(), tuners.Request{Budget: 20, Seed: 5}))
 	sess := rec.Finish("ROBOTune", 20, 5, res)
 
 	store := memo.NewStore()
@@ -136,7 +136,7 @@ func TestSeedStoreRecoversSession(t *testing.T) {
 	// A new tuner over the recovered store skips selection.
 	rt2 := core.New(store, core.Options{GenericSamples: 40, PermuteRepeats: 2})
 	ev2 := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.TeraSort(30), 6, 480)
-	res2 := rt2.Tune(ev2, conf.SparkSpace(), 15, 6)
+	res2 := rt2.Run(tuners.NewSession(ev2, conf.SparkSpace(), tuners.Request{Budget: 15, Seed: 6}))
 	if res2.SelectionEvals != 0 {
 		t.Errorf("recovered store did not give a cache hit: %d selection evals", res2.SelectionEvals)
 	}

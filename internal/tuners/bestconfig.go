@@ -36,12 +36,7 @@ type BestConfig struct {
 // Name implements Tuner.
 func (BestConfig) Name() string { return "BestConfig" }
 
-// Tune implements Tuner.
-func (b BestConfig) Tune(obj Objective, space *conf.Space, budget int, seed uint64) Result {
-	return b.Run(NewSession(obj, space, Request{Budget: budget, Seed: seed}))
-}
-
-// Run implements SessionTuner by driving the stepper.
+// Run implements Tuner by driving the stepper.
 func (b BestConfig) Run(s *Session) Result {
 	return Drive(b.Stepper(s.Space(), s.Budget(), s.Seed()), s)
 }

@@ -117,12 +117,7 @@ func ValidFidelityLadder(l []float64) error {
 // Name implements Tuner.
 func (BOHB) Name() string { return "BOHB" }
 
-// Tune implements Tuner.
-func (b BOHB) Tune(obj Objective, space *conf.Space, budget int, seed uint64) Result {
-	return b.Run(NewSession(obj, space, Request{Budget: budget, Seed: seed}))
-}
-
-// Run implements SessionTuner by driving the stepper.
+// Run implements Tuner by driving the stepper.
 func (b BOHB) Run(ses *Session) Result {
 	return Drive(b.Stepper(ses.Space(), ses.Budget(), ses.Seed()), ses)
 }

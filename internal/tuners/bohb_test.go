@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/journal"
 	"repro/internal/sparksim"
@@ -13,7 +14,7 @@ import (
 func TestBOHBFindsOnSimulator(t *testing.T) {
 	space := conf.SparkSpace()
 	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(200), 4, 480)
-	res := BOHB{}.Tune(ev, space, 30, 4)
+	res := BOHB{}.Run(NewSession(ev, space, Request{Budget: 30, Seed: 4}))
 	if !res.Found {
 		t.Fatal("BOHB found nothing on KMeans")
 	}
@@ -23,7 +24,7 @@ func TestBOHBFindsOnSimulator(t *testing.T) {
 	// The proxy rungs keep mean per-evaluation cost well below Random
 	// Search, which runs every trial at full fidelity.
 	evRS := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(200), 4, 480)
-	rs := RandomSearch{}.Tune(evRS, space, 30, 4)
+	rs := RandomSearch{}.Run(NewSession(evRS, space, Request{Budget: 30, Seed: 4}))
 	perEval := res.SearchCost / float64(res.Evals)
 	rsPerEval := rs.SearchCost / float64(rs.Evals)
 	if perEval >= rsPerEval {
@@ -34,7 +35,7 @@ func TestBOHBFindsOnSimulator(t *testing.T) {
 func TestBOHBDeterministic(t *testing.T) {
 	run := func() Result {
 		ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(150), 4, 480)
-		return BOHB{}.Tune(ev, conf.SparkSpace(), 20, 9)
+		return BOHB{}.Run(NewSession(ev, conf.SparkSpace(), Request{Budget: 20, Seed: 9}))
 	}
 	a, b := run(), run()
 	if a.BestSeconds != b.BestSeconds || a.SearchCost != b.SearchCost {
@@ -48,7 +49,7 @@ func TestBOHBDeterministic(t *testing.T) {
 func TestBOHBWorkersParity(t *testing.T) {
 	run := func(workers int) Result {
 		ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.PageRank(40), 4, 480)
-		return BOHB{Workers: workers}.Tune(ev, conf.SparkSpace(), 18, 7)
+		return BOHB{Workers: workers}.Run(NewSession(ev, conf.SparkSpace(), Request{Budget: 18, Seed: 7}))
 	}
 	seq, par := run(1), run(4)
 	if seq.BestSeconds != par.BestSeconds || seq.SearchCost != par.SearchCost {
@@ -74,7 +75,7 @@ type cancellingSpecObjective struct {
 	left   int
 }
 
-func (c *cancellingSpecObjective) EvaluateSpec(cfg conf.Config, spec sparksim.EvalSpec) sparksim.EvalRecord {
+func (c *cancellingSpecObjective) EvaluateSpec(cfg conf.Config, spec backend.EvalSpec) backend.EvalRecord {
 	rec := c.Evaluator.EvaluateSpec(cfg, spec)
 	c.left--
 	if c.left <= 0 {
@@ -154,14 +155,14 @@ func TestBOHBKillResumeMidBracket(t *testing.T) {
 func TestBOHBProxyNeverTakesIncumbent(t *testing.T) {
 	tr := newTracker()
 	c := conf.Config{}
-	tr.observe(c, sparksim.EvalRecord{
+	tr.observe(c, backend.EvalRecord{
 		Seconds: 3, Completed: true,
-		Fidelity: sparksim.Fidelity{InputScale: 0.3},
+		Fidelity: backend.Fidelity{InputScale: 0.3},
 	})
 	if tr.found {
 		t.Fatal("proxy observation took the incumbent")
 	}
-	tr.observe(c, sparksim.EvalRecord{Seconds: 120, Completed: true})
+	tr.observe(c, backend.EvalRecord{Seconds: 120, Completed: true})
 	if !tr.found || tr.bestSec != 120 {
 		t.Fatalf("full-fidelity observation not incumbent: found=%v best=%v", tr.found, tr.bestSec)
 	}
@@ -174,7 +175,7 @@ func TestBOHBProxyNeverTakesIncumbent(t *testing.T) {
 func TestBOHBStageAxis(t *testing.T) {
 	b := BOHB{Axis: AxisStage}
 	st := b.Stepper(conf.SparkSpace(), 30, 4).(*bohbStepper)
-	for r, want := range []sparksim.Fidelity{
+	for r, want := range []backend.Fidelity{
 		{StageFrac: 1.0 / 9}, {StageFrac: 1.0 / 3}, {},
 	} {
 		if got := st.rungFidelity(r); got != want {
@@ -183,7 +184,7 @@ func TestBOHBStageAxis(t *testing.T) {
 	}
 
 	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(200), 4, 480)
-	res := b.Tune(ev, conf.SparkSpace(), 30, 4)
+	res := b.Run(NewSession(ev, conf.SparkSpace(), Request{Budget: 30, Seed: 4}))
 	if !res.Found {
 		t.Fatal("stage-axis BOHB found nothing on KMeans")
 	}
@@ -224,7 +225,7 @@ func TestValidFidelityLadder(t *testing.T) {
 // defaults without panics.
 func TestBOHBDegenerateSettings(t *testing.T) {
 	obj := newSynth(smoothObjective)
-	res := BOHB{Eta: 1, Ladder: []float64{0.7, 0.2}}.Tune(obj, smallSpace(t), 20, 3)
+	res := BOHB{Eta: 1, Ladder: []float64{0.7, 0.2}}.Run(NewSession(obj, smallSpace(t), Request{Budget: 20, Seed: 3}))
 	if res.Evals == 0 {
 		t.Error("no evaluations performed")
 	}

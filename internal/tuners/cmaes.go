@@ -25,12 +25,7 @@ type CMAES struct {
 // Name implements Tuner.
 func (CMAES) Name() string { return "CMAES" }
 
-// Tune implements Tuner.
-func (c CMAES) Tune(obj Objective, space *conf.Space, budget int, seed uint64) Result {
-	return c.Run(NewSession(obj, space, Request{Budget: budget, Seed: seed}))
-}
-
-// Run implements SessionTuner by driving the stepper.
+// Run implements Tuner by driving the stepper.
 func (c CMAES) Run(s *Session) Result {
 	return Drive(c.Stepper(s.Space(), s.Budget(), s.Seed()), s)
 }

@@ -3,8 +3,8 @@ package tuners
 import (
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
-	"repro/internal/sparksim"
 )
 
 // grantStub hands out a scripted sequence of budget grants and
@@ -82,7 +82,7 @@ func (st *nonExtender) Propose(n int) []Proposal {
 	return p
 }
 
-func (st *nonExtender) Observe(c conf.Config, rec sparksim.EvalRecord) { st.Observed(c) }
+func (st *nonExtender) Observe(c conf.Config, rec backend.EvalRecord) { st.Observed(c) }
 
 // TestNonExtenderNeverCharged: a declined extension must not draw from
 // the grant pool — tryExtend checks the capability before asking, so

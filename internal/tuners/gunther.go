@@ -43,12 +43,7 @@ type individual struct {
 	valid   bool
 }
 
-// Tune implements Tuner.
-func (g Gunther) Tune(obj Objective, space *conf.Space, budget int, seed uint64) Result {
-	return g.Run(NewSession(obj, space, Request{Budget: budget, Seed: seed}))
-}
-
-// Run implements SessionTuner by driving the stepper.
+// Run implements Tuner by driving the stepper.
 func (g Gunther) Run(s *Session) Result {
 	return Drive(g.Stepper(s.Space(), s.Budget(), s.Seed()), s)
 }

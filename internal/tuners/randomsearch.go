@@ -18,12 +18,7 @@ type RandomSearch struct{}
 // Name implements Tuner.
 func (RandomSearch) Name() string { return "RandomSearch" }
 
-// Tune implements Tuner.
-func (t RandomSearch) Tune(obj Objective, space *conf.Space, budget int, seed uint64) Result {
-	return t.Run(NewSession(obj, space, Request{Budget: budget, Seed: seed}))
-}
-
-// Run implements SessionTuner by driving the stepper.
+// Run implements Tuner by driving the stepper.
 func (t RandomSearch) Run(s *Session) Result {
 	return Drive(t.Stepper(s.Space(), s.Budget(), s.Seed()), s)
 }

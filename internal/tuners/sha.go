@@ -36,12 +36,7 @@ type SuccessiveHalving struct {
 // Name implements Tuner.
 func (SuccessiveHalving) Name() string { return "SuccessiveHalving" }
 
-// Tune implements Tuner.
-func (s SuccessiveHalving) Tune(obj Objective, space *conf.Space, budget int, seed uint64) Result {
-	return s.Run(NewSession(obj, space, Request{Budget: budget, Seed: seed}))
-}
-
-// Run implements SessionTuner by driving the stepper. The rung caps
+// Run implements Tuner by driving the stepper. The rung caps
 // ride on the session's guard capability, so the request deadline
 // tightens them further.
 func (s SuccessiveHalving) Run(ses *Session) Result {

@@ -9,7 +9,7 @@ import (
 
 func TestSHARespectssBudgetAndFinds(t *testing.T) {
 	obj := newSynth(smoothObjective)
-	res := SuccessiveHalving{}.Tune(obj, smallSpace(t), 60, 1)
+	res := SuccessiveHalving{}.Run(NewSession(obj, smallSpace(t), Request{Budget: 60, Seed: 1}))
 	if res.Evals > 60 {
 		t.Fatalf("evals = %d exceeds budget", res.Evals)
 	}
@@ -24,7 +24,7 @@ func TestSHARespectssBudgetAndFinds(t *testing.T) {
 func TestSHAOnSimulatorUsesCheapEarlyRounds(t *testing.T) {
 	space := conf.SparkSpace()
 	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(200), 4, 480)
-	res := SuccessiveHalving{}.Tune(ev, space, 60, 4)
+	res := SuccessiveHalving{}.Run(NewSession(ev, space, Request{Budget: 60, Seed: 4}))
 	if !res.Found {
 		t.Fatal("SHA found nothing on KMeans")
 	}
@@ -37,7 +37,7 @@ func TestSHAOnSimulatorUsesCheapEarlyRounds(t *testing.T) {
 	// Compare with Random Search under the same budget: SHA should be
 	// cheaper per evaluation (RS runs everything to the cap).
 	evRS := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(200), 4, 480)
-	rs := RandomSearch{}.Tune(evRS, space, 60, 4)
+	rs := RandomSearch{}.Run(NewSession(evRS, space, Request{Budget: 60, Seed: 4}))
 	if rs.Evals > 0 && perEval >= rs.SearchCost/float64(rs.Evals) {
 		t.Errorf("SHA per-eval cost %v should be below RS %v",
 			perEval, rs.SearchCost/float64(rs.Evals))
@@ -45,8 +45,8 @@ func TestSHAOnSimulatorUsesCheapEarlyRounds(t *testing.T) {
 }
 
 func TestSHADeterministic(t *testing.T) {
-	a := SuccessiveHalving{}.Tune(newSynth(smoothObjective), smallSpace(t), 40, 9)
-	b := SuccessiveHalving{}.Tune(newSynth(smoothObjective), smallSpace(t), 40, 9)
+	a := SuccessiveHalving{}.Run(NewSession(newSynth(smoothObjective), smallSpace(t), Request{Budget: 40, Seed: 9}))
+	b := SuccessiveHalving{}.Run(NewSession(newSynth(smoothObjective), smallSpace(t), Request{Budget: 40, Seed: 9}))
 	if a.BestSeconds != b.BestSeconds || a.SearchCost != b.SearchCost {
 		t.Error("same seed differs")
 	}
@@ -54,7 +54,7 @@ func TestSHADeterministic(t *testing.T) {
 
 func TestSHAHandlesFailures(t *testing.T) {
 	obj := newSynth(func(conf.Config) (float64, bool) { return 1000, false })
-	res := SuccessiveHalving{}.Tune(obj, smallSpace(t), 30, 2)
+	res := SuccessiveHalving{}.Run(NewSession(obj, smallSpace(t), Request{Budget: 30, Seed: 2}))
 	if res.Found {
 		t.Error("all-failing objective reported success")
 	}
@@ -66,7 +66,7 @@ func TestSHAHandlesFailures(t *testing.T) {
 func TestSHADefaults(t *testing.T) {
 	// Degenerate settings fall back to sane defaults without panics.
 	obj := newSynth(smoothObjective)
-	res := SuccessiveHalving{Eta: 1, MinCap: -5, MaxCap: -1}.Tune(obj, smallSpace(t), 20, 3)
+	res := SuccessiveHalving{Eta: 1, MinCap: -5, MaxCap: -1}.Run(NewSession(obj, smallSpace(t), Request{Budget: 20, Seed: 3}))
 	if res.Evals == 0 {
 		t.Error("no evaluations performed")
 	}
@@ -74,7 +74,7 @@ func TestSHADefaults(t *testing.T) {
 
 func TestCMAESTunerBudgetAndQuality(t *testing.T) {
 	obj := newSynth(smoothObjective)
-	res := CMAES{}.Tune(obj, smallSpace(t), 80, 5)
+	res := CMAES{}.Run(NewSession(obj, smallSpace(t), Request{Budget: 80, Seed: 5}))
 	if res.Evals > 80 {
 		t.Fatalf("evals = %d exceeds budget", res.Evals)
 	}
@@ -88,7 +88,7 @@ func TestCMAESTunerBudgetAndQuality(t *testing.T) {
 
 func TestCMAESTunerOnSimulator(t *testing.T) {
 	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.TeraSort(20), 6, 480)
-	res := CMAES{}.Tune(ev, conf.SparkSpace(), 50, 6)
+	res := CMAES{}.Run(NewSession(ev, conf.SparkSpace(), Request{Budget: 50, Seed: 6}))
 	if !res.Found {
 		t.Fatal("CMAES found nothing on TeraSort")
 	}
@@ -98,8 +98,8 @@ func TestCMAESTunerOnSimulator(t *testing.T) {
 }
 
 func TestCMAESTunerDeterministic(t *testing.T) {
-	a := CMAES{}.Tune(newSynth(smoothObjective), smallSpace(t), 40, 8)
-	b := CMAES{}.Tune(newSynth(smoothObjective), smallSpace(t), 40, 8)
+	a := CMAES{}.Run(NewSession(newSynth(smoothObjective), smallSpace(t), Request{Budget: 40, Seed: 8}))
+	b := CMAES{}.Run(NewSession(newSynth(smoothObjective), smallSpace(t), Request{Budget: 40, Seed: 8}))
 	if a.BestSeconds != b.BestSeconds {
 		t.Error("same seed differs")
 	}

@@ -5,12 +5,12 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
-	"repro/internal/sparksim"
 )
 
-func testRecord(c conf.Config, sec float64) sparksim.EvalRecord {
-	return sparksim.EvalRecord{Config: c, Seconds: sec, Raw: sec, Completed: true}
+func testRecord(c conf.Config, sec float64) backend.EvalRecord {
+	return backend.EvalRecord{Config: c, Seconds: sec, Raw: sec, Completed: true}
 }
 
 // mustPanic runs f and fails the test unless it panics.
@@ -147,7 +147,7 @@ func TestResultCompleted(t *testing.T) {
 		calls++
 		return 100, calls%3 != 0 // every third run fails
 	}}
-	res := RandomSearch{}.Tune(obj, space, 9, 5)
+	res := RandomSearch{}.Run(NewSession(obj, space, Request{Budget: 9, Seed: 5}))
 	if len(res.Completed) != len(res.Trace) {
 		t.Fatalf("Completed length %d != Trace length %d", len(res.Completed), len(res.Trace))
 	}

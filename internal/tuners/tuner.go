@@ -73,11 +73,13 @@ type Result struct {
 	Cancelled bool
 }
 
-// Tuner finds a good configuration within a budget of evaluations.
+// Tuner finds a good configuration within a session's budget of
+// evaluations. Run executes under the session's robustness envelope
+// (cancellation, deadlines, retries, failure accounting, journaling);
+// a zero Request is a plain budget-and-seed run.
 type Tuner interface {
 	Name() string
-	// Tune runs at most budget evaluations of obj over space.
-	Tune(obj Objective, space *conf.Space, budget int, seed uint64) Result
+	Run(s *Session) Result
 }
 
 // tracker accumulates the incumbent across evaluations.
@@ -106,13 +108,11 @@ func (t *tracker) observe(c conf.Config, rec backend.EvalRecord) {
 	}
 }
 
-func (t *tracker) result(obj Objective) Result {
+func (t *tracker) result() Result {
 	return Result{
 		Best:        t.best,
 		BestSeconds: t.bestSec,
 		Found:       t.found,
-		Evals:       obj.Evals(),
-		SearchCost:  obj.SearchCost(),
 		Trace:       append([]float64(nil), t.trace...),
 		Completed:   append([]bool(nil), t.completed...),
 		Proxy:       append([]bool(nil), t.proxy...),

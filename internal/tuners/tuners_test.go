@@ -81,7 +81,7 @@ func smoothObjective(c conf.Config) (float64, bool) {
 
 func TestRandomSearchBudgetAndBest(t *testing.T) {
 	obj := newSynth(smoothObjective)
-	res := RandomSearch{}.Tune(obj, smallSpace(t), 50, 1)
+	res := RandomSearch{}.Run(NewSession(obj, smallSpace(t), Request{Budget: 50, Seed: 1}))
 	if res.Evals != 50 || len(res.Trace) != 50 {
 		t.Fatalf("evals=%d trace=%d, want 50", res.Evals, len(res.Trace))
 	}
@@ -102,12 +102,12 @@ func TestRandomSearchBudgetAndBest(t *testing.T) {
 }
 
 func TestRandomSearchDeterministic(t *testing.T) {
-	a := RandomSearch{}.Tune(newSynth(smoothObjective), smallSpace(t), 30, 7)
-	b := RandomSearch{}.Tune(newSynth(smoothObjective), smallSpace(t), 30, 7)
+	a := RandomSearch{}.Run(NewSession(newSynth(smoothObjective), smallSpace(t), Request{Budget: 30, Seed: 7}))
+	b := RandomSearch{}.Run(NewSession(newSynth(smoothObjective), smallSpace(t), Request{Budget: 30, Seed: 7}))
 	if a.BestSeconds != b.BestSeconds {
 		t.Error("same seed differs")
 	}
-	c := RandomSearch{}.Tune(newSynth(smoothObjective), smallSpace(t), 30, 8)
+	c := RandomSearch{}.Run(NewSession(newSynth(smoothObjective), smallSpace(t), Request{Budget: 30, Seed: 8}))
 	if a.BestSeconds == c.BestSeconds && a.Best.Equal(c.Best) {
 		t.Error("different seeds found identical path (suspicious)")
 	}
@@ -116,7 +116,7 @@ func TestRandomSearchDeterministic(t *testing.T) {
 func TestBestConfigSingleRoundMatchesPaperObservation(t *testing.T) {
 	// With budget == RoundSize there is no recursion: pure DDS.
 	obj := newSynth(smoothObjective)
-	res := BestConfig{RoundSize: 100}.Tune(obj, smallSpace(t), 100, 2)
+	res := BestConfig{RoundSize: 100}.Run(NewSession(obj, smallSpace(t), Request{Budget: 100, Seed: 2}))
 	if res.Evals != 100 {
 		t.Fatalf("evals = %d", res.Evals)
 	}
@@ -129,7 +129,7 @@ func TestBestConfigRecursionImproves(t *testing.T) {
 	// Multiple small rounds let RBS zoom in; final best should beat
 	// the first round's best on a smooth objective.
 	obj := newSynth(smoothObjective)
-	res := BestConfig{RoundSize: 20}.Tune(obj, smallSpace(t), 100, 3)
+	res := BestConfig{RoundSize: 20}.Run(NewSession(obj, smallSpace(t), Request{Budget: 100, Seed: 3}))
 	firstRound := math.Inf(1)
 	for _, v := range res.Trace[:20] {
 		if v < firstRound {
@@ -148,7 +148,7 @@ func TestBestConfigDivergesOnNoImprovement(t *testing.T) {
 	// A flat objective never improves; the search must still consume
 	// the budget without panicking (bounds keep resetting).
 	obj := newSynth(func(conf.Config) (float64, bool) { return 100, true })
-	res := BestConfig{RoundSize: 10}.Tune(obj, smallSpace(t), 40, 4)
+	res := BestConfig{RoundSize: 10}.Run(NewSession(obj, smallSpace(t), Request{Budget: 40, Seed: 4}))
 	if res.Evals != 40 {
 		t.Fatalf("evals = %d", res.Evals)
 	}
@@ -156,7 +156,7 @@ func TestBestConfigDivergesOnNoImprovement(t *testing.T) {
 
 func TestGuntherBudgetAndImprovement(t *testing.T) {
 	obj := newSynth(smoothObjective)
-	res := Gunther{}.Tune(obj, smallSpace(t), 100, 5)
+	res := Gunther{}.Run(NewSession(obj, smallSpace(t), Request{Budget: 100, Seed: 5}))
 	if res.Evals != 100 {
 		t.Fatalf("evals = %d, want exactly the budget", res.Evals)
 	}
@@ -181,7 +181,7 @@ func TestGuntherInitScalesWithDimensionality(t *testing.T) {
 	// evals, capped at 2/3 of budget (66 of 100) — the "significant
 	// portion" §5.2 blames for Gunther's exploration-heavy profile.
 	obj := newSynth(func(c conf.Config) (float64, bool) { return 100, true })
-	res := Gunther{}.Tune(obj, conf.SparkSpace(), 100, 6)
+	res := Gunther{}.Run(NewSession(obj, conf.SparkSpace(), Request{Budget: 100, Seed: 6}))
 	if res.Evals != 100 {
 		t.Fatalf("evals = %d", res.Evals)
 	}
@@ -190,7 +190,7 @@ func TestGuntherInitScalesWithDimensionality(t *testing.T) {
 func TestAllTunersHandleTotalFailure(t *testing.T) {
 	obj := newSynth(func(conf.Config) (float64, bool) { return 1000, false })
 	for _, tn := range []Tuner{RandomSearch{}, BestConfig{RoundSize: 10}, Gunther{}} {
-		res := tn.Tune(obj, smallSpace(t), 20, 7)
+		res := tn.Run(NewSession(obj, smallSpace(t), Request{Budget: 20, Seed: 7}))
 		if res.Found {
 			t.Errorf("%s: Found=true on all-failing objective", tn.Name())
 		}
@@ -211,7 +211,7 @@ func TestTunersOnRealSimulator(t *testing.T) {
 	space := conf.SparkSpace()
 	for _, tn := range []Tuner{RandomSearch{}, BestConfig{}, Gunther{}} {
 		ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.TeraSort(20), 42, 480)
-		res := tn.Tune(ev, space, 40, 42)
+		res := tn.Run(NewSession(ev, space, Request{Budget: 40, Seed: 42}))
 		if !res.Found {
 			t.Errorf("%s found no completing config in 40 evals", tn.Name())
 			continue
@@ -303,7 +303,7 @@ func TestFuncObjectiveDrivesAllTuners(t *testing.T) {
 	space := smallSpace(t)
 	for _, tn := range []Tuner{RandomSearch{}, BestConfig{RoundSize: 10}, Gunther{}} {
 		obj := &FuncObjective{Fn: smoothObjective}
-		res := tn.Tune(obj, space, 30, 3)
+		res := tn.Run(NewSession(obj, space, Request{Budget: 30, Seed: 3}))
 		if !res.Found || res.Evals != 30 {
 			t.Errorf("%s via FuncObjective: found=%v evals=%d", tn.Name(), res.Found, res.Evals)
 		}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/forest"
 	"repro/internal/memo"
@@ -78,11 +79,11 @@ func TestStressEvaluator(t *testing.T) {
 				c := cfgs[(g*7+i)%len(cfgs)]
 				switch i % 5 {
 				case 0:
-					ev.EvaluateSpec(c, sparksim.EvalSpec{})
+					ev.EvaluateSpec(c, backend.EvalSpec{})
 				case 1:
-					ev.EvaluateSpec(c, sparksim.EvalSpec{Cap: 120})
+					ev.EvaluateSpec(c, backend.EvalSpec{Cap: 120})
 				case 2:
-					ev.EvaluateSpecCtx(context.Background(), cfgs[:4], sparksim.EvalSpec{Workers: 2})
+					ev.EvaluateSpecCtx(context.Background(), cfgs[:4], backend.EvalSpec{Workers: 2})
 				case 3:
 					ev.History()
 					ev.Evals()
@@ -112,9 +113,9 @@ func TestStressTraceRecorder(t *testing.T) {
 				c := cfgs[(g+i)%len(cfgs)]
 				switch i % 3 {
 				case 0:
-					rec.EvaluateSpec(c, sparksim.EvalSpec{})
+					rec.EvaluateSpec(c, backend.EvalSpec{})
 				case 1:
-					rec.EvaluateSpec(c, sparksim.EvalSpec{Cap: 150})
+					rec.EvaluateSpec(c, backend.EvalSpec{Cap: 150})
 				default:
 					rec.Records()
 				}
