@@ -98,8 +98,9 @@ crash-stress:
 # and resumed until it finishes; the stitched result must be
 # bit-identical to an uninterrupted run, with zero completed sessions
 # re-executed (asserted via task-constructor counters). The in-process
-# ledger tests (resume, mid-grid, panic containment, budget
-# reallocation, grant replay) run under plain `make test`.
+# ledger tests (resume, mid-grid, mid-task, panic containment, budget
+# reallocation, grant replay, refused policy changes, the accounting
+# invariants) run under plain `make test`.
 crash-stress-campaign:
 	ROBOTUNE_CRASH_STRESS=1 $(GO) test -run 'TestCampaignKillResumeStress' -v -count 1 -timeout 600s ./internal/schedule
 	$(GO) test -run 'TestCampaign|TestLedger|TestDurable' -count 1 ./internal/schedule ./internal/journal ./internal/experiments
@@ -109,10 +110,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSeedSplit -fuzztime 30s ./internal/par
 
 # Journal recovery fuzzing: arbitrary bytes on disk must never panic
-# recovery, and a corrupt snapshot must never be partially trusted.
+# recovery, a corrupt snapshot must never be partially trusted, and a
+# recovered campaign ledger must never report a record for a task
+# outside its manifest.
 fuzz-journal:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 30s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 30s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzLedgerOpen -fuzztime 30s ./internal/journal
 
 # Protocol fuzzing against robotuned: hostile session specs and observe
 # bodies must 4xx cleanly — never panic, never corrupt a session.

@@ -218,49 +218,3 @@ func TestTuneAllFailuresGraceful(t *testing.T) {
 		t.Errorf("Explain misses the all-failed note:\n%s", out)
 	}
 }
-
-// TestCampaignWithFaultsDeterministic: Campaign threads the fault
-// plan, deadline and retry policy into every session, and stays
-// reproducible under them.
-func TestCampaignWithFaultsDeterministic(t *testing.T) {
-	run := func() CampaignResult {
-		c := &Campaign{
-			Tuner:   New(nil, fastOptions()),
-			Backend: sparksim.Backend{},
-			Budget:  15,
-			Faults:  backend.DefaultFaultPlan(),
-			Retry:   tuners.RetryPolicy{MaxRetries: 1},
-		}
-		return c.Run([]backend.Workload{sparksim.TeraSort(20), sparksim.TeraSort(30)}, 21)
-	}
-	a, b := run(), run()
-	if len(a.Sessions) != 2 || len(b.Sessions) != 2 {
-		t.Fatalf("session counts %d/%d", len(a.Sessions), len(b.Sessions))
-	}
-	for i := range a.Sessions {
-		ra, rb := a.Sessions[i].Result, b.Sessions[i].Result
-		if ra.BestSeconds != rb.BestSeconds || ra.SearchCost != rb.SearchCost || ra.Failures != rb.Failures {
-			t.Errorf("session %d not reproducible: %+v vs %+v", i, ra.Failures, rb.Failures)
-		}
-		if a.Sessions[i].Quality != b.Sessions[i].Quality {
-			t.Errorf("session %d quality %v vs %v", i, a.Sessions[i].Quality, b.Sessions[i].Quality)
-		}
-	}
-}
-
-// TestCampaignCancelledStopsSessions: a cancelled campaign context
-// stops starting new sessions.
-func TestCampaignCancelledStopsSessions(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := &Campaign{
-		Tuner:   New(nil, fastOptions()),
-		Backend: sparksim.Backend{},
-		Budget:  10,
-		Ctx:     ctx,
-	}
-	out := c.Run([]backend.Workload{sparksim.TeraSort(20)}, 1)
-	if len(out.Sessions) != 0 {
-		t.Fatalf("cancelled campaign ran %d sessions", len(out.Sessions))
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
-	"repro/internal/conf"
-	"repro/internal/memo"
 )
 
 // This file is the second backend's evaluation grid: the same four
@@ -44,12 +42,12 @@ func clusterBackend() backend.Backend {
 }
 
 // RunClusterComparison executes the grid. The filter (nil = all)
-// restricts workload families by name. The run is serial and
-// bit-reproducible for a fixed Config.
+// restricts workload families by name. Like RunComparison it runs on
+// schedule.RunCampaign, up to cfg.Concurrency cells at once, and is
+// bit-reproducible for a fixed Config at any concurrency.
 func RunClusterComparison(cfg Config, filter func(workload string) bool) *ClusterComparison {
 	cfg = cfg.withDefaults()
 	bk := clusterBackend()
-	space := bk.Space()
 	out := &ClusterComparison{
 		Config:   cfg,
 		Cap:      bk.DefaultCap(),
@@ -60,82 +58,26 @@ func RunClusterComparison(cfg Config, filter func(workload string) bool) *Cluste
 			out.Workloads = append(out.Workloads, name)
 		}
 	}
-
-	workload := func(name string, di int) backend.Workload {
-		w, err := bk.Workload(name, di)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		return w
-	}
-	newEval := func(w backend.Workload, seed uint64) backend.Evaluator {
-		ev, err := bk.NewEvaluator(w, seed, out.Cap, cfg.Faults)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		return ev
-	}
-	measure := func(ev backend.Evaluator, c conf.Config, seed uint64) float64 {
-		m, ok := ev.(backend.Measurer)
-		if !ok {
-			panic(fmt.Sprintf("experiments: %T lacks the Measure capability the grid needs", ev))
-		}
-		return m.Measure(c, cfg.MeasureReps, seed)
-	}
+	g := tuningGrid{cfg: cfg, bk: bk, datasets: 3, salt: "cluster"}
 
 	// Baseline: the space default under measurement seeds shared with
 	// the tuned configurations (fault-free, like Spark's quality
 	// measurement).
-	def := space.Default()
+	def := bk.Space().Default()
 	for _, wname := range out.Workloads {
 		for di := 0; di < 3; di++ {
-			ev := newEval(workload(wname, di), cfg.Seed+hashName(wname)+uint64(di))
-			out.Baseline[fmt.Sprintf("%s/D%d", wname, di+1)] =
-				measure(ev, def, cfg.Seed*77+uint64(di))
+			out.Baseline[fmt.Sprintf("%s/D%d", wname, di+1)] = g.measure(wname, di, def)
 		}
 	}
 
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		for _, wname := range out.Workloads {
 			for _, tname := range TunerNames {
-				// Like the Spark grid, ROBOTune tunes D1 → D2 → D3 with a
-				// shared memoization store; every repeat starts cold.
-				store := memo.NewStore()
-				tn := cfg.buildTuner(tname, store)
-				for di := 0; di < 3; di++ {
-					seed := cfg.Seed + uint64(rep)*1009 + uint64(di)*101 + hashName(wname+tname+"cluster")
-					ev := newEval(workload(wname, di), seed)
-					res := cfg.tune(tn, ev, space, cfg.Budget, seed)
-					quality := out.Cap
-					if res.Found {
-						quality = measure(ev, res.Best, cfg.Seed*77+uint64(di))
-					}
-					out.Sessions = append(out.Sessions, Session{
-						Tuner:         tname,
-						Workload:      wname,
-						DatasetIdx:    di,
-						Repeat:        rep,
-						Quality:       quality,
-						Found:         res.Found,
-						SearchCost:    res.SearchCost,
-						SelectionCost: res.SelectionCost,
-						Trace:         res.Trace,
-					})
-				}
+				g.cells = append(g.cells, gridCell{wname, tname, rep})
 			}
 		}
 	}
-	return out
-}
-
-// pick mirrors Comparison.pick for the scheduler grid.
-func (c *ClusterComparison) pick(tuner, workload string, dataset int) []Session {
-	var out []Session
-	for _, s := range c.Sessions {
-		if s.Tuner == tuner && s.Workload == workload && (dataset < 0 || s.DatasetIdx == dataset) {
-			out = append(out, s)
-		}
-	}
+	out.Sessions, _, _ = g.run("") // error-free without a ledger
 	return out
 }
 
@@ -151,7 +93,7 @@ func (c *ClusterComparison) GainOverDefault(tuner string) float64 {
 			if base <= 0 {
 				continue
 			}
-			q := meanOf(c.pick(tuner, wname, di), func(s Session) float64 { return s.Quality })
+			q := meanOf(pick(c.Sessions, tuner, wname, di), func(s Session) float64 { return s.Quality })
 			if q == 0 {
 				continue
 			}
@@ -183,7 +125,7 @@ func RenderClusterComparison(c *ClusterComparison) string {
 			row := []string{fmt.Sprintf("%.1f", base)}
 			var rt float64
 			for _, tn := range TunerNames {
-				q := meanOf(c.pick(tn, wname, di), func(s Session) float64 { return s.Quality })
+				q := meanOf(pick(c.Sessions, tn, wname, di), func(s Session) float64 { return s.Quality })
 				if tn == "ROBOTune" {
 					rt = q
 				}

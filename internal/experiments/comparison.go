@@ -26,13 +26,13 @@ func (c *Comparison) Fig3() []Fig3Row {
 	var rows []Fig3Row
 	for _, w := range WorkloadOrder {
 		for di := 0; di < 3; di++ {
-			rs := meanOf(c.pick("RandomSearch", w, di), func(s Session) float64 { return s.Quality })
+			rs := meanOf(pick(c.Sessions, "RandomSearch", w, di), func(s Session) float64 { return s.Quality })
 			if rs == 0 {
 				continue
 			}
 			row := Fig3Row{Workload: w, DatasetIdx: di, Scaled: map[string]float64{}}
 			for _, tn := range TunerNames {
-				q := meanOf(c.pick(tn, w, di), func(s Session) float64 { return s.Quality })
+				q := meanOf(pick(c.Sessions, tn, w, di), func(s Session) float64 { return s.Quality })
 				row.Scaled[tn] = q / rs
 			}
 			rows = append(rows, row)
@@ -48,13 +48,13 @@ func (c *Comparison) Fig4() []Fig3Row {
 	var rows []Fig3Row
 	for _, w := range WorkloadOrder {
 		for di := 0; di < 3; di++ {
-			rs := meanOf(c.pick("RandomSearch", w, di), func(s Session) float64 { return s.SearchCost })
+			rs := meanOf(pick(c.Sessions, "RandomSearch", w, di), func(s Session) float64 { return s.SearchCost })
 			if rs == 0 {
 				continue
 			}
 			row := Fig3Row{Workload: w, DatasetIdx: di, Scaled: map[string]float64{}}
 			for _, tn := range TunerNames {
-				cost := meanOf(c.pick(tn, w, di), func(s Session) float64 { return s.SearchCost })
+				cost := meanOf(pick(c.Sessions, tn, w, di), func(s Session) float64 { return s.SearchCost })
 				row.Scaled[tn] = cost / rs
 			}
 			rows = append(rows, row)
@@ -118,7 +118,7 @@ func (c *Comparison) Fig5(workload string) Fig5Stats {
 	out := Fig5Stats{Workload: workload, Summary: map[string]stats.Summary{}}
 	for _, tn := range TunerNames {
 		var all []float64
-		for _, s := range c.pick(tn, workload, -1) {
+		for _, s := range pick(c.Sessions, tn, workload, -1) {
 			all = append(all, s.Trace...)
 		}
 		out.Summary[tn] = stats.Summarize(all)
@@ -157,7 +157,7 @@ type Table2Row struct {
 func (c *Comparison) Table2() []Table2Row {
 	var rows []Table2Row
 	for _, w := range WorkloadOrder {
-		ss := c.pick("ROBOTune", w, -1)
+		ss := pick(c.Sessions, "ROBOTune", w, -1)
 		if len(ss) == 0 {
 			continue
 		}
@@ -226,7 +226,7 @@ func (c *Comparison) Fig6(workload string) Fig6Curves {
 	}{{"D1", 0}, {"D3", 2}} {
 		byTuner := map[string][]float64{}
 		for _, tn := range TunerNames {
-			ss := c.pick(tn, workload, ds.idx)
+			ss := pick(c.Sessions, tn, workload, ds.idx)
 			if len(ss) == 0 {
 				continue
 			}
@@ -253,7 +253,7 @@ func (c *Comparison) Fig6(workload string) Fig6Curves {
 		out.Curves[ds.key] = byTuner
 
 		var acc float64
-		ss := c.pick("ROBOTune", workload, ds.idx)
+		ss := pick(c.Sessions, "ROBOTune", workload, ds.idx)
 		for _, s := range ss {
 			best := stats.Min(s.Trace)
 			acc += float64(firstWithin(s.Trace, best, 0.05))

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/memo"
 	"repro/internal/stats"
-	"repro/internal/tuners"
 )
 
 // ExtendedTunerNames adds the extension baselines implemented beyond
@@ -38,48 +37,19 @@ func ExtendedComparison(cfg Config, workloads []string) ([]ExtendedRow, *Compari
 	if len(workloads) == 0 {
 		workloads = []string{"PageRank", "KMeans", "TeraSort"}
 	}
-	grid := sparkGrid()
-	space := sparkSpace()
-	comp := &Comparison{Config: cfg}
-
-	buildExtended := func(name string, store *memo.Store) tuners.Tuner {
-		switch name {
-		case "SuccessiveHalving":
-			return tuners.SuccessiveHalving{}
-		case "CMAES":
-			return tuners.CMAES{}
-		default:
-			return cfg.buildTuner(name, store)
-		}
-	}
-
+	g := tuningGrid{cfg: cfg, bk: sparkBackend(), datasets: 2}
 	for _, wname := range workloads {
-		wls, ok := grid[wname]
-		if !ok {
+		if !slices.Contains(WorkloadOrder, wname) {
 			continue
 		}
 		for _, tname := range ExtendedTunerNames {
 			for rep := 0; rep < cfg.Repeats; rep++ {
-				store := memo.NewStore()
-				tn := buildExtended(tname, store)
-				for di := 0; di < 2; di++ {
-					seed := cfg.Seed + uint64(rep)*1009 + uint64(di)*101 + hashName(wname+tname)
-					ev := cfg.newEvaluator(wls[di], seed)
-					res := cfg.tune(tn, ev, space, cfg.Budget, seed)
-					quality := 480.0
-					if res.Found {
-						quality = ev.Measure(res.Best, cfg.MeasureReps, cfg.Seed*77+uint64(di))
-					}
-					comp.Sessions = append(comp.Sessions, Session{
-						Tuner: tname, Workload: wname, DatasetIdx: di, Repeat: rep,
-						Quality: quality, Found: res.Found,
-						SearchCost: res.SearchCost, SelectionCost: res.SelectionCost,
-						Trace: res.Trace,
-					})
-				}
+				g.cells = append(g.cells, gridCell{wname, tname, rep})
 			}
 		}
 	}
+	comp := &Comparison{Config: cfg}
+	comp.Sessions, _, _ = g.run("") // error-free without a ledger
 
 	// Summaries scaled to RandomSearch per (workload, dataset).
 	rows := make([]ExtendedRow, 0, len(ExtendedTunerNames))
@@ -89,9 +59,9 @@ func ExtendedComparison(cfg Config, workloads []string) ([]ExtendedRow, *Compari
 		var totalCost, totalEvals float64
 		for _, wname := range workloads {
 			for di := 0; di < 2; di++ {
-				rsQ := meanOf(comp.pick("RandomSearch", wname, di), func(s Session) float64 { return s.Quality })
-				rsC := meanOf(comp.pick("RandomSearch", wname, di), func(s Session) float64 { return s.SearchCost })
-				ss := comp.pick(tname, wname, di)
+				rsQ := meanOf(pick(comp.Sessions, "RandomSearch", wname, di), func(s Session) float64 { return s.Quality })
+				rsC := meanOf(pick(comp.Sessions, "RandomSearch", wname, di), func(s Session) float64 { return s.SearchCost })
+				ss := pick(comp.Sessions, tname, wname, di)
 				if len(ss) == 0 || rsQ == 0 || rsC == 0 {
 					continue
 				}

@@ -59,17 +59,20 @@ func stressTasks(space *conf.Space, dir string, newCount *int32) []Task {
 	cluster := sparksim.PaperCluster()
 	mk := func(name string, tn tuners.Tuner, w sparksim.Workload, evSeed uint64, budget int, seed uint64) Task {
 		return Task{
-			Name:    name,
-			Space:   space,
-			Request: tuners.Request{Budget: budget, Seed: seed},
-			New: func() (tuners.Tuner, tuners.Objective) {
+			Name:  name,
+			Space: space,
+			New: func() tuners.Tuner {
 				if newCount != nil {
 					atomic.AddInt32(newCount, 1)
 				}
-				return tn, sparksim.NewEvaluator(cluster, w, evSeed, 480)
+				return tn
 			},
-			JournalPath: dir + "/" + name + ".jnl",
-			Meta:        journal.Meta{Seed: seed, Budget: budget, Workload: name, Tuner: tn.Name()},
+			Sessions: []Session{{
+				Objective:   func() tuners.Objective { return sparksim.NewEvaluator(cluster, w, evSeed, 480) },
+				Request:     tuners.Request{Budget: budget, Seed: seed},
+				JournalPath: dir + "/" + name + ".jnl",
+				Meta:        journal.Meta{Seed: seed, Budget: budget, Workload: name, Tuner: tn.Name()},
+			}},
 		}
 	}
 	return []Task{
@@ -92,9 +95,12 @@ func stressCampaignOptions(dir string) CampaignOptions {
 // taskLine formats one task outcome for cross-process comparison;
 // floats print as %x so the parity check is bit-exact.
 func taskLine(i int, out TaskOutcome) string {
-	r := out.Result
-	return fmt.Sprintf("TASK %d failed=%q found=%v best=%x cost=%x evals=%d trace=%d",
-		i, out.Failed, r.Found, r.BestSeconds, r.SearchCost, r.Evals, len(r.Trace))
+	line := fmt.Sprintf("TASK %d failed=%q", i, out.Failed)
+	for _, r := range out.Results {
+		line += fmt.Sprintf(" found=%v best=%x cost=%x evals=%d trace=%d",
+			r.Found, r.BestSeconds, r.SearchCost, r.Evals, len(r.Trace))
+	}
+	return line
 }
 
 // TestCampaignCrashChild is the subprocess body, not a standalone
@@ -134,7 +140,7 @@ func TestCampaignKillResumeStress(t *testing.T) {
 	}
 	wantLines := make([]string, len(base.Tasks))
 	for i, out := range base.Tasks {
-		if out.Failed != "" || !out.Result.Found {
+		if out.Failed != "" || !out.Results[0].Found {
 			t.Fatalf("baseline task %d did not complete: %+v", i, out)
 		}
 		wantLines[i] = taskLine(i, out)

@@ -84,8 +84,8 @@ type waiter struct {
 
 // Pool is the cluster's evaluation capacity: a counting semaphore
 // over concurrently running configurations, with per-class priority
-// queues. Wrap an objective with Wrap (or WrapClass) to charge its
-// evaluations against the pool.
+// queues. Wrap an objective with Wrap to charge its evaluations
+// against the pool.
 type Pool struct {
 	mu       sync.Mutex
 	capacity int
@@ -125,7 +125,7 @@ func (p *Pool) Stats() Stats {
 
 // Acquire blocks until the caller holds one slot in the given class
 // (out-of-range classes degrade to Bulk). It is the manual form of
-// WrapClass for callers gating non-objective work — robotuned charges
+// Wrap for callers gating non-objective work — robotuned charges
 // each session's propose computation against a shared pool this way.
 // Every Acquire must be paired with exactly one Release.
 func (p *Pool) Acquire(class Class) {
@@ -230,16 +230,7 @@ func (p *Pool) tryAcquire() bool {
 // claims it, because its presence changes which algorithm path a
 // tuner picks.
 func (p *Pool) Wrap(obj tuners.Objective) tuners.Objective {
-	return p.WrapClass(obj, Bulk)
-}
-
-// WrapClass is Wrap with an explicit priority class; Latency
-// objectives overtake queued Bulk work at every slot hand-off.
-func (p *Pool) WrapClass(obj tuners.Objective, class Class) tuners.Objective {
-	if class < Bulk || class >= numClasses {
-		class = Bulk
-	}
-	g := gated{pool: p, inner: obj, class: class}
+	g := gated{pool: p, inner: obj}
 	if _, ok := obj.(backend.BatchEvaluator); ok {
 		return &gatedBatch{g}
 	}
@@ -249,12 +240,11 @@ func (p *Pool) WrapClass(obj tuners.Objective, class Class) tuners.Objective {
 type gated struct {
 	pool  *Pool
 	inner tuners.Objective
-	class Class
 }
 
 // EvaluateSpec runs one spec-driven evaluation holding one slot.
 func (g *gated) EvaluateSpec(c conf.Config, spec backend.EvalSpec) backend.EvalRecord {
-	g.pool.acquire(g.class)
+	g.pool.acquire(Bulk)
 	defer g.pool.release()
 	return g.inner.EvaluateSpec(c, spec)
 }
@@ -315,7 +305,7 @@ func (g *gatedBatch) EvaluateSpecCtx(ctx context.Context, cfgs []conf.Config, sp
 	if want < 1 {
 		want = 1
 	}
-	g.pool.acquire(g.class)
+	g.pool.acquire(Bulk)
 	granted := 1
 	for granted < want && g.pool.tryAcquire() {
 		granted++
@@ -346,62 +336,31 @@ func skipAllCancelled(ctx context.Context, cfgs []conf.Config) ([]backend.EvalRe
 	return recs, true
 }
 
-// Job is one tuning session for Scheduler.Run: the tuner, its private
-// objective, the search space, the session request and the slot
-// priority class.
-type Job struct {
-	Tuner     tuners.Tuner
-	Objective tuners.Objective
-	Space     *conf.Space
-	Request   tuners.Request
-	// Class is the job's slot priority (zero value Bulk).
-	Class Class
-}
-
-// Scheduler runs tuning campaigns: N sessions multiplexed over a
-// shared evaluation pool, at most Sessions of them in flight at once.
+// Scheduler runs tuning campaigns: N tasks multiplexed over a shared
+// evaluation pool, at most Sessions of them in flight at once.
 type Scheduler struct {
 	pool     *Pool
 	sessions int
 }
 
 // NewScheduler builds a scheduler with the given evaluation-pool
-// capacity and concurrent-session bound (sessions <= 0 means "as many
-// as there are jobs").
+// capacity and concurrent-task bound (both minimum 1, so <= 1 is
+// serial).
 func NewScheduler(evaluators, sessions int) *Scheduler {
+	if sessions < 1 {
+		sessions = 1
+	}
 	return &Scheduler{pool: NewPool(evaluators), sessions: sessions}
 }
 
 // Pool returns the shared evaluation pool.
 func (s *Scheduler) Pool() *Pool { return s.pool }
 
-// Run executes every job concurrently (bounded by the session limit),
-// charging all evaluations against the shared pool in each job's
-// class, and returns the results in job order.
-func (s *Scheduler) Run(jobs []Job) []tuners.Result {
-	results := make([]tuners.Result, len(jobs))
-	s.RunTasks(len(jobs), func(i int, pool *Pool) {
-		j := jobs[i]
-		ses := tuners.NewSession(pool.WrapClass(j.Objective, j.Class), j.Space, j.Request)
-		results[i] = j.Tuner.Run(ses)
-	})
-	return results
-}
-
-// RunTasks is the compound-task form of Run: it invokes task(i, pool)
-// for i in [0, n) on concurrent goroutines (bounded by the session
-// limit) and returns when all have finished. Each task wraps its own
-// objectives with the shared pool; experiments use this to run one
-// multi-dataset tuning sequence per task.
-func (s *Scheduler) RunTasks(n int, task func(i int, pool *Pool)) {
-	slots := s.sessions
-	if slots <= 0 || slots > n {
-		slots = n
-	}
-	if slots < 1 {
-		return
-	}
-	gate := make(chan struct{}, slots)
+// runTasks invokes task(i) for i in [0, n) on concurrent goroutines,
+// at most the session limit at once, and returns when all have
+// finished.
+func (s *Scheduler) runTasks(n int, task func(i int)) {
+	gate := make(chan struct{}, s.sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -409,7 +368,7 @@ func (s *Scheduler) RunTasks(n int, task func(i int, pool *Pool)) {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-gate }()
-			task(i, s.pool)
+			task(i)
 		}(i)
 	}
 	wg.Wait()

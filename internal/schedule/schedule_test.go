@@ -1,8 +1,13 @@
 package schedule
 
 import (
-	"repro/internal/backend"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/backend"
 
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -26,27 +31,48 @@ func smallOptions() core.Options {
 	return o
 }
 
-// campaignJobs builds a mixed campaign: one session per tuner family,
-// each with a private evaluator, plus a second ROBOTune workload so the
-// campaign is at least five sessions. The space is shared so best
-// configs from separate runs are comparable with Config.Equal.
-func campaignJobs(space *conf.Space) []Job {
+// campaignTasks builds a mixed campaign: one single-session task per
+// tuner family, each with a private evaluator, plus a second ROBOTune
+// workload so the campaign is at least five tasks. The space is shared
+// so best configs from separate runs are comparable with Config.Equal.
+func campaignTasks(space *conf.Space) []Task {
 	cluster := sparksim.PaperCluster()
-	mk := func(w sparksim.Workload, seed uint64) *sparksim.Evaluator {
-		return sparksim.NewEvaluator(cluster, w, seed, 480)
+	mk := func(tn tuners.Tuner, w sparksim.Workload, evSeed uint64, budget int, seed uint64) Task {
+		return Task{
+			Name:  tn.Name(),
+			Space: space,
+			New:   func() tuners.Tuner { return tn },
+			Sessions: []Session{{
+				Objective: func() tuners.Objective { return sparksim.NewEvaluator(cluster, w, evSeed, 480) },
+				Request:   tuners.Request{Budget: budget, Seed: seed},
+			}},
+		}
 	}
-	return []Job{
-		{Tuner: core.New(nil, smallOptions()), Objective: mk(sparksim.TeraSort(20), 17),
-			Space: space, Request: tuners.Request{Budget: 14, Seed: 11}},
-		{Tuner: tuners.RandomSearch{}, Objective: mk(sparksim.KMeans(4), 23),
-			Space: space, Request: tuners.Request{Budget: 12, Seed: 5}},
-		{Tuner: tuners.BestConfig{RoundSize: 6}, Objective: mk(sparksim.PageRank(2), 31),
-			Space: space, Request: tuners.Request{Budget: 12, Seed: 7}},
-		{Tuner: tuners.Gunther{PopSize: 6, Elite: 2}, Objective: mk(sparksim.TeraSort(10), 41),
-			Space: space, Request: tuners.Request{Budget: 14, Seed: 9}},
-		{Tuner: core.New(nil, smallOptions()), Objective: mk(sparksim.KMeans(2), 53),
-			Space: space, Request: tuners.Request{Budget: 12, Seed: 13}},
+	return []Task{
+		mk(core.New(nil, smallOptions()), sparksim.TeraSort(20), 17, 14, 11),
+		mk(tuners.RandomSearch{}, sparksim.KMeans(4), 23, 12, 5),
+		mk(tuners.BestConfig{RoundSize: 6}, sparksim.PageRank(2), 31, 12, 7),
+		mk(tuners.Gunther{PopSize: 6, Elite: 2}, sparksim.TeraSort(10), 41, 14, 9),
+		mk(core.New(nil, smallOptions()), sparksim.KMeans(2), 53, 12, 13),
 	}
+}
+
+// runResults runs tasks as a non-durable campaign and returns each
+// task's single session result.
+func runResults(t *testing.T, sched *Scheduler, tasks []Task) []tuners.Result {
+	t.Helper()
+	res, err := sched.RunCampaign(tasks, CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]tuners.Result, len(res.Tasks))
+	for i, o := range res.Tasks {
+		if len(o.Results) != 1 {
+			t.Fatalf("task %d: %d results (failed %q)", i, len(o.Results), o.Failed)
+		}
+		out[i] = o.Results[0]
+	}
+	return out
 }
 
 func sameResult(t *testing.T, label string, a, b tuners.Result) {
@@ -87,12 +113,13 @@ func sameResult(t *testing.T, label string, a, b tuners.Result) {
 func TestCampaignPoolSizeInvariance(t *testing.T) {
 	space := conf.SparkSpace()
 	direct := make([]tuners.Result, 0, 5)
-	for _, j := range campaignJobs(space) {
-		direct = append(direct, j.Tuner.Run(tuners.NewSession(j.Objective, j.Space, j.Request)))
+	for _, tk := range campaignTasks(space) {
+		s := tk.Sessions[0]
+		direct = append(direct, tk.New().Run(tuners.NewSession(s.Objective(), tk.Space, s.Request)))
 	}
 
-	serial := NewScheduler(1, 0).Run(campaignJobs(space))
-	wide := NewScheduler(8, 8).Run(campaignJobs(space))
+	serial := runResults(t, NewScheduler(1, 0), campaignTasks(space))
+	wide := runResults(t, NewScheduler(8, 8), campaignTasks(space))
 
 	if len(serial) != len(direct) || len(wide) != len(direct) {
 		t.Fatalf("result count mismatch: %d direct, %d serial, %d wide",
@@ -104,16 +131,63 @@ func TestCampaignPoolSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestSessionLimit bounds in-flight sessions without dropping any job.
+// TestSessionLimit bounds in-flight tasks without dropping any.
 func TestSessionLimit(t *testing.T) {
-	jobs := campaignJobs(conf.SparkSpace())[:4]
-	res := NewScheduler(2, 2).Run(jobs)
-	if len(res) != len(jobs) {
-		t.Fatalf("got %d results for %d jobs", len(res), len(jobs))
+	tasks := campaignTasks(conf.SparkSpace())[:4]
+	res := runResults(t, NewScheduler(2, 2), tasks)
+	if len(res) != len(tasks) {
+		t.Fatalf("got %d results for %d tasks", len(res), len(tasks))
 	}
 	for i, r := range res {
 		if len(r.Trace) == 0 {
-			t.Fatalf("job %d produced an empty trace", i)
+			t.Fatalf("task %d produced an empty trace", i)
+		}
+	}
+}
+
+// TestSchedulerZeroSessionsIsSerial: a session limit <= 0 means one
+// task at a time ("<= 1 = serial"), not every task at once. Each
+// objective yields mid-evaluation and records how many tasks are
+// between their first and their last evaluation.
+func TestSchedulerZeroSessionsIsSerial(t *testing.T) {
+	const budget = 5
+	for _, limit := range []int{0, -3} {
+		var mu sync.Mutex
+		inFlight, peak := 0, 0
+		tasks := make([]Task, 4)
+		for i := range tasks {
+			calls := 0
+			obj := &tuners.FuncObjective{Fn: func(c conf.Config) (float64, bool) {
+				mu.Lock()
+				calls++
+				if calls == 1 {
+					inFlight++
+					peak = max(peak, inFlight)
+				}
+				last := calls == budget
+				mu.Unlock()
+				runtime.Gosched()
+				time.Sleep(time.Millisecond)
+				if last {
+					mu.Lock()
+					inFlight--
+					mu.Unlock()
+				}
+				return detFn(c), true
+			}}
+			tasks[i] = Task{
+				Name:  fmt.Sprintf("t%d", i),
+				Space: conf.SparkSpace(),
+				New:   func() tuners.Tuner { return tuners.RandomSearch{} },
+				Sessions: []Session{{
+					Objective: func() tuners.Objective { return obj },
+					Request:   tuners.Request{Budget: budget, Seed: uint64(i + 1)},
+				}},
+			}
+		}
+		runResults(t, NewScheduler(1, limit), tasks)
+		if peak != 1 {
+			t.Fatalf("NewScheduler(1, %d): %d tasks in flight at once, want 1", limit, peak)
 		}
 	}
 }
