@@ -8,14 +8,17 @@ import (
 )
 
 // TestClusterComparisonDeterministic: the scheduler grid is
-// bit-reproducible for a fixed Config, every session runs its full
-// budget through the backend seam, and the rendered table is clean.
+// bit-reproducible for a fixed Config — serial and four cells wide
+// alike — every session runs its full budget through the backend seam,
+// and the rendered table is clean.
 func TestClusterComparisonDeterministic(t *testing.T) {
 	cfg := Config{Seed: 5, Budget: 10, Repeats: 1, MeasureReps: 2, Fast: true}
 	only := func(w string) bool { return w == "CIBuild" }
 
 	a := RunClusterComparison(cfg, only)
-	b := RunClusterComparison(cfg, only)
+	wide := cfg
+	wide.Concurrency = 4
+	b := RunClusterComparison(wide, only)
 
 	if len(a.Workloads) != 1 || a.Workloads[0] != "CIBuild" {
 		t.Fatalf("filtered families = %v", a.Workloads)
@@ -25,7 +28,7 @@ func TestClusterComparisonDeterministic(t *testing.T) {
 		t.Fatalf("session count %d, want %d", len(a.Sessions), wantSessions)
 	}
 	if !reflect.DeepEqual(a.Sessions, b.Sessions) {
-		t.Fatal("same Config not bit-reproducible across runs")
+		t.Fatal("same Config not bit-reproducible across runs and widths")
 	}
 	if !reflect.DeepEqual(a.Baseline, b.Baseline) {
 		t.Fatalf("baselines differ: %v vs %v", a.Baseline, b.Baseline)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -380,8 +381,17 @@ func TestCSVExports(t *testing.T) {
 	}
 }
 
+// TestExtendedComparison: the extended grid's summaries are sane, and
+// its sessions are bit-identical serial and four cells wide.
 func TestExtendedComparison(t *testing.T) {
 	rows, comp := ExtendedComparison(tinyConfig(), []string{"TeraSort"})
+	wideCfg := tinyConfig()
+	wideCfg.Concurrency = 4
+	wideRows, wide := ExtendedComparison(wideCfg, []string{"TeraSort"})
+	sameSessions(t, "extended serial vs wide", wide.Sessions, comp.Sessions)
+	if !reflect.DeepEqual(wideRows, rows) {
+		t.Fatalf("extended rows differ across widths: %+v vs %+v", wideRows, rows)
+	}
 	if len(rows) != len(ExtendedTunerNames) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(ExtendedTunerNames))
 	}

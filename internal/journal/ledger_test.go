@@ -36,6 +36,9 @@ func TestLedgerFreshAndResume(t *testing.T) {
 	if err := l.AppendGrant(Grant{Seq: 0, Task: 1, Evals: 5, Trials: 20}); err != nil {
 		t.Fatal(err)
 	}
+	if err := l.AppendGrant(Grant{Seq: 1, Task: 1, Session: 2, Evals: 0, Trials: 25}); err != nil { // a decline
+		t.Fatal(err)
+	}
 	payload, _ := json.Marshal(map[string]int{"trials": 20})
 	if err := l.AppendTaskDone(TaskDone{Task: 0, Trials: 20, Surplus: 0, Result: payload}); err != nil {
 		t.Fatal(err)
@@ -55,8 +58,8 @@ func TestLedgerFreshAndResume(t *testing.T) {
 	if !r.Resumed() {
 		t.Fatal("reopened ledger not resumed")
 	}
-	if ri := r.Recovery(); ri.Truncated || ri.Records != 6 {
-		t.Fatalf("recovery = %+v, want 6 records untruncated", ri)
+	if ri := r.Recovery(); ri.Truncated || ri.Records != 7 {
+		t.Fatalf("recovery = %+v, want 7 records untruncated", ri)
 	}
 	if !r.TaskStarted(0) || !r.TaskStarted(1) || r.TaskStarted(2) {
 		t.Fatal("start records wrong")
@@ -73,7 +76,8 @@ func TestLedgerFreshAndResume(t *testing.T) {
 		t.Fatalf("failed record = %+v, %v", f, ok)
 	}
 	gs := r.Grants()
-	if len(gs) != 1 || gs[0] != (Grant{Seq: 0, Task: 1, Evals: 5, Trials: 20}) {
+	if len(gs) != 2 || gs[0] != (Grant{Seq: 0, Task: 1, Evals: 5, Trials: 20}) ||
+		gs[1] != (Grant{Seq: 1, Task: 1, Session: 2, Evals: 0, Trials: 25}) {
 		t.Fatalf("grants = %+v", gs)
 	}
 }
