@@ -9,12 +9,14 @@ import (
 // FuzzOpen feeds arbitrary bytes to recovery: whatever is on disk —
 // torn tails, flipped bits, hostile lengths, random garbage — Open
 // must either return an error or a usable journal, and never panic.
+// A journal it starts fresh has nothing to replay and no done record.
 // The seed corpus is a well-formed journal so mutations explore the
 // interesting frame-boundary space.
 func FuzzOpen(f *testing.F) {
 	_, valid := writeJournal(f, 3, true)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])
+	f.Add(append(append([]byte(nil), magic...), valid[frameEnds(f, magic, valid)[0]:]...)) // records without their meta
 	f.Add([]byte{})
 	f.Add([]byte("ROBOJNL1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -25,6 +27,9 @@ func FuzzOpen(f *testing.F) {
 		j, err := Open(path, testMeta(), SyncNone)
 		if err != nil {
 			return
+		}
+		if _, done := j.Done(); !j.Resumed() && (done || j.ReplayPending() > 0) {
+			t.Fatalf("fresh journal holds %d records to replay (done=%v)", j.ReplayPending(), done)
 		}
 		// Whatever survived recovery must be fully traversable and
 		// appendable.
@@ -87,8 +92,8 @@ func FuzzSnapshot(f *testing.F) {
 	})
 }
 
-// writeLedger builds a well-formed ledger image holding every record
-// kind, and returns it with the length of its header (magic + meta).
+// writeLedger builds a well-formed ledger image holding ledgerSeq, and
+// returns it with the length of its header (magic + meta).
 func writeLedger(t testing.TB) (data []byte, header int) {
 	path := filepath.Join(t.TempDir(), "campaign.lgr")
 	l, err := OpenLedger(path, testLedgerMeta(), SyncNone)
@@ -99,17 +104,7 @@ func writeLedger(t testing.TB) (data []byte, header int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, err := range []error{
-		l.AppendStart(0),
-		l.AppendStart(1),
-		l.AppendGrant(Grant{Seq: 0, Task: 1, Session: 1, Evals: 4, Trials: 9}),
-		l.AppendTaskDone(TaskDone{Task: 0, Trials: 9, Surplus: 2, Result: []byte(`[{"found":true}]`)}),
-		l.AppendTaskFailed(TaskFailed{Task: 2, Reason: "panic: boom", Trials: 3, Surplus: 5}),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendLedgerSeq(t, l, ledgerSeq)
 	l.Close()
 	if data, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)

@@ -12,10 +12,10 @@
 //     CRC32-checksummed record, fsynced per the configured policy,
 //     before the tuner acts on it.
 //   - Atomicity: periodic snapshots (parameter selection, memoization
-//     buffer, surrogate observation set, budget spent) are written via
-//     temp-file + rename, so a torn write can never corrupt the
-//     snapshot — readers see the old snapshot or the new one, never a
-//     mix.
+//     buffer, surrogate observation set, budget spent) are written by
+//     WriteFile (temp file, fsync, rename, directory fsync), so a torn
+//     write can never corrupt the snapshot — readers see the old
+//     snapshot or the new one, never a mix.
 //   - Recoverability: opening an existing journal replays its records.
 //     A torn tail record (the process died mid-append) is truncated,
 //     losing at most the in-flight evaluation and never a committed
@@ -29,6 +29,10 @@
 // by the evaluation counter — whose position each record persists —
 // the resumed campaign is bit-identical to an uninterrupted one.
 //
+// The campaign ledger (Ledger) sits on the same record log as the
+// journal: a magic header, a meta record compared byte for byte on
+// open, then CRC-framed records.
+//
 // The package is dependency-free (standard library only); the tuners
 // and core packages adapt their own types to the record schema here.
 package journal
@@ -38,10 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
-	"sync"
 )
 
 // magic identifies a journal file; it doubles as the format version
@@ -51,33 +52,10 @@ var magic = []byte("ROBOJNL1")
 // snapMagic identifies a snapshot file.
 var snapMagic = []byte("ROBOSNP1")
 
-// frameOverhead is the per-record framing cost: u32 payload length +
-// u32 CRC32 (IEEE) of the payload.
-const frameOverhead = 8
-
-// maxRecordBytes bounds a single record so a corrupt length prefix
-// cannot drive recovery into a giant allocation.
-const maxRecordBytes = 16 << 20
-
-// SyncPolicy controls when appended records are fsynced.
-type SyncPolicy int
-
-const (
-	// SyncAlways fsyncs after every appended record: an evaluation is
-	// durable before the tuner acts on it. This is the default; with
-	// evaluations costing minutes of cluster time each, an fsync is
-	// noise.
-	SyncAlways SyncPolicy = iota
-	// SyncNone never fsyncs explicitly (the OS flushes on its own
-	// schedule). A kernel crash may lose trailing records; a process
-	// crash alone does not. Snapshots are always fsynced regardless.
-	SyncNone
-)
-
 // Meta identifies the session a journal belongs to. Resume validates
-// that every field matches before replaying: a journal recorded under
-// a different seed, budget, workload or fault plan must not silently
-// steer a new session.
+// that the journal's meta record matches this one byte for byte before
+// replaying: a journal recorded under a different seed, budget,
+// workload or fault plan must not silently steer a new session.
 type Meta struct {
 	Seed      uint64  `json:"seed"`
 	Budget    int     `json:"budget"`
@@ -90,8 +68,6 @@ type Meta struct {
 	Faults    string  `json:"faults,omitempty"`
 	SpaceHash string  `json:"space_hash,omitempty"`
 }
-
-func (m Meta) equal(o Meta) bool { return m == o }
 
 // FailureCounts mirrors the session failure ledger
 // (tuners.FailureStats) without importing it, keeping this package
@@ -200,20 +176,6 @@ type Snapshot struct {
 	Stats FailureCounts `json:"stats"`
 }
 
-// RecoveryInfo reports what recovery found and did. Nothing is dropped
-// silently: every discarded byte is accounted for here.
-type RecoveryInfo struct {
-	// Records is the number of intact records recovered (all types).
-	Records int
-	// Truncated is true when a torn or corrupt tail was cut off.
-	Truncated bool
-	// TruncatedBytes is how many trailing bytes were discarded.
-	TruncatedBytes int64
-	// Reason describes why truncation happened (short read, CRC
-	// mismatch, unparsable payload).
-	Reason string
-}
-
 // frame is the on-disk record envelope; exactly one pointer is set.
 type frame struct {
 	T    string     `json:"t"`
@@ -223,156 +185,63 @@ type frame struct {
 }
 
 // Journal is an open session journal. It is safe for use from one
-// tuner goroutine (the Session serializes evaluations); a mutex guards
-// the rare cross-goroutine inspection calls.
+// tuner goroutine (the Session serializes evaluations); the log's mutex
+// guards the rare cross-goroutine inspection calls.
 type Journal struct {
-	mu     sync.Mutex
-	path   string
-	f      *os.File
-	policy SyncPolicy
-	meta   Meta
+	recordLog
+	path string
 
-	// replay is the queue of recovered evaluation records not yet
-	// consumed; replayOff[i] is the byte offset of replay[i]'s frame,
-	// so aborting replay can truncate the stale tail.
+	// replay is the queue of recovered evaluation records;
+	// replayOff[i] is the byte offset of replay[i]'s frame, so
+	// aborting replay can truncate the stale tail.
 	replay    []EvalEntry
 	replayOff []int64
 	replayed  int
 
-	trials   int // eval records on disk or replayed so far
+	trials   int // eval records replayed or appended so far
 	phase    string
 	done     *DoneEntry
 	snap     *Snapshot
-	resumed  bool
-	recovery RecoveryInfo
 	diverged string // non-empty once replay was aborted
-	writeErr error  // sticky append failure; journaling degrades, the campaign survives
 }
 
 // Open opens or creates the journal at path. If the file does not
-// exist (or is an empty stub), a fresh journal is created with the
-// given meta. If it exists, its records are recovered — truncating a
-// torn tail — its meta is validated against the given meta, and the
-// recovered evaluations become the replay queue. A valid snapshot side
-// file (path + ".snap") is loaded when present; a missing or corrupt
-// snapshot is ignored (the records alone are sufficient).
+// exist (or holds no intact meta record), a fresh journal is created
+// with the given meta. If it exists, its meta record must match the
+// given meta's, its records are recovered — truncating a torn tail —
+// and the recovered evaluations become the replay queue. A valid
+// snapshot side file (path + ".snap") of a resumed journal is loaded
+// when present; a missing or corrupt snapshot is ignored (the records
+// alone are sufficient).
 func Open(path string, meta Meta, policy SyncPolicy) (*Journal, error) {
-	j := &Journal{path: path, policy: policy, meta: meta}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: open %s: %w", path, err)
-	}
-	j.f = f
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: read %s: %w", path, err)
-	}
-	if len(data) < len(magic) {
-		// Fresh file, or a crash landed inside the 8-byte header: no
-		// record can have been committed, so (re)initialize.
-		if err := j.initFresh(int64(len(data))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return j, nil
-	}
-	if !bytes.Equal(data[:len(magic)], magic) {
-		f.Close()
-		return nil, fmt.Errorf("journal: %s is not a journal file (bad magic)", path)
-	}
-	if err := j.recover(data); err != nil {
-		f.Close()
+	j := &Journal{recordLog: recordLog{policy: policy}, path: path}
+	if err := j.open(path, "journal", "session", magic, frame{T: "meta", Meta: &meta}, j.decode); err != nil {
 		return nil, err
 	}
-	j.loadSnapshot()
+	if j.resumed {
+		j.loadSnapshot()
+	}
 	return j, nil
 }
 
-// initFresh truncates any partial header and writes a new journal
-// header plus the meta record.
-func (j *Journal) initFresh(had int64) error {
-	if had > 0 {
-		if err := j.f.Truncate(0); err != nil {
-			return fmt.Errorf("journal: truncate partial header: %w", err)
-		}
+// decode takes one recovered record after the meta record: an
+// evaluation joins the replay queue, a done record marks the session
+// finished.
+func (j *Journal) decode(payload []byte, off int64) string {
+	var fr frame
+	if err := json.Unmarshal(payload, &fr); err != nil {
+		return "unparsable record payload"
 	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	switch {
+	case fr.T == "eval" && fr.Eval != nil:
+		j.replay = append(j.replay, *fr.Eval)
+		j.replayOff = append(j.replayOff, off)
+	case fr.T == "done" && fr.Done != nil:
+		j.done = fr.Done
+	default:
+		return fmt.Sprintf("unexpected %q record", fr.T)
 	}
-	if _, err := j.f.Write(magic); err != nil {
-		return fmt.Errorf("journal: write header: %w", err)
-	}
-	if err := j.appendFrame(frame{T: "meta", Meta: &j.meta}); err != nil {
-		return err
-	}
-	return j.syncAlways()
-}
-
-// recover parses data (a full journal image), truncates any torn
-// tail, validates meta, and builds the replay queue.
-func (j *Journal) recover(data []byte) error {
-	off := int64(len(magic))
-	var sawMeta bool
-	truncate := func(reason string) {
-		j.recovery.Truncated = true
-		j.recovery.TruncatedBytes = int64(len(data)) - off
-		j.recovery.Reason = reason
-	}
-	for off < int64(len(data)) {
-		payload, size, reason := nextFrame(data, off)
-		if reason != "" {
-			truncate(reason)
-			break
-		}
-		var fr frame
-		if err := json.Unmarshal(payload, &fr); err != nil {
-			truncate("unparsable record payload")
-			break
-		}
-		switch {
-		case fr.T == "meta" && fr.Meta != nil:
-			if sawMeta {
-				truncate("duplicate meta record")
-			} else {
-				sawMeta = true
-				if !fr.Meta.equal(j.meta) {
-					return fmt.Errorf("journal: %s was recorded for a different session (have %+v, journal %+v); "+
-						"use a new journal file or rerun with the original flags", j.path, j.meta, *fr.Meta)
-				}
-			}
-		case fr.T == "eval" && fr.Eval != nil:
-			j.replay = append(j.replay, *fr.Eval)
-			j.replayOff = append(j.replayOff, off)
-		case fr.T == "done" && fr.Done != nil:
-			d := *fr.Done
-			j.done = &d
-		default:
-			truncate(fmt.Sprintf("unknown record type %q", fr.T))
-		}
-		if j.recovery.Truncated {
-			break
-		}
-		off += size
-		j.recovery.Records++
-	}
-	if !sawMeta {
-		// The meta record is written (and fsynced) at creation; its
-		// absence means the header append itself was torn. No eval can
-		// have been committed after it, so reinitialize.
-		return j.initFresh(int64(len(data)))
-	}
-	if j.recovery.Truncated {
-		if err := j.f.Truncate(off); err != nil {
-			return fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	j.resumed = true
-	j.trials = 0 // advances as records are replayed or appended
-	return nil
+	return ""
 }
 
 // loadSnapshot reads the side file, ignoring it unless fully valid.
@@ -396,18 +265,6 @@ func (j *Journal) loadSnapshot() {
 }
 
 func (j *Journal) snapPath() string { return j.path + ".snap" }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
-
-// Meta returns the session identity the journal was opened with.
-func (j *Journal) Meta() Meta { return j.meta }
-
-// Resumed reports whether Open recovered an existing journal.
-func (j *Journal) Resumed() bool { return j.resumed }
-
-// Recovery returns what recovery found and truncated.
-func (j *Journal) Recovery() RecoveryInfo { return j.recovery }
 
 // ReplayPending returns how many recovered evaluations have not yet
 // been consumed.
@@ -505,15 +362,7 @@ func (j *Journal) AbortReplay(reason string) error {
 	j.replayOff = j.replayOff[:j.replayed]
 	j.diverged = reason
 	j.done = nil
-	if err := j.f.Truncate(off); err != nil {
-		j.writeErr = err
-		return err
-	}
-	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
-		j.writeErr = err
-		return err
-	}
-	return nil
+	return j.truncateAt(off)
 }
 
 // Diverged returns the divergence reason if replay was aborted, or "".
@@ -536,20 +385,10 @@ func (j *Journal) Append(e EvalEntry) error {
 	}
 	e.Phase = j.phase
 	e.Trial = j.trials
-	if err := j.appendFrame(frame{T: "eval", Eval: &e}); err != nil {
-		j.writeErr = err
+	if err := j.append(frame{T: "eval", Eval: &e}, false); err != nil {
 		return err
 	}
-	if j.policy == SyncAlways {
-		if err := j.f.Sync(); err != nil {
-			j.writeErr = err
-			return err
-		}
-	}
 	j.trials++
-	j.replay = append(j.replay, e)
-	j.replayOff = append(j.replayOff, 0) // offset unused once consumed
-	j.replayed = len(j.replay)
 	return nil
 }
 
@@ -562,12 +401,7 @@ func (j *Journal) AppendDone(d DoneEntry) error {
 	if j.done != nil {
 		return nil
 	}
-	if err := j.appendFrame(frame{T: "done", Done: &d}); err != nil {
-		j.writeErr = err
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.writeErr = err
+	if err := j.append(frame{T: "done", Done: &d}, true); err != nil {
 		return err
 	}
 	j.done = &d
@@ -584,32 +418,9 @@ func (j *Journal) Done() (DoneEntry, bool) {
 	return *j.done, true
 }
 
-// appendFrame writes one framed record at the current offset.
-// Callers hold j.mu.
-func (j *Journal) appendFrame(fr frame) error {
-	payload, err := json.Marshal(fr)
-	if err != nil {
-		return fmt.Errorf("journal: marshal record: %w", err)
-	}
-	if _, err := j.f.Write(frameRecord(payload)); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	return nil
-}
-
-func (j *Journal) syncAlways() error {
-	if err := j.f.Sync(); err != nil {
-		j.writeErr = err
-		return err
-	}
-	return nil
-}
-
-// WriteSnapshot atomically replaces the snapshot side file: the new
-// image is written to a temp file, fsynced, and renamed over the old
-// one, so readers observe the previous snapshot or the new one but
-// never a torn mix. The containing directory is fsynced so the rename
-// itself survives a crash.
+// WriteSnapshot atomically replaces the snapshot side file
+// (WriteFile): readers observe the previous snapshot or the new one but
+// never a torn mix, and the replacement survives a crash.
 func (j *Journal) WriteSnapshot(s Snapshot) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -617,39 +428,10 @@ func (j *Journal) WriteSnapshot(s Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("journal: marshal snapshot: %w", err)
 	}
-	buf := append(append([]byte(nil), snapMagic...), frameRecord(payload)...)
-
-	tmp := j.snapPath() + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		j.writeErr = err
-		return err
+	if err := WriteFile(j.snapPath(), append(append([]byte(nil), snapMagic...), frameRecord(payload)...)); err != nil {
+		return j.fail(err)
 	}
-	if _, err := tf.Write(buf); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		j.writeErr = err
-		return err
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		j.writeErr = err
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		j.writeErr = err
-		return err
-	}
-	if err := os.Rename(tmp, j.snapPath()); err != nil {
-		os.Remove(tmp)
-		j.writeErr = err
-		return err
-	}
-	syncDir(filepath.Dir(j.snapPath()))
-	cp := s
-	j.snap = &cp
+	j.snap = &s
 	return nil
 }
 
@@ -662,40 +444,4 @@ func (j *Journal) Snapshot() (Snapshot, bool) {
 		return Snapshot{}, false
 	}
 	return *j.snap, true
-}
-
-// Err returns the first append/snapshot failure, if any. Journaling is
-// deliberately non-fatal to the campaign; callers surface this at the
-// end of the session.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.writeErr
-}
-
-// Close syncs and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	syncErr := j.f.Sync()
-	closeErr := j.f.Close()
-	j.f = nil
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable; best-effort (some filesystems reject directory fsync).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	d.Close()
 }

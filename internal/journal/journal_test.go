@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -60,13 +61,13 @@ func writeJournal(t testing.TB, n int, done bool) (string, []byte) {
 // frameEnds walks the on-disk format independently of the package's
 // recovery code and returns the byte offset just past each frame —
 // a format contract the tests rely on.
-func frameEnds(t *testing.T, data []byte) []int64 {
+func frameEnds(t testing.TB, magic, data []byte) []int64 {
 	t.Helper()
-	if !bytes.Equal(data[:8], magic) {
+	if !bytes.Equal(data[:len(magic)], magic) {
 		t.Fatal("missing magic")
 	}
 	var ends []int64
-	off := int64(8)
+	off := int64(len(magic))
 	for off < int64(len(data)) {
 		rest := data[off:]
 		if len(rest) < frameOverhead {
@@ -180,124 +181,191 @@ func TestNotAJournal(t *testing.T) {
 	}
 }
 
-// TestTruncateEveryOffset cuts the journal at every byte offset and
-// asserts recovery never panics, keeps every record fully contained in
-// the prefix, and never invents records.
-func TestTruncateEveryOffset(t *testing.T) {
-	const n = 5
-	_, data := writeJournal(t, n, true)
-	ends := frameEnds(t, data) // meta, n evals, done
+// logCase is one format on the shared record log, as the byte-offset
+// sweeps see it: a valid image holding the meta record and then a
+// fixed sequence of records, and a rendering of recovered state that
+// the sweeps compare with the state a prefix of that sequence makes.
+type logCase struct {
+	magic []byte
+	image func(t testing.TB) []byte
+	// want renders the state the first k records after the meta make.
+	want func(k int) string
+	// open opens path, renders what it recovered, and then appends one
+	// record: a recovered log must stay appendable.
+	open func(path string) (string, error)
+}
 
+// sweepEvals is the number of evaluations in the journal image, which
+// ends with a done record.
+const sweepEvals = 5
+
+var journalCase = logCase{
+	magic: magic,
+	image: func(t testing.TB) []byte {
+		_, data := writeJournal(t, sweepEvals, true)
+		return data
+	},
+	want: func(k int) string {
+		var evals []EvalEntry
+		for i := 0; i < min(k, sweepEvals); i++ {
+			e := testEntry(i)
+			e.Phase, e.Trial = "bo", i
+			evals = append(evals, e)
+		}
+		return renderJournal(evals, k > sweepEvals)
+	},
+	open: func(path string) (string, error) {
+		j, err := Open(path, testMeta(), SyncNone)
+		if err != nil {
+			return "", err
+		}
+		defer j.Close()
+		var evals []EvalEntry
+		for {
+			e, ok := j.NextReplay()
+			if !ok {
+				break
+			}
+			evals = append(evals, e)
+		}
+		_, done := j.Done()
+		j.SetPhase("bo")
+		if err := j.Append(testEntry(len(evals))); err != nil {
+			return "", fmt.Errorf("append after recovery: %w", err)
+		}
+		return renderJournal(evals, done), nil
+	},
+}
+
+func renderJournal(evals []EvalEntry, done bool) string {
+	return fmt.Sprintf("evals %+v done %v", evals, done)
+}
+
+// ledgerState is the recovered ledger as the sweeps compare it.
+type ledgerState struct {
+	Started []int
+	Done    []TaskDone
+	Failed  []TaskFailed
+	Grants  []Grant
+}
+
+var ledgerCase = logCase{
+	magic: ledgerMagic,
+	image: func(t testing.TB) []byte {
+		data, _ := writeLedger(t)
+		return data
+	},
+	want: func(k int) string {
+		var s ledgerState
+		for _, fr := range ledgerSeq[:k] {
+			switch {
+			case fr.Start != nil:
+				s.Started = append(s.Started, fr.Start.Task)
+			case fr.Done != nil:
+				s.Done = append(s.Done, *fr.Done)
+			case fr.Failed != nil:
+				s.Failed = append(s.Failed, *fr.Failed)
+			case fr.Grant != nil:
+				s.Grants = append(s.Grants, *fr.Grant)
+			}
+		}
+		return fmt.Sprintf("%+v", s)
+	},
+	open: func(path string) (string, error) {
+		meta := testLedgerMeta()
+		l, err := OpenLedger(path, meta, SyncNone)
+		if err != nil {
+			return "", err
+		}
+		defer l.Close()
+		var s ledgerState
+		for i := -1; i <= len(meta.Tasks); i++ { // one task either side of the manifest
+			if l.TaskStarted(i) {
+				s.Started = append(s.Started, i)
+			}
+			if d, ok := l.TaskDone(i); ok {
+				s.Done = append(s.Done, d)
+			}
+			if f, ok := l.TaskFailed(i); ok {
+				s.Failed = append(s.Failed, f)
+			}
+		}
+		s.Grants = l.Grants()
+		if err := l.AppendGrant(Grant{Seq: 9, Task: 2}); err != nil {
+			return "", fmt.Errorf("append after recovery: %w", err)
+		}
+		return fmt.Sprintf("%+v", s), nil
+	},
+}
+
+// The byte-offset sweeps run over both formats; the ledger's are named
+// so that the campaign suites' TestLedger filter selects them too.
+func TestTruncateEveryOffset(t *testing.T)       { truncateEveryOffset(t, journalCase) }
+func TestLedgerTruncateEveryOffset(t *testing.T) { truncateEveryOffset(t, ledgerCase) }
+func TestBitFlipEveryOffset(t *testing.T)        { bitFlipEveryOffset(t, journalCase) }
+func TestLedgerBitFlipEveryOffset(t *testing.T)  { bitFlipEveryOffset(t, ledgerCase) }
+
+// truncateEveryOffset cuts the image at every byte offset and asserts
+// recovery never panics or fails, keeps exactly the records fully
+// contained in the prefix, never invents one, and leaves the log
+// appendable.
+func truncateEveryOffset(t *testing.T, c logCase) {
+	data := c.image(t)
+	ends := frameEnds(t, c.magic, data) // meta, then the records
 	for cut := 0; cut <= len(data); cut++ {
-		// complete = number of whole frames inside the prefix.
-		complete := 0
+		complete := 0 // whole frames inside the prefix
 		for _, e := range ends {
 			if int64(cut) >= e {
 				complete++
 			}
 		}
-		path := filepath.Join(t.TempDir(), "cut.jnl")
+		path := filepath.Join(t.TempDir(), "cut")
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := Open(path, testMeta(), SyncNone)
+		got, err := c.open(path)
 		if err != nil {
-			t.Fatalf("cut=%d: Open error: %v", cut, err)
+			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		wantEvals := 0
-		if complete >= 1 {
-			wantEvals = complete - 1 // minus the meta frame
+		if want := c.want(max(complete-1, 0)); got != want {
+			t.Fatalf("cut=%d: recovered\n %s\nwant\n %s", cut, got, want)
 		}
-		wantDone := false
-		if wantEvals > n {
-			wantEvals, wantDone = n, true
-		}
-		if got := j.ReplayPending(); got != wantEvals {
-			t.Fatalf("cut=%d: replay %d records, want %d", cut, got, wantEvals)
-		}
-		if _, ok := j.Done(); ok != wantDone {
-			t.Fatalf("cut=%d: done=%v, want %v", cut, ok, wantDone)
-		}
-		for i := 0; i < wantEvals; i++ {
-			e, ok := j.NextReplay()
-			if !ok {
-				t.Fatalf("cut=%d: record %d missing", cut, i)
-			}
-			want := testEntry(i)
-			want.Phase, want.Trial = "bo", i
-			if !reflect.DeepEqual(e, want) {
-				t.Fatalf("cut=%d: record %d corrupted: %+v", cut, i, e)
-			}
-		}
-		// The truncated journal must stay appendable once drained.
-		j.SetPhase("bo")
-		if err := j.Append(testEntry(wantEvals)); err != nil {
-			t.Fatalf("cut=%d: append after recovery: %v", cut, err)
-		}
-		j.Close()
 	}
 }
 
-// TestBitFlipEveryOffset flips one bit at every byte offset and
-// asserts recovery never panics and preserves every record that
-// precedes the corruption.
-func TestBitFlipEveryOffset(t *testing.T) {
-	const n = 4
-	_, data := writeJournal(t, n, false)
-	ends := frameEnds(t, data)
-
+// bitFlipEveryOffset flips one bit at every byte offset and asserts
+// recovery never panics, rejects a corrupt magic, and otherwise keeps
+// exactly the records whose frames precede the corruption (none when
+// the meta frame is hit: the log starts fresh).
+func bitFlipEveryOffset(t *testing.T, c logCase) {
+	data := c.image(t)
+	ends := frameEnds(t, c.magic, data)
 	for pos := 0; pos < len(data); pos++ {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x40
-		path := filepath.Join(t.TempDir(), "flip.jnl")
+		path := filepath.Join(t.TempDir(), "flip")
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := Open(path, testMeta(), SyncNone)
-		if pos < len(magic) {
-			// A corrupted magic header must be rejected, not recovered.
+		got, err := c.open(path)
+		if pos < len(c.magic) {
 			if err == nil {
-				j.Close()
 				t.Fatalf("pos=%d: corrupt magic accepted", pos)
 			}
 			continue
 		}
 		if err != nil {
-			// A flip inside the meta frame may surface as a meta
-			// mismatch (still parsable JSON with a valid checksum is
-			// impossible — but the error path must be an error, never a
-			// panic). Everything else must recover.
-			if int64(pos) < ends[0] {
-				continue
-			}
-			t.Fatalf("pos=%d: Open error: %v", pos, err)
+			t.Fatalf("pos=%d: %v", pos, err)
 		}
-		// Frames wholly before the flipped byte must survive intact.
-		intactFrames := 0
+		intact := 0 // frames wholly before the flipped byte
 		for _, e := range ends {
 			if e <= int64(pos) {
-				intactFrames++
+				intact++
 			}
 		}
-		wantAtLeast := 0
-		if intactFrames >= 1 {
-			wantAtLeast = intactFrames - 1 // minus meta
+		if want := c.want(max(intact-1, 0)); got != want {
+			t.Fatalf("pos=%d: recovered\n %s\nwant\n %s", pos, got, want)
 		}
-		if got := j.ReplayPending(); got < wantAtLeast {
-			t.Fatalf("pos=%d: recovered %d records, want >= %d", pos, got, wantAtLeast)
-		}
-		for i := 0; i < wantAtLeast; i++ {
-			e, ok := j.NextReplay()
-			if !ok {
-				t.Fatalf("pos=%d: record %d missing", pos, i)
-			}
-			want := testEntry(i)
-			want.Phase, want.Trial = "bo", i
-			if !reflect.DeepEqual(e, want) {
-				t.Fatalf("pos=%d: intact record %d corrupted: %+v", pos, i, e)
-			}
-		}
-		j.Close()
 	}
 }
 

@@ -1,12 +1,8 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sync"
 )
 
 // ledgerMagic identifies a campaign ledger file; like the session
@@ -14,9 +10,9 @@ import (
 var ledgerMagic = []byte("ROBOLGR1")
 
 // LedgerMeta identifies the campaign a ledger belongs to. Resume
-// validates every field before trusting the records: a ledger written
-// for a different task list, seed or configuration must not silently
-// steer a new campaign.
+// validates the ledger's meta record against this one byte for byte
+// before trusting the records: a ledger written for a different task
+// list, seed or configuration must not silently steer a new campaign.
 type LedgerMeta struct {
 	// Seed is the campaign-level seed (0 when the campaign derives all
 	// randomness from per-task seeds).
@@ -34,23 +30,6 @@ type LedgerMeta struct {
 	// match for the records to be replayable (budgets, fault plan,
 	// reallocation policy, ...).
 	Config string `json:"config,omitempty"`
-}
-
-func (m LedgerMeta) equal(o LedgerMeta) bool {
-	if m.Seed != o.Seed || m.Config != o.Config || len(m.Tasks) != len(o.Tasks) || len(m.Journals) != len(o.Journals) {
-		return false
-	}
-	for i := range m.Tasks {
-		if m.Tasks[i] != o.Tasks[i] {
-			return false
-		}
-	}
-	for i := range m.Journals {
-		if m.Journals[i] != o.Journals[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TaskStart marks a task as claimed by a (possibly crashed) run. A
@@ -114,176 +93,58 @@ type ledgerFrame struct {
 }
 
 // Ledger is an open campaign ledger: the durable half of the
-// scheduler's task list. Appends are serialized by a mutex — unlike
-// the session journal, many task goroutines write to one ledger.
+// scheduler's task list. Appends are serialized by the log's mutex —
+// unlike the session journal, many task goroutines write to one
+// ledger.
 type Ledger struct {
-	mu     sync.Mutex
-	path   string
-	f      *os.File
-	policy SyncPolicy
-	meta   LedgerMeta
+	recordLog
+	tasks int // manifest length; a record naming a task outside it is corrupt
 
-	started  map[int]bool
-	done     map[int]TaskDone
-	failed   map[int]TaskFailed
-	grants   []Grant
-	resumed  bool
-	recovery RecoveryInfo
-	writeErr error
+	started map[int]bool
+	done    map[int]TaskDone
+	failed  map[int]TaskFailed
+	grants  []Grant
 }
 
 // OpenLedger opens or creates the campaign ledger at path. An
-// existing ledger is recovered — a torn tail record is truncated, its
-// meta is validated against the given meta — and its task records
+// existing ledger is recovered — its meta record must match the given
+// meta's, a torn tail record is truncated — and its task records
 // become the campaign's resume state.
 func OpenLedger(path string, meta LedgerMeta, policy SyncPolicy) (*Ledger, error) {
 	l := &Ledger{
-		path:    path,
-		policy:  policy,
-		meta:    meta,
-		started: make(map[int]bool),
-		done:    make(map[int]TaskDone),
-		failed:  make(map[int]TaskFailed),
+		recordLog: recordLog{policy: policy},
+		tasks:     len(meta.Tasks),
+		started:   make(map[int]bool),
+		done:      make(map[int]TaskDone),
+		failed:    make(map[int]TaskFailed),
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: open %s: %w", path, err)
-	}
-	l.f = f
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ledger: read %s: %w", path, err)
-	}
-	if len(data) < len(ledgerMagic) {
-		if err := l.initFresh(int64(len(data))); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return l, nil
-	}
-	if !bytes.Equal(data[:len(ledgerMagic)], ledgerMagic) {
-		f.Close()
-		return nil, fmt.Errorf("ledger: %s is not a campaign ledger (bad magic)", path)
-	}
-	if err := l.recover(data); err != nil {
-		f.Close()
+	if err := l.open(path, "ledger", "campaign", ledgerMagic, ledgerFrame{T: "meta", Meta: &meta}, l.decode); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// initFresh truncates any partial header and writes a new ledger
-// header plus the meta record.
-func (l *Ledger) initFresh(had int64) error {
-	if had > 0 {
-		if err := l.f.Truncate(0); err != nil {
-			return fmt.Errorf("ledger: truncate partial header: %w", err)
-		}
+// decode takes one recovered record after the meta record into the
+// per-task record maps and the grant list.
+func (l *Ledger) decode(payload []byte, _ int64) string {
+	var fr ledgerFrame
+	if err := json.Unmarshal(payload, &fr); err != nil {
+		return "unparsable record payload"
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	valid := func(i int) bool { return i >= 0 && i < l.tasks }
+	switch {
+	case fr.T == "start" && fr.Start != nil && valid(fr.Start.Task):
+		l.started[fr.Start.Task] = true
+	case fr.T == "done" && fr.Done != nil && valid(fr.Done.Task):
+		l.done[fr.Done.Task] = *fr.Done
+	case fr.T == "failed" && fr.Failed != nil && valid(fr.Failed.Task):
+		l.failed[fr.Failed.Task] = *fr.Failed
+	case fr.T == "grant" && fr.Grant != nil && valid(fr.Grant.Task):
+		l.grants = append(l.grants, *fr.Grant)
+	default:
+		return fmt.Sprintf("unexpected %q record", fr.T)
 	}
-	if _, err := l.f.Write(ledgerMagic); err != nil {
-		return fmt.Errorf("ledger: write header: %w", err)
-	}
-	if err := l.appendFrame(ledgerFrame{T: "meta", Meta: &l.meta}); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// recover parses data (a full ledger image), truncates any torn tail,
-// validates meta, and rebuilds the per-task record maps.
-func (l *Ledger) recover(data []byte) error {
-	off := int64(len(ledgerMagic))
-	var sawMeta bool
-	truncate := func(reason string) {
-		l.recovery.Truncated = true
-		l.recovery.TruncatedBytes = int64(len(data)) - off
-		l.recovery.Reason = reason
-	}
-	validTask := func(i int) bool { return i >= 0 && i < len(l.meta.Tasks) }
-	for off < int64(len(data)) {
-		payload, size, reason := nextFrame(data, off)
-		if reason != "" {
-			truncate(reason)
-			break
-		}
-		var fr ledgerFrame
-		if err := json.Unmarshal(payload, &fr); err != nil {
-			truncate("unparsable record payload")
-			break
-		}
-		if !sawMeta && fr.T != "meta" {
-			// The meta record is written first; task records ahead of it
-			// belong to no known campaign and must not survive the fresh
-			// start below.
-			truncate("record before the campaign meta")
-			break
-		}
-		switch {
-		case fr.T == "meta" && fr.Meta != nil:
-			if sawMeta {
-				truncate("duplicate meta record")
-			} else {
-				sawMeta = true
-				if !fr.Meta.equal(l.meta) {
-					return fmt.Errorf("ledger: %s was recorded for a different campaign; "+
-						"use a new ledger file or rerun with the original task list and flags", l.path)
-				}
-			}
-		case fr.T == "start" && fr.Start != nil && validTask(fr.Start.Task):
-			l.started[fr.Start.Task] = true
-		case fr.T == "done" && fr.Done != nil && validTask(fr.Done.Task):
-			l.done[fr.Done.Task] = *fr.Done
-		case fr.T == "failed" && fr.Failed != nil && validTask(fr.Failed.Task):
-			l.failed[fr.Failed.Task] = *fr.Failed
-		case fr.T == "grant" && fr.Grant != nil && validTask(fr.Grant.Task):
-			l.grants = append(l.grants, *fr.Grant)
-		default:
-			truncate(fmt.Sprintf("unknown record type %q", fr.T))
-		}
-		if l.recovery.Truncated {
-			break
-		}
-		off += size
-		l.recovery.Records++
-	}
-	if !sawMeta {
-		// The meta record is fsynced at creation; its absence means the
-		// header append itself was torn — nothing else can have committed.
-		return l.initFresh(int64(len(data)))
-	}
-	if l.recovery.Truncated {
-		if err := l.f.Truncate(off); err != nil {
-			return fmt.Errorf("ledger: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	l.resumed = true
-	return nil
-}
-
-// Path returns the ledger file path.
-func (l *Ledger) Path() string { return l.path }
-
-// Meta returns the campaign identity the ledger was opened with.
-func (l *Ledger) Meta() LedgerMeta { return l.meta }
-
-// Resumed reports whether OpenLedger recovered an existing ledger.
-func (l *Ledger) Resumed() bool { return l.resumed }
-
-// Recovery returns what recovery found and truncated.
-func (l *Ledger) Recovery() RecoveryInfo {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recovery
+	return ""
 }
 
 // TaskStarted reports whether a start record exists for task i.
@@ -324,7 +185,7 @@ func (l *Ledger) AppendStart(i int) error {
 	if l.started[i] {
 		return nil
 	}
-	if err := l.append(ledgerFrame{T: "start", Start: &TaskStart{Task: i}}); err != nil {
+	if err := l.append(ledgerFrame{T: "start", Start: &TaskStart{Task: i}}, false); err != nil {
 		return err
 	}
 	l.started[i] = true
@@ -340,7 +201,7 @@ func (l *Ledger) AppendTaskDone(d TaskDone) error {
 	if _, ok := l.done[d.Task]; ok {
 		return nil
 	}
-	if err := l.append(ledgerFrame{T: "done", Done: &d}); err != nil {
+	if err := l.append(ledgerFrame{T: "done", Done: &d}, false); err != nil {
 		return err
 	}
 	l.done[d.Task] = d
@@ -354,7 +215,7 @@ func (l *Ledger) AppendTaskFailed(f TaskFailed) error {
 	if _, ok := l.failed[f.Task]; ok {
 		return nil
 	}
-	if err := l.append(ledgerFrame{T: "failed", Failed: &f}); err != nil {
+	if err := l.append(ledgerFrame{T: "failed", Failed: &f}, false); err != nil {
 		return err
 	}
 	l.failed[f.Task] = f
@@ -368,61 +229,9 @@ func (l *Ledger) AppendTaskFailed(f TaskFailed) error {
 func (l *Ledger) AppendGrant(g Grant) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.append(ledgerFrame{T: "grant", Grant: &g}); err != nil {
+	if err := l.append(ledgerFrame{T: "grant", Grant: &g}, false); err != nil {
 		return err
 	}
 	l.grants = append(l.grants, g)
 	return nil
-}
-
-// append writes one frame and syncs per policy. Callers hold l.mu.
-// Failures are sticky (see Err) but non-fatal, matching the session
-// journal: a full disk degrades durability, it does not kill the
-// campaign.
-func (l *Ledger) append(fr ledgerFrame) error {
-	if err := l.appendFrame(fr); err != nil {
-		l.writeErr = err
-		return err
-	}
-	if l.policy == SyncAlways {
-		if err := l.f.Sync(); err != nil {
-			l.writeErr = err
-			return err
-		}
-	}
-	return nil
-}
-
-func (l *Ledger) appendFrame(fr ledgerFrame) error {
-	payload, err := json.Marshal(fr)
-	if err != nil {
-		return fmt.Errorf("ledger: marshal record: %w", err)
-	}
-	if _, err := l.f.Write(frameRecord(payload)); err != nil {
-		return fmt.Errorf("ledger: append: %w", err)
-	}
-	return nil
-}
-
-// Err returns the first append failure, if any.
-func (l *Ledger) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.writeErr
-}
-
-// Close syncs and closes the ledger file.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	syncErr := l.f.Sync()
-	closeErr := l.f.Close()
-	l.f = nil
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
 }

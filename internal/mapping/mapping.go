@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"repro/internal/conf"
+	"repro/internal/journal"
 	"repro/internal/sample"
 )
 
@@ -210,11 +211,10 @@ func (m *Mapper) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("mapping: marshal: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := journal.WriteFile(path, data); err != nil {
 		return fmt.Errorf("mapping: write: %w", err)
 	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // LoadMapper restores a mapper written by Save. The persisted probe

@@ -18,6 +18,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/journal"
 )
 
 // SavedConfig is one memoized high-performance configuration.
@@ -161,11 +163,10 @@ func (s *Store) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("memo: marshal: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := journal.WriteFile(path, data); err != nil {
 		return fmt.Errorf("memo: write: %w", err)
 	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // Load reads a store previously written by Save. A missing file

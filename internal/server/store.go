@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bo"
+	"repro/internal/journal"
 	"repro/internal/schedule"
 )
 
@@ -72,7 +73,7 @@ func (st *Store) shardFor(id string) *shard {
 }
 
 // newID returns a fresh session id, unique across restarts (ids are
-// random, and the spec file on disk is created with O_EXCL).
+// random, and writeSpecFile refuses an id whose spec file exists).
 func newID() (string, error) {
 	var b [9]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -152,8 +153,9 @@ func (st *Store) Create(tenant string, ps ParsedSpec) (*session, *apiErr) {
 	return s, nil
 }
 
-// writeSpecFile persists the spec atomically (temp + rename), failing
-// if a session with this id already exists on disk.
+// writeSpecFile persists the spec atomically and durably
+// (journal.WriteFile), failing if a session with this id already
+// exists on disk.
 func writeSpecFile(path string, ps persistedSpec) error {
 	if _, err := os.Stat(path); err == nil {
 		return fmt.Errorf("session spec %s already exists", path)
@@ -162,11 +164,7 @@ func writeSpecFile(path string, ps persistedSpec) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return journal.WriteFile(path, data)
 }
 
 // Get returns the live session for id, rehydrating it from disk when
@@ -348,8 +346,6 @@ func (st *Store) checkClosed() *apiErr {
 	return nil
 }
 
-// List returns the ids of live (in-memory) sessions, most recently
-// touched last; informational only.
 // SurrogateStats sums the refit-cadence accounting of every live
 // session whose stepper exposes it. Sessions are collected under the
 // shard locks, then each is sampled under its own lock — never both at
@@ -399,6 +395,8 @@ func (st *Store) SurrogateStats() SurrogateView {
 // metrics endpoint snapshots its preemption and wait accounting.
 func (st *Store) Pool() *schedule.Pool { return st.pool }
 
+// List returns the ids of live (in-memory) sessions, in no fixed
+// order; informational only.
 func (st *Store) List() []string {
 	var ids []string
 	for i := range st.shards {

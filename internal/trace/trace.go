@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/conf"
+	"repro/internal/journal"
 	"repro/internal/memo"
 	"repro/internal/tuners"
 )
@@ -209,11 +210,10 @@ func (s Session) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("trace: marshal: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := journal.WriteFile(path, data); err != nil {
 		return fmt.Errorf("trace: write: %w", err)
 	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // Load reads a session written by Save.

@@ -1,6 +1,8 @@
 package tuners
 
 import (
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -147,5 +149,48 @@ func TestSessionReplayDivergenceContinuesLive(t *testing.T) {
 	jn3.Close()
 	if live2 != 0 || res2.BestSeconds != res.BestSeconds {
 		t.Fatalf("post-divergence resume: live=%d best=%v, want 0/%v", live2, res2.BestSeconds, res.BestSeconds)
+	}
+}
+
+// TestSessionIgnoresDoneWithoutMeta: a journal file holding a done
+// record but no meta record before it (the header append was torn) is
+// started fresh, so the session spends its whole budget instead of
+// sealing at once from the orphan record.
+func TestSessionIgnoresDoneWithoutMeta(t *testing.T) {
+	sp := smallSpace(t)
+	path := filepath.Join(t.TempDir(), "o.jnl")
+	jn, err := journal.Open(path, sessionMeta(), journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.AppendDone(journal.DoneEntry{Found: true, BestSeconds: 50, Evals: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keep the 8-byte magic and the done frame; cut the meta frame
+	// between them (u32 length, u32 CRC, payload).
+	metaEnd := 16 + int(binary.LittleEndian.Uint32(data[8:12]))
+	if err := os.WriteFile(path, append(data[:8:8], data[metaEnd:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	jn2, err := journal.Open(path, sessionMeta(), journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn2.SetPhase("bo")
+	live := 0
+	res := RandomSearch{}.Run(NewSession(countedFlaky(0, &live), sp, Request{Budget: 12, Seed: 9, Journal: jn2}))
+	if err := jn2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live != 12 || res.Evals != 12 || len(res.Trace) != 12 {
+		t.Fatalf("session made %d live calls, %d evals, %d trace points; want its whole budget of 12", live, res.Evals, len(res.Trace))
 	}
 }
