@@ -1,11 +1,13 @@
-// Benchmark harness: one benchmark per table and figure of the
-// paper's evaluation (§5), plus ablation benchmarks for the design
-// choices called out in DESIGN.md and micro benchmarks for the
-// numerical substrates.
+// Benchmark harness: benchmarks for the standalone figures of the
+// paper's evaluation (Figures 2, 7, 8 and 9), ablation benchmarks for
+// the design choices called out in DESIGN.md, and micro benchmarks for
+// the numerical substrates. The numbers derived from the shared tuner
+// grid (Figures 3-6, Table 2, §5.2 and §5.5) have one regenerator,
+// `go run ./cmd/robobench`, which runs the grid once for all of them.
 //
-// The figure/table benchmarks run reduced-but-faithful scales so the
-// whole suite stays in minutes; `go run ./cmd/robobench -full` runs
-// the paper-scale versions. Each benchmark reports the experiment's
+// The figure benchmarks run reduced-but-faithful scales so the whole
+// suite stays in minutes; `go run ./cmd/robobench -full` runs the
+// paper-scale versions. Each benchmark reports the experiment's
 // headline quantity via b.ReportMetric, so the regenerated "rows" are
 // visible in benchmark output.
 package repro
@@ -36,7 +38,7 @@ func benchConfig() experiments.Config {
 	return experiments.Config{Seed: 1, Budget: 60, Repeats: 1, MeasureReps: 2, Fast: true}
 }
 
-// --- Figure/Table benchmarks -------------------------------------------------
+// --- Figure benchmarks -------------------------------------------------------
 
 // BenchmarkFig2ModelR2 regenerates Figure 2 (R² of the four
 // importance models) and reports RandomForest's mean R² advantage
@@ -52,74 +54,6 @@ func BenchmarkFig2ModelR2(b *testing.B) {
 		n := float64(len(res.Labels))
 		b.ReportMetric(rfSum/n, "rf-r2")
 		b.ReportMetric(linSum/n, "linear-r2")
-	}
-}
-
-// BenchmarkFig3TunerQuality regenerates Figure 3 (best execution time
-// scaled to Random Search) on the full workload grid and reports
-// ROBOTune's mean advantage over BestConfig.
-func BenchmarkFig3TunerQuality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		comp := experiments.RunComparison(benchConfig(), nil)
-		rows := comp.Fig3()
-		mean, max := experiments.SummarizeScaled(rows, "BestConfig")
-		b.ReportMetric(mean, "adv-vs-bestconfig")
-		b.ReportMetric(max, "max-adv")
-	}
-}
-
-// BenchmarkFig4SearchCost regenerates Figure 4 (search cost scaled to
-// Random Search) and reports ROBOTune's mean cost advantage over
-// Random Search.
-func BenchmarkFig4SearchCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		comp := experiments.RunComparison(benchConfig(),
-			func(w string) bool { return w == "PageRank" || w == "KMeans" || w == "TeraSort" })
-		rows := comp.Fig4()
-		mean, _ := experiments.SummarizeScaled(rows, "RandomSearch")
-		b.ReportMetric(mean, "cost-adv-vs-rs")
-	}
-}
-
-// BenchmarkFig5Distribution regenerates Figure 5 (execution-time
-// distribution of sampled configurations for PR and KM) and reports
-// the median ratio of Random Search to ROBOTune for KMeans.
-func BenchmarkFig5Distribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		comp := experiments.RunComparison(benchConfig(),
-			func(w string) bool { return w == "PageRank" || w == "KMeans" })
-		km := comp.Fig5("KMeans")
-		b.ReportMetric(km.Summary["RandomSearch"].P50/km.Summary["ROBOTune"].P50, "km-p50-ratio")
-		pr := comp.Fig5("PageRank")
-		b.ReportMetric(pr.Summary["RandomSearch"].P50/pr.Summary["ROBOTune"].P50, "pr-p50-ratio")
-	}
-}
-
-// BenchmarkTable2SearchSpeed regenerates Table 2 (iterations to reach
-// within 1/5/10% of the best achieved time) and reports the mean
-// within-5% iteration across workloads.
-func BenchmarkTable2SearchSpeed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		comp := experiments.RunComparison(benchConfig(), nil)
-		rows := comp.Table2()
-		var w5 float64
-		for _, r := range rows {
-			w5 += r.Within5
-		}
-		b.ReportMetric(w5/float64(len(rows)), "mean-within5-iter")
-	}
-}
-
-// BenchmarkFig6Memoization regenerates Figure 6 (per-iteration
-// minimum for PR-D1 vs PR-D3) and reports the within-5% iteration for
-// both: memoized D3 sessions should converge earlier than cold D1.
-func BenchmarkFig6Memoization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		comp := experiments.RunComparison(benchConfig(),
-			func(w string) bool { return w == "PageRank" })
-		f6 := comp.Fig6("PageRank")
-		b.ReportMetric(f6.IterWithin5["D1"], "d1-within5-iter")
-		b.ReportMetric(f6.IterWithin5["D3"], "d3-within5-iter")
 	}
 }
 
@@ -194,26 +128,6 @@ func BenchmarkFig9Surface(b *testing.B) {
 			}
 		}
 		b.ReportMetric(hi-lo, "surface-range-s")
-	}
-}
-
-// BenchmarkDefaultComparison regenerates the §5.2 default-vs-tuned
-// comparison and reports the KMeans mean speedup (the paper's 27.1x
-// headline; the simulator reproduces the order of magnitude).
-func BenchmarkDefaultComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.DefaultComparison(benchConfig())
-		var km float64
-		var n int
-		for _, r := range rows {
-			if r.Workload == "KMeans" && !math.IsNaN(r.Speedup) {
-				km += r.Speedup
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(km/float64(n), "km-speedup")
-		}
 	}
 }
 

@@ -7,9 +7,11 @@
 //	robobench -exp fig3,fig4     # tuner quality + search cost
 //	robobench -exp fig2 -full    # paper-scale Figure 2
 //
-// Experiments: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 default
-// (comma-separated, or "all"). fig3/fig4/fig5/fig6/table2 share one
-// comparison run.
+// Experiments (comma-separated, or "all"): fig2 fig3 fig4 fig5 fig6
+// table2 fig7 fig8 fig9 default extended ablations mapping clustersim
+// amortization. An unknown name is an error. fig3, fig4, fig5, fig6,
+// table2, default (§5.2), amortization (§5.5) and -csv all read one
+// comparison grid, run at most once.
 package main
 
 import (
@@ -17,7 +19,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cli"
@@ -33,7 +37,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed")
 		budget  = flag.Int("budget", 100, "tuning budget in evaluations")
 		repeats = flag.Int("repeats", 0, "tuning sessions per dataset (0 = scale default)")
-		outPath = flag.String("out", "", "also write a full Markdown report to this file (runs every experiment)")
+		outPath = flag.String("out", "", "write a Markdown report of Figures 2-9, Table 2 and §5.2 to this file instead of running -exp")
 		csvDir  = flag.String("csv", "", "write machine-readable CSVs (sessions, fig3, fig4, traces) into this directory")
 		workers = flag.Int("workers", 0, "tuner compute parallelism (0 = all cores, 1 = serial; results are identical)")
 		conc    = flag.Int("concurrent", 0, "campaign concurrency: tuning sessions scheduled at once over a shared evaluation pool (<= 1 = serial; results are identical)")
@@ -66,18 +70,17 @@ func main() {
 		fmt.Printf("fault injection: %s (retries %d)\n", plan, *retries)
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
+	want, err := parseExperiments(*expFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	all := want["all"]
-	has := func(name string) bool { return all || want[name] }
+	has := func(name string) bool { return want["all"] || want[name] }
 
-	ran := 0
 	start := time.Now()
 
 	if *outPath != "" {
-		// Report mode runs every experiment once and writes Markdown.
+		// Report mode runs the report's experiments once and writes Markdown.
 		section("Full report")
 		comp := runComparison(cfg, *lgrPath)
 		md := report.FullReport(cfg, comp)
@@ -90,17 +93,17 @@ func main() {
 		return
 	}
 
+	grid := sync.OnceValue(func() *experiments.Comparison { return runComparison(cfg, *lgrPath) })
+
 	if has("fig2") {
 		section("Figure 2 (model comparison)")
 		samples := 200
 		fmt.Print(experiments.Fig2ModelComparison(cfg, samples).Render())
-		ran++
 	}
 
-	needsComparison := has("fig3") || has("fig4") || has("fig5") || has("fig6") || has("table2") || *csvDir != ""
-	if needsComparison {
+	if has("fig3") || has("fig4") || has("fig5") || has("fig6") || has("table2") || *csvDir != "" {
 		section("Comparison grid (4 tuners x 5 workloads x 3 datasets)")
-		comp := runComparison(cfg, *lgrPath)
+		comp := grid()
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, comp); err != nil {
 				fmt.Fprintln(os.Stderr, "writing CSVs:", err)
@@ -137,44 +140,36 @@ func main() {
 		if has("table2") {
 			fmt.Println(experiments.RenderTable2(comp.Table2()))
 		}
-		ran++
 	}
 
 	if has("fig7") {
 		section("Figure 7 (selection recall vs sample count)")
 		fmt.Print(experiments.Fig7SelectionRecall(cfg, nil).Render())
-		ran++
 	}
 	if has("fig8") {
 		section("Figure 8 (sampling behavior)")
 		fmt.Print(experiments.Fig8SamplingBehavior(cfg).Render())
-		ran++
 	}
 	if has("fig9") {
 		section("Figure 9 (response surface)")
 		fmt.Print(experiments.Fig9ResponseSurface(cfg, nil, 0).Render())
-		ran++
 	}
 	if has("default") {
 		section("§5.2 default-configuration comparison")
-		fmt.Print(experiments.RenderDefault(experiments.DefaultComparison(cfg)))
-		ran++
+		fmt.Print(experiments.RenderDefault(grid().VsDefault()))
 	}
 	if has("extended") {
 		section("Extended comparison (extension tuners)")
 		rows, _ := experiments.ExtendedComparison(cfg, nil)
 		fmt.Print(experiments.RenderExtended(rows))
-		ran++
 	}
 	if has("ablations") {
 		section("Design-choice ablations")
 		fmt.Print(experiments.Ablations(cfg).Render())
-		ran++
 	}
 	if has("mapping") {
 		section("Workload mapping (extension)")
 		fmt.Print(experiments.RenderMapping(experiments.MappingExperiment(cfg)))
-		ran++
 	}
 	if has("clustersim") {
 		section("Cluster-scheduler backend (policy tuning grid)")
@@ -182,20 +177,14 @@ func main() {
 		fmt.Print(experiments.RenderClusterComparison(cc))
 		fmt.Printf("\n  mean gain over default policy: ROBOTune %.1f%%, RandomSearch %.1f%%\n",
 			100*cc.GainOverDefault("ROBOTune"), 100*cc.GainOverDefault("RandomSearch"))
-		ran++
 	}
 	if has("amortization") {
 		section("§5.5 selection-cost amortization")
 		for _, w := range []string{"PageRank", "KMeans"} {
-			fmt.Println(experiments.RenderAmortization(w, experiments.AmortizationExperiment(cfg, w)))
+			fmt.Println(experiments.RenderAmortization(w, grid().Amortization(w)))
 		}
-		ran++
 	}
 
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; have fig2..fig9, table2, default, extended, ablations, mapping, clustersim, amortization, all\n", *expFlag)
-		os.Exit(2)
-	}
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
@@ -220,6 +209,28 @@ func runComparison(cfg experiments.Config, ledgerPath string) *experiments.Compa
 		fmt.Fprintln(os.Stderr, "campaign journal: task failed:", f)
 	}
 	return comp
+}
+
+// experimentNames lists every -exp value robobench knows, in the
+// order it prints them.
+var experimentNames = []string{
+	"fig2", "fig3", "fig4", "fig5", "fig6", "table2", "fig7", "fig8", "fig9",
+	"default", "extended", "ablations", "mapping", "clustersim", "amortization", "all",
+}
+
+// parseExperiments splits a comma-separated -exp value into the set of
+// experiments to run. It rejects the whole list if any name is
+// unknown, so a typo cannot silently drop an experiment.
+func parseExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(list, ",") {
+		name := strings.TrimSpace(strings.ToLower(e))
+		if !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q; have %s", name, strings.Join(experimentNames, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
 }
 
 func section(title string) {

@@ -1,31 +1,31 @@
 // End-to-end integration tests pinning the paper's headline claims on
 // a reduced grid — the fast standing guarantee that the reproduction
-// still reproduces. The full-scale versions live in robobench and the
-// benchmark harness.
+// still reproduces. The full-scale versions live in robobench.
 package repro
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/experiments"
 )
 
-// headlineGrid runs the comparison once per test binary invocation.
-func headlineGrid(t *testing.T) *experiments.Comparison {
-	t.Helper()
+// headlineGrid runs the comparison once per test binary invocation;
+// every TestHeadline* test reads the same grid.
+var headlineGrid = sync.OnceValue(func() *experiments.Comparison {
 	cfg := experiments.Config{Seed: 1, Budget: 60, Repeats: 1, MeasureReps: 2, Fast: true}
 	return experiments.RunComparison(cfg, func(w string) bool {
 		return w == "PageRank" || w == "KMeans" || w == "TeraSort"
 	})
-}
+})
 
 func TestHeadlineQualityClaim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration grid is slow")
 	}
-	comp := headlineGrid(t)
+	comp := headlineGrid()
 	rows := comp.Fig3()
 	// Abstract: "finds similar or better performing configurations
 	// than contemporary tuning tools". At this reduced scale, demand
@@ -52,7 +52,7 @@ func TestHeadlineSearchCostClaim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration grid is slow")
 	}
-	comp := headlineGrid(t)
+	comp := headlineGrid()
 	rows := comp.Fig4()
 	// Abstract: search cost improvement of ~1.5-1.6x on average (ours
 	// overshoots; require at least the paper's figure).
@@ -75,7 +75,7 @@ func TestHeadlineDistributionClaim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration grid is slow")
 	}
-	comp := headlineGrid(t)
+	comp := headlineGrid()
 	// §5.3: the baselines' sampled-configuration medians sit well
 	// above ROBOTune's (paper: 1.35-1.53x; ours larger).
 	for _, w := range []string{"PageRank", "KMeans"} {
@@ -94,7 +94,7 @@ func TestHeadlineSignificance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration grid is slow")
 	}
-	comp := headlineGrid(t)
+	comp := headlineGrid()
 	// Pool per-session qualities and check ROBOTune's distribution is
 	// stochastically smaller than Random Search's.
 	var rt, rs []float64

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/memo"
-)
+import "fmt"
 
 // AmortizationRow reports cumulative total cost (selection + tuning)
 // after tuning the first k datasets of a workload family.
@@ -16,43 +12,28 @@ type AmortizationRow struct {
 	Total map[string]float64
 }
 
-// AmortizationExperiment quantifies §5.5's closing claim: "ROBOTune
-// is preferable in terms of cost when multiple datasets (e.g. two or
+// Amortization quantifies §5.5's closing claim: "ROBOTune is
+// preferable in terms of cost when multiple datasets (e.g. two or
 // more) of a workload are tuned, as the parameter selection cost is
-// amortized across tuning sessions." Each tuner tunes D1, D2, D3 of
-// the workload in sequence (ROBOTune keeps its caches); rows report
-// cumulative cost including ROBOTune's selection phase.
-func AmortizationExperiment(cfg Config, workload string) []AmortizationRow {
-	cfg = cfg.withDefaults()
-	if workload == "" {
-		workload = "PageRank"
-	}
-	grid := sparkGrid()
-	wls, ok := grid[workload]
-	if !ok {
-		return nil
-	}
-	space := sparkSpace()
-
-	cum := map[string][]float64{}
-	for _, tname := range TunerNames {
-		store := memo.NewStore()
-		tn := cfg.buildTuner(tname, store)
-		running := 0.0
-		for di := 0; di < 3; di++ {
-			seed := cfg.Seed + uint64(di)*97 + hashName(workload+tname)
-			ev := cfg.newEvaluator(wls[di], seed)
-			res := cfg.tune(tn, ev, space, cfg.Budget, seed)
-			running += res.SearchCost + res.SelectionCost
-			cum[tname] = append(cum[tname], running)
-		}
-	}
-
+// amortized across tuning sessions." Each grid cell tunes D1, D2, D3
+// of the workload in sequence (ROBOTune keeps its caches); row k is
+// each tuner's mean cumulative cost over the cell's first k sessions,
+// including ROBOTune's selection phase. It returns nil when the grid
+// lacks a tuner's sessions for the workload.
+func (c *Comparison) Amortization(workload string) []AmortizationRow {
 	rows := make([]AmortizationRow, 3)
-	for di := 0; di < 3; di++ {
+	for di := range rows {
 		rows[di] = AmortizationRow{Datasets: di + 1, Total: map[string]float64{}}
-		for _, tname := range TunerNames {
-			rows[di].Total[tname] = cum[tname][di]
+	}
+	for _, tname := range TunerNames {
+		running := 0.0
+		for di := range rows {
+			ss := pick(c.Sessions, tname, workload, di)
+			if len(ss) == 0 {
+				return nil
+			}
+			running += meanOf(ss, func(s Session) float64 { return s.SearchCost + s.SelectionCost })
+			rows[di].Total[tname] = running
 		}
 	}
 	return rows

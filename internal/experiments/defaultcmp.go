@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/core"
-	"repro/internal/memo"
 )
 
 // DefaultRow is one workload/dataset entry of the §5.2 comparison
@@ -19,50 +16,42 @@ type DefaultRow struct {
 	// DefaultFails is true when the default OOMs or errors (the paper
 	// reports this for PR, CC and the larger TeraSort inputs).
 	DefaultFails bool
-	// TunedSeconds is ROBOTune's best configuration's time.
+	// TunedSeconds is the mean measured quality of ROBOTune's final
+	// configurations.
 	TunedSeconds float64
 	// Speedup is DefaultSeconds / TunedSeconds (NaN when the default
 	// fails — the speedup is effectively infinite).
 	Speedup float64
 }
 
-// DefaultComparison reproduces §5.2's "Comparison with the default":
-// ROBOTune tunes each workload, and its best configuration is
-// compared with the Spark default (evaluated without the tuning-time
-// cap, since it is outside the search).
-func DefaultComparison(cfg Config) []DefaultRow {
-	cfg = cfg.withDefaults()
-	space := sparkSpace()
+// VsDefault reproduces §5.2's "Comparison with the default": each
+// (workload, dataset) the grid tuned compares the mean measured
+// quality of its ROBOTune sessions with one run of the Spark default.
+// The default is outside the search, so it runs without the tuning-time
+// cap, on the seed the grid measures qualities with.
+func (c *Comparison) VsDefault() []DefaultRow {
+	def := sparkSpace().Default()
 	grid := sparkGrid()
-	def := space.Default()
-
 	var rows []DefaultRow
 	for _, wname := range WorkloadOrder {
-		store := memo.NewStore()
-		rt := core.New(store, cfg.robotuneOptions())
 		for di := 0; di < 3; di++ {
-			w := grid[wname][di]
-			seed := cfg.Seed + hashName(wname) + uint64(di)
-			ev := cfg.newEvaluator(w, seed)
-			res := cfg.tune(rt, ev, space, cfg.Budget, seed)
-
-			row := DefaultRow{Workload: wname, DatasetIdx: di}
-			out := runOnce(w, def, seed*3+1, math.Inf(1))
+			ss := pick(c.Sessions, "ROBOTune", wname, di)
+			if len(ss) == 0 {
+				continue
+			}
+			row := DefaultRow{
+				Workload:       wname,
+				DatasetIdx:     di,
+				TunedSeconds:   meanOf(ss, func(s Session) float64 { return s.Quality }),
+				DefaultSeconds: math.NaN(),
+				Speedup:        math.NaN(),
+			}
+			out := runOnce(grid[wname][di], def, c.Config.measureSeed(di), math.Inf(1))
 			if out.OOM || out.Infeasible {
 				row.DefaultFails = true
-				row.DefaultSeconds = math.NaN()
 			} else {
 				row.DefaultSeconds = out.Seconds
-			}
-			if res.Found {
-				row.TunedSeconds = ev.Measure(res.Best, cfg.MeasureReps, seed*5+2)
-			} else {
-				row.TunedSeconds = math.NaN()
-			}
-			if !row.DefaultFails && res.Found {
 				row.Speedup = row.DefaultSeconds / row.TunedSeconds
-			} else {
-				row.Speedup = math.NaN()
 			}
 			rows = append(rows, row)
 		}
@@ -76,19 +65,12 @@ func RenderDefault(rows []DefaultRow) string {
 	t.row("", "default", "tuned", "speedup")
 	t.line()
 	for _, r := range rows {
-		def := "FAILS (OOM)"
+		def, sp := "FAILS (OOM)", "-"
 		if !r.DefaultFails {
 			def = fmt.Sprintf("%.0fs", r.DefaultSeconds)
-		}
-		tuned := "-"
-		if !math.IsNaN(r.TunedSeconds) {
-			tuned = fmt.Sprintf("%.0fs", r.TunedSeconds)
-		}
-		sp := "-"
-		if !math.IsNaN(r.Speedup) {
 			sp = fmt.Sprintf("%.1fx", r.Speedup)
 		}
-		t.row(fmt.Sprintf("%s-D%d", ShortName[r.Workload], r.DatasetIdx+1), def, tuned, sp)
+		t.row(fmt.Sprintf("%s-D%d", ShortName[r.Workload], r.DatasetIdx+1), def, fmt.Sprintf("%.0fs", r.TunedSeconds), sp)
 	}
 	return "§5.2 — tuned configuration vs Spark default\n" + t.String()
 }

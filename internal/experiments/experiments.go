@@ -9,10 +9,15 @@
 //	Fig2ModelComparison      — Figure 2: R² of Lasso/ElasticNet/RF/ET
 //	RunComparison            — shared 4-tuner × 5-workload × 3-dataset grid
 //	  .Fig3 / .Fig4 / .Fig5 / .Table2 / .Fig6 — Figures 3-6, Table 2
+//	  .VsDefault             — §5.2: speedups over the Spark default
+//	  .Amortization          — §5.5: selection-cost amortization
 //	Fig7SelectionRecall      — Figure 7: recall vs selection samples
 //	Fig8SamplingBehavior     — Figure 8: cores-vs-memory sampling scatter
 //	Fig9ResponseSurface      — Figure 9: GP response surface over iterations
-//	DefaultComparison        — §5.2: speedups over the Spark default
+//
+// Beyond the paper: ExtendedComparison (SuccessiveHalving and CMA-ES
+// baselines), Ablations, MappingExperiment, RunClusterComparison (the
+// cluster-scheduler backend) and RunMultiFidelity (BOHB vs ROBOTune).
 package experiments
 
 import (
@@ -22,7 +27,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/bo"
-	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/forest"
 	"repro/internal/memo"
@@ -106,22 +110,6 @@ func (c Config) robotuneOptions() core.Options {
 	return o
 }
 
-// newEvaluator builds a tuning evaluator carrying the configured
-// fault plan.
-func (c Config) newEvaluator(w backend.Workload, seed uint64) sparkEval {
-	return newSparkEval(w, seed, c.Faults)
-}
-
-// tune runs one tuning session under the configured retry policy. A
-// zero policy reproduces the plain Tune path exactly.
-func (c Config) tune(tn tuners.Tuner, obj tuners.Objective, space *conf.Space, budget int, seed uint64) tuners.Result {
-	return tn.Run(tuners.NewSession(obj, space, tuners.Request{
-		Budget: budget,
-		Seed:   seed,
-		Retry:  c.Retry,
-	}))
-}
-
 // WorkloadOrder is the fixed report order for the five workloads
 // (Table 1).
 var WorkloadOrder = []string{
@@ -163,8 +151,8 @@ type Session struct {
 	Trace []float64
 }
 
-// Comparison holds the shared tuner grid all of Figures 3-6 and
-// Table 2 derive from.
+// Comparison holds the shared tuner grid that Figures 3-6, Table 2,
+// §5.2 and §5.5 derive from.
 type Comparison struct {
 	Config   Config
 	Sessions []Session

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -293,19 +294,17 @@ func TestFig9SmallScale(t *testing.T) {
 	}
 }
 
+// tinyGrid is the all-workload comparison at tinyConfig scale, run
+// once per test binary and shared by the §5.2 and §5.5 tests.
+var tinyGrid = sync.OnceValue(func() *Comparison { return RunComparison(tinyConfig(), nil) })
+
 func TestDefaultComparisonSmallScale(t *testing.T) {
-	rows := DefaultComparison(tinyConfig())
+	rows := tinyGrid().VsDefault()
 	if len(rows) != 15 {
 		t.Fatalf("rows = %d, want 15", len(rows))
 	}
-	byKey := map[string]DefaultRow{}
-	for _, r := range rows {
-		byKey[ShortName[r.Workload]+string(rune('1'+r.DatasetIdx))] = r
-	}
-	// §5.2: default OOMs PR and CC; TS D2/D3 error; KM slow but runs.
-	for _, k := range []string{"P1", "P2", "P3", "C1", "C2", "C3"} {
-		_ = k
-	}
+	// §5.2: default OOMs PR and CC; TS D2/D3 error; KM slow but runs;
+	// LR runs and tuning still beats it.
 	for _, r := range rows {
 		switch r.Workload {
 		case "PageRank", "ConnectedComponents":
@@ -318,6 +317,13 @@ func TestDefaultComparisonSmallScale(t *testing.T) {
 			}
 			if !math.IsNaN(r.Speedup) && r.Speedup < 3 {
 				t.Errorf("KMeans speedup %v, want large", r.Speedup)
+			}
+		case "LogisticRegression":
+			if r.DefaultFails {
+				t.Errorf("LR-D%d default should complete", r.DatasetIdx+1)
+			}
+			if !(r.Speedup > 1) {
+				t.Errorf("LR-D%d speedup %v, want > 1", r.DatasetIdx+1, r.Speedup)
 			}
 		case "TeraSort":
 			wantFail := r.DatasetIdx >= 1
@@ -481,7 +487,7 @@ func TestMappingExperiment(t *testing.T) {
 }
 
 func TestAmortizationExperiment(t *testing.T) {
-	rows := AmortizationExperiment(tinyConfig(), "KMeans")
+	rows := tinyGrid().Amortization("KMeans")
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -513,7 +519,7 @@ func TestAmortizationExperiment(t *testing.T) {
 	if out := RenderAmortization("KMeans", rows); !strings.Contains(out, "amortization") {
 		t.Error("render missing title")
 	}
-	if AmortizationExperiment(tinyConfig(), "Nope") != nil {
+	if tinyGrid().Amortization("Nope") != nil {
 		t.Error("unknown workload should return nil")
 	}
 }

@@ -81,8 +81,12 @@ func (g tuningGrid) measure(workload string, di int, c conf.Config) float64 {
 	if !ok {
 		panic(fmt.Sprintf("experiments: %T lacks the Measure capability the grid needs", ev))
 	}
-	return m.Measure(c, g.cfg.MeasureReps, g.cfg.Seed*77+uint64(di))
+	return m.Measure(c, g.cfg.MeasureReps, g.cfg.measureSeed(di))
 }
+
+// measureSeed is the seed every measurement on dataset di shares: the
+// grid's quality measurements and §5.2's run of the Spark default.
+func (c Config) measureSeed(di int) uint64 { return c.Seed*77 + uint64(di) }
 
 // run tunes every cell as one task of a schedule.RunCampaign campaign,
 // up to cfg.Concurrency cells at once over a shared evaluation pool of

@@ -120,23 +120,18 @@ func RunMultiFidelity(cfg Config, workloads []string) []MultiFidelityRow {
 	if len(workloads) == 0 {
 		workloads = MultiFidelityWorkloads
 	}
-	grid := sparkGrid()
-	space := sparkSpace()
+	g := tuningGrid{cfg: cfg, bk: sparkBackend()}
 
 	rows := make([]MultiFidelityRow, 0, len(workloads))
 	for _, wname := range workloads {
-		wls, ok := grid[wname]
-		if !ok {
-			continue
-		}
 		const di = 0
 		seed := cfg.Seed + uint64(di)*101 + hashName(wname+"multifidelity")
-
-		roboEv := cfg.newEvaluator(wls[di], seed)
-		robo := cfg.tune(core.New(memo.NewStore(), cfg.robotuneOptions()), roboEv, space, cfg.Budget, seed)
-
-		bohbEv := cfg.newEvaluator(wls[di], seed)
-		bohb := cfg.tune(cfg.buildBOHB(mfAxis(wname)), bohbEv, space, 3*cfg.Budget, seed)
+		tune := func(tn tuners.Tuner, budget int) tuners.Result {
+			return tn.Run(tuners.NewSession(g.evaluator(wname, di, seed), g.bk.Space(),
+				tuners.Request{Budget: budget, Seed: seed, Retry: cfg.Retry}))
+		}
+		robo := tune(core.New(memo.NewStore(), cfg.robotuneOptions()), cfg.Budget)
+		bohb := tune(cfg.buildBOHB(mfAxis(wname)), 3*cfg.Budget)
 
 		proxies := 0
 		for _, p := range bohb.Proxy {

@@ -88,9 +88,9 @@ func SelectionSummary(selected map[string][]string) string {
 	return sb.String()
 }
 
-// FullReport assembles every experiment into one document. The
-// comparison is taken as an argument so robobench can reuse the grid
-// it already ran.
+// FullReport assembles Figures 2-9, Table 2 and §5.2 into one
+// document. The comparison is taken as an argument so robobench can
+// reuse the grid it already ran.
 func FullReport(cfg experiments.Config, comp *experiments.Comparison) string {
 	r := New("ROBOTune reproduction report")
 
@@ -117,7 +117,7 @@ func FullReport(cfg experiments.Config, comp *experiments.Comparison) string {
 	r.Add("Figure 9 — GP response surface",
 		experiments.Fig9ResponseSurface(cfg, nil, 0).Render())
 	r.Add("§5.2 — default configuration comparison",
-		experiments.RenderDefault(experiments.DefaultComparison(cfg)))
+		experiments.RenderDefault(comp.VsDefault()))
 	return r.Render()
 }
 
