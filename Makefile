@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint race bench bench-smoke bench-gp bench-gp-scale bench-multifidelity benchstat fuzz fuzz-journal fuzz-server fault-stress crash-stress crash-stress-campaign load-test
+.PHONY: build test lint race bench bench-smoke bench-gp-scale benchstat fuzz fuzz-journal fuzz-server fault-stress crash-stress crash-stress-campaign
 
 build:
 	$(GO) build ./...
@@ -31,10 +31,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Parallelism benchmarks: forest training, permutation importance and
-# acquisition multistart at workers=1 vs workers=GOMAXPROCS.
+# Micro benchmarks: forest training, permutation importance and
+# acquisition multistart at workers=1 vs workers=GOMAXPROCS, and the GP
+# fast path (surrogate fit, posterior prediction and engine Suggest
+# across training-set sizes, with allocation counts).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart' -benchmem -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkBOSuggestScale' -benchmem -benchtime 2x .
 
 # Perf-harness smoke test: every bench/ workload at toy scale, plain and
 # traced, including its set-up repeatability and traced == plain hash
@@ -43,26 +45,10 @@ bench:
 bench-smoke:
 	cd bench && GOWORK=off $(GO) test -count 1 ./...
 
-# GP fast-path benchmarks: surrogate fit, posterior prediction, and
-# engine Suggest across training-set sizes, with allocation counts.
-# Reference numbers (seed vs fast path) live in BENCH_gp_fastpath.json.
-bench-gp:
-	$(GO) test -run '^$$' -bench 'BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkBOSuggestScale' -benchmem -benchtime 3x .
-
 # Large-n surrogate scaling: exact (blocked Cholesky) vs sparse
-# local-subset fit/extend/suggest at n in {500, 1000, 2000}. Set
-# ROBOTUNE_BENCH_FULL=1 to add n=5000 and n=10000 (the exact rows take
-# minutes). Reference numbers live in BENCH_gp_scale.json.
+# local-subset fit/extend/suggest at n in {500, 1000, 2000}.
 bench-gp-scale:
 	$(GO) test -run '^$$' -bench 'BenchmarkGPScale' -benchmem -benchtime 1x .
-
-# Multi-fidelity cost-to-quality acceptance run: BOHB (fidelity ladder
-# + cost-aware acquisition) vs full-fidelity ROBOTune on the paper
-# workloads, at a larger budget than the always-on CI gate
-# (TestMultiFidelityQualityRegression in `make test`). Results land in
-# BENCH_multifidelity.json.
-bench-multifidelity:
-	ROBOTUNE_BENCH_MF=1 $(GO) test -run 'TestBenchMultiFidelity' -v -count 1 -timeout 1200s ./internal/experiments
 
 # A/B comparison helper: save a baseline, make a change, compare.
 # Uses benchstat when installed, otherwise falls back to diff.
@@ -123,10 +109,3 @@ fuzz-journal:
 fuzz-server:
 	$(GO) test -run '^$$' -fuzz FuzzSessionSpec -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzObserveBody -fuzztime 30s ./internal/server
-
-# robotuned throughput acceptance run: concurrent journaled sessions
-# over direct handler dispatch and real loopback TCP. The in-process
-# number must clear 10,000 propose/observe round trips per second;
-# results land in BENCH_robotuned.json.
-load-test:
-	ROBOTUNE_LOADTEST=1 $(GO) test -run 'TestLoadFull' -v -count 1 -timeout 300s ./internal/server/loadtest

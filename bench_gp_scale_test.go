@@ -1,16 +1,13 @@
 package repro
 
-// Large-n surrogate scaling benchmarks behind BENCH_gp_scale.json:
-// exact GP fit/extend/suggest at n in {500..10000} (blocked Cholesky
-// underneath), plus the sparse local-subset path at the default 512
-// threshold. `make bench-gp-scale` runs the small sizes; set
-// ROBOTUNE_BENCH_FULL=1 to add n=5000 and n=10000 (the exact rows
-// take minutes there — that is the point of the sparse path).
+// Large-n surrogate scaling benchmarks: exact GP fit/extend/suggest at
+// n in {500, 1000, 2000} (blocked Cholesky underneath), plus the sparse
+// local-subset path at the default 512 threshold. `make bench-gp-scale`
+// runs them.
 
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"repro/internal/bo"
@@ -40,12 +37,7 @@ func scaleBenchData(n, d int, seed uint64) ([][]float64, []float64) {
 
 var scaleParams = gp.Params{LogVariance: 0, LogLength: math.Log(0.4), LogNoise: math.Log(1e-4)}
 
-func scaleSizes() []int {
-	if os.Getenv("ROBOTUNE_BENCH_FULL") != "" {
-		return []int{500, 1000, 2000, 5000, 10000}
-	}
-	return []int{500, 1000, 2000}
-}
+var scaleSizes = []int{500, 1000, 2000}
 
 func scaleGPConfig(sparse bool) gp.Config {
 	cfg := gp.DefaultConfig()
@@ -59,7 +51,7 @@ func scaleGPConfig(sparse bool) gp.Config {
 
 func BenchmarkGPScaleFit(b *testing.B) {
 	for _, mode := range []string{"exact", "sparse"} {
-		for _, n := range scaleSizes() {
+		for _, n := range scaleSizes {
 			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
 				x, y := scaleBenchData(n, 8, 42)
 				cfg := scaleGPConfig(mode == "sparse")
@@ -77,7 +69,7 @@ func BenchmarkGPScaleFit(b *testing.B) {
 
 func BenchmarkGPScaleExtend(b *testing.B) {
 	for _, mode := range []string{"exact", "sparse"} {
-		for _, n := range scaleSizes() {
+		for _, n := range scaleSizes {
 			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
 				x, y := scaleBenchData(n+1, 8, 42)
 				cfg := scaleGPConfig(mode == "sparse")
@@ -99,7 +91,7 @@ func BenchmarkGPScaleExtend(b *testing.B) {
 
 func BenchmarkGPScaleSuggest(b *testing.B) {
 	for _, mode := range []string{"exact", "sparse"} {
-		for _, n := range scaleSizes() {
+		for _, n := range scaleSizes {
 			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
 				x, y := scaleBenchData(n, 8, 42)
 				cfg := bo.DefaultConfig()

@@ -43,7 +43,7 @@ func main() {
 		backendN = flag.String("backend", "spark", "evaluation backend: "+strings.Join(backend.Names(), " | "))
 		workload = flag.String("workload", "KMeans", "workload family (spark: PageRank | KMeans | ... ; clustersim: BatchETL | CIBuild | MLTrain | WebServing)")
 		dataset  = flag.Int("dataset", 1, "dataset index 1-3 (Table 1: D1-D3)")
-		tuner    = flag.String("tuner", "ROBOTune", "ROBOTune | BestConfig | Gunther | RandomSearch")
+		tuner    = flag.String("tuner", "ROBOTune", "tuner (case-insensitive): "+strings.Join(cli.TunerKinds(), " | "))
 		budget   = flag.Int("budget", 100, "tuning budget in evaluations")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		memoPath = flag.String("memo", "", "path to the memoization store (persists caches across runs)")
@@ -67,6 +67,10 @@ func main() {
 		costAwre = flag.Bool("cost-aware", false, "divide positive acquisition scores by predicted evaluation cost (EI-per-second; applies to ROBOTune and BOHB)")
 	)
 	flag.Parse()
+	if err := checkBudgets(*budget, *refitBdg); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *multiFid {
 		*tuner = "BOHB"
 	}
@@ -297,6 +301,19 @@ func main() {
 		}
 		fmt.Printf("\nmemoization store saved to %s\n", *memoPath)
 	}
+}
+
+// checkBudgets rejects the budgets robotuned's session spec refuses:
+// a session needs at least one evaluation, and the refit budget is a
+// fraction of wall clock in [0, 1).
+func checkBudgets(budget int, refitBudget float64) error {
+	if budget < 1 {
+		return fmt.Errorf("-budget must be at least 1, got %d", budget)
+	}
+	if math.IsNaN(refitBudget) || refitBudget < 0 || refitBudget >= 1 {
+		return fmt.Errorf("-refit-budget must be in [0, 1), got %v", refitBudget)
+	}
+	return nil
 }
 
 func printConfig(space *conf.Space, c conf.Config, selected []string, verbose bool) {

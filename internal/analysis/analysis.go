@@ -2,7 +2,7 @@
 // tuners rigorously: bootstrap confidence intervals, the Mann-Whitney
 // U test (the standard nonparametric test for "tuner A finds better
 // configurations than tuner B" without normality assumptions), and
-// convergence/regret summaries of tuning traces.
+// paired win rates.
 package analysis
 
 import (
@@ -128,46 +128,6 @@ func Better(a, b []float64, alpha float64) bool {
 	u, z, p := MannWhitney(a, b)
 	_ = u
 	return p < alpha && z < 0
-}
-
-// Regret summarises a tuning trace against a reference optimum.
-type Regret struct {
-	// Final is best(trace) - optimum.
-	Final float64
-	// AUC is the mean simple regret across iterations (area under the
-	// running-minimum curve minus the optimum) — lower means faster
-	// convergence, not just a good endpoint.
-	AUC float64
-	// FirstWithin holds the 1-based iteration at which the running
-	// minimum first came within 10% of the optimum (len(trace)+1 if
-	// never).
-	FirstWithin int
-}
-
-// RegretOf computes convergence statistics for a trace of observed
-// objective values against a reference optimum (e.g. the best value
-// any tuner ever observed for the workload).
-func RegretOf(trace []float64, optimum float64) Regret {
-	if len(trace) == 0 {
-		return Regret{Final: math.NaN(), AUC: math.NaN(), FirstWithin: 1}
-	}
-	running := math.Inf(1)
-	var auc float64
-	first := len(trace) + 1
-	for i, v := range trace {
-		if v < running {
-			running = v
-		}
-		auc += running - optimum
-		if first > len(trace) && running <= optimum*1.10 {
-			first = i + 1
-		}
-	}
-	return Regret{
-		Final:       running - optimum,
-		AUC:         auc / float64(len(trace)),
-		FirstWithin: first,
-	}
 }
 
 // WinRate returns the fraction of paired sessions where a's value is

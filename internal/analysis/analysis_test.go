@@ -115,30 +115,6 @@ func TestMannWhitneyTiesHandled(t *testing.T) {
 	}
 }
 
-func TestRegretOf(t *testing.T) {
-	trace := []float64{100, 80, 90, 60, 70}
-	r := RegretOf(trace, 50)
-	if r.Final != 10 {
-		t.Errorf("final regret %v, want 10", r.Final)
-	}
-	// Running mins: 100, 80, 80, 60, 60 → mean - 50 = 76 - 50 = 26.
-	if math.Abs(r.AUC-26) > 1e-9 {
-		t.Errorf("AUC %v, want 26", r.AUC)
-	}
-	// Within 10% of 50 → <= 55 never happens → len+1.
-	if r.FirstWithin != 6 {
-		t.Errorf("FirstWithin %v, want 6 (never)", r.FirstWithin)
-	}
-	r2 := RegretOf([]float64{54, 70}, 50)
-	if r2.FirstWithin != 1 {
-		t.Errorf("FirstWithin %v, want 1", r2.FirstWithin)
-	}
-	r3 := RegretOf(nil, 50)
-	if !math.IsNaN(r3.Final) {
-		t.Error("empty trace should give NaN")
-	}
-}
-
 func TestWinRate(t *testing.T) {
 	if w := WinRate([]float64{1, 5, 2}, []float64{2, 4, 3}); math.Abs(w-2.0/3) > 1e-12 {
 		t.Errorf("win rate %v", w)

@@ -292,13 +292,6 @@ func (h *Harness) Reset(seed uint64) {
 	h.history = nil
 }
 
-// NoiseSeed returns the current noise seed (as set by Init or Reset).
-func (h *Harness) NoiseSeed() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.seed
-}
-
 // SupportsFidelity implements FidelitySupporter: harness-backed
 // evaluators hand EvalSpec.Fidelity to their RunFunc, which derives
 // the proxy workload.

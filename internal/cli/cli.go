@@ -7,6 +7,7 @@ package cli
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -228,8 +229,10 @@ func BuildStepper(name string, space *conf.Space, budget int, seed uint64, workl
 //	execloss=0.1,straggler=0.08,stragglerfactor=3,transient=0.12,oom=0.04,seed=7
 //
 // Fields may appear in any order and default to zero (seed defaults
-// to 1 when any probability is set, so the plan is active). The
-// keyword "default" (alone or as a leading field) starts from
+// to 1 when any probability is set, so the plan is active).
+// Probabilities must lie in [0, 1] and every value must be finite; a
+// straggler factor <= 1 reads as the default of 3. The keyword
+// "default" (alone or as a leading field) starts from
 // backend.DefaultFaultPlan(); "" and "off" return the zero plan.
 func ParseFaultPlan(spec string) (backend.FaultPlan, error) {
 	var plan backend.FaultPlan
@@ -264,19 +267,29 @@ func ParseFaultPlan(spec string) (backend.FaultPlan, error) {
 		if err != nil {
 			return backend.FaultPlan{}, fmt.Errorf("fault plan: %s: %w", name, err)
 		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return backend.FaultPlan{}, fmt.Errorf("fault plan: %s must be finite, got %v", name, f)
+		}
+		var prob *float64
 		switch name {
 		case "execloss", "executorloss":
-			plan.ExecutorLossProb = f
+			prob = &plan.ExecutorLossProb
 		case "straggler":
-			plan.StragglerProb = f
+			prob = &plan.StragglerProb
 		case "stragglerfactor":
 			plan.StragglerFactor = f
 		case "transient":
-			plan.TransientErrProb = f
+			prob = &plan.TransientErrProb
 		case "oom":
-			plan.SpuriousOOMProb = f
+			prob = &plan.SpuriousOOMProb
 		default:
 			return backend.FaultPlan{}, fmt.Errorf("fault plan: unknown field %q (have execloss, straggler, stragglerfactor, transient, oom, seed)", name)
+		}
+		if prob != nil {
+			if f < 0 || f > 1 {
+				return backend.FaultPlan{}, fmt.Errorf("fault plan: %s is a probability in [0, 1], got %v", name, f)
+			}
+			*prob = f
 		}
 	}
 	if plan.Enabled() && plan.Seed == 0 {

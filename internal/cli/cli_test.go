@@ -191,7 +191,16 @@ func TestParseFaultPlan(t *testing.T) {
 		t.Errorf("plan %+v err %v, want defaulted seed", p, err)
 	}
 
-	for _, bad := range []string{"bogus=1", "execloss", "transient=x", "seed=-1"} {
+	// A straggler factor <= 1 is accepted and reads as the default 3.
+	p, err = ParseFaultPlan("straggler=0.5,stragglerfactor=0.5")
+	if err != nil || p.EffectiveStragglerFactor() != 3 {
+		t.Errorf("plan %+v err %v, want the default straggler factor", p, err)
+	}
+
+	for _, bad := range []string{
+		"bogus=1", "execloss", "transient=x", "seed=-1",
+		"transient=NaN", "execloss=-0.5", "oom=7", "straggler=0.5,stragglerfactor=Inf",
+	} {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}

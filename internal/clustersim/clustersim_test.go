@@ -186,6 +186,25 @@ func TestFaultsDeterministic(t *testing.T) {
 	}
 }
 
+// TestZeroPlanConsumesNoRandomness: a zero fault plan must leave every
+// outcome exactly as the fault-free run — switching faults off never
+// shifts the noise stream.
+func TestZeroPlanConsumesNoRandomness(t *testing.T) {
+	sp := Space()
+	rng := sample.NewRNG(11)
+	for _, name := range Families {
+		w := mustWorkload(t, name, 0)
+		for i := 0; i < 20; i++ {
+			c := sp.Decode(sample.Uniform(1, sp.Dim(), rng)[0])
+			a := Run(w, c, sample.NewRNG(42), DefaultCapSeconds)
+			b := RunWithFaults(w, c, sample.NewRNG(42), DefaultCapSeconds, backend.FaultPlan{}, sample.NewRNG(7))
+			if a != b {
+				t.Fatalf("%s config %d: zero plan changed outcome: %+v vs %+v", w.ID(), i, a, b)
+			}
+		}
+	}
+}
+
 // TestMeasure: quality measurement is fault-free, repeatable and does
 // not charge search cost.
 func TestMeasure(t *testing.T) {

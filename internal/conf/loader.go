@@ -136,42 +136,3 @@ func (ps paramSpec) toParam() (Param, error) {
 	}
 	return p, p.Validate()
 }
-
-// DumpSpace serializes a Space back to the JSON schema, so the
-// built-in Spark space can be exported, edited and reloaded.
-func DumpSpace(s *Space, system string) ([]byte, error) {
-	spec := spaceSpec{System: system}
-	for _, p := range s.Params() {
-		ps := paramSpec{
-			Name:  p.Name,
-			Log:   p.Log,
-			Unit:  p.Unit,
-			Group: p.Group,
-			Desc:  p.Desc,
-		}
-		switch p.Kind {
-		case Int:
-			ps.Type = "int"
-		case Float:
-			ps.Type = "float"
-		case Bool:
-			ps.Type = "bool"
-		case Categorical:
-			ps.Type = "categorical"
-			ps.Choices = p.Choices
-		}
-		if p.Kind == Int || p.Kind == Float {
-			mn, mx := p.Min, p.Max
-			ps.Min, ps.Max = &mn, &mx
-			ps.Default, _ = json.Marshal(p.Default)
-		}
-		if p.Kind == Bool {
-			ps.Default, _ = json.Marshal(p.Default >= 0.5)
-		}
-		if p.Kind == Categorical {
-			ps.Default, _ = json.Marshal(p.Choices[int(p.Default)])
-		}
-		spec.Params = append(spec.Params, ps)
-	}
-	return json.MarshalIndent(spec, "", "  ")
-}

@@ -3,7 +3,6 @@ package conf
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -89,36 +88,5 @@ func TestLoadSpaceFromFile(t *testing.T) {
 	}
 	if _, err := LoadSpace(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-func TestDumpSpaceRoundTrip(t *testing.T) {
-	orig := SparkSpace()
-	data, err := DumpSpace(orig, "spark-2.4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "spark.executor.memory") {
-		t.Fatal("dump missing parameters")
-	}
-	loaded, err := ParseSpace(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Dim() != orig.Dim() {
-		t.Fatalf("round trip dim %d != %d", loaded.Dim(), orig.Dim())
-	}
-	// Defaults and kinds survive.
-	for i, p := range orig.Params() {
-		q := loaded.Params()[i]
-		if p.Name != q.Name || p.Kind != q.Kind || p.Default != q.Default ||
-			p.Min != q.Min || p.Max != q.Max || p.Log != q.Log || p.Group != q.Group {
-			t.Errorf("param %s changed in round trip:\n  orig %+v\n  load %+v", p.Name, p, q)
-		}
-	}
-	// And the collinearity groups are identical.
-	og, lg := orig.Groups(), loaded.Groups()
-	if len(og) != len(lg) {
-		t.Fatalf("group count %d != %d", len(lg), len(og))
 	}
 }

@@ -32,8 +32,7 @@ type AblationRow struct {
 
 // Ablations runs the design-choice ablation suite on a fixed tuning
 // problem (TeraSort-30GB, the most IO-shaped workload). Budgets stay
-// small — the point is direction, not precision; the benchmarks in
-// bench_test.go run the same comparisons with custom metrics.
+// small — the point is direction, not precision.
 func Ablations(cfg Config) AblationResult {
 	cfg = cfg.withDefaults()
 	space := sparkSpace()

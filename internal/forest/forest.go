@@ -293,27 +293,3 @@ func (f *Forest) MDIImportance() []float64 {
 	}
 	return imp
 }
-
-// PartialDependence returns the model's average prediction as the
-// given feature sweeps across grid values with all other features
-// held at their observed joint distribution (Friedman's partial
-// dependence). It is the model-side counterpart of an empirical
-// parameter sweep: selection says *whether* a parameter matters, the
-// PD curve says *how*.
-func (f *Forest) PartialDependence(feature int, grid []float64) []float64 {
-	if feature < 0 || feature >= len(f.x[0]) {
-		panic(fmt.Sprintf("forest: feature %d out of range", feature))
-	}
-	out := make([]float64, len(grid))
-	row := make([]float64, len(f.x[0]))
-	for gi, v := range grid {
-		var sum float64
-		for _, xr := range f.x {
-			copy(row, xr)
-			row[feature] = v
-			sum += f.Predict(row)
-		}
-		out[gi] = sum / float64(len(f.x))
-	}
-	return out
-}

@@ -253,44 +253,3 @@ func TestRFBeatsSingleTreeOnNoisyData(t *testing.T) {
 		t.Errorf("forest R2 %.4f should beat single tree %.4f on noisy data", rf, st)
 	}
 }
-
-func TestPartialDependenceTracksSignal(t *testing.T) {
-	// y = 10·sin(3·x0) + noise-features: the PD curve along x0 should
-	// follow the sine shape, and a noise feature's curve should stay
-	// nearly flat.
-	x, y := synth(300, 6, 101, 0.2)
-	f := Train(x, y, Config{Trees: 80, Bootstrap: true, Seed: 7})
-	grid := []float64{0.05, 0.25, 0.5, 0.75, 0.95}
-	pd0 := f.PartialDependence(0, grid)
-	pd4 := f.PartialDependence(4, grid)
-	span := func(v []float64) float64 {
-		lo, hi := v[0], v[0]
-		for _, x := range v {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		return hi - lo
-	}
-	if span(pd0) < 4 {
-		t.Errorf("signal PD span %v too flat: %v", span(pd0), pd0)
-	}
-	if span(pd4) > span(pd0)/4 {
-		t.Errorf("noise PD span %v should be far below signal %v", span(pd4), span(pd0))
-	}
-	// The sine rises from x=0.05 to its peak near x=0.5 (sin peaks at
-	// 3x = π/2, x ≈ 0.52).
-	if !(pd0[2] > pd0[0]) {
-		t.Errorf("PD curve shape wrong: %v", pd0)
-	}
-}
-
-func TestPartialDependencePanicsOutOfRange(t *testing.T) {
-	x, y := synth(30, 3, 102, 0)
-	f := Train(x, y, Config{Trees: 10, Bootstrap: true, Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range feature should panic")
-		}
-	}()
-	f.PartialDependence(7, []float64{0.5})
-}

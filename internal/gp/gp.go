@@ -802,13 +802,6 @@ func (g *GP) PredictInto(s *PredictScratch, x []float64) (mu, variance float64) 
 	return muN*g.yStd + g.yMean, varN * g.yStd * g.yStd
 }
 
-// PredictWithNoise adds the fitted observation-noise variance, giving
-// the predictive distribution of a new observation.
-func (g *GP) PredictWithNoise(x []float64) (mu, variance float64) {
-	mu, v := g.Predict(x)
-	return mu, v + g.rk.noise*g.yStd*g.yStd
-}
-
 // Params returns the fitted hyperparameters (log space).
 func (g *GP) Params() Params { return g.params }
 

@@ -119,19 +119,6 @@ func TestNoisyObservationsSmoothed(t *testing.T) {
 	}
 }
 
-func TestPredictWithNoiseLarger(t *testing.T) {
-	xs, ys := grid1d(10)
-	g, err := Fit(xs, ys, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v1 := g.Predict([]float64{0.5})
-	_, v2 := g.PredictWithNoise([]float64{0.5})
-	if v2 <= v1 {
-		t.Errorf("predictive variance with noise (%v) should exceed latent (%v)", v2, v1)
-	}
-}
-
 func TestMultiDim(t *testing.T) {
 	rng := sample.NewRNG(4)
 	n, d := 60, 5

@@ -5,7 +5,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -69,21 +68,6 @@ func ComparisonSummary(comp *experiments.Comparison) string {
 		qm, qx := experiments.SummarizeScaled(f3, other)
 		cm, cx := experiments.SummarizeScaled(f4, other)
 		fmt.Fprintf(&sb, "| %s | %.2fx | %.2fx | %.2fx | %.2fx |\n", other, qm, qx, cm, cx)
-	}
-	return sb.String()
-}
-
-// SelectionSummary renders which parameters ROBOTune selected across
-// sessions as a Markdown list (frequency-ranked).
-func SelectionSummary(selected map[string][]string) string {
-	var sb strings.Builder
-	workloads := make([]string, 0, len(selected))
-	for w := range selected {
-		workloads = append(workloads, w)
-	}
-	sort.Strings(workloads)
-	for _, w := range workloads {
-		fmt.Fprintf(&sb, "- **%s**: %s\n", w, strings.Join(selected[w], ", "))
 	}
 	return sb.String()
 }

@@ -40,17 +40,6 @@ func TestComparisonSummary(t *testing.T) {
 	}
 }
 
-func TestSelectionSummary(t *testing.T) {
-	md := SelectionSummary(map[string][]string{
-		"B": {"x", "y"},
-		"A": {"z"},
-	})
-	ia, ib := strings.Index(md, "**A**"), strings.Index(md, "**B**")
-	if ia < 0 || ib < 0 || ia > ib {
-		t.Errorf("selection summary unsorted or incomplete:\n%s", md)
-	}
-}
-
 func TestFullReportSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full report is slow")

@@ -137,8 +137,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // the shutdown path polls it to zero before closing journals.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
-// Metrics exposes the counter set (tests and the load harness read
-// it directly).
+// Metrics exposes the counter set (tests read it directly).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Store exposes the session store (the janitor and tests).

@@ -2,7 +2,6 @@ package sparksim
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/backend"
 	"repro/internal/conf"
@@ -77,23 +76,4 @@ func (r *ResourceCostEvaluator) EvaluateSpecCtx(ctx context.Context, cfgs []conf
 // charging search cost.
 func (r *ResourceCostEvaluator) MeasureCost(c conf.Config, reps int, seed uint64) float64 {
 	return r.Evaluator.Measure(c, reps, seed) * r.rate(c)
-}
-
-// OccupiedCores reports how many cores a configuration's layout
-// holds, for reporting.
-func (r *ResourceCostEvaluator) OccupiedCores(c conf.Config) int {
-	ex, ok := PackExecutors(r.Cluster, c)
-	if !ok {
-		return 0
-	}
-	return ex.Count * ex.CoresEach
-}
-
-// CapObjective returns the worst-case objective value under this
-// metric (the time cap priced at the full-cluster rate), useful for
-// normalizing failed sessions in reports.
-func (r *ResourceCostEvaluator) CapObjective() float64 {
-	full := float64(r.Cluster.Workers*r.Cluster.CoresPerNode) +
-		r.MemoryWeight*float64(r.Cluster.Workers)*r.Cluster.MemPerNodeMB/1024
-	return math.Min(r.CapSeconds, math.Inf(1)) * full
 }

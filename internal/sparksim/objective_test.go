@@ -62,9 +62,6 @@ func TestResourceCostInfeasiblePricedAtWorstCase(t *testing.T) {
 	if rec.Seconds < 480*160 {
 		t.Errorf("infeasible objective %v should be priced at full cluster", rec.Seconds)
 	}
-	if rc.OccupiedCores(bad) != 0 {
-		t.Error("infeasible layout should occupy no cores")
-	}
 }
 
 func TestMeasureCostConsistent(t *testing.T) {

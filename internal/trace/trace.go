@@ -9,13 +9,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 
 	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/journal"
-	"repro/internal/memo"
 	"repro/internal/tuners"
 )
 
@@ -214,73 +212,4 @@ func (s Session) Save(path string) error {
 		return fmt.Errorf("trace: write: %w", err)
 	}
 	return nil
-}
-
-// Load reads a session written by Save.
-func Load(path string) (Session, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Session{}, fmt.Errorf("trace: read: %w", err)
-	}
-	var s Session
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Session{}, fmt.Errorf("trace: parse %s: %w", path, err)
-	}
-	return s, nil
-}
-
-// FullFidelity reports whether the record measured the full workload
-// (proxy runs from a multi-fidelity session report reduced-scale
-// seconds).
-func (r Record) FullFidelity() bool {
-	return (r.FidelityInput == 0 || r.FidelityInput == 1) &&
-		(r.FidelityStage == 0 || r.FidelityStage == 1)
-}
-
-// RunningMin returns the running minimum of the completed records'
-// objective values — the Figure 6 convergence curve of a saved
-// session. Proxy (reduced-fidelity) observations are excluded: their
-// seconds measure a smaller workload and would fake convergence.
-func (s Session) RunningMin() []float64 {
-	out := make([]float64, len(s.Records))
-	best := math.Inf(1)
-	for i, rec := range s.Records {
-		if rec.Seconds > 0 && rec.Seconds < best && rec.FullFidelity() {
-			best = rec.Seconds
-		}
-		out[i] = best
-	}
-	return out
-}
-
-// SeedStore replays the session's completed observations into a memo
-// store: the best K configurations enter the workload's memoization
-// buffer. This recovers a crashed or interrupted session's knowledge
-// — the next Tune for the family warm-starts from everything the lost
-// session learned.
-func (s Session) SeedStore(store *memo.Store, keep int) int {
-	if keep <= 0 {
-		keep = 16
-	}
-	var saved []memo.SavedConfig
-	for _, rec := range s.Records {
-		if !rec.Completed || rec.Seconds <= 0 || !rec.FullFidelity() {
-			continue
-		}
-		saved = append(saved, memo.SavedConfig{
-			Values:  rec.Values,
-			Seconds: rec.Seconds,
-			Dataset: s.Dataset,
-		})
-	}
-	if len(saved) == 0 || s.Workload == "" {
-		return 0
-	}
-	store.AddConfigs(s.Workload, saved, keep)
-	if len(s.SelectedParams) > 0 {
-		if _, hit := store.Selection(s.Workload); !hit {
-			store.PutSelection(s.Workload, s.SelectedParams)
-		}
-	}
-	return len(saved)
 }
