@@ -76,7 +76,7 @@ fault-stress:
 crash-stress:
 	ROBOTUNE_CRASH_STRESS=1 $(GO) test -run 'TestKillResumeStress' -v -count 1 -timeout 600s ./internal/core
 	ROBOTUNE_CRASH_STRESS=1 $(GO) test -run 'TestWireKillResume' -v -count 1 -timeout 600s ./internal/server
-	$(GO) test -run 'Resume|Journal|Truncate|BitFlip|Snapshot' -count 1 ./internal/journal ./internal/core ./internal/tuners
+	$(GO) test -run 'Resume|Journal|Truncate|BitFlip' -count 1 ./internal/journal ./internal/core ./internal/tuners
 	$(GO) test -run 'Resume|Rehydrat|Finished|Replay' -count 1 ./internal/server
 
 # Campaign-level kill/resume stress: a 4-session concurrent campaign
@@ -96,12 +96,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSeedSplit -fuzztime 30s ./internal/par
 
 # Journal recovery fuzzing: arbitrary bytes on disk must never panic
-# recovery, a corrupt snapshot must never be partially trusted, and a
-# recovered campaign ledger must never report a record for a task
-# outside its manifest.
+# recovery, and a recovered campaign ledger must never report a record
+# for a task outside its manifest.
 fuzz-journal:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 30s ./internal/journal
-	$(GO) test -run '^$$' -fuzz FuzzSnapshot -fuzztime 30s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzLedgerOpen -fuzztime 30s ./internal/journal
 
 # Protocol fuzzing against robotuned: hostile session specs and observe

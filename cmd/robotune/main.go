@@ -60,7 +60,7 @@ func main() {
 		retries  = flag.Int("retries", 0, "max re-evaluations of a transiently-failed configuration")
 		faults   = flag.String("faults", "", "fault-injection plan: 'default', or execloss=,straggler=,stragglerfactor=,transient=,oom=,seed= (empty/off = no faults)")
 		jrnPath  = flag.String("journal", "", "session journal file: every evaluation is committed before the tuner acts on it; if the file exists, the session resumes from it bit-identically (Ctrl-C leaves a resumable journal)")
-		jrnSync  = flag.String("journal-sync", "always", "journal fsync policy: always | none (snapshots are always fsynced)")
+		jrnSync  = flag.String("journal-sync", "always", "journal fsync policy: always | none")
 		multiFid = flag.Bool("multifidelity", false, "run the BOHB multi-fidelity tuner (shorthand for -tuner BOHB): brackets start on cheap input-scale proxies and promote survivors toward the full workload")
 		ladder   = flag.String("fidelity-ladder", "", "BOHB: comma-separated ascending fidelity ladder ending at 1, e.g. 0.111,0.333,1 (empty = default 1/9,1/3,1)")
 		fidAxis  = flag.String("fidelity-axis", "input", "BOHB: workload dimension the ladder scales: input (data volumes) or stage (stage-plan prefix; usually the cheaper proxy for iterative workloads)")

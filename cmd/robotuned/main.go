@@ -16,10 +16,10 @@
 // or SIGTERM starts a graceful drain bounded by -drain-timeout: new
 // sessions are rejected with 503 "draining" and /healthz flips to 503
 // (so load balancers stop routing here) while live sessions keep
-// serving; once in-flight traffic settles, every live session gets a
-// shutdown snapshot, all journals are fsynced and closed, and the
-// process exits 0. Restarting on the same -journal-dir resumes every
-// session bit-identically; see docs/SERVICE.md for the API.
+// serving; once in-flight traffic settles, every live session's
+// journal is fsynced and closed, and the process exits 0. Restarting
+// on the same -journal-dir resumes every session bit-identically; see
+// docs/SERVICE.md for the API.
 package main
 
 import (
@@ -94,7 +94,7 @@ func main() {
 	// mode first (creates answer 503 "draining", /healthz answers 503
 	// so load balancers stop routing here) while live sessions keep
 	// serving, wait for in-flight traffic to settle, then stop the
-	// listener and snapshot + fsync + close every session journal.
+	// listener and fsync + close every session journal.
 	fmt.Println("robotuned: draining")
 	srv.StartDrain()
 	deadline := time.Now().Add(*drainWait)

@@ -33,8 +33,8 @@ type Outcome struct {
 type RunFunc func(c conf.Config, seed uint64, idx int, plan FaultPlan, cap float64, fid Fidelity) Outcome
 
 // Harness is the accounting core shared by backend evaluators: index
-// reservation, cost/history commit ordering, batch dispatch with
-// cancellation, and the stream-restore half of durable resume. A
+// reservation, cost commit ordering, batch dispatch with cancellation,
+// and the stream-restore half of durable resume. A
 // backend embeds a Harness and supplies its RunFunc; the harness
 // turns it into the full Evaluator + BatchEvaluator + StreamRestorer
 // surface with the exact commit arithmetic the journal and the parity
@@ -55,13 +55,12 @@ type Harness struct {
 	// batch.
 	Faults FaultPlan
 
-	run RunFunc
+	run  RunFunc
+	seed uint64 // set once by Init, so evaluations read it without mu
 
-	mu      sync.Mutex
-	seed    uint64
-	evals   int
-	cost    float64
-	history []EvalRecord
+	mu    sync.Mutex
+	evals int
+	cost  float64
 }
 
 // Init prepares the harness in place (a constructor would copy the
@@ -108,25 +107,16 @@ func (h *Harness) EvaluateSpec(c conf.Config, spec EvalSpec) EvalRecord {
 	if cap <= 0 || cap > h.CapSeconds {
 		cap = h.CapSeconds
 	}
-	// Read the seed under the same lock that reserves the evaluation
-	// index: Reset may rewrite it concurrently, and an unlocked read
-	// here is a data race.
 	h.mu.Lock()
 	n := h.evals
 	h.evals++
-	seed := h.seed
-	plan := h.Faults
 	h.mu.Unlock()
 
-	out := h.run(c, seed, n, plan, cap, spec.Fidelity)
-	rec := h.record(c, out, cap, spec.Fidelity)
-	consumed := math.Min(out.Seconds, cap)
-
+	out := h.run(c, h.seed, n, h.Faults, cap, spec.Fidelity)
 	h.mu.Lock()
-	h.cost += consumed
-	h.history = append(h.history, rec)
+	h.cost += math.Min(out.Seconds, cap)
 	h.mu.Unlock()
-	return rec
+	return h.record(c, out, cap, spec.Fidelity)
 }
 
 // EvaluateSpecCtx is the unified batch entry point: every
@@ -134,12 +124,11 @@ func (h *Harness) EvaluateSpec(c conf.Config, spec EvalSpec) EvalRecord {
 // spec.Workers goroutines (default GOMAXPROCS), while reproducing the
 // exact observations sequential EvaluateSpec calls would have
 // produced: evaluation indices — which seed the per-run noise and
-// fault streams — are assigned up front, and cost/history are
-// committed in index order. Once ctx is done, no further
-// configurations are dispatched; in-flight runs finish and are
-// charged normally, and never-dispatched entries come back with
-// Skipped=true (no observation, no cost). A nil ctx means no
-// cancellation.
+// fault streams — are assigned up front, and cost is committed in
+// index order. Once ctx is done, no further configurations are
+// dispatched; in-flight runs finish and are charged normally, and
+// never-dispatched entries come back with Skipped=true (no
+// observation, no cost). A nil ctx means no cancellation.
 func (h *Harness) EvaluateSpecCtx(ctx context.Context, cfgs []conf.Config, spec EvalSpec) []EvalRecord {
 	workers := spec.Workers
 	cap := spec.Cap
@@ -171,14 +160,9 @@ func (h *Harness) EvaluateSpecCtx(ctx context.Context, cfgs []conf.Config, spec 
 		workers = n
 	}
 
-	// Reserve the index block and snapshot the seed in one critical
-	// section; the workers below must not read h.seed directly, since
-	// a concurrent Reset writes it under the lock.
 	h.mu.Lock()
 	base := h.evals
 	h.evals += n
-	seed := h.seed
-	plan := h.Faults
 	h.mu.Unlock()
 
 	recs := make([]EvalRecord, n)
@@ -189,7 +173,7 @@ func (h *Harness) EvaluateSpecCtx(ctx context.Context, cfgs []conf.Config, spec 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out := h.run(cfgs[i], seed, base+i, plan, cap, spec.Fidelity)
+				out := h.run(cfgs[i], h.seed, base+i, h.Faults, cap, spec.Fidelity)
 				recs[i] = h.record(cfgs[i], out, cap, spec.Fidelity)
 			}
 		}()
@@ -222,7 +206,6 @@ dispatch:
 			continue
 		}
 		h.cost += math.Min(rec.Raw, cap)
-		h.history = append(h.history, rec)
 	}
 	h.mu.Unlock()
 	return recs
@@ -243,53 +226,18 @@ func (h *Harness) SearchCost() float64 {
 	return h.cost
 }
 
-// History returns a copy of all charged observations in order.
-func (h *Harness) History() []EvalRecord {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]EvalRecord(nil), h.history...)
-}
-
-// Best returns the completed observation with the lowest objective
-// value, or ok=false if nothing completed yet.
-func (h *Harness) Best() (EvalRecord, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	best := EvalRecord{Seconds: math.Inf(1)}
-	ok := false
-	for _, r := range h.history {
-		if r.Completed && r.Seconds < best.Seconds {
-			best = r
-			ok = true
-		}
-	}
-	return best, ok
-}
-
 // RestoreStream moves the evaluation counter and accumulated search
 // cost to a journaled position (StreamRestorer). The per-run noise
 // and fault streams are derived from the evaluation index, so a
 // resumed session that restores the counter hands its post-replay
 // live evaluations exactly the streams the uninterrupted run would
-// have consumed. History is not rebuilt — replayed observations live
-// in the session's trace, not here.
+// have consumed. Replayed observations live in the session's trace,
+// not here.
 func (h *Harness) RestoreStream(evals int, cost float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.evals = evals
 	h.cost = cost
-}
-
-// Reset clears evaluation counters and history (the workload, noise
-// seed and fault plan stay), so one evaluator can serve several tuner
-// runs.
-func (h *Harness) Reset(seed uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seed = seed
-	h.evals = 0
-	h.cost = 0
-	h.history = nil
 }
 
 // SupportsFidelity implements FidelitySupporter: harness-backed

@@ -35,7 +35,7 @@ type EvalRecord struct {
 // means full fidelity, the evaluator's global cap, sequential
 // execution. It is the single argument of the unified evaluation
 // entry points (Evaluator.EvaluateSpec / BatchEvaluator.EvaluateSpecCtx
-// and tuners.Session.Eval).
+// and the tuners.Session evaluation path).
 type EvalSpec struct {
 	// Cap is the per-run stopping threshold in simulated seconds;
 	// <= 0 or above the evaluator's global limit selects the limit.

@@ -670,36 +670,3 @@ func (e *Engine) BatchSuggest(q int) ([][]float64, error) {
 	}
 	return out, nil
 }
-
-// State captures the engine's observation set and Hedge bookkeeping in
-// a JSON-serializable form for journal snapshots. It is diagnostic:
-// resume rebuilds the engine by deterministic replay of the recorded
-// Tells (which also replays RNG consumption), so State is never fed
-// back into an engine — it lets tooling inspect what the surrogate
-// knew at snapshot time.
-type State struct {
-	Dim           int         `json:"dim"`
-	X             [][]float64 `json:"x"`
-	Y             []float64   `json:"y"`
-	Censored      []bool      `json:"censored"`
-	Gains         []float64   `json:"gains"`
-	HyperFitAtN   int         `json:"hyper_fit_at_n"`
-	JitterRetries int         `json:"jitter_retries"`
-}
-
-// State returns a deep-copied snapshot of the engine's durable state.
-func (e *Engine) State() State {
-	st := State{
-		Dim:           e.dim,
-		X:             make([][]float64, len(e.x)),
-		Y:             append([]float64(nil), e.y...),
-		Censored:      append([]bool(nil), e.cens...),
-		Gains:         append([]float64(nil), e.gain...),
-		HyperFitAtN:   e.hyperFitAtN,
-		JitterRetries: e.jitterRetries,
-	}
-	for i, xi := range e.x {
-		st.X[i] = append([]float64(nil), xi...)
-	}
-	return st
-}

@@ -35,28 +35,6 @@ func TestTellRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestEngineStateSnapshot: State must deep-copy the observation set so
-// later Tells don't mutate a written snapshot.
-func TestEngineStateSnapshot(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 5
-	e := New(2, cfg)
-	seedEngine(e, 5, 5)
-	st := e.State()
-	if st.Dim != 2 || len(st.X) != 5 || len(st.Y) != 5 || len(st.Censored) != 5 {
-		t.Fatalf("state shape: %+v", st)
-	}
-	x0 := st.X[0][0]
-	e.Tell([]float64{0.9, 0.9}, 2)
-	e.TellCensored([]float64{0.1, 0.1}, 3)
-	if len(st.X) != 5 || st.X[0][0] != x0 {
-		t.Fatal("State aliases live engine buffers")
-	}
-	if got := e.State(); len(got.X) != 7 || !got.Censored[6] {
-		t.Fatalf("post-tell state: n=%d censored=%v", len(got.X), got.Censored)
-	}
-}
-
 // TestJitterRetriesMonotone: the counter only accumulates, and a
 // healthy fit sequence reports zero.
 func TestJitterRetriesMonotone(t *testing.T) {

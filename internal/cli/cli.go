@@ -93,20 +93,14 @@ func SaveConfigValues(c conf.Config, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// BuildTuner constructs a tuner by (case-insensitive) name. ROBOTune
-// is backed by the given store (nil for in-memory) and runs its
-// internal math on `workers` goroutines (0 = GOMAXPROCS, 1 = serial;
-// results are identical either way). Every tuner runs under a
+// BuildTunerOpts constructs a tuner by (case-insensitive) name.
+// ROBOTune is backed by the given store (nil for in-memory) and
+// configured by opts; opts.Workers runs its internal math on that many
+// goroutines (0 = GOMAXPROCS, 1 = serial; results are identical either
+// way). BOHB takes its ladder, axis and cost-aware toggle from opts;
+// the other baselines ignore it. Every tuner runs under a
 // tuners.Session, so callers can attach a context, deadline and retry
 // policy via tuners.NewSession.
-func BuildTuner(name string, store *memo.Store, workers int) (tuners.Tuner, error) {
-	return BuildTunerOpts(name, store, core.Options{Workers: workers})
-}
-
-// BuildTunerOpts is BuildTuner taking full ROBOTune options, for
-// callers that thread scaling knobs (refit budget, sparse surrogate)
-// beyond the worker count. opts only applies to ROBOTune; the
-// baselines ignore it.
 func BuildTunerOpts(name string, store *memo.Store, opts core.Options) (tuners.Tuner, error) {
 	switch strings.ToLower(name) {
 	case "robotune":

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/conf"
+	"repro/internal/core"
 	"repro/internal/sparksim"
 	"repro/internal/tuners"
 )
@@ -116,7 +117,7 @@ func TestLoadConfigValuesErrors(t *testing.T) {
 	}
 }
 
-func TestBuildTuner(t *testing.T) {
+func TestBuildTunerOpts(t *testing.T) {
 	for name, want := range map[string]string{
 		"ROBOTune":     "ROBOTune",
 		"robotune":     "ROBOTune",
@@ -127,7 +128,7 @@ func TestBuildTuner(t *testing.T) {
 		"sha":          "SuccessiveHalving",
 		"cmaes":        "CMAES",
 	} {
-		tn, err := BuildTuner(name, nil, 0)
+		tn, err := BuildTunerOpts(name, nil, core.Options{})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -136,7 +137,7 @@ func TestBuildTuner(t *testing.T) {
 			t.Errorf("%s → %s, want %s", name, tn.Name(), want)
 		}
 	}
-	if _, err := BuildTuner("simulated-annealing", nil, 0); err == nil {
+	if _, err := BuildTunerOpts("simulated-annealing", nil, core.Options{}); err == nil {
 		t.Error("unknown tuner accepted")
 	}
 }

@@ -167,18 +167,15 @@ func TestFaultsDeterministic(t *testing.T) {
 	a.Faults = plan
 	b := NewEvaluator(w, 9, 0)
 	b.Faults = plan
+	clean := NewEvaluator(w, 9, 0)
+	var faultSum, cleanSum float64
 	for i := 0; i < 4; i++ {
 		ra := a.EvaluateSpec(def, backend.EvalSpec{})
 		rb := b.EvaluateSpec(def, backend.EvalSpec{})
 		if !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("faulty eval %d diverged: %+v vs %+v", i, ra, rb)
 		}
-	}
-
-	clean := NewEvaluator(w, 9, 0)
-	var faultSum, cleanSum float64
-	for i := 0; i < 4; i++ {
-		faultSum += a.History()[i].Raw
+		faultSum += ra.Raw
 		cleanSum += clean.EvaluateSpec(def, backend.EvalSpec{}).Raw
 	}
 	if faultSum < cleanSum {

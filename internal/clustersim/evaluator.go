@@ -12,8 +12,8 @@ import (
 // black-box objective the tuner stack drives, with the same
 // search-cost accounting, guard-cap semantics and deterministic
 // (seed, index) stream discipline as every other backend: the
-// embedded backend.Harness owns index reservation, cost/history
-// commit ordering and batch dispatch; clustersim supplies the per-run
+// embedded backend.Harness owns index reservation, cost commit
+// ordering and batch dispatch; clustersim supplies the per-run
 // simulation.
 //
 // Evaluator is safe for concurrent use. Faults may be set before the

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/backend"
@@ -18,7 +19,7 @@ import (
 
 // resumeOptions keeps the kill/resume sweep fast while still crossing
 // every phase boundary: selection (12 samples), init (6) and a BO tail
-// long enough to hit the periodic snapshot cadence.
+// of several rounds.
 func resumeOptions() Options {
 	o := fastOptions()
 	o.GenericSamples = 12
@@ -162,9 +163,9 @@ func assertSameResult(t *testing.T, label string, got, want tuners.Result) {
 	}
 }
 
-// resumeFromPrefix truncates the full journal to its first k committed
-// evaluations (no snapshot file — the pure replay path), resumes, and
-// checks the result against the uninterrupted baseline.
+// sweepEveryK truncates the full journal to its first k committed
+// evaluations, resumes, and checks the result against the
+// uninterrupted baseline.
 func sweepEveryK(t *testing.T, rs resumeSetup, data []byte, cuts []int64, baseline tuners.Result, stride int) {
 	t.Helper()
 	for k := 0; k < len(cuts); k += stride {
@@ -331,8 +332,7 @@ func (c *countingEvaluator) EvaluateSpec(cfg conf.Config, spec backend.EvalSpec)
 }
 
 // TestResumeCompletedJournal replays a finished session end-to-end:
-// same result, zero new objective evaluations, and the snapshot
-// fast-skip path (selection forest never re-trained) engaged.
+// same result and zero new objective evaluations.
 func TestResumeCompletedJournal(t *testing.T) {
 	rs := resumeSetup{opts: resumeOptions(), space: conf.SparkSpace(), budget: 10, seed: 41}
 	full := filepath.Join(t.TempDir(), "full.jnl")
@@ -345,9 +345,6 @@ func TestResumeCompletedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := jn.Snapshot(); !ok {
-		t.Fatal("finished run left no snapshot")
-	}
 	ce := &countingEvaluator{Evaluator: rs.evaluator()}
 	r := New(nil, rs.opts)
 	res := r.Run(tuners.NewSession(ce, rs.space, tuners.Request{
@@ -358,15 +355,11 @@ func TestResumeCompletedJournal(t *testing.T) {
 	if ce.calls != 0 {
 		t.Fatalf("resuming a completed journal ran %d live evaluations", ce.calls)
 	}
-	// Fast-skip leaves no selection outcome to re-derive.
-	if r.LastSelection != nil {
-		t.Fatal("resume re-ran parameter selection despite the snapshot")
-	}
 }
 
 // TestResumeAfterGracefulCancel interrupts a journaled session via its
-// context (the SIGINT path) at several depths, then resumes with the
-// snapshot the interrupted run left behind.
+// context (the SIGINT path) at several depths, then resumes from the
+// journal the interrupted run left behind.
 func TestResumeAfterGracefulCancel(t *testing.T) {
 	rs := resumeSetup{opts: resumeOptions(), space: conf.SparkSpace(), budget: 12, seed: 53}
 	baseline, _ := rs.run(t, "")
@@ -450,4 +443,52 @@ func TestResumeDivergenceRecovers(t *testing.T) {
 	if jn2.ReplayPending() == 0 {
 		t.Fatal("diverged session committed nothing")
 	}
+}
+
+// TestResumeUnderChangedSelectionOptions: a session cancelled after
+// its selection sweep and resumed under selection options the journal
+// meta does not cover must re-derive the selection from the replayed
+// samples, detect that the journaled init trials no longer match, and
+// then behave exactly like a fresh run under the new options — never
+// continue on the stale selection.
+func TestResumeUnderChangedSelectionOptions(t *testing.T) {
+	rs := resumeSetup{opts: resumeOptions(), space: conf.SparkSpace(), budget: 12, seed: 61}
+	changed := rs
+	changed.opts.ImportanceThreshold = 0.5
+	changed.opts.MinSelected = 2
+	changed.opts.MaxSelected = 2
+	fresh, _ := changed.run(t, "")
+
+	path := filepath.Join(t.TempDir(), "cancel.jnl")
+	jn, err := journal.Open(path, resumeMeta(rs.seed, rs.budget, rs.faultsName()), journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obj := &cancellingObjective{Evaluator: rs.evaluator(), after: rs.opts.GenericSamples + 2, cancel: cancel}
+	partial := New(nil, rs.opts).Run(tuners.NewSession(obj, rs.space, tuners.Request{
+		Ctx: ctx, Budget: rs.budget, Seed: rs.seed, Journal: jn,
+	}))
+	jn.Close()
+	if !partial.Cancelled {
+		t.Fatal("session was not cancelled")
+	}
+	if slices.Equal(partial.SelectedParams, fresh.SelectedParams) {
+		t.Fatalf("both option sets select %v; the test needs differing selections", fresh.SelectedParams)
+	}
+
+	jn2, err := journal.Open(path, resumeMeta(rs.seed, rs.budget, rs.faultsName()), journal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := New(nil, changed.opts).Run(tuners.NewSession(rs.evaluator(), rs.space, tuners.Request{
+		Budget: rs.budget, Seed: rs.seed, Journal: jn2,
+	}))
+	reason := jn2.Diverged()
+	jn2.Close()
+	if reason == "" {
+		t.Fatal("resume under changed selection options replayed the init trials of the stale selection")
+	}
+	assertSameResult(t, "changed-selection-resume", res, fresh)
 }

@@ -30,7 +30,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/mapping"
 	"repro/internal/memo"
-	"repro/internal/sample"
 	"repro/internal/stats"
 	"repro/internal/tuners"
 )
@@ -245,9 +244,8 @@ type identifiable = backend.Identifiable
 // reach the surrogate as censored tells, never as measurements.
 //
 // Run is a thin driver over the ask/tell Stepper (see stepper.go):
-// prepare performs the cache check and snapshot fast-skip, and
-// tuners.Drive and the session kernel own every evaluation, retry,
-// journal commit and replay.
+// prepare performs the cache check, and tuners.Drive and the session
+// kernel own every evaluation, retry, journal commit and replay.
 func (r *ROBOTune) Run(s *tuners.Session) tuners.Result {
 	return tuners.Drive(r.prepare(s), s)
 }
@@ -281,65 +279,6 @@ type GroupRank struct {
 	Name    string
 	Members []string
 	Drop    float64
-}
-
-// SelectParameters runs the cache-miss path standalone: evaluates
-// `samples` LHS configurations over the full space, trains a Random
-// Forest, and selects parameter groups whose joint permutation drops
-// the OOB R² by at least the threshold. Exposed for the selection
-// experiments (Figures 2 and 7).
-func (r *ROBOTune) SelectParameters(obj tuners.Objective, space *conf.Space, samples int, seed uint64) (Selection, error) {
-	return r.selectParameters(tuners.NewSession(obj, space, tuners.Request{Seed: seed}), samples)
-}
-
-// selectParameters is SelectParameters under a session: the session's
-// context aborts the LHS sweep between evaluations, and its retry and
-// deadline policies apply to each sample.
-func (r *ROBOTune) selectParameters(s *tuners.Session, samples int) (Selection, error) {
-	opts := r.opts
-	space, seed := s.Space(), s.Seed()
-	if samples <= 0 {
-		samples = opts.GenericSamples
-	}
-	rng := sample.NewRNG(seed ^ 0x5e1ec7)
-	design := sample.LHS(samples, space.Dim(), rng)
-	cfgs := make([]conf.Config, len(design))
-	for i, u := range design {
-		cfgs[i] = space.Decode(u)
-	}
-	var recs []backend.EvalRecord
-	if opts.Parallel > 1 {
-		recs = s.Eval(backend.EvalSpec{Workers: opts.Parallel}, cfgs...)
-	} else {
-		recs = make([]backend.EvalRecord, 0, len(cfgs))
-		for _, c := range cfgs {
-			if s.Done() {
-				break
-			}
-			recs = append(recs, s.Eval(backend.EvalSpec{}, c)[0])
-		}
-	}
-	x := make([][]float64, 0, samples)
-	y := make([]float64, 0, samples)
-	bestSec := math.Inf(1)
-	var bestCfg conf.Config
-	for i, rec := range recs {
-		if rec.Skipped { // batch entry cancelled before dispatch
-			continue
-		}
-		x = append(x, append([]float64(nil), design[i]...))
-		y = append(y, rec.Seconds)
-		if rec.Completed && rec.Seconds < bestSec {
-			bestSec, bestCfg = rec.Seconds, cfgs[i]
-		}
-	}
-	sel, err := r.selectFromData(space, x, y, seed)
-	if err != nil {
-		return sel, err
-	}
-	sel.BestSample = bestCfg
-	sel.BestSeconds = bestSec
-	return sel, nil
 }
 
 // SelectFromData runs selection on pre-collected observations (unit

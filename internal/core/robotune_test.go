@@ -87,11 +87,14 @@ func TestSelectionFindsExecutorSizing(t *testing.T) {
 	// Executor cores/memory dominate every workload in the simulator
 	// (as in Figure 8); selection must find at least one of the
 	// executor resource parameters.
-	r := New(nil, fastOptions())
+	opts := fastOptions()
+	opts.GenericSamples = 80
+	r := New(nil, opts)
 	ev := newEvaluator(sparksim.PageRank(5), 4)
-	sel, err := r.SelectParameters(ev, conf.SparkSpace(), 80, 4)
-	if err != nil {
-		t.Fatal(err)
+	r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Seed: 4}))
+	sel := r.LastSelection
+	if sel == nil {
+		t.Fatal("selection did not run")
 	}
 	found := false
 	for _, p := range sel.Params {
@@ -344,18 +347,18 @@ func TestParallelSelectionMatchesSequential(t *testing.T) {
 	parOpts := fastOptions()
 	parOpts.Parallel = 8
 
-	seq := New(nil, seqOpts)
+	selectOnly := func(opts Options, ev *sparksim.Evaluator) *Selection {
+		r := New(nil, opts)
+		r.Run(tuners.NewSession(ev, space, tuners.Request{Seed: 33}))
+		if r.LastSelection == nil {
+			t.Fatal("selection did not run")
+		}
+		return r.LastSelection
+	}
 	evA := newEvaluator(sparksim.TeraSort(20), 33)
-	selSeq, err := seq.SelectParameters(evA, space, 60, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := New(nil, parOpts)
+	selSeq := selectOnly(seqOpts, evA)
 	evB := newEvaluator(sparksim.TeraSort(20), 33)
-	selPar, err := par.SelectParameters(evB, space, 60, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
+	selPar := selectOnly(parOpts, evB)
 	if len(selSeq.Params) != len(selPar.Params) {
 		t.Fatalf("parallel selection differs: %v vs %v", selPar.Params, selSeq.Params)
 	}

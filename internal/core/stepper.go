@@ -10,7 +10,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/bo"
 	"repro/internal/conf"
-	"repro/internal/journal"
 	"repro/internal/mapping"
 	"repro/internal/memo"
 	"repro/internal/sample"
@@ -35,10 +33,6 @@ const (
 	phDone
 )
 
-// snapEvery bounds how much BO progress a crash can lose beyond what
-// the per-evaluation journal records already preserve.
-const snapEvery = 5
-
 // Stepper is ROBOTune as a resumable ask/tell state machine. Build
 // one with ROBOTune.Stepper (external evaluation) or let Run drive
 // one under a session. A Stepper is single-use and not safe for
@@ -54,7 +48,6 @@ type Stepper struct {
 	seed     uint64
 	workload string
 	dataset  string
-	jn       *journal.Journal
 	canBatch bool
 
 	proto     tuners.Protocol
@@ -86,24 +79,21 @@ type Stepper struct {
 	selSeen     int
 
 	// Tuning state (init + BO), built by sealSelection.
-	selTrialsBoundary int
-	memoBytes         []byte
-	ss                *conf.Subspace
-	tr                *runTracker
-	engine            *bo.Engine
-	remaining         int
-	rng               *rand.Rand
-	tuneEvalsBefore   int
-	tuneCostBefore    float64
-	surrFallbacks     int
+	ss              *conf.Subspace
+	tr              *runTracker
+	engine          *bo.Engine
+	remaining       int
+	rng             *rand.Rand
+	tuneEvalsBefore int
+	tuneCostBefore  float64
+	surrFallbacks   int
 
 	initCfgs        []conf.Config
 	initNext        int
 	initOutstanding bool
 
-	sinceSnap int
-	stale     int
-	lastBest  float64
+	stale    int
+	lastBest float64
 
 	roundUs           [][]float64
 	roundPending      int
@@ -116,17 +106,42 @@ type Stepper struct {
 // Result. workload and dataset key the memoization store and may be
 // empty. Without an Objective the Result's Evals/SearchCost and
 // selection-cost fields are zero — the caller owns that accounting —
-// and there is no journaling, batching or workload-mapping fast-skip.
+// and there is no journaling or batching.
 func (r *ROBOTune) Stepper(space *conf.Space, budget int, seed uint64, workload, dataset string) *Stepper {
+	return r.newStepper(nil, space, budget, seed, workload, dataset)
+}
+
+// prepare builds the session-backed stepper Run drives, keyed by the
+// objective's workload identity. A resumed session re-derives every
+// decision, parameter selection included, by replaying its journal
+// through this stepper.
+func (r *ROBOTune) prepare(s *tuners.Session) *Stepper {
+	var workload, dataset string
+	if id, ok := s.Objective().(identifiable); ok {
+		workload, dataset = id.WorkloadName(), id.DatasetName()
+	}
+	return r.newStepper(s, s.Space(), s.Budget(), s.Seed(), workload, dataset)
+}
+
+// newStepper is the one constructor behind Stepper and prepare (s is
+// nil in external-evaluation mode): it performs the selection-cache
+// check (Figure 1) and opens the first phase before any trial is
+// proposed.
+func (r *ROBOTune) newStepper(s *tuners.Session, space *conf.Space, budget int, seed uint64, workload, dataset string) *Stepper {
 	st := &Stepper{
 		r:        r,
 		opts:     r.opts,
+		s:        s,
 		space:    space,
 		budget:   budget,
 		seed:     seed,
 		workload: workload,
 		dataset:  dataset,
 		slot:     make(map[int]int),
+	}
+	if s != nil {
+		st.obj = s.Objective()
+		_, st.canBatch = st.obj.(tuners.BatchEvaluator)
 	}
 	if workload != "" {
 		if cached, hit := r.store.Selection(workload); hit {
@@ -137,68 +152,9 @@ func (r *ROBOTune) Stepper(space *conf.Space, budget int, seed uint64, workload,
 	return st
 }
 
-// prepare builds the session-backed stepper Run drives: it performs
-// the selection-cache check and the snapshot fast-skip (consuming the
-// journaled selection prefix in one step) before any trial is
-// proposed, exactly like the head of the old blocking Run.
-func (r *ROBOTune) prepare(s *tuners.Session) *Stepper {
-	opts := r.opts
-	obj := s.Objective()
-	st := &Stepper{
-		r:      r,
-		opts:   opts,
-		s:      s,
-		obj:    obj,
-		space:  s.Space(),
-		budget: s.Budget(),
-		seed:   s.Seed(),
-		jn:     s.Journal(),
-		slot:   make(map[int]int),
-	}
-	_, st.canBatch = obj.(tuners.BatchEvaluator)
-	if id, ok := obj.(identifiable); ok {
-		st.workload, st.dataset = id.WorkloadName(), id.DatasetName()
-	}
-
-	// --- Parameter selection (cache check, Figure 1) -------------------
-	if st.workload != "" {
-		if cached, hit := r.store.Selection(st.workload); hit {
-			st.selected = cached
-		}
-	}
-	// Resume fast-skip: when the recovered snapshot carries the
-	// selection outcome (and the memo state it produced), consume the
-	// leading selection records in one step instead of re-training the
-	// forest on the replayed samples. Disabled under workload mapping,
-	// whose probe side effects the snapshot does not capture; replay
-	// then re-derives the selection, which is equally bit-identical,
-	// just slower.
-	jn := st.jn
-	if st.selected == nil && jn != nil && opts.Mapper == nil && jn.Replayed() == 0 {
-		if snap, ok := jn.Snapshot(); ok && len(snap.Selection) > 0 && snap.SelTrials > 0 &&
-			jn.ReplayPending() >= snap.SelTrials {
-			memoOK := len(snap.Memo) == 0 || json.Unmarshal(snap.Memo, r.store) == nil
-			if memoOK {
-				evalsBefore, costBefore := obj.Evals(), obj.SearchCost()
-				s.SetPhase("selection")
-				if _, err := s.FastForward(snap.SelTrials); err == nil {
-					st.selected = append([]string(nil), snap.Selection...)
-					st.selEvals += obj.Evals() - evalsBefore
-					st.selCost += obj.SearchCost() - costBefore
-					if st.workload != "" {
-						r.store.PutSelection(st.workload, st.selected)
-					}
-				}
-			}
-		}
-	}
-	st.start()
-	return st
-}
-
-// start picks the opening phase: straight to tuning on a cached (or
-// fast-skipped) selection, the mapping probe when a Mapper can try to
-// inherit one, or the full LHS selection sweep.
+// start picks the opening phase: straight to tuning on a cached
+// selection, the mapping probe when a Mapper can try to inherit one,
+// or the full LHS selection sweep.
 func (st *Stepper) start() {
 	switch {
 	case st.selected != nil:
@@ -351,9 +307,8 @@ func (st *Stepper) endSelection() {
 // --- Tuning setup (subspace + memoized sampling, §3.2) ---------------
 
 // sealSelection fixes the selection outcome (falling back to the
-// executor-size trio when selection failed entirely), snapshots the
-// selection boundary, builds the subspace and BO engine, and queues
-// the initial training set.
+// executor-size trio when selection failed entirely), builds the
+// subspace and BO engine, and queues the initial training set.
 func (st *Stepper) sealSelection() {
 	opts, space := st.opts, st.space
 	if len(st.selected) == 0 {
@@ -365,22 +320,6 @@ func (st *Stepper) sealSelection() {
 			st.selected = space.Names()
 		}
 	}
-	// selTrialsBoundary is the journal record count at the end of the
-	// selection stage — the prefix a future resume may fast-skip.
-	if st.jn != nil {
-		st.selTrialsBoundary = st.jn.Trials()
-		// The memo bytes in every snapshot are the post-selection state,
-		// captured once here: a resume that fast-skips the selection
-		// prefix restores this state and re-derives everything after it
-		// by replay (including the end-of-run AddConfigs). Snapshotting a
-		// later store state would make the replayed init phase pull
-		// different memo configurations than the original run did.
-		if m, err := json.Marshal(st.r.store); err == nil {
-			st.memoBytes = m
-		}
-	}
-	st.writeSnap("selection", nil, 0)
-
 	// Unselected parameters are frozen to the best configuration seen
 	// so far for this workload (from the memo buffer, which includes
 	// the best selection sample); the framework default is only the
@@ -447,13 +386,10 @@ func (st *Stepper) sealSelection() {
 	}
 }
 
-// sealInit snapshots the trained initial surrogate and opens the BO
-// loop.
+// sealInit opens the BO loop on the trained initial surrogate.
 func (st *Stepper) sealInit() {
-	st.writeSnap("init", st.engine, st.budget-st.remaining)
 	st.phase = phBO
 	st.setPhase("bo")
-	st.sinceSnap = 0
 	st.stale = 0
 	st.lastBest = st.tr.bestSec
 	if st.remaining <= 0 {
@@ -624,7 +560,6 @@ func (st *Stepper) Observe(c conf.Config, rec backend.EvalRecord) {
 			st.roundPending--
 			if !rec.Skipped { // cancelled before dispatch
 				st.remaining--
-				st.sinceSnap++
 				st.tr.observe(c, rec)
 				st.tellEngine(st.roundUs[idx], rec)
 			}
@@ -639,18 +574,13 @@ func (st *Stepper) Observe(c conf.Config, rec backend.EvalRecord) {
 		rec2 := rec
 		st.tr.observe(c, rec2)
 		st.tellEngine(st.ss.Encode(c), rec2)
-		st.sinceSnap++
 		st.endRound()
 	}
 }
 
-// endRound runs the per-round bookkeeping of the BO loop: periodic
-// snapshots and the automated early stopping of §4.
+// endRound runs the per-round bookkeeping of the BO loop: the
+// automated early stopping of §4 and budget exhaustion.
 func (st *Stepper) endRound() {
-	if st.sinceSnap >= snapEvery {
-		st.writeSnap("bo", st.engine, st.budget-st.remaining)
-		st.sinceSnap = 0
-	}
 	if st.opts.EarlyStopPatience > 0 {
 		if st.tr.bestSec < st.lastBest*(1-st.opts.EarlyStopEpsilon) {
 			st.stale = 0
@@ -683,10 +613,9 @@ func (st *Stepper) CanExtend() bool {
 
 // ExtendBudget implements tuners.Extender: the grant grows the budget
 // and remaining counters and, when exhaustion had closed the BO loop,
-// reopens it. Snapshot arithmetic (BudgetSpent = budget - remaining)
-// and the early-stop staleness counter carry over unchanged, so an
-// extended run behaves exactly like one started with the larger
-// budget from the beginning of the BO phase.
+// reopens it. The early-stop staleness counter carries over
+// unchanged, so an extended run behaves exactly like one started with
+// the larger budget from the beginning of the BO phase.
 func (st *Stepper) ExtendBudget(n int) {
 	if n <= 0 || !st.CanExtend() {
 		return
@@ -699,39 +628,11 @@ func (st *Stepper) ExtendBudget(n int) {
 	}
 }
 
-// writeSnap atomically replaces the journal's snapshot side file with
-// the current session state. Skipped while replay is pending (the
-// recovered snapshot is still ahead of, or equal to, the replayed
-// position) and after cancellation — a cancelled phase may have
-// recorded a degraded outcome (e.g. the fallback selection of an
-// aborted LHS sweep) that must not masquerade as campaign state;
-// resume replays the per-evaluation records instead.
-func (st *Stepper) writeSnap(phase string, eng *bo.Engine, spent int) {
-	if st.jn == nil || st.jn.Replaying() || st.sessionDone() {
-		return
-	}
-	snap := journal.Snapshot{
-		Phase:       phase,
-		Trials:      st.jn.Trials(),
-		SelTrials:   st.selTrialsBoundary,
-		BudgetSpent: spent,
-		Selection:   append([]string(nil), st.selected...),
-		Stats:       st.s.Stats().Counts(),
-		Memo:        st.memoBytes,
-	}
-	if eng != nil {
-		if em, err := json.Marshal(eng.State()); err == nil {
-			snap.Engine = em
-		}
-	}
-	_ = st.jn.WriteSnapshot(snap)
-}
-
 // Finish implements tuners.Finisher: it forces the remaining phase
 // transitions of an interrupted pipeline (a cancelled sweep still
 // falls back, builds the subspace and engine, and reports — exactly
-// like the blocking loop, whose tail always ran), memoizes the best
-// configurations for future sessions, and writes the final snapshot.
+// like the blocking loop, whose tail always ran) and memoizes the best
+// configurations for future sessions.
 func (st *Stepper) Finish(*tuners.Session) { st.finish() }
 
 func (st *Stepper) finish() {
@@ -767,7 +668,6 @@ func (st *Stepper) finish() {
 		}
 		st.r.store.AddConfigs(st.workload, saved, st.opts.MemoConfigs*4)
 	}
-	st.writeSnap("done", st.engine, st.budget-st.remaining)
 }
 
 // SessionResult implements tuners.ResultMaker: ROBOTune's Result

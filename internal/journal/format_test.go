@@ -2,7 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,9 +40,8 @@ func appendLedgerSeq(t testing.TB, l *Ledger, seq []ledgerFrame) {
 }
 
 // writePinned writes the pinned call sequence into dir: a journal of
-// five evaluations, a snapshot and a done record (format.jnl and
-// format.jnl.snap), and a ledger holding every record kind
-// (format.lgr).
+// five evaluations and a done record (format.jnl), and a ledger
+// holding every record kind (format.lgr).
 func writePinned(t testing.TB, dir string) {
 	t.Helper()
 	meta := testMeta()
@@ -69,15 +67,6 @@ func writePinned(t testing.TB, dir string) {
 		if err := j.Append(e); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.WriteSnapshot(Snapshot{
-		Phase: "bo", Trials: 5, SelTrials: 2, BudgetSpent: 3,
-		Selection: []string{"a", "b"},
-		Memo:      json.RawMessage(`{"selections":{"KMeans":["a","b"]}}`),
-		Engine:    json.RawMessage(`{"x":[[0.5,0.25]],"y":[101]}`),
-		Stats:     FailureCounts{Failed: 1, Transient: 1, Retries: 1, BackoffSeconds: 2.5},
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if err := j.AppendDone(DoneEntry{
 		Best: map[string]float64{"a": 1.5, "b": 1.0 / 3.0}, BestSeconds: 101, Found: true,
@@ -107,7 +96,7 @@ func writePinned(t testing.TB, dir string) {
 func TestJournalFormatPinned(t *testing.T) {
 	dir := t.TempDir()
 	writePinned(t, dir)
-	for _, name := range []string{"format.jnl", "format.jnl.snap", "format.lgr"} {
+	for _, name := range []string{"format.jnl", "format.lgr"} {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +109,7 @@ func TestJournalFormatPinned(t *testing.T) {
 			t.Errorf("%s: wrote %d bytes that differ from the pinned %d:\n got  %q\n want %q", name, len(got), len(want), got, want)
 		}
 	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 3 {
-		t.Fatalf("sequence left %d files behind, want 3 (err %v)", len(entries), err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 2 {
+		t.Fatalf("sequence left %d files behind, want 2 (err %v)", len(entries), err)
 	}
 }

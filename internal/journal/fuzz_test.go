@@ -38,57 +38,12 @@ func FuzzOpen(f *testing.F) {
 				break
 			}
 		}
-		j.Snapshot()
 		j.Done()
 		j.SetPhase("bo")
 		if err := j.Append(testEntry(0)); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		j.Close()
-	})
-}
-
-// FuzzSnapshot does the same for the snapshot side file: a corrupt
-// snapshot is advisory state and must be silently ignored, never
-// trusted partially and never a panic.
-func FuzzSnapshot(f *testing.F) {
-	path, _ := writeJournal(f, 2, false)
-	j, err := Open(path, testMeta(), SyncNone)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := j.WriteSnapshot(Snapshot{Phase: "bo", Trials: 2, Selection: []string{"a"}}); err != nil {
-		f.Fatal(err)
-	}
-	j.Close()
-	snapBytes, err := os.ReadFile(path + ".snap")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(snapBytes)
-	f.Add(snapBytes[:len(snapBytes)/2])
-	f.Add([]byte("ROBOSNP1"))
-	jnlBytes, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		jp := filepath.Join(dir, "run.jnl")
-		if err := os.WriteFile(jp, jnlBytes, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(jp+".snap", data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jj, err := Open(jp, testMeta(), SyncNone)
-		if err != nil {
-			t.Fatalf("journal rejected over a corrupt snapshot: %v", err)
-		}
-		if snap, ok := jj.Snapshot(); ok && snap.Phase != "bo" {
-			t.Fatalf("accepted snapshot differs from the written one: %+v", snap)
-		}
-		jj.Close()
 	})
 }
 

@@ -11,11 +11,12 @@
 //     failure-ledger state) is appended as a length-prefixed,
 //     CRC32-checksummed record, fsynced per the configured policy,
 //     before the tuner acts on it.
-//   - Atomicity: periodic snapshots (parameter selection, memoization
-//     buffer, surrogate observation set, budget spent) are written by
-//     WriteFile (temp file, fsync, rename, directory fsync), so a torn
-//     write can never corrupt the snapshot — readers see the old
-//     snapshot or the new one, never a mix.
+//   - Atomicity: each record is framed and appended in one write, so
+//     a torn append stays contiguous at the tail. Whole files (the
+//     memoization store, mapping signatures, traces, robotuned session
+//     specs) are replaced by WriteFile (temp file, fsync, rename,
+//     directory fsync): readers see the old file or the new one, never
+//     a mix.
 //   - Recoverability: opening an existing journal replays its records.
 //     A torn tail record (the process died mid-append) is truncated,
 //     losing at most the in-flight evaluation and never a committed
@@ -38,19 +39,14 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 )
 
 // magic identifies a journal file; it doubles as the format version
 // (bump the trailing digit on incompatible changes).
 var magic = []byte("ROBOJNL1")
-
-// snapMagic identifies a snapshot file.
-var snapMagic = []byte("ROBOSNP1")
 
 // Meta identifies the session a journal belongs to. Resume validates
 // that the journal's meta record matches this one byte for byte before
@@ -147,35 +143,6 @@ type DoneEntry struct {
 	SelectionCost  float64            `json:"selection_cost,omitempty"`
 }
 
-// Snapshot captures the session state the tuner wants to restore
-// without replaying math: the parameter selection, the memoization
-// buffer and the surrogate's observation set. Memo and Engine are
-// opaque JSON blobs owned by the memo and bo packages, keeping this
-// package free of tuner dependencies. Snapshots are advisory — the
-// journal records alone suffice for a bit-identical resume — but they
-// let resume skip the selection phase's forest training and give
-// operators a readable picture of a dead campaign.
-type Snapshot struct {
-	// Phase names the boundary the snapshot was taken at.
-	Phase string `json:"phase"`
-	// Trials is the number of journal records covered by the snapshot.
-	Trials int `json:"trials"`
-	// SelTrials is the number of leading records belonging to the
-	// probe/selection phases; resume may skip exactly these when the
-	// snapshot carries the selection outcome.
-	SelTrials int `json:"sel_trials"`
-	// BudgetSpent is the tuning budget consumed at snapshot time.
-	BudgetSpent int `json:"budget_spent"`
-	// Selection is the selected parameter list (post-fallback).
-	Selection []string `json:"selection,omitempty"`
-	// Memo is the memoization store state (memo.Store JSON).
-	Memo json.RawMessage `json:"memo,omitempty"`
-	// Engine is the BO engine observation state (bo.EngineState JSON).
-	Engine json.RawMessage `json:"engine,omitempty"`
-	// Stats is the failure ledger at snapshot time.
-	Stats FailureCounts `json:"stats"`
-}
-
 // frame is the on-disk record envelope; exactly one pointer is set.
 type frame struct {
 	T    string     `json:"t"`
@@ -189,7 +156,6 @@ type frame struct {
 // guards the rare cross-goroutine inspection calls.
 type Journal struct {
 	recordLog
-	path string
 
 	// replay is the queue of recovered evaluation records;
 	// replayOff[i] is the byte offset of replay[i]'s frame, so
@@ -201,7 +167,6 @@ type Journal struct {
 	trials   int // eval records replayed or appended so far
 	phase    string
 	done     *DoneEntry
-	snap     *Snapshot
 	diverged string // non-empty once replay was aborted
 }
 
@@ -209,17 +174,11 @@ type Journal struct {
 // exist (or holds no intact meta record), a fresh journal is created
 // with the given meta. If it exists, its meta record must match the
 // given meta's, its records are recovered — truncating a torn tail —
-// and the recovered evaluations become the replay queue. A valid
-// snapshot side file (path + ".snap") of a resumed journal is loaded
-// when present; a missing or corrupt snapshot is ignored (the records
-// alone are sufficient).
+// and the recovered evaluations become the replay queue.
 func Open(path string, meta Meta, policy SyncPolicy) (*Journal, error) {
-	j := &Journal{recordLog: recordLog{policy: policy}, path: path}
+	j := &Journal{recordLog: recordLog{policy: policy}}
 	if err := j.open(path, "journal", "session", magic, frame{T: "meta", Meta: &meta}, j.decode); err != nil {
 		return nil, err
-	}
-	if j.resumed {
-		j.loadSnapshot()
 	}
 	return j, nil
 }
@@ -244,28 +203,6 @@ func (j *Journal) decode(payload []byte, off int64) string {
 	return ""
 }
 
-// loadSnapshot reads the side file, ignoring it unless fully valid.
-func (j *Journal) loadSnapshot() {
-	data, err := os.ReadFile(j.snapPath())
-	if err != nil || len(data) < len(snapMagic)+frameOverhead {
-		return
-	}
-	if !bytes.Equal(data[:len(snapMagic)], snapMagic) {
-		return
-	}
-	payload, _, reason := nextFrame(data, int64(len(snapMagic)))
-	if reason != "" {
-		return
-	}
-	var s Snapshot
-	if err := json.Unmarshal(payload, &s); err != nil {
-		return
-	}
-	j.snap = &s
-}
-
-func (j *Journal) snapPath() string { return j.path + ".snap" }
-
 // ReplayPending returns how many recovered evaluations have not yet
 // been consumed.
 func (j *Journal) ReplayPending() int {
@@ -273,16 +210,6 @@ func (j *Journal) ReplayPending() int {
 	defer j.mu.Unlock()
 	return len(j.replay) - j.replayed
 }
-
-// Replayed returns how many recovered evaluations were consumed.
-func (j *Journal) Replayed() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.replayed
-}
-
-// Replaying reports whether recovered evaluations are still pending.
-func (j *Journal) Replaying() bool { return j.ReplayPending() > 0 }
 
 // Trials returns the number of evaluations committed to or replayed
 // from the journal so far.
@@ -329,21 +256,6 @@ func (j *Journal) NextReplay() (EvalEntry, bool) {
 	j.replayed++
 	j.trials++
 	return e, true
-}
-
-// SkipReplay consumes the next n recovered evaluations at once (the
-// selection fast-skip path) and returns them in order. It fails
-// without consuming anything if fewer than n are pending.
-func (j *Journal) SkipReplay(n int) ([]EvalEntry, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if pending := len(j.replay) - j.replayed; pending < n {
-		return nil, fmt.Errorf("journal: cannot skip %d records, only %d pending", n, pending)
-	}
-	out := j.replay[j.replayed : j.replayed+n]
-	j.replayed += n
-	j.trials += n
-	return out, nil
 }
 
 // AbortReplay discards the pending replay queue and truncates the
@@ -416,32 +328,4 @@ func (j *Journal) Done() (DoneEntry, bool) {
 		return DoneEntry{}, false
 	}
 	return *j.done, true
-}
-
-// WriteSnapshot atomically replaces the snapshot side file
-// (WriteFile): readers observe the previous snapshot or the new one but
-// never a torn mix, and the replacement survives a crash.
-func (j *Journal) WriteSnapshot(s Snapshot) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("journal: marshal snapshot: %w", err)
-	}
-	if err := WriteFile(j.snapPath(), append(append([]byte(nil), snapMagic...), frameRecord(payload)...)); err != nil {
-		return j.fail(err)
-	}
-	j.snap = &s
-	return nil
-}
-
-// Snapshot returns the most recent valid snapshot, from this run or
-// recovered from disk.
-func (j *Journal) Snapshot() (Snapshot, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.snap == nil {
-		return Snapshot{}, false
-	}
-	return *j.snap, true
 }

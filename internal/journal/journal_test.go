@@ -426,97 +426,6 @@ func TestAbortReplayTruncates(t *testing.T) {
 	}
 }
 
-func TestSkipReplay(t *testing.T) {
-	path, _ := writeJournal(t, 4, false)
-	j, err := Open(path, testMeta(), SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if _, err := j.SkipReplay(5); err == nil {
-		t.Fatal("SkipReplay past the queue succeeded")
-	}
-	got, err := j.SkipReplay(3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("SkipReplay(3) = %d records, err %v", len(got), err)
-	}
-	if j.ReplayPending() != 1 || j.Trials() != 3 {
-		t.Fatalf("pending %d, trials %d after skip", j.ReplayPending(), j.Trials())
-	}
-}
-
-func TestSnapshotRoundtripAndCorruption(t *testing.T) {
-	path, _ := writeJournal(t, 2, false)
-	j, err := Open(path, testMeta(), SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := Snapshot{
-		Phase: "bo", Trials: 2, SelTrials: 1, BudgetSpent: 1,
-		Selection: []string{"a", "b"},
-		Memo:      []byte(`{"k":1}`),
-		Stats:     FailureCounts{Failed: 1},
-	}
-	if err := j.WriteSnapshot(snap); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	j.Close()
-
-	reopen := func() (*Journal, func()) {
-		jj, err := Open(path, testMeta(), SyncNone)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jj, func() { jj.Close() }
-	}
-	j2, done := reopen()
-	got, ok := j2.Snapshot()
-	if !ok || !reflect.DeepEqual(got.Selection, snap.Selection) || got.Trials != 2 {
-		t.Fatalf("snapshot not recovered: %+v, %v", got, ok)
-	}
-	done()
-
-	// Corrupt the snapshot at every offset: the journal must open
-	// fine and either see the full snapshot or none.
-	data, err := os.ReadFile(path + ".snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut <= len(data); cut++ {
-		if err := os.WriteFile(path+".snap", data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jj, done := reopen()
-		if s, ok := jj.Snapshot(); ok {
-			if cut != len(data) {
-				t.Fatalf("cut=%d: torn snapshot accepted", cut)
-			}
-			if !reflect.DeepEqual(s.Selection, snap.Selection) {
-				t.Fatalf("cut=%d: snapshot corrupted: %+v", cut, s)
-			}
-		} else if cut == len(data) {
-			t.Fatal("intact snapshot rejected")
-		}
-		done()
-	}
-	for pos := 0; pos < len(data); pos++ {
-		mut := append([]byte(nil), data...)
-		mut[pos] ^= 0x08
-		if err := os.WriteFile(path+".snap", mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jj, done := reopen()
-		if s, ok := jj.Snapshot(); ok {
-			// A flip that still passes CRC is impossible; any accepted
-			// snapshot must be bit-identical to what was written.
-			if !reflect.DeepEqual(s.Selection, snap.Selection) || s.Trials != snap.Trials {
-				t.Fatalf("pos=%d: corrupt snapshot accepted: %+v", pos, s)
-			}
-		}
-		done()
-	}
-}
-
 func TestFreshAndShortFiles(t *testing.T) {
 	// Opening short/empty stubs must initialize a fresh journal.
 	for _, stub := range [][]byte{nil, {}, []byte("ROB"), magic[:7]} {

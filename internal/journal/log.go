@@ -31,7 +31,8 @@ const (
 	SyncAlways SyncPolicy = iota
 	// SyncNone never fsyncs explicitly (the OS flushes on its own
 	// schedule). A kernel crash may lose trailing records; a process
-	// crash alone does not. Snapshots are always fsynced regardless.
+	// crash alone does not. The meta record and a session journal's
+	// done record are fsynced regardless.
 	SyncNone
 )
 
@@ -60,7 +61,7 @@ type recordLog struct {
 	policy   SyncPolicy
 	resumed  bool
 	recovery RecoveryInfo
-	err      error // first append, truncate or snapshot failure
+	err      error // first append or truncate failure
 }
 
 // open opens the log at path, naming it kind ("journal" or "ledger")
@@ -194,7 +195,7 @@ func (l *recordLog) fail(err error) error {
 	return err
 }
 
-// Err returns the first append, truncate or snapshot failure, if any.
+// Err returns the first append or truncate failure, if any.
 // Callers surface it at the end of the session or campaign.
 func (l *recordLog) Err() error {
 	l.mu.Lock()
@@ -226,8 +227,7 @@ func (l *recordLog) Close() error {
 // frameRecord frames a payload for append: u32 little-endian length +
 // u32 CRC32 (IEEE) of the payload, then the payload itself, as one
 // contiguous buffer — a single write keeps a torn append contiguous at
-// the tail, where recovery truncates it cleanly. The snapshot side
-// file uses the same framing.
+// the tail, where recovery truncates it cleanly.
 func frameRecord(payload []byte) []byte {
 	buf := make([]byte, frameOverhead+len(payload))
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))

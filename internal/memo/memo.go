@@ -126,8 +126,7 @@ type persisted struct {
 }
 
 // MarshalJSON serializes the store's full contents (both caches), so a
-// *Store embeds directly in larger durable structures such as session
-// journal snapshots.
+// *Store embeds directly in larger JSON documents.
 func (s *Store) MarshalJSON() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,11 +134,11 @@ func (s *Store) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON replaces the store's contents with the serialized
-// state — the restore half of the journal snapshot path.
+// state, the inverse of MarshalJSON.
 func (s *Store) UnmarshalJSON(data []byte) error {
 	var p persisted
 	if err := json.Unmarshal(data, &p); err != nil {
-		return fmt.Errorf("memo: parse snapshot: %w", err)
+		return fmt.Errorf("memo: parse store: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -161,7 +161,7 @@ func (s *Server) Janitor(ctx context.Context) {
 	}
 }
 
-// Shutdown snapshots and closes every live session; the server
+// Shutdown syncs and closes every live session's journal; the server
 // rejects traffic afterwards. Safe to call once the HTTP listener has
 // stopped accepting (or concurrently — in-flight requests either
 // finish first or see 503).

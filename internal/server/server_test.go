@@ -182,6 +182,38 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestDecodersRejectTrailingData: every wire decoder accepts one JSON
+// value and refuses a body that carries anything after it.
+func TestDecodersRejectTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		body   string
+		decode func([]byte) error
+	}{
+		{"spec", `{"tuner":"randomsearch","space":"spark","budget":5}`, func(b []byte) error {
+			_, err := server.DecodeSessionSpec(b)
+			return err
+		}},
+		{"propose", `{"n":1}`, func(b []byte) error {
+			_, err := server.DecodeProposeRequest(b)
+			return err
+		}},
+		{"observe", `{"observations":[{"config":{"size_mb":256},"seconds":1}]}`, func(b []byte) error {
+			_, err := server.DecodeObserveBody(b)
+			return err
+		}},
+	} {
+		if err := tc.decode([]byte(tc.body)); err != nil {
+			t.Errorf("%s: valid body %s rejected: %v", tc.name, tc.body, err)
+		}
+		for _, tail := range []string{tc.body, " garbage", "\n[]", "}", " ]"} {
+			if body := tc.body + tail; tc.decode([]byte(body)) == nil {
+				t.Errorf("%s: body with trailing data accepted: %s", tc.name, body)
+			}
+		}
+	}
+}
+
 // TestObserveProtocolErrors: observations that violate the ask/tell
 // protocol 4xx and leave the session usable.
 func TestObserveProtocolErrors(t *testing.T) {

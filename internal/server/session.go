@@ -295,10 +295,7 @@ func (s *session) finish() (ResultResponse, *apiErr) {
 		return ResultResponse{}, errInternal("seal: %v", err)
 	}
 	s.unclaimed = nil
-	if s.jn != nil {
-		_ = s.jn.Close()
-		s.jn = nil
-	}
+	s.suspend()
 	r := ResultResponse{
 		ID:             s.id,
 		Found:          res.Found,
@@ -314,22 +311,15 @@ func (s *session) finish() (ResultResponse, *apiErr) {
 	return r, nil
 }
 
-// suspend writes an advisory shutdown snapshot and closes the
-// journal; the session can be rebuilt from disk on the next touch.
-// Called by the eviction janitor and by server shutdown.
-func (s *session) suspend(phase string) {
-	if s.jn == nil {
-		return
+// suspend syncs and closes the journal. Its records are all that
+// rehydration needs, so an evicted or shut-down session is rebuilt
+// from disk on the next touch. Called by finish, by the eviction
+// janitor and by server shutdown.
+func (s *session) suspend() {
+	if s.jn != nil {
+		_ = s.jn.Close()
+		s.jn = nil
 	}
-	if !s.k.Sealed() {
-		_ = s.jn.WriteSnapshot(journal.Snapshot{
-			Phase:  phase,
-			Trials: s.jn.Trials(),
-			Stats:  s.k.Stats().Counts(),
-		})
-	}
-	_ = s.jn.Close()
-	s.jn = nil
 }
 
 // status reports the session's current state. traceTail <= 0 returns

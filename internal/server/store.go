@@ -280,8 +280,8 @@ func (st *Store) Remove(s *session) {
 }
 
 // EvictIdle suspends sessions untouched for longer than ttl: their
-// journals get a shutdown snapshot and are closed, and the next touch
-// rehydrates them from disk. Returns how many sessions were evicted.
+// journals are synced and closed, and the next touch rehydrates them
+// from disk. Returns how many sessions were evicted.
 // On an ephemeral server (no journal dir) nothing is ever evicted —
 // there would be nothing to rehydrate from.
 func (st *Store) EvictIdle(ttl time.Duration) int {
@@ -303,7 +303,7 @@ func (st *Store) EvictIdle(ttl time.Duration) int {
 				continue
 			}
 			s.evicted = true
-			s.suspend("evict")
+			s.suspend()
 			s.mu.Unlock()
 			delete(sh.m, id)
 			st.bumpTenantLive(s.tenant, -1)
@@ -316,8 +316,8 @@ func (st *Store) EvictIdle(ttl time.Duration) int {
 	return evicted
 }
 
-// Shutdown snapshots and closes every live session. The store rejects
-// all traffic afterwards.
+// Shutdown suspends every live session, syncing and closing its
+// journal. The store rejects all traffic afterwards.
 func (st *Store) Shutdown() {
 	st.closedMu.Lock()
 	st.closed = true
@@ -328,7 +328,7 @@ func (st *Store) Shutdown() {
 		for id, s := range sh.m {
 			s.mu.Lock()
 			s.evicted = true
-			s.suspend("shutdown")
+			s.suspend()
 			s.mu.Unlock()
 			delete(sh.m, id)
 			st.metrics.SessionsLive.Add(-1)

@@ -11,7 +11,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -193,15 +195,25 @@ func DecodeSessionSpec(data []byte) (ParsedSpec, error) {
 		return ParsedSpec{}, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
 	}
 	var spec SessionSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeOne(data, &spec); err != nil {
 		return ParsedSpec{}, fmt.Errorf("parse spec: %v", err)
 	}
-	if dec.More() {
-		return ParsedSpec{}, fmt.Errorf("trailing data after spec")
-	}
 	return ValidateSessionSpec(spec)
+}
+
+// decodeOne decodes the one JSON value data holds into v, refusing
+// unknown fields and anything after the value. (json.Decoder.More
+// would let a stray closing '}' or ']' through.)
+func decodeOne(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // ValidateSessionSpec checks an already-parsed spec and resolves its
@@ -314,9 +326,7 @@ func DecodeProposeRequest(data []byte) (ProposeRequest, error) {
 		return ProposeRequest{}, nil
 	}
 	var req ProposeRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOne(data, &req); err != nil {
 		return ProposeRequest{}, fmt.Errorf("parse propose request: %v", err)
 	}
 	if req.N > MaxBatch {
@@ -395,13 +405,8 @@ func DecodeObserveBody(data []byte) (ObserveRequest, error) {
 		return ObserveRequest{}, fmt.Errorf("body exceeds %d bytes", MaxBodyBytes)
 	}
 	var req ObserveRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOne(data, &req); err != nil {
 		return ObserveRequest{}, fmt.Errorf("parse observe request: %v", err)
-	}
-	if dec.More() {
-		return ObserveRequest{}, fmt.Errorf("trailing data after request")
 	}
 	if len(req.Observations) == 0 {
 		return ObserveRequest{}, fmt.Errorf("observations must not be empty")

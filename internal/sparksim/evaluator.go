@@ -12,8 +12,8 @@ import (
 // objective f(x) of §3.1, with the paper's per-evaluation time limit
 // (§5.1 uses 480 s) and bookkeeping of search cost — "the total time
 // to generate and evaluate configurations" (§5.3). The embedded
-// backend.Harness owns index reservation, cost/history commit
-// ordering and batch dispatch; sparksim supplies the per-run
+// backend.Harness owns index reservation, cost commit ordering and
+// batch dispatch; sparksim supplies the per-run
 // simulation (noise stream, fault realization, fidelity-derived proxy
 // workload).
 //

@@ -61,10 +61,11 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		p.Seed = planSeed
 		ev := NewEvaluator(cl, w, 9, 480)
 		ev.Faults = p
-		for _, c := range cfgs {
-			ev.EvaluateSpec(c, backend.EvalSpec{})
+		recs := make([]backend.EvalRecord, len(cfgs))
+		for i, c := range cfgs {
+			recs[i] = ev.EvaluateSpec(c, backend.EvalSpec{})
 		}
-		return ev.History()
+		return recs
 	}
 	a, b := runAll(5), runAll(5)
 	for i := range a {
@@ -140,16 +141,15 @@ func TestFaultBatchSequentialParity(t *testing.T) {
 
 	seq := NewEvaluator(cl, w, 77, 480)
 	seq.Faults = DefaultFaultPlan()
-	for _, c := range cfgs {
-		seq.EvaluateSpec(c, backend.EvalSpec{})
+	a := make([]backend.EvalRecord, len(cfgs))
+	for i, c := range cfgs {
+		a[i] = seq.EvaluateSpec(c, backend.EvalSpec{})
 	}
 	par := NewEvaluator(cl, w, 77, 480)
 	par.Faults = DefaultFaultPlan()
-	par.EvaluateSpecCtx(context.Background(), cfgs, backend.EvalSpec{Workers: 4})
-
-	a, b := seq.History(), par.History()
+	b := par.EvaluateSpecCtx(context.Background(), cfgs, backend.EvalSpec{Workers: 4})
 	if len(a) != len(b) {
-		t.Fatalf("history length %d vs %d", len(a), len(b))
+		t.Fatalf("record count %d vs %d", len(a), len(b))
 	}
 	for i := range a {
 		if !recEq(a[i], b[i]) {
@@ -176,9 +176,8 @@ func TestEvaluateBatchCtxPreCancelled(t *testing.T) {
 			t.Fatalf("record %d not cleanly skipped: %+v", i, r)
 		}
 	}
-	if ev.Evals() != 0 || ev.SearchCost() != 0 || len(ev.History()) != 0 {
-		t.Fatalf("cancelled batch charged work: evals=%d cost=%v hist=%d",
-			ev.Evals(), ev.SearchCost(), len(ev.History()))
+	if ev.Evals() != 0 || ev.SearchCost() != 0 {
+		t.Fatalf("cancelled batch charged work: evals=%d cost=%v", ev.Evals(), ev.SearchCost())
 	}
 }
 

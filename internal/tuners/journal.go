@@ -152,29 +152,3 @@ func (s *Session) proposeUntilPending(c conf.Config) (Proposal, string) {
 		}
 	}
 }
-
-// FastForward consumes n pending replay records at once without
-// re-deriving them through the stepper — the selection fast-skip path,
-// used before Start when a snapshot already carries the selection
-// outcome so resume need not re-train the forest. Each record enters
-// the trace/incumbent and ledger, and the objective stream position is
-// restored. It fails without consuming anything when fewer than n
-// records are pending.
-func (s *Session) FastForward(n int) ([]journal.EvalEntry, error) {
-	j := s.req.Journal
-	if j == nil {
-		return nil, fmt.Errorf("tuners: FastForward without a journal")
-	}
-	entries, err := j.SkipReplay(n)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		c, err := s.space.FromRaw(e.Config)
-		if err != nil {
-			continue
-		}
-		s.replayEntry(e, c, recordOf(e, c))
-	}
-	return entries, nil
-}

@@ -123,11 +123,11 @@ type BatchEvaluator = backend.BatchEvaluator
 // the stepper's pending proposals, the journal (commit before the
 // stepper acts, replay on resume), the incumbent tracker, the failure
 // ledger, campaign grants and the done record. Two thin drivers sit on
-// top of it: Drive evaluates each proposal in process through Eval,
+// top of it: Drive evaluates each proposal in process through eval,
 // and the robotuned wire server relays proposals to remote clients and
 // feeds their observations back through Observe.
 //
-// A session built without an Objective is driven externally: Eval is
+// A session built without an Objective is driven externally: eval is
 // unavailable, and the evaluation counter and search cost are counted
 // from the observations (each evaluated observation charges one
 // evaluation and min(Raw, Seconds) seconds).
@@ -242,32 +242,18 @@ type trial struct {
 	backoff   float64
 }
 
-// Eval is the session's evaluation entry point: every trial — single
+// eval is the session's evaluation entry point: every trial — single
 // or batch, capped or not, full or proxy fidelity — runs under one
 // backend.EvalSpec. A single configuration takes the sequential path
 // (deadline layering, transient retries); multiple configurations take
 // the batch path, which evaluates concurrently on spec.Workers
 // goroutines when the objective supports it and degrades to the
 // sequential loop when per-trial retry/deadline handling is requested.
-// Eval evaluates without observing: the trials' attempt counts enter
-// the failure ledger, their outcomes reach neither the tracker nor the
-// journal. It panics on a session without an Objective.
-func (s *Session) Eval(spec backend.EvalSpec, cfgs ...conf.Config) []backend.EvalRecord {
-	recs := make([]backend.EvalRecord, len(cfgs))
-	s.eval(spec, cfgs, func(i int, t trial) {
-		s.stats.Transient += t.transient
-		s.stats.Retries += t.retries
-		s.stats.BackoffSeconds += t.backoff
-		recs[i] = t.rec
-	})
-	return recs
-}
-
-// eval evaluates cfgs under spec and hands each trial to done as soon
-// as it is final: the sequential loop does so before the next trial
-// starts, so a driver that observes in done commits every finished
-// trial to the journal before paying for the next one; the concurrent
-// path does so when the whole batch returns.
+// eval hands each trial to done as soon as it is final: the sequential
+// loop does so before the next trial starts, so a driver that observes
+// in done commits every finished trial to the journal before paying
+// for the next one; the concurrent path does so when the whole batch
+// returns. It panics on a session without an Objective.
 func (s *Session) eval(spec backend.EvalSpec, cfgs []conf.Config, done func(i int, t trial)) {
 	switch len(cfgs) {
 	case 0:
@@ -403,9 +389,6 @@ func (s *Session) account(c conf.Config, t trial) {
 		s.stats.Infeasible++
 	}
 }
-
-// Journal returns the session's journal, or nil.
-func (s *Session) Journal() *journal.Journal { return s.req.Journal }
 
 // SetPhase stamps the campaign phase on subsequently journaled
 // evaluations (and validates it during replay). No-op without a

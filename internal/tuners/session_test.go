@@ -97,7 +97,7 @@ func TestSessionDeadlineTightensCap(t *testing.T) {
 	// A tuner cap tighter than the deadline wins.
 	caps = nil
 	s2 := NewSession(spy, smallSpace(t), Request{Budget: 1, Seed: 3, Deadline: 120})
-	s2.Eval(backend.EvalSpec{Cap: 60}, smallSpace(t).Default())
+	Drive(&waveStepper{space: s2.Space(), left: 1, cap: 60}, s2)
 	if len(caps) != 1 || caps[0] != 60 {
 		t.Errorf("caps=%v, want [60]", caps)
 	}
@@ -163,23 +163,24 @@ func TestSessionBatchFallbackAppliesRetries(t *testing.T) {
 	sp := smallSpace(t)
 	s := NewSession(obj, sp, Request{Budget: 4, Seed: 6,
 		Retry: RetryPolicy{MaxRetries: 1}})
-	cfgs := []conf.Config{sp.Default(), sp.Default(), sp.Default(), sp.Default()}
-	recs := s.Eval(backend.EvalSpec{Workers: 4}, cfgs...)
-	if len(recs) != 4 {
-		t.Fatalf("want 4 records, got %d", len(recs))
+	res := Drive(&waveStepper{space: sp, left: 4}, s)
+	if len(res.Completed) != 4 {
+		t.Fatalf("want 4 records, got %d", len(res.Completed))
 	}
 	// Same config each time: first trial retries once and succeeds,
 	// the rest succeed immediately.
-	if !recs[0].Completed || s.Stats().Retries != 1 {
-		t.Errorf("first record %+v, retries=%d", recs[0], s.Stats().Retries)
+	if !res.Completed[0] || res.Failures.Retries != 1 {
+		t.Errorf("first record completed %v, retries=%d", res.Completed[0], res.Failures.Retries)
 	}
 }
 
-// waveStepper proposes its whole budget as one parallel wave.
+// waveStepper proposes its whole budget as one parallel wave, each
+// trial under the stopping cap cap.
 type waveStepper struct {
 	Protocol
 	space *conf.Space
 	left  int
+	cap   float64
 }
 
 func (st *waveStepper) Done() bool        { return st.left <= 0 }
@@ -189,7 +190,7 @@ func (st *waveStepper) Propose(n int) []Proposal {
 	st.CheckPropose(st.Done())
 	p := make([]Proposal, st.left)
 	for i := range p {
-		p[i] = Proposal{Config: st.space.Default()}
+		p[i] = Proposal{Config: st.space.Default(), Cap: st.cap}
 	}
 	st.left = 0
 	st.Proposed(p)

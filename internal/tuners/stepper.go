@@ -78,9 +78,9 @@ type Extender interface {
 }
 
 // Finisher is the optional stepper capability for end-of-session
-// bookkeeping (ROBOTune's memoization and final snapshot): the session
-// calls Finish exactly once, when it seals — whether the stepper
-// completed, the driver stopped early or the session was cancelled.
+// bookkeeping (ROBOTune's memoization): the session calls Finish
+// exactly once, when it seals — whether the stepper completed, the
+// driver stopped early or the session was cancelled.
 type Finisher interface {
 	Finish(s *Session)
 }

@@ -85,13 +85,13 @@ func TestStressEvaluator(t *testing.T) {
 				case 2:
 					ev.EvaluateSpecCtx(context.Background(), cfgs[:4], backend.EvalSpec{Workers: 2})
 				case 3:
-					ev.History()
 					ev.Evals()
 					ev.SearchCost()
 				default:
-					// Reset races against in-flight evaluations: the
-					// seed/eval-counter handoff must stay locked.
-					ev.Reset(uint64(g*100 + i))
+					// RestoreStream races against in-flight
+					// evaluations: the eval-counter handoff must stay
+					// locked.
+					ev.RestoreStream(g*100+i, float64(i))
 				}
 			}
 		}(g)
