@@ -5,12 +5,17 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Static analysis: staticcheck when installed (CI installs it),
-# otherwise the vet subset that ships with the toolchain. Always ends
-# with the architectural boundary gate: nothing outside a backend
-# implementation may import internal/sparksim or internal/clustersim
-# directly.
+# Static analysis: first a format gate (every tracked .go file must be
+# gofmt-clean; untracked build trees such as .bench_build/ never
+# count), then staticcheck when installed (CI installs it), otherwise
+# the vet subset that ships with the toolchain. Always ends with the
+# architectural boundary gate: nothing outside a backend implementation
+# may import internal/sparksim or internal/clustersim directly.
 lint:
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -18,11 +18,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -34,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/memo"
-	"repro/internal/trace"
 	"repro/internal/tuners"
 )
 
@@ -48,7 +49,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		memoPath = flag.String("memo", "", "path to the memoization store (persists caches across runs)")
 		capSec   = flag.Float64("cap", 0, "per-evaluation execution time limit in seconds (0 = backend default)")
-		tracePth = flag.String("trace", "", "write the full session log (every evaluation) as JSON to this file")
+		tracePth = flag.String("trace", "", "when the session ends, export its journal (every trial, with the result summary) as JSON to this file")
 		bestOut  = flag.String("best-out", "", "write the best configuration's raw values as JSON (readable by robosim -conf)")
 		verbose  = flag.Bool("v", false, "print every non-default parameter of the best config")
 		explain  = flag.Bool("explain", false, "print selection ranking, Hedge weights and config diff (ROBOTune only)")
@@ -129,52 +130,55 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var obj tuners.Objective = ev
-	var recorder *trace.Recorder
-	if *tracePth != "" {
-		ide, ok := ev.(interface {
-			backend.Evaluator
-			backend.Identifiable
-		})
-		if !ok {
-			fmt.Fprintf(os.Stderr, "backend %s evaluator cannot record traces (no workload identity)\n", bk.Name())
-			os.Exit(2)
-		}
-		recorder = trace.NewRecorder(ide)
-		obj = recorder
-	}
-
 	// Durable session journal: resumes if the file already holds this
-	// session's records, starts fresh otherwise.
-	var jn *journal.Journal
-	if *jrnPath != "" {
-		policy := journal.SyncAlways
-		switch *jrnSync {
-		case "always":
-		case "none":
-			policy = journal.SyncNone
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -journal-sync %q (always | none)\n", *jrnSync)
-			os.Exit(2)
+	// session's records, starts fresh otherwise. -trace exports the
+	// journal when the session ends; without -journal the session
+	// journals to a temporary file beside the trace, removed after the
+	// export.
+	meta := journal.Meta{
+		Seed:      *seed,
+		Budget:    *budget,
+		Workload:  w.WorkloadName(),
+		Dataset:   w.DatasetName(),
+		Tuner:     tn.Name(),
+		Cap:       *capSec,
+		Deadline:  *deadline,
+		Retries:   *retries,
+		Faults:    plan.String(),
+		SpaceHash: space.Fingerprint(),
+	}
+	policy := journal.SyncAlways
+	switch *jrnSync {
+	case "always":
+	case "none":
+		policy = journal.SyncNone
+	default:
+		fmt.Fprintf(os.Stderr, "unknown -journal-sync %q (always | none)\n", *jrnSync)
+		os.Exit(2)
+	}
+	jnPath := *jrnPath
+	if jnPath == "" && *tracePth != "" {
+		f, err := os.CreateTemp(filepath.Dir(*tracePth), filepath.Base(*tracePth)+".*.jnl")
+		if err == nil {
+			jnPath, err = f.Name(), f.Close()
 		}
-		jn, err = journal.Open(*jrnPath, journal.Meta{
-			Seed:      *seed,
-			Budget:    *budget,
-			Workload:  w.WorkloadName(),
-			Dataset:   w.DatasetName(),
-			Tuner:     tn.Name(),
-			Cap:       *capSec,
-			Deadline:  *deadline,
-			Retries:   *retries,
-			Faults:    plan.String(),
-			SpaceHash: space.Fingerprint(),
-		}, policy)
 		if err != nil {
+			fmt.Fprintln(os.Stderr, "saving trace:", err)
+			os.Exit(1)
+		}
+		policy = journal.SyncNone
+	}
+	var jn *journal.Journal
+	if jnPath != "" {
+		jn, err = journal.Open(jnPath, meta, policy)
+		if err != nil {
+			if *jrnPath == "" {
+				os.Remove(jnPath)
+			}
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer jn.Close()
-		if jn.Resumed() {
+		if *jrnPath != "" && jn.Resumed() {
 			fmt.Printf("resuming from journal %s: %d committed evaluations to replay\n", *jrnPath, jn.ReplayPending())
 			if rec := jn.Recovery(); rec.Truncated {
 				fmt.Printf("journal recovery: truncated a torn tail (%d bytes, %s); committed records are intact\n",
@@ -196,7 +200,7 @@ func main() {
 		fmt.Printf(", faults %s", plan)
 	}
 	fmt.Println(")")
-	res := tn.Run(tuners.NewSession(obj, space, tuners.Request{
+	res := tn.Run(tuners.NewSession(ev, space, tuners.Request{
 		Ctx:      ctx,
 		Budget:   *budget,
 		Seed:     *seed,
@@ -205,13 +209,17 @@ func main() {
 		Journal:  jn,
 	}))
 	if jn != nil {
-		if err := jn.Err(); err != nil {
+		err := jn.Err()
+		if cerr := jn.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "journal degraded (campaign unaffected): %v\n", err)
 		}
 		if reason := jn.Diverged(); reason != "" {
 			fmt.Fprintf(os.Stderr, "journal replay diverged (%s); stale tail truncated, session continued live\n", reason)
 		}
-		if res.Cancelled {
+		if res.Cancelled && *jrnPath != "" {
 			fmt.Printf("journal %s holds %d committed evaluations; rerun the same command to resume\n", *jrnPath, jn.Trials())
 		}
 	}
@@ -224,13 +232,16 @@ func main() {
 			f.Failed, f.OOM, f.Infeasible, f.Transient, f.Retries)
 	}
 
-	if recorder != nil {
-		sess := recorder.Finish(tn.Name(), *budget, *seed, res)
-		if err := sess.Save(*tracePth); err != nil {
+	if *tracePth != "" {
+		n, err := exportTrace(*tracePth, jnPath, meta, res)
+		if *jrnPath == "" {
+			os.Remove(jnPath)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "saving trace:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("session trace (%d evaluations) saved to %s\n", len(sess.Records), *tracePth)
+		fmt.Printf("session trace (%d trials) saved to %s\n", n, *tracePth)
 	}
 
 	if code := cli.ExitCode(res); code != 0 {
@@ -294,13 +305,68 @@ func main() {
 	// resume a selection-cache hit the uninterrupted run never had —
 	// breaking bit-identical resume. The resumed session re-derives and
 	// saves the store when it completes.
-	if *memoPath != "" && !(res.Cancelled && jn != nil) {
+	if *memoPath != "" && !(res.Cancelled && *jrnPath != "") {
 		if err := store.Save(*memoPath); err != nil {
 			fmt.Fprintln(os.Stderr, "saving memo store:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("\nmemoization store saved to %s\n", *memoPath)
 	}
+}
+
+// traceLog is the -trace file: the session's journal meta, every
+// committed trial in trial order, and the session's result summary.
+type traceLog struct {
+	journal.Meta
+	Records []journal.EvalEntry `json:"records"`
+	// Best and BestSeconds are set only when Found: BestSeconds is +Inf
+	// when nothing completed, which JSON cannot encode.
+	Best           map[string]float64  `json:"best,omitempty"`
+	BestSeconds    float64             `json:"bestSeconds,omitempty"`
+	Found          bool                `json:"found"`
+	Evals          int                 `json:"evals"`
+	SearchCost     float64             `json:"searchCost"`
+	SelectionEvals int                 `json:"selectionEvals,omitempty"`
+	SelectionCost  float64             `json:"selectionCost,omitempty"`
+	SelectedParams []string            `json:"selectedParams,omitempty"`
+	Failures       tuners.FailureStats `json:"failures"`
+	Cancelled      bool                `json:"cancelled,omitempty"`
+}
+
+// exportTrace writes the -trace file when a session ends: it reopens
+// the session's closed journal at jnPath under meta, reads back every
+// committed trial — a resumed session's replayed prefix included —
+// and writes them with res's summary. It returns the number of trials
+// written.
+func exportTrace(path, jnPath string, meta journal.Meta, res tuners.Result) (int, error) {
+	jn, err := journal.Open(jnPath, meta, journal.SyncNone)
+	if err != nil {
+		return 0, err
+	}
+	defer jn.Close()
+	tl := traceLog{
+		Meta:           meta,
+		Records:        make([]journal.EvalEntry, 0, jn.ReplayPending()),
+		Found:          res.Found,
+		Evals:          res.Evals,
+		SearchCost:     res.SearchCost,
+		SelectionEvals: res.SelectionEvals,
+		SelectionCost:  res.SelectionCost,
+		SelectedParams: res.SelectedParams,
+		Failures:       res.Failures,
+		Cancelled:      res.Cancelled,
+	}
+	for e, ok := jn.NextReplay(); ok; e, ok = jn.NextReplay() {
+		tl.Records = append(tl.Records, e)
+	}
+	if res.Found {
+		tl.Best, tl.BestSeconds = res.Best.ToMap(), res.BestSeconds
+	}
+	data, err := json.MarshalIndent(tl, "", "  ")
+	if err != nil {
+		return 0, err
+	}
+	return len(tl.Records), journal.WriteFile(path, data)
 }
 
 // checkBudgets rejects the budgets robotuned's session spec refuses:

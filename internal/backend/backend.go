@@ -53,7 +53,9 @@ type BatchEvaluator interface {
 // position. The per-run noise and fault streams are derived from the
 // evaluation index, so an objective that can restore the counter will
 // hand post-replay live evaluations exactly the streams the
-// uninterrupted run would have consumed.
+// uninterrupted run would have consumed. An objective without it still
+// replays the journaled prefix, but its later live evaluations draw
+// from the start of their streams.
 type StreamRestorer interface {
 	RestoreStream(evals int, cost float64)
 }

@@ -93,8 +93,65 @@ func SaveConfigValues(c conf.Config, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// BuildTunerOpts constructs a tuner by (case-insensitive) name.
-// ROBOTune is backed by the given store (nil for in-memory) and
+// tunerTable is the one list of tuner kinds: each entry's canonical
+// lower-case name, then the aliases it also answers to, and how to
+// build it. Only ROBOTune takes the store, and only ROBOTune and BOHB
+// read opts.
+var tunerTable = []struct {
+	names []string
+	build func(store *memo.Store, opts core.Options) (tuners.Tuner, error)
+}{
+	{[]string{"robotune"}, func(store *memo.Store, opts core.Options) (tuners.Tuner, error) {
+		return core.New(store, opts), nil
+	}},
+	{[]string{"bestconfig"}, baseline(tuners.BestConfig{})},
+	{[]string{"gunther"}, baseline(tuners.Gunther{})},
+	{[]string{"randomsearch", "rs", "random"}, baseline(tuners.RandomSearch{})},
+	{[]string{"successivehalving", "sha"}, baseline(tuners.SuccessiveHalving{})},
+	{[]string{"cmaes", "cma-es"}, baseline(tuners.CMAES{})},
+	{[]string{"bohb"}, func(_ *memo.Store, opts core.Options) (tuners.Tuner, error) {
+		return buildBOHB(opts)
+	}},
+}
+
+// baseline builds a tuner that needs neither the store nor opts.
+func baseline(tn tuners.Tuner) func(*memo.Store, core.Options) (tuners.Tuner, error) {
+	return func(*memo.Store, core.Options) (tuners.Tuner, error) { return tn, nil }
+}
+
+// TunerKinds lists the canonical tuner names BuildTunerOpts and
+// BuildStepper accept, for flag help and error messages.
+func TunerKinds() []string {
+	kinds := make([]string, len(tunerTable))
+	for i, e := range tunerTable {
+		kinds[i] = e.names[0]
+	}
+	return kinds
+}
+
+// KnownTuner reports whether name (case-insensitive) is a tuner kind or
+// one of its aliases.
+func KnownTuner(name string) bool {
+	_, ok := lookupTuner(name)
+	return ok
+}
+
+// lookupTuner returns the tunerTable index of a case-insensitive name
+// or alias.
+func lookupTuner(name string) (int, bool) {
+	name = strings.ToLower(name)
+	for i, e := range tunerTable {
+		for _, n := range e.names {
+			if n == name {
+				return i, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// BuildTunerOpts constructs a tuner by (case-insensitive) name or
+// alias. ROBOTune is backed by the given store (nil for in-memory) and
 // configured by opts; opts.Workers runs its internal math on that many
 // goroutines (0 = GOMAXPROCS, 1 = serial; results are identical either
 // way). BOHB takes its ladder, axis and cost-aware toggle from opts;
@@ -102,27 +159,11 @@ func SaveConfigValues(c conf.Config, path string) error {
 // tuners.Session, so callers can attach a context, deadline and retry
 // policy via tuners.NewSession.
 func BuildTunerOpts(name string, store *memo.Store, opts core.Options) (tuners.Tuner, error) {
-	switch strings.ToLower(name) {
-	case "robotune":
-		return core.New(store, opts), nil
-	case "bestconfig":
-		return tuners.BestConfig{}, nil
-	case "gunther":
-		return tuners.Gunther{}, nil
-	case "randomsearch", "rs", "random":
-		return tuners.RandomSearch{}, nil
-	case "successivehalving", "sha":
-		return tuners.SuccessiveHalving{}, nil
-	case "cmaes", "cma-es":
-		return tuners.CMAES{}, nil
-	case "bohb":
-		b, err := buildBOHB(opts)
-		if err != nil {
-			return nil, err
-		}
-		return b, nil
+	i, ok := lookupTuner(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown tuner %q (have %s)", name, strings.Join(TunerKinds(), ", "))
 	}
-	return nil, fmt.Errorf("unknown tuner %q (have ROBOTune, BestConfig, Gunther, RandomSearch, SuccessiveHalving, CMAES, BOHB)", name)
+	return tunerTable[i].build(store, opts)
 }
 
 // buildBOHB maps the shared Options onto the multi-fidelity tuner:
@@ -181,41 +222,25 @@ func ParseFidelityLadder(spec string) ([]float64, error) {
 	return out, nil
 }
 
-// TunerKinds lists the canonical tuner names BuildTuner and
-// BuildStepper accept, for error messages and wire-spec validation.
-func TunerKinds() []string {
-	return []string{"robotune", "bestconfig", "gunther", "randomsearch", "successivehalving", "cmaes", "bohb"}
-}
-
 // BuildStepper constructs the ask/tell (externally driven) form of a
 // tuner by name — the factory behind the robotuned wire server, where
 // every session is a stepper fed observations from remote clients.
-// opts only applies to ROBOTune; the baselines ignore it. Each call
-// builds an isolated tuner (ROBOTune gets a private memo store), so
-// two sessions never couple through shared selection caches — a
-// rehydrated session must re-derive exactly what the original did.
+// It builds the tuner through BuildTunerOpts, so it accepts the same
+// names and applies opts the same way. Each call builds an isolated
+// tuner (ROBOTune gets a private memo store), so two sessions never
+// couple through shared selection caches — a rehydrated session must
+// re-derive exactly what the original did.
 func BuildStepper(name string, space *conf.Space, budget int, seed uint64, workload, dataset string, opts core.Options) (tuners.Stepper, error) {
-	switch strings.ToLower(name) {
-	case "robotune":
-		return core.New(nil, opts).Stepper(space, budget, seed, workload, dataset), nil
-	case "bestconfig":
-		return tuners.BestConfig{}.Stepper(space, budget, seed), nil
-	case "gunther":
-		return tuners.Gunther{}.Stepper(space, budget, seed), nil
-	case "randomsearch", "rs", "random":
-		return tuners.RandomSearch{}.Stepper(space, budget, seed), nil
-	case "successivehalving", "sha":
-		return tuners.SuccessiveHalving{}.Stepper(space, budget, seed), nil
-	case "cmaes", "cma-es":
-		return tuners.CMAES{}.Stepper(space, budget, seed), nil
-	case "bohb":
-		b, err := buildBOHB(opts)
-		if err != nil {
-			return nil, err
-		}
-		return b.Stepper(space, budget, seed), nil
+	tn, err := BuildTunerOpts(name, nil, opts)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown tuner %q (have %s)", name, strings.Join(TunerKinds(), ", "))
+	if rt, ok := tn.(*core.ROBOTune); ok {
+		return rt.Stepper(space, budget, seed, workload, dataset), nil
+	}
+	return tn.(interface {
+		Stepper(space *conf.Space, budget int, seed uint64) tuners.Stepper
+	}).Stepper(space, budget, seed), nil
 }
 
 // ParseFaultPlan parses a fault-injection spec of the form

@@ -125,8 +125,11 @@ func TestBuildTunerOpts(t *testing.T) {
 		"gunther":      "Gunther",
 		"rs":           "RandomSearch",
 		"RandomSearch": "RandomSearch",
+		"random":       "RandomSearch",
 		"sha":          "SuccessiveHalving",
 		"cmaes":        "CMAES",
+		"CMA-ES":       "CMAES",
+		"bohb":         "BOHB",
 	} {
 		tn, err := BuildTunerOpts(name, nil, core.Options{})
 		if err != nil {
@@ -136,9 +139,21 @@ func TestBuildTunerOpts(t *testing.T) {
 		if tn.Name() != want {
 			t.Errorf("%s → %s, want %s", name, tn.Name(), want)
 		}
+		if !KnownTuner(name) {
+			t.Errorf("KnownTuner(%q) = false", name)
+		}
+		if _, err := BuildStepper(name, conf.SparkSpace(), 5, 1, "", "", core.Options{}); err != nil {
+			t.Errorf("BuildStepper(%q): %v", name, err)
+		}
 	}
 	if _, err := BuildTunerOpts("simulated-annealing", nil, core.Options{}); err == nil {
 		t.Error("unknown tuner accepted")
+	}
+	if KnownTuner("simulated-annealing") {
+		t.Error("KnownTuner accepted an unknown tuner")
+	}
+	if _, err := BuildStepper("simulated-annealing", conf.SparkSpace(), 5, 1, "", "", core.Options{}); err == nil {
+		t.Error("BuildStepper accepted an unknown tuner")
 	}
 }
 

@@ -141,7 +141,7 @@ func (r *ROBOTune) newStepper(s *tuners.Session, space *conf.Space, budget int, 
 	}
 	if s != nil {
 		st.obj = s.Objective()
-		_, st.canBatch = st.obj.(tuners.BatchEvaluator)
+		_, st.canBatch = st.obj.(backend.BatchEvaluator)
 	}
 	if workload != "" {
 		if cached, hit := r.store.Selection(workload); hit {

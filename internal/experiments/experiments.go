@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/bo"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/forest"
 	"repro/internal/memo"
@@ -162,21 +163,11 @@ type Comparison struct {
 // the extension baselines; ROBOTune receives the given store so
 // sessions within one repeat share memoization.
 func (c Config) buildTuner(name string, store *memo.Store) tuners.Tuner {
-	switch name {
-	case "ROBOTune":
-		return core.New(store, c.robotuneOptions())
-	case "BestConfig":
-		return tuners.BestConfig{}
-	case "Gunther":
-		return tuners.Gunther{}
-	case "RandomSearch":
-		return tuners.RandomSearch{}
-	case "SuccessiveHalving":
-		return tuners.SuccessiveHalving{}
-	case "CMAES":
-		return tuners.CMAES{}
+	tn, err := cli.BuildTunerOpts(name, store, c.robotuneOptions())
+	if err != nil {
+		panic("experiments: " + err.Error())
 	}
-	panic("experiments: unknown tuner " + name)
+	return tn
 }
 
 // RunComparison executes the §5 evaluation grid: every tuner tunes

@@ -13,10 +13,10 @@
 //     before the tuner acts on it.
 //   - Atomicity: each record is framed and appended in one write, so
 //     a torn append stays contiguous at the tail. Whole files (the
-//     memoization store, mapping signatures, traces, robotuned session
-//     specs) are replaced by WriteFile (temp file, fsync, rename,
-//     directory fsync): readers see the old file or the new one, never
-//     a mix.
+//     memoization store, mapping signatures, robotuned session specs,
+//     robotune -trace exports) are replaced by WriteFile (temp file,
+//     fsync, rename, directory fsync): readers see the old file or the
+//     new one, never a mix.
 //   - Recoverability: opening an existing journal replays its records.
 //     A torn tail record (the process died mid-append) is truncated,
 //     losing at most the in-flight evaluation and never a committed
@@ -29,6 +29,10 @@
 // SplitMix64 splitting) and the objective's noise streams are indexed
 // by the evaluation counter — whose position each record persists —
 // the resumed campaign is bit-identical to an uninterrupted one.
+//
+// The journal is also the session's one per-trial log: when a session
+// ends, robotune -trace reopens its journal and exports the trials
+// (see NextReplay) with the result summary as one JSON file.
 //
 // The campaign ledger (Ledger) sits on the same record log as the
 // journal: a magic header, a meta record compared byte for byte on

@@ -199,7 +199,7 @@ func TestPoolWrapCapabilities(t *testing.T) {
 	p := NewPool(2)
 	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.TeraSort(20), 3, 480)
 	w := p.Wrap(ev)
-	if _, ok := w.(tuners.BatchEvaluator); !ok {
+	if _, ok := w.(backend.BatchEvaluator); !ok {
 		t.Fatal("wrapping a batch evaluator must preserve the batch capability")
 	}
 	id, ok := w.(interface{ WorkloadName() string })
@@ -211,7 +211,7 @@ func TestPoolWrapCapabilities(t *testing.T) {
 	// wrapper must not invent one (its presence changes tuner paths).
 	fo := &tuners.FuncObjective{Fn: func(c conf.Config) (float64, bool) { return 1, true }}
 	wf := p.Wrap(fo)
-	if _, ok := wf.(tuners.BatchEvaluator); ok {
+	if _, ok := wf.(backend.BatchEvaluator); ok {
 		t.Fatal("wrapper must not add a batch capability the inner objective lacks")
 	}
 	rec := wf.EvaluateSpec(conf.SparkSpace().Default(), backend.EvalSpec{})

@@ -45,8 +45,9 @@ const (
 // persisted verbatim next to the session's journal, so every field
 // must be sufficient to reconstruct the stepper deterministically.
 type SessionSpec struct {
-	// Tuner is the tuner kind (cli.TunerKinds: robotune, randomsearch,
-	// bestconfig, gunther, successivehalving, cmaes).
+	// Tuner is the tuner kind (cli.TunerKinds: robotune, bestconfig,
+	// gunther, randomsearch, successivehalving, cmaes, bohb) or one of
+	// its aliases, case-insensitive.
 	Tuner string `json:"tuner"`
 	// Space is either a JSON string naming a built-in backend space —
 	// "spark" (the 44-parameter Spark space) or any other registered
@@ -223,7 +224,7 @@ func ValidateSessionSpec(spec SessionSpec) (ParsedSpec, error) {
 	if spec.Tuner == "" {
 		return ParsedSpec{}, fmt.Errorf("tuner is required")
 	}
-	if !knownTuner(spec.Tuner) {
+	if !cli.KnownTuner(spec.Tuner) {
 		return ParsedSpec{}, fmt.Errorf("unknown tuner %q", spec.Tuner)
 	}
 	if spec.Budget <= 0 || spec.Budget > MaxBudget {
@@ -301,15 +302,6 @@ func builtinSpaces() []string {
 		}
 	}
 	return append([]string{"spark"}, names...)
-}
-
-func knownTuner(name string) bool {
-	switch strings.ToLower(name) {
-	case "robotune", "bestconfig", "gunther", "randomsearch", "rs", "random",
-		"successivehalving", "sha", "cmaes", "cma-es", "bohb":
-		return true
-	}
-	return false
 }
 
 // ProposeRequest is the body of POST /v1/sessions/{id}/propose. An

@@ -94,9 +94,9 @@ func (f *FuncObjective) Evals() int {
 	return f.evals
 }
 
-// RestoreStream implements StreamRestorer: a resumed durable session
-// moves the counters to the journaled position so evaluation and cost
-// accounting continue where the interrupted run left off.
+// RestoreStream implements backend.StreamRestorer: a resumed durable
+// session moves the counters to the journaled position so evaluation
+// and cost accounting continue where the interrupted run left off.
 func (f *FuncObjective) RestoreStream(evals int, cost float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

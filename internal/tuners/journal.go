@@ -8,13 +8,6 @@ import (
 	"repro/internal/journal"
 )
 
-// StreamRestorer is the optional resume capability (see
-// backend.StreamRestorer): backend evaluators, *FuncObjective and
-// *trace.Recorder implement it; objectives that do not still resume
-// correctly for the replayed prefix, but later live evaluations draw
-// from the start of their streams.
-type StreamRestorer = backend.StreamRestorer
-
 // Counts converts the ledger to the journal's dependency-free mirror
 // (journal deliberately does not import tuners).
 func (s FailureStats) Counts() journal.FailureCounts {
@@ -73,7 +66,7 @@ func recordOf(e journal.EvalEntry, c conf.Config) backend.EvalRecord {
 // counts (failed, OOM, infeasible, skipped) are re-derived from the
 // records, so they never depend on when a journal writer stamped them.
 func (s *Session) replayEntry(e journal.EvalEntry, c conf.Config, rec backend.EvalRecord) {
-	if sr, ok := s.obj.(StreamRestorer); ok {
+	if sr, ok := s.obj.(backend.StreamRestorer); ok {
 		sr.RestoreStream(e.ObjEvals, e.ObjCost)
 	}
 	s.account(c, trial{rec: rec, pos: streamPos{e.ObjEvals, e.ObjCost}})

@@ -114,11 +114,6 @@ type FailureStats struct {
 	Skipped int
 }
 
-// BatchEvaluator is the optional concurrent-evaluation capability
-// with cancellation (see backend.BatchEvaluator; *sparksim.Evaluator,
-// *trace.Recorder and the pool's batch gate implement it).
-type BatchEvaluator = backend.BatchEvaluator
-
 // Session is the ask/tell kernel every tuning session runs on: it owns
 // the stepper's pending proposals, the journal (commit before the
 // stepper acts, replay on resume), the incumbent tracker, the failure

@@ -17,7 +17,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/sample"
 	"repro/internal/sparksim"
-	"repro/internal/trace"
 )
 
 const stressG = 8 // hostile goroutines per role
@@ -97,38 +96,6 @@ func TestStressEvaluator(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestStressTraceRecorder(t *testing.T) {
-	space := conf.SparkSpace()
-	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.KMeans(200), 3, 480)
-	rec := trace.NewRecorder(ev)
-	cfgs := stressConfigs(space, 8, 4)
-	var wg sync.WaitGroup
-	for g := 0; g < stressG; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				c := cfgs[(g+i)%len(cfgs)]
-				switch i % 3 {
-				case 0:
-					rec.EvaluateSpec(c, backend.EvalSpec{})
-				case 1:
-					rec.EvaluateSpec(c, backend.EvalSpec{Cap: 150})
-				default:
-					rec.Records()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	records := rec.Records()
-	for i, r := range records {
-		if r.Index != i {
-			t.Fatalf("record %d has index %d", i, r.Index)
-		}
-	}
 }
 
 func TestStressForestWorkers(t *testing.T) {
