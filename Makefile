@@ -38,10 +38,11 @@ race:
 
 # Micro benchmarks: forest training, permutation importance and
 # acquisition multistart at workers=1 vs workers=GOMAXPROCS, and the GP
-# fast path (surrogate fit, posterior prediction and engine Suggest
+# fast path (surrogate fit, the n=120 Cholesky, posterior prediction
+# one point and one gradient batch at a time, and engine Suggest
 # across training-set sizes, with allocation counts).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkBOSuggestScale' -benchmem -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkGPPredictBatch|BenchmarkBOSuggestScale|BenchmarkCholesky' -benchmem -benchtime 2x .
 
 # Perf-harness smoke test: every bench/ workload at toy scale, plain and
 # traced, including its set-up repeatability and traced == plain hash

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,11 +13,16 @@ import (
 	"repro/internal/sample"
 )
 
-// predictScratch pools posterior-evaluation buffers: the acquisition
-// multistart calls the GP posterior thousands of times per Suggest
-// from several goroutines, and a pooled scratch makes those calls
-// allocation-free without coupling the engine to the worker count.
-var predictScratch = sync.Pool{New: func() any { return new(gp.PredictScratch) }}
+// batchScratch is one batched posterior evaluation's buffers. The
+// acquisition multistart evaluates batches from several goroutines;
+// each call borrows one from batchScratches, which keeps the calls
+// allocation-free without tying the engine to the worker count.
+type batchScratch struct {
+	ps gp.PredictScratch
+	v  []float64
+}
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // Config controls the BO engine.
 type Config struct {
@@ -470,20 +476,16 @@ func (e *Engine) Suggest() ([]float64, error) {
 	// reward of acquisition i is −μ(x_i) under the updated posterior
 	// (Hoffman et al.), normalized to the GP's target scale.
 	if e.nominees != nil {
-		s := predictScratch.Get().(*gp.PredictScratch)
 		for i, xi := range e.nominees {
-			mu, _ := g.PredictInto(s, xi)
+			mu, _ := g.Predict(xi)
 			e.gain[i] += -e.normalize(mu)
 		}
-		predictScratch.Put(s)
 		e.nominees = nil
 	}
 
-	_, fBest, _ := e.Best()
-
 	// Shared candidate pool: LHS + the incumbent's neighborhood.
+	bestX, fBest, _ := e.Best()
 	pool := sample.LHS(e.cfg.CandidatePool, e.dim, e.rng)
-	bestX, _, _ := e.Best()
 	for k := 0; k < 8; k++ {
 		p := make([]float64, e.dim)
 		for j := range p {
@@ -492,25 +494,50 @@ func (e *Engine) Suggest() ([]float64, error) {
 		pool = append(pool, p)
 	}
 
-	bounds := optimize.UnitBox(e.dim)
+	// Every arm scores the same pool posterior and predicted cost, so
+	// both are computed once, the posterior batched.
 	costAware := e.cfg.CostAware && len(e.costX) > 0
+	poolMu, poolVar, poolCost := make([]float64, len(pool)), make([]float64, len(pool)), make([]float64, len(pool))
+	ws := batchScratches.Get().(*batchScratch)
+	g.PredictBatchInto(&ws.ps, pool, poolMu, poolVar)
+	batchScratches.Put(ws)
+	if costAware {
+		for p, x := range pool {
+			poolCost[p] = e.predictCost(x)
+		}
+	}
+
+	bounds := optimize.UnitBox(e.dim)
 	nominees := make([][]float64, len(e.cfg.Portfolio))
 	for i, acq := range e.cfg.Portfolio {
-		// neg is called concurrently by Multistart, so each call
-		// borrows a scratch from the pool rather than sharing one.
-		neg := func(x []float64) float64 {
-			s := predictScratch.Get().(*gp.PredictScratch)
-			mu, v := g.PredictInto(s, x)
-			predictScratch.Put(s)
+		// value is the multistart's objective at x with posterior
+		// (mu, v): the negated score. Cost-aware acquisition
+		// (EI-per-second) discounts positive promise by the predicted
+		// cost (cost, or predicted here when 0); non-positive scores
+		// are left alone so dividing by cost cannot make a bad point
+		// look less bad.
+		value := func(x []float64, mu, v, cost float64) float64 {
 			score := acq.Score(mu, math.Sqrt(v), fBest)
-			// Cost-aware acquisition (EI-per-second): positive promise
-			// is discounted by predicted cost; non-positive scores are
-			// left alone so dividing by cost cannot make a bad point
-			// look less bad.
 			if costAware && score > 0 {
-				score /= e.predictCost(x)
+				if cost == 0 {
+					cost = e.predictCost(x)
+				}
+				score /= cost
 			}
 			return -score
+		}
+		neg := func(x []float64) float64 {
+			mu, v := g.Predict(x)
+			return value(x, mu, v, 0)
+		}
+		negBatch := func(xs [][]float64, out []float64) {
+			ws := batchScratches.Get().(*batchScratch)
+			ws.v = slices.Grow(ws.v[:0], len(xs))[:len(xs)]
+			g.PredictBatchInto(&ws.ps, xs, out, ws.v)
+			for j, x := range xs {
+				out[j] = value(x, out[j], ws.v[j], 0)
+			}
+			batchScratches.Put(ws)
 		}
 		// Seed local search with the best pool candidates.
 		type cand struct {
@@ -518,14 +545,14 @@ func (e *Engine) Suggest() ([]float64, error) {
 			f float64
 		}
 		best1, best2 := cand{f: math.Inf(1)}, cand{f: math.Inf(1)}
-		for _, p := range pool {
-			f := neg(p)
+		for p, x := range pool {
+			f := value(x, poolMu[p], poolVar[p], poolCost[p])
 			switch {
 			case f < best1.f:
 				best2 = best1
-				best1 = cand{x: p, f: f}
+				best1 = cand{x: x, f: f}
 			case f < best2.f:
-				best2 = cand{x: p, f: f}
+				best2 = cand{x: x, f: f}
 			}
 		}
 		seeds := [][]float64{best1.x}
@@ -534,7 +561,7 @@ func (e *Engine) Suggest() ([]float64, error) {
 		}
 		res := optimize.Multistart(neg, bounds, e.cfg.Starts, seeds, e.rng, e.cfg.Workers,
 			func(f optimize.Objective, x0 []float64, b optimize.Bounds) optimize.Result {
-				return optimize.LBFGSB(f, x0, b, 40)
+				return optimize.LBFGSB(f, negBatch, x0, b, 40)
 			})
 		nominees[i] = res.X
 	}
@@ -659,9 +686,7 @@ func (e *Engine) BatchSuggest(q int) ([][]float64, error) {
 		if err != nil {
 			break
 		}
-		s := predictScratch.Get().(*gp.PredictScratch)
-		lie, _ := g.PredictInto(s, u)
-		predictScratch.Put(s)
+		lie, _ := g.Predict(u)
 		if err := fork.Tell(u, lie); err != nil {
 			// A non-finite lie means the surrogate itself is degenerate;
 			// stop the lookahead with the suggestions gathered so far.

@@ -17,8 +17,17 @@ func onlyWorkload(name string) func(string) bool {
 	return func(w string) bool { return w == name }
 }
 
+// tinyTeraSort and tinyKMeans are the single-workload grids at
+// tinyConfig scale, run once per test binary and shared (read-only)
+// by the tests below; TestComparisonDeterministic still re-runs the
+// TeraSort grid fresh and compares it with the shared one.
+var (
+	tinyTeraSort = sync.OnceValue(func() *Comparison { return RunComparison(tinyConfig(), onlyWorkload("TeraSort")) })
+	tinyKMeans   = sync.OnceValue(func() *Comparison { return RunComparison(tinyConfig(), onlyWorkload("KMeans")) })
+)
+
 func TestRunComparisonShape(t *testing.T) {
-	comp := RunComparison(tinyConfig(), onlyWorkload("TeraSort"))
+	comp := tinyTeraSort()
 	// 4 tuners x 1 workload x 3 datasets x 1 repeat.
 	if len(comp.Sessions) != 12 {
 		t.Fatalf("sessions = %d, want 12", len(comp.Sessions))
@@ -40,7 +49,7 @@ func TestRunComparisonShape(t *testing.T) {
 }
 
 func TestComparisonDeterministic(t *testing.T) {
-	a := RunComparison(tinyConfig(), onlyWorkload("TeraSort"))
+	a := tinyTeraSort()
 	b := RunComparison(tinyConfig(), onlyWorkload("TeraSort"))
 	for i := range a.Sessions {
 		if a.Sessions[i].Quality != b.Sessions[i].Quality ||
@@ -54,7 +63,7 @@ func TestComparisonDeterministic(t *testing.T) {
 // contract end to end: the full session list — order included — is
 // bit-identical whether the grid runs serially or four tasks wide.
 func TestComparisonConcurrencyParity(t *testing.T) {
-	serial := RunComparison(tinyConfig(), onlyWorkload("KMeans"))
+	serial := tinyKMeans()
 	wideCfg := tinyConfig()
 	wideCfg.Concurrency = 4
 	wide := RunComparison(wideCfg, onlyWorkload("KMeans"))
@@ -84,7 +93,7 @@ func TestComparisonConcurrencyParity(t *testing.T) {
 }
 
 func TestFig3Fig4Derivations(t *testing.T) {
-	comp := RunComparison(tinyConfig(), onlyWorkload("KMeans"))
+	comp := tinyKMeans()
 	f3 := comp.Fig3()
 	if len(f3) != 3 {
 		t.Fatalf("fig3 rows = %d, want 3 (D1-D3)", len(f3))
@@ -122,7 +131,7 @@ func TestFig3Fig4Derivations(t *testing.T) {
 }
 
 func TestFig5Derivation(t *testing.T) {
-	comp := RunComparison(tinyConfig(), onlyWorkload("KMeans"))
+	comp := tinyKMeans()
 	f5 := comp.Fig5("KMeans")
 	for _, tn := range TunerNames {
 		s := f5.Summary[tn]
@@ -139,7 +148,7 @@ func TestFig5Derivation(t *testing.T) {
 }
 
 func TestTable2Derivation(t *testing.T) {
-	comp := RunComparison(tinyConfig(), onlyWorkload("TeraSort"))
+	comp := tinyTeraSort()
 	rows := comp.Table2()
 	if len(rows) != 1 {
 		t.Fatalf("table2 rows = %d", len(rows))
@@ -347,7 +356,7 @@ func TestHashNameStable(t *testing.T) {
 }
 
 func TestCSVExports(t *testing.T) {
-	comp := RunComparison(tinyConfig(), onlyWorkload("TeraSort"))
+	comp := tinyTeraSort()
 
 	var sb strings.Builder
 	if err := comp.WriteSessionsCSV(&sb); err != nil {

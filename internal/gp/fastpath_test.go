@@ -10,6 +10,7 @@ package gp
 // tolerance is 1e-9 relative.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -75,9 +76,50 @@ func naiveLogMarginal(kind KernelKind, p Params, x [][]float64, yNorm []float64)
 	if err != nil {
 		return math.Inf(-1), err
 	}
-	alpha := linalg.CholSolve(l, yNorm)
+	alpha := linalg.CholSolveInto(l, yNorm, nil)
 	n := float64(len(yNorm))
 	return -0.5*linalg.Dot(yNorm, alpha) - 0.5*linalg.LogDetFromChol(l) - 0.5*n*math.Log(2*math.Pi), nil
+}
+
+// kernel evaluates the covariance between two points (without the
+// white-noise term, which only applies on the diagonal). The package
+// resolves p once and calls kernelResolved directly; this wrapper is
+// the tests' convenience form for single evaluations.
+func (g *GP) kernel(p Params, a, b []float64) float64 {
+	rk := resolveInto(p, nil)
+	return g.kernelResolved(&rk, a, b)
+}
+
+// kernelMatrix builds the covariance matrix without a cache; it is the
+// reference implementation the cached build is tested against.
+func (g *GP) kernelMatrix(p Params) *linalg.Matrix {
+	n := len(g.x)
+	rk := resolveInto(p, nil)
+	k := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := g.kernelResolved(&rk, g.x[i], g.x[j])
+			if i == j {
+				v += rk.noise
+			}
+			k.Set(i, j, v)
+		}
+	}
+	linalg.SymmetricFromUpper(k)
+	return k
+}
+
+// logMarginal computes the log marginal likelihood for hyperparams p
+// from scratch. It is the allocating reference implementation; the
+// hyperparameter search uses logMarginalCached.
+func (g *GP) logMarginal(p Params) (float64, error) {
+	k := g.kernelMatrix(p)
+	l, _, err := linalg.Cholesky(k, jitterStart, jitterMaxTries)
+	if err != nil {
+		return math.Inf(-1), err
+	}
+	alpha := linalg.CholSolveInto(l, g.yNorm, nil)
+	return lmlFrom(g.yNorm, alpha, l), nil
 }
 
 // randomTraining builds a reproducible random training set.
@@ -320,6 +362,86 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestPredictBatchMatchesPredictInto: PredictBatchInto equals
+// PredictInto point for point, bit for bit, for Matérn and RBF,
+// isotropic and ARD, exact and sparse surrogates, at every batch size
+// 0-9 (whole groups of four plus each leftover count), with one
+// scratch reused across all of them.
+func TestPredictBatchMatchesPredictInto(t *testing.T) {
+	var s, single PredictScratch
+	for _, kind := range []KernelKind{Matern52, RBF} {
+		for _, ard := range []bool{false, true} {
+			for _, sparse := range []bool{false, true} {
+				name := fmt.Sprintf("kernel=%d ard=%v sparse=%v", kind, ard, sparse)
+				x, y := randomTraining(37, 5, uint64(kind)*4+3)
+				cfg := DefaultConfig()
+				cfg.Kernel = kind
+				cfg.ARD = ard
+				cfg.Restarts = 1
+				if sparse {
+					cfg.SparseThreshold = 24
+					cfg.SparseSubset = 21
+				}
+				g, err := Fit(x, y, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Sparse() != sparse {
+					t.Fatalf("%s: Sparse() = %v", name, g.Sparse())
+				}
+				rng := sample.NewRNG(uint64(kind) + 41)
+				for m := 0; m <= 9; m++ {
+					xs := make([][]float64, m)
+					for p := range xs {
+						xs[p] = make([]float64, 5)
+						for j := range xs[p] {
+							xs[p][j] = rng.Float64()
+						}
+					}
+					if m > 1 {
+						xs[m-1] = x[0] // a training point: variance near zero
+					}
+					mu := make([]float64, m)
+					variance := make([]float64, m)
+					g.PredictBatchInto(&s, xs, mu, variance)
+					for p := range xs {
+						wantMu, wantVar := g.PredictInto(&single, xs[p])
+						if mu[p] != wantMu || variance[p] != wantVar {
+							t.Fatalf("%s m=%d point %d: (%v,%v), PredictInto (%v,%v)",
+								name, m, p, mu[p], variance[p], wantMu, wantVar)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredictBatchAllocationFree: once the scratch is warm a batch
+// prediction allocates nothing, and mismatched outputs panic.
+func TestPredictBatchAllocationFree(t *testing.T) {
+	x, y := randomTraining(40, 4, 5)
+	cfg := DefaultConfig()
+	cfg.Restarts = 1
+	g, err := Fit(x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := x[:11]
+	mu := make([]float64, len(xs))
+	variance := make([]float64, len(xs))
+	var s PredictScratch
+	if allocs := testing.AllocsPerRun(20, func() { g.PredictBatchInto(&s, xs, mu, variance) }); allocs != 0 {
+		t.Errorf("warm PredictBatchInto allocates %v times per call", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("short output slice accepted")
+		}
+	}()
+	g.PredictBatchInto(&s, xs, mu[:3], variance)
+}
+
 // TestPosteriorMatchesNaiveReference: the full fitted posterior (mean
 // and variance over a probe grid) computed through the fast path
 // agrees with a posterior assembled from the naive kernel ops at the
@@ -357,7 +479,7 @@ func TestPosteriorMatchesNaiveReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha := linalg.CholSolve(l, yNorm)
+		alpha := linalg.CholSolveInto(l, yNorm, nil)
 
 		rng := sample.NewRNG(13)
 		for probeI := 0; probeI < 25; probeI++ {
@@ -367,7 +489,7 @@ func TestPosteriorMatchesNaiveReference(t *testing.T) {
 				ks[i] = naiveKernel(Matern52, p, x[i], probe)
 			}
 			muN := linalg.Dot(ks, alpha)
-			v := linalg.SolveLower(l, ks)
+			v := linalg.SolveLowerInto(l, ks, nil)
 			varN := naiveKernel(Matern52, p, probe, probe) - linalg.Dot(v, v)
 			if varN < 0 {
 				varN = 0

@@ -15,6 +15,8 @@
 // likelihood evaluations a multistart performs. Posterior updates
 // that keep the hyperparameters fixed can extend a cached Cholesky
 // factor in O(n²) via Extend instead of refitting in O(n³).
+// PredictBatchInto forward-solves four points per pass over the factor
+// (a gradient's probes, a candidate pool), bit-identical to PredictInto.
 package gp
 
 import (
@@ -417,15 +419,6 @@ func (g *GP) optimizeHyper(cfg Config, cache *distCache) Params {
 	return unpack(res.X)
 }
 
-// kernel evaluates the covariance between two points (without the
-// white-noise term, which only applies on the diagonal). Hot paths
-// resolve p once and call kernelResolved directly; this wrapper is
-// the convenience form for single evaluations.
-func (g *GP) kernel(p Params, a, b []float64) float64 {
-	rk := resolveInto(p, nil)
-	return g.kernelResolved(&rk, a, b)
-}
-
 // kernelResolved evaluates the covariance with pre-hoisted
 // exponentials: no math.Exp in the pairwise loop.
 func (g *GP) kernelResolved(rk *resolved, a, b []float64) float64 {
@@ -544,26 +537,6 @@ func (g *GP) kernelMatrixInto(rk *resolved, c *distCache, k *linalg.Matrix) {
 	linalg.SymmetricFromUpper(k)
 }
 
-// kernelMatrix builds the covariance matrix without a cache; it is the
-// reference implementation the fast path is tested against, and the
-// fallback for callers that have no cache in hand.
-func (g *GP) kernelMatrix(p Params) *linalg.Matrix {
-	n := len(g.x)
-	rk := resolveInto(p, nil)
-	k := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := g.kernelResolved(&rk, g.x[i], g.x[j])
-			if i == j {
-				v += rk.noise
-			}
-			k.Set(i, j, v)
-		}
-	}
-	linalg.SymmetricFromUpper(k)
-	return k
-}
-
 // lmlFrom assembles the log marginal likelihood from an existing
 // factorization and weight vector: -½ yᵀα - ½ log|K| - (n/2) log 2π.
 func lmlFrom(yNorm, alpha []float64, chol *linalg.Matrix) float64 {
@@ -571,22 +544,10 @@ func lmlFrom(yNorm, alpha []float64, chol *linalg.Matrix) float64 {
 	return -0.5*linalg.Dot(yNorm, alpha) - 0.5*linalg.LogDetFromChol(chol) - 0.5*n*math.Log(2*math.Pi)
 }
 
-// logMarginal computes the log marginal likelihood for hyperparams p
-// from scratch. It is the allocating reference implementation; the
-// hyperparameter search uses logMarginalCached.
-func (g *GP) logMarginal(p Params) (float64, error) {
-	k := g.kernelMatrix(p)
-	l, _, err := linalg.Cholesky(k, jitterStart, jitterMaxTries)
-	if err != nil {
-		return math.Inf(-1), err
-	}
-	alpha := linalg.CholSolve(l, g.yNorm)
-	return lmlFrom(g.yNorm, alpha, l), nil
-}
-
 // logMarginalCached computes the log marginal likelihood using the
 // distance cache and the scratch buffers — zero heap allocations once
-// the scratch is warm. The result is bit-identical to logMarginal.
+// the scratch is warm. The result is bit-identical to the allocating
+// reference (logMarginal, in the tests).
 func (g *GP) logMarginalCached(p Params, c *distCache, s *lmlScratch) (float64, bool) {
 	n := len(g.x)
 	if s.k == nil || s.k.Rows != n {
@@ -650,7 +611,7 @@ func (g *GP) factorize(p Params, c *distCache) error {
 	g.chol = l
 	g.jitter = jitter
 	g.jitterTries = jitterTriesFor(jitter)
-	g.alpha = linalg.CholSolve(l, g.yNorm)
+	g.alpha = linalg.CholSolveInto(l, g.yNorm, nil)
 	g.lml = lmlFrom(g.yNorm, g.alpha, l)
 	return nil
 }
@@ -739,7 +700,7 @@ func (g *GP) Extend(x [][]float64, y []float64) (*GP, error) {
 		chol = next
 	}
 	ng.chol = chol
-	ng.alpha = linalg.CholSolve(chol, ng.yNorm)
+	ng.alpha = linalg.CholSolveInto(chol, ng.yNorm, nil)
 	ng.lml = lmlFrom(ng.yNorm, ng.alpha, chol)
 	if g.activeIdx != nil {
 		idx := make([]int, 0, len(g.activeIdx)+n-n0)
@@ -754,12 +715,23 @@ func (g *GP) Extend(x [][]float64, y []float64) (*GP, error) {
 	return ng, nil
 }
 
-// PredictScratch holds the reusable buffers PredictInto needs. The
-// zero value is ready to use; buffers grow on demand and may be
+// PredictScratch holds the reusable buffers PredictInto and
+// PredictBatchInto need: four kernel vectors and their forward solves.
+// The zero value is ready to use; buffers grow on demand and may be
 // reused across GPs of different sizes. A scratch must not be shared
 // between concurrent calls.
 type PredictScratch struct {
-	ks, v []float64
+	ks, v [4][]float64
+}
+
+// grow sizes every buffer for a GP of n active training points.
+func (s *PredictScratch) grow(n int) {
+	for r := range s.ks {
+		if cap(s.ks[r]) < n {
+			s.ks[r], s.v[r] = make([]float64, n), make([]float64, n)
+		}
+		s.ks[r], s.v[r] = s.ks[r][:n], s.v[r][:n]
+	}
 }
 
 // predictPool backs the non-Into Predict path so casual callers (hedge
@@ -782,19 +754,47 @@ func (g *GP) Predict(x []float64) (mu, variance float64) {
 // it keeps a pool of scratches instead of allocating two vectors per
 // call.
 func (g *GP) PredictInto(s *PredictScratch, x []float64) (mu, variance float64) {
-	n := len(g.x)
-	if cap(s.ks) < n {
-		s.ks = make([]float64, n)
+	s.grow(len(g.x))
+	ks := g.kernelVecInto(x, s.ks[0])
+	return g.posterior(x, ks, linalg.SolveLowerInto(g.chol, ks, s.v[0]))
+}
+
+// PredictBatchInto is PredictInto at every xs[p], into mu[p] and
+// variance[p] (both of length len(xs)), bit for bit: the kernel
+// vectors and closing arithmetic are PredictInto's, and the forward
+// solves run four points per pass over the factor
+// (linalg.SolveLowerMultiInto), which regroups no sum. Zero heap
+// allocations once the scratch is warm.
+func (g *GP) PredictBatchInto(s *PredictScratch, xs [][]float64, mu, variance []float64) {
+	if len(mu) != len(xs) || len(variance) != len(xs) {
+		panic("gp: PredictBatchInto output length mismatch")
 	}
-	if cap(s.v) < n {
-		s.v = make([]float64, n)
+	s.grow(len(g.x))
+	for p := 0; p < len(xs); p += len(s.ks) {
+		group := min(len(xs)-p, len(s.ks))
+		for r := 0; r < group; r++ {
+			g.kernelVecInto(xs[p+r], s.ks[r])
+		}
+		linalg.SolveLowerMultiInto(g.chol, s.ks[:group], s.v[:group])
+		for r := 0; r < group; r++ {
+			mu[p+r], variance[p+r] = g.posterior(xs[p+r], s.ks[r], s.v[r])
+		}
 	}
-	ks := s.ks[:n]
-	for i := 0; i < n; i++ {
+}
+
+// kernelVecInto fills ks with the covariances between the training
+// points and x, and returns it.
+func (g *GP) kernelVecInto(x, ks []float64) []float64 {
+	for i := range ks {
 		ks[i] = g.kernelResolved(&g.rk, g.x[i], x)
 	}
+	return ks
+}
+
+// posterior closes a prediction at x from its kernel vector ks and the
+// forward solve v = L⁻¹ks, in the original target scale.
+func (g *GP) posterior(x, ks, v []float64) (mu, variance float64) {
 	muN := linalg.Dot(ks, g.alpha)
-	v := linalg.SolveLowerInto(g.chol, ks, s.v[:n])
 	varN := g.kernelResolved(&g.rk, x, x) - linalg.Dot(v, v)
 	if varN < 0 {
 		varN = 0

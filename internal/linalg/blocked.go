@@ -15,7 +15,10 @@
 // unblocked kernels and stay bit-identical to the pre-blocking
 // implementation. The forward solve (SolveLowerInto) is deliberately
 // never blocked: its direct loop already streams L once, and a
-// panelled version measured slower on the acquisition hot path. Tile
+// panelled version measured slower on the acquisition hot path. Its
+// multi-right-hand-side form (SolveLowerMultiInto) groups right-hand
+// sides, four per pass over L, and regroups no sum: every side is
+// bit-identical to its own SolveLowerInto. Tile
 // tasks write disjoint tile sets, so results are independent of the
 // worker count (workers=1 ≡ workers=N, like the rest of
 // internal/par).

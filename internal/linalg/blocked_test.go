@@ -20,13 +20,13 @@ func maxRelDiff(a, b []float64) float64 {
 }
 
 // choleskyUnblockedRef runs the pre-blocking jitter ladder with the
-// unchanged unblocked kernel — the reference for what Cholesky
-// produced before the blocked path existed.
+// one-row unblocked kernel — the reference for what Cholesky produced
+// before the blocked path and the four-row passes existed.
 func choleskyUnblockedRef(a *Matrix, startJitter float64, maxTries int) (*Matrix, float64, bool) {
 	dst := NewMatrix(a.Rows, a.Cols)
 	jitter := 0.0
 	for try := 0; try <= maxTries; try++ {
-		if tryCholeskyInto(dst, a, jitter) {
+		if tryCholeskyOneRowInto(dst, a, jitter) {
 			return dst, jitter, true
 		}
 		if jitter == 0 {

@@ -34,13 +34,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
@@ -75,24 +68,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m*x. It panics on shape
-// mismatch.
-func MulVec(m *Matrix, x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d * %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Dot returns the inner product of a and b. It panics on length
 // mismatch.
 func Dot(a, b []float64) float64 {
@@ -115,29 +90,6 @@ func Dot(a, b []float64) float64 {
 // at the largest jitter.
 func Cholesky(a *Matrix, startJitter float64, maxTries int) (l *Matrix, jitter float64, err error) {
 	return CholeskyInto(nil, a, startJitter, maxTries)
-}
-
-// SolveLower solves L y = b for y where L is lower triangular
-// (forward substitution).
-func SolveLower(l *Matrix, b []float64) []float64 {
-	if len(b) != l.Rows {
-		panic("linalg: SolveLower length mismatch")
-	}
-	return SolveLowerInto(l, b, nil)
-}
-
-// SolveUpperT solves Lᵀ x = y for x where L is lower triangular
-// (backward substitution on the transpose).
-func SolveUpperT(l *Matrix, y []float64) []float64 {
-	if len(y) != l.Rows {
-		panic("linalg: SolveUpperT length mismatch")
-	}
-	return SolveUpperTInto(l, y, nil)
-}
-
-// CholSolve solves A x = b given the lower Cholesky factor L of A.
-func CholSolve(l *Matrix, b []float64) []float64 {
-	return SolveUpperT(l, SolveLower(l, b))
 }
 
 // LogDetFromChol returns log|A| given A's lower Cholesky factor L:

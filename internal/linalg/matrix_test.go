@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,58 @@ import (
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// Clone returns a deep copy of m. Only tests copy matrices, so it
+// lives here rather than in the package.
+func (m *Matrix) Clone() *Matrix {
+	c := NewMatrix(m.Rows, m.Cols)
+	copy(c.Data, m.Data)
+	return c
+}
+
+// MulVec returns the matrix-vector product m*x (test-only, like
+// Clone). It panics on shape mismatch.
+func MulVec(m *Matrix, x []float64) []float64 {
+	if m.Cols != len(x) {
+		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d * %d", m.Rows, m.Cols, len(x)))
+	}
+	out := make([]float64, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// SolveLower, SolveUpperT and CholSolve are the allocating forms of
+// the solves (test-only, like Clone and MulVec).
+
+// SolveLower solves L y = b for y where L is lower triangular
+// (forward substitution).
+func SolveLower(l *Matrix, b []float64) []float64 {
+	if len(b) != l.Rows {
+		panic("linalg: SolveLower length mismatch")
+	}
+	return SolveLowerInto(l, b, nil)
+}
+
+// SolveUpperT solves Lᵀ x = y for x where L is lower triangular
+// (backward substitution on the transpose).
+func SolveUpperT(l *Matrix, y []float64) []float64 {
+	if len(y) != l.Rows {
+		panic("linalg: SolveUpperT length mismatch")
+	}
+	return SolveUpperTInto(l, y, nil)
+}
+
+// CholSolve solves A x = b given the lower Cholesky factor L of A.
+func CholSolve(l *Matrix, b []float64) []float64 {
+	return SolveUpperT(l, SolveLower(l, b))
+}
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)

@@ -5,8 +5,8 @@
 // of allocating fresh matrices per evaluation, and CholAppend lets the
 // BO engine extend a cached factor by one observation in O(n²) rather
 // than refactorizing in O(n³). Every variant performs the exact
-// floating-point operations of its allocating counterpart in the same
-// order, so results are bit-identical.
+// floating-point operations of its allocating counterpart (kept in the
+// tests) in the same order, so results are bit-identical.
 package linalg
 
 import (
@@ -63,16 +63,17 @@ func CholeskyWorkersInto(dst, a *Matrix, startJitter float64, maxTries, workers 
 }
 
 // tryCholeskyInto factorizes a+jitter·I into dst, zeroing dst first.
-// It reports whether every pivot stayed positive.
+// It reports whether every pivot stayed positive. Each column's
+// sub-diagonal entries are computed four rows per pass, every row with
+// its own accumulator in ascending-k order, so the factor is
+// bit-identical to the one-row loop that the leftover rows take.
 func tryCholeskyInto(dst, a *Matrix, jitter float64) bool {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+	clear(dst.Data)
 	n := a.Rows
 	for j := 0; j < n; j++ {
+		jrow := dst.Row(j)[:j]
 		var d float64 = a.At(j, j) + jitter
-		for k := 0; k < j; k++ {
-			v := dst.At(j, k)
+		for _, v := range jrow {
 			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
@@ -80,12 +81,25 @@ func tryCholeskyInto(dst, a *Matrix, jitter float64) bool {
 		}
 		ljj := math.Sqrt(d)
 		dst.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			lrow := dst.Row(i)
-			jrow := dst.Row(j)
-			for k := 0; k < j; k++ {
-				s -= lrow[k] * jrow[k]
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0, r1, r2, r3 := dst.Row(i)[:j], dst.Row(i + 1)[:j], dst.Row(i + 2)[:j], dst.Row(i + 3)[:j]
+			s0, s1, s2, s3 := a.At(i, j), a.At(i+1, j), a.At(i+2, j), a.At(i+3, j)
+			for k, v := range jrow {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
+			}
+			dst.Set(i, j, s0/ljj)
+			dst.Set(i+1, j, s1/ljj)
+			dst.Set(i+2, j, s2/ljj)
+			dst.Set(i+3, j, s3/ljj)
+		}
+		for ; i < n; i++ {
+			s, lrow := a.At(i, j), dst.Row(i)[:j]
+			for k, v := range jrow {
+				s -= lrow[k] * v
 			}
 			dst.Set(i, j, s/ljj)
 		}
@@ -93,7 +107,8 @@ func tryCholeskyInto(dst, a *Matrix, jitter float64) bool {
 	return true
 }
 
-// SolveLowerInto is SolveLower writing into dst (allocated when nil,
+// SolveLowerInto solves L y = b for y where L is lower triangular
+// (forward substitution), writing into dst (allocated when nil,
 // reused otherwise; may alias b — forward substitution reads b[i]
 // before writing dst[i] and only reads already-written prefix slots).
 func SolveLowerInto(l *Matrix, b, dst []float64) []float64 {
@@ -112,18 +127,54 @@ func SolveLowerInto(l *Matrix, b, dst []float64) []float64 {
 	// and this is the per-candidate hot path of the acquisition search).
 	for i := 0; i < n; i++ {
 		s := b[i]
-		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * dst[k]
+		row, done := l.Row(i)[:i], dst[:i]
+		for k, v := range row {
+			s -= v * done[k]
 		}
-		dst[i] = s / row[i]
+		dst[i] = s / l.At(i, i)
 	}
 	return dst
 }
 
-// SolveUpperTInto is SolveUpperT writing into dst (allocated when nil,
-// reused otherwise; may alias y — backward substitution reads y[i]
-// before writing dst[i] and only reads already-written suffix slots).
+// SolveLowerMultiInto is SolveLowerInto(l, b[r], dst[r]) for every r
+// (dst[r] may alias b[r]), four right-hand sides per pass over L. Each
+// side keeps its own accumulator and ascending-k order, so every
+// result is bit-identical; sides past a multiple of four go singly.
+func SolveLowerMultiInto(l *Matrix, b, dst [][]float64) {
+	n := l.Rows
+	for r := range dst {
+		if len(dst) != len(b) || len(b[r]) != n || len(dst[r]) != n {
+			panic("linalg: SolveLowerMultiInto length mismatch")
+		}
+	}
+	r := 0
+	for ; r+4 <= len(b); r += 4 {
+		b0, b1, b2, b3 := b[r], b[r+1], b[r+2], b[r+3]
+		d0, d1, d2, d3 := dst[r], dst[r+1], dst[r+2], dst[r+3]
+		for i := 0; i < n; i++ {
+			row := l.Row(i)[:i]
+			p0, p1, p2, p3 := d0[:i], d1[:i], d2[:i], d3[:i]
+			s0, s1, s2, s3 := b0[i], b1[i], b2[i], b3[i]
+			for k, v := range row {
+				s0 -= v * p0[k]
+				s1 -= v * p1[k]
+				s2 -= v * p2[k]
+				s3 -= v * p3[k]
+			}
+			piv := l.At(i, i)
+			d0[i], d1[i], d2[i], d3[i] = s0/piv, s1/piv, s2/piv, s3/piv
+		}
+	}
+	for ; r < len(b); r++ {
+		SolveLowerInto(l, b[r], dst[r])
+	}
+}
+
+// SolveUpperTInto solves Lᵀ x = y for x where L is lower triangular
+// (backward substitution on the transpose), writing into dst
+// (allocated when nil, reused otherwise; may alias y — backward
+// substitution reads y[i] before writing dst[i] and only reads
+// already-written suffix slots).
 func SolveUpperTInto(l *Matrix, y, dst []float64) []float64 {
 	n := l.Rows
 	if len(y) != n {
@@ -149,9 +200,9 @@ func SolveUpperTInto(l *Matrix, y, dst []float64) []float64 {
 	return dst
 }
 
-// CholSolveInto is CholSolve writing into dst, solving in place
-// through dst (one buffer, zero allocations when dst is preallocated;
-// dst may alias b).
+// CholSolveInto solves A x = b given the lower Cholesky factor L of A,
+// in place through dst (allocated when nil; one buffer, zero
+// allocations when dst is preallocated; dst may alias b).
 func CholSolveInto(l *Matrix, b, dst []float64) []float64 {
 	dst = SolveLowerInto(l, b, dst)
 	return SolveUpperTInto(l, dst, dst)

@@ -229,3 +229,190 @@ func TestCholAppendDoesNotMutateInput(t *testing.T) {
 		}
 	}
 }
+
+// tryCholeskyOneRowInto is the unblocked kernel as it was before
+// tryCholeskyInto computed four rows per pass: one row at a time, one
+// accumulator, ascending k. It is kept as the bit-identity oracle for
+// the grouped kernel. TestCholeskyIntoMatchesCholesky cannot catch a
+// reordered sum, because both of its sides run the live kernel.
+func tryCholeskyOneRowInto(dst, a *Matrix, jitter float64) bool {
+	for i := range dst.Data {
+		dst.Data[i] = 0
+	}
+	n := a.Rows
+	for j := 0; j < n; j++ {
+		var d float64 = a.At(j, j) + jitter
+		for k := 0; k < j; k++ {
+			v := dst.At(j, k)
+			d -= v * v
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return false
+		}
+		ljj := math.Sqrt(d)
+		dst.Set(j, j, ljj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			lrow := dst.Row(i)
+			jrow := dst.Row(j)
+			for k := 0; k < j; k++ {
+				s -= lrow[k] * jrow[k]
+			}
+			dst.Set(i, j, s/ljj)
+		}
+	}
+	return true
+}
+
+// duplicateRowKernel is an RBF kernel matrix over n random points in
+// the unit cube with point 1 a copy of point 0 and no noise term: rows
+// 0 and 1 are equal, so the clean factorization fails and the jitter
+// ladder has to escalate (as a GP fit with a duplicated observation
+// does).
+func duplicateRowKernel(n int, seed uint64) *Matrix {
+	rng := sample.NewRNG(seed)
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	if n > 1 {
+		pts[1] = pts[0]
+	}
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var sq float64
+			for k := range pts[i] {
+				d := pts[i][k] - pts[j][k]
+				sq += d * d
+			}
+			a.Set(i, j, math.Exp(-sq/0.5))
+		}
+	}
+	return a
+}
+
+// TestCholeskyMatchesOneRowOracle: CholeskyInto and CholeskyWorkersInto
+// produce the one-row oracle's factor and jitter bit for bit at every
+// size the unblocked kernel serves (both below and at blockedMin, and
+// sizes that leave 0-3 rows past a multiple of four), on well
+// conditioned matrices and on a duplicate-row kernel that needs jitter
+// escalation.
+func TestCholeskyMatchesOneRowOracle(t *testing.T) {
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 64, 120, 128}
+	escalated := 0
+	for _, n := range sizes {
+		for _, tc := range []struct {
+			name string
+			a    *Matrix
+		}{
+			{"spd", randomSPD(n, uint64(n)*31+5)},
+			{"duplicate-row", duplicateRowKernel(n, uint64(n))},
+		} {
+			want, wantJit, ok := choleskyUnblockedRef(tc.a, 1e-10, 8)
+			if !ok {
+				t.Fatalf("n=%d %s: oracle ladder failed", n, tc.name)
+			}
+			if wantJit > 0 {
+				escalated++
+			}
+			dirty := NewMatrix(n, n)
+			for i := range dirty.Data {
+				dirty.Data[i] = math.NaN()
+			}
+			gotInto, jitInto, err := CholeskyInto(nil, tc.a, 1e-10, 8)
+			if err != nil {
+				t.Fatalf("n=%d %s: CholeskyInto: %v", n, tc.name, err)
+			}
+			gotW, jitW, err := CholeskyWorkersInto(dirty, tc.a, 1e-10, 8, 4)
+			if err != nil {
+				t.Fatalf("n=%d %s: CholeskyWorkersInto: %v", n, tc.name, err)
+			}
+			if jitInto != wantJit || jitW != wantJit {
+				t.Fatalf("n=%d %s: jitter %g/%g, oracle %g", n, tc.name, jitInto, jitW, wantJit)
+			}
+			for i := range want.Data {
+				if gotInto.Data[i] != want.Data[i] || gotW.Data[i] != want.Data[i] {
+					t.Fatalf("n=%d %s: entry (%d,%d) = %v/%v, oracle %v", n, tc.name,
+						i/n, i%n, gotInto.Data[i], gotW.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	// The duplicate-row case is only a jitter test if the ladder
+	// actually climbed for most sizes (n=1 has nothing to duplicate).
+	if escalated < len(sizes)-1 {
+		t.Fatalf("jitter escalated on %d matrices, want at least %d", escalated, len(sizes)-1)
+	}
+}
+
+// TestSolveLowerMultiMatchesSingle: every right-hand side of the
+// grouped forward solve equals SolveLowerInto on that side alone, bit
+// for bit, for 0-9 sides (whole groups of four plus every leftover
+// count), with separate and aliased (in-place) destinations.
+func TestSolveLowerMultiMatchesSingle(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 31, 120} {
+		l, _, err := Cholesky(randomSPD(n, uint64(n)+17), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sample.NewRNG(uint64(n))
+		for m := 0; m <= 9; m++ {
+			b := make([][]float64, m)
+			dst := make([][]float64, m)
+			inPlace := make([][]float64, m)
+			for r := range b {
+				b[r] = make([]float64, n)
+				for i := range b[r] {
+					b[r][i] = rng.NormFloat64()
+				}
+				dst[r] = make([]float64, n)
+				inPlace[r] = append([]float64(nil), b[r]...)
+			}
+			SolveLowerMultiInto(l, b, dst)
+			SolveLowerMultiInto(l, inPlace, inPlace)
+			for r := range b {
+				want := SolveLowerInto(l, b[r], nil)
+				for i := range want {
+					if dst[r][i] != want[i] || inPlace[r][i] != want[i] {
+						t.Fatalf("n=%d m=%d side %d entry %d: %v/%v, single %v",
+							n, m, r, i, dst[r][i], inPlace[r][i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveLowerMultiPanicsOnShape covers the length checks, on a
+// whole group of four sides so the grouped loop is the one guarded.
+func TestSolveLowerMultiPanicsOnShape(t *testing.T) {
+	l, _, err := Cholesky(randomSPD(3, 1), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sides := func(lens ...int) [][]float64 {
+		out := make([][]float64, len(lens))
+		for i, n := range lens {
+			out[i] = make([]float64, n)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		b, dst [][]float64
+	}{
+		{"count", sides(3, 3, 3, 3), sides(3, 3, 3)},
+		{"b length", sides(3, 3, 3, 4), sides(3, 3, 3, 3)},
+		{"dst length", sides(3, 3, 3, 3), sides(3, 4, 3, 3)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s mismatch accepted", tc.name)
+				}
+			}()
+			SolveLowerMultiInto(l, tc.b, tc.dst)
+		}()
+	}
+}

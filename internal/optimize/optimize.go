@@ -2,7 +2,10 @@
 // a box-constrained Nelder-Mead simplex (used for GP hyperparameter
 // fitting) and a projected-gradient L-BFGS-B with numerical gradients
 // (used to optimize acquisition functions, following §4 of the
-// paper), plus a multistart driver for both.
+// paper), plus a multistart driver for both. L-BFGS-B hands all
+// central-difference probes of a gradient to an optional
+// BatchObjective in one call, so an objective that evaluates several
+// points faster together (the GP posterior) gets them at once.
 package optimize
 
 import (
@@ -15,6 +18,10 @@ import (
 
 // Objective is a function to minimize over a box.
 type Objective func(x []float64) float64
+
+// BatchObjective writes f(xs[i]) to out[i] for the Objective f it
+// batches, bit for bit, without retaining or modifying xs.
+type BatchObjective func(xs [][]float64, out []float64)
 
 // Bounds is the box constraint: Lo[i] <= x[i] <= Hi[i].
 type Bounds struct {
@@ -171,8 +178,12 @@ func NelderMead(f Objective, x0 []float64, b Bounds, maxEvals int) Result {
 // LBFGSB minimizes f within bounds from x0 using a limited-memory
 // BFGS direction with gradient projection for the box constraints.
 // Gradients are central finite differences, as the black-box
-// acquisition surfaces here have no analytic form exposed.
-func LBFGSB(f Objective, x0 []float64, b Bounds, maxIters int) Result {
+// acquisition surfaces here have no analytic form exposed: per
+// coordinate a probe at x[i]+h then one at x[i]−h, clipped to the box
+// (a zero gradient where clipping leaves no width), all of them
+// evaluated by one call of fb, or by a loop over f when fb is nil.
+// Evals counts every probe and every line-search point.
+func LBFGSB(f Objective, fb BatchObjective, x0 []float64, b Bounds, maxIters int) Result {
 	d := len(x0)
 	if maxIters <= 0 {
 		maxIters = 100
@@ -185,7 +196,22 @@ func LBFGSB(f Objective, x0 []float64, b Bounds, maxIters int) Result {
 		evals++
 		return f(x)
 	}
+	if fb == nil {
+		fb = func(xs [][]float64, out []float64) {
+			for i, x := range xs {
+				out[i] = f(x)
+			}
+		}
+	}
+	// Every gradient reuses the probe buffers; g[i] holds coordinate
+	// i's hi − lo (0 when skipped) until the probes are evaluated.
+	flat, fProbes := make([]float64, 2*d*d), make([]float64, 2*d)
+	probes := make([][]float64, 2*d)
+	for i := range probes {
+		probes[i] = flat[i*d : (i+1)*d]
+	}
 	grad := func(x []float64, g []float64) {
+		m := 0
 		for i := 0; i < d; i++ {
 			h := gradEps * math.Max(1, math.Abs(x[i]))
 			xi := x[i]
@@ -196,16 +222,24 @@ func LBFGSB(f Objective, x0 []float64, b Bounds, maxIters int) Result {
 			if hi > b.Hi[i] {
 				hi = b.Hi[i]
 			}
+			g[i] = 0
 			if hi == lo {
-				g[i] = 0
 				continue
 			}
-			x[i] = hi
-			fp := eval(x)
-			x[i] = lo
-			fm := eval(x)
-			x[i] = xi
-			g[i] = (fp - fm) / (hi - lo)
+			g[i] = hi - lo
+			copy(probes[m], x)
+			probes[m][i] = hi
+			copy(probes[m+1], x)
+			probes[m+1][i] = lo
+			m += 2
+		}
+		fb(probes[:m], fProbes[:m])
+		evals += m
+		for i, k := 0, 0; i < d; i++ {
+			if g[i] != 0 {
+				g[i] = (fProbes[k] - fProbes[k+1]) / g[i]
+				k += 2
+			}
 		}
 	}
 
@@ -214,16 +248,19 @@ func LBFGSB(f Objective, x0 []float64, b Bounds, maxIters int) Result {
 	g := make([]float64, d)
 	grad(x, g)
 
+	// Iterations reuse these buffers: an accepted trial point swaps with
+	// the iterate, and a pair dropped from the history stores the next.
 	var sHist, yHist [][]float64
 	var rhoHist []float64
 	q := make([]float64, d)
 	dir := make([]float64, d)
+	alphas := make([]float64, memory)
+	xNew, gNew, s, yv := make([]float64, d), make([]float64, d), make([]float64, d), make([]float64, d)
 
 	for iter := 0; iter < maxIters; iter++ {
 		// Two-loop recursion for the L-BFGS direction.
 		copy(q, g)
 		m := len(sHist)
-		alphas := make([]float64, m)
 		for i := m - 1; i >= 0; i-- {
 			alphas[i] = rhoHist[i] * dot(sHist[i], q)
 			axpy(q, -alphas[i], yHist[i])
@@ -255,11 +292,9 @@ func LBFGSB(f Objective, x0 []float64, b Bounds, maxIters int) Result {
 
 		// Projected backtracking line search.
 		step := 1.0
-		var xNew []float64
 		var fNew float64
 		improved := false
 		for ls := 0; ls < 30; ls++ {
-			xNew = make([]float64, d)
 			for i := range xNew {
 				xNew[i] = x[i] + step*dir[i]
 			}
@@ -275,10 +310,7 @@ func LBFGSB(f Objective, x0 []float64, b Bounds, maxIters int) Result {
 			break
 		}
 
-		gNew := make([]float64, d)
 		grad(xNew, gNew)
-		s := make([]float64, d)
-		yv := make([]float64, d)
 		for i := range s {
 			s[i] = xNew[i] - x[i]
 			yv[i] = gNew[i] - g[i]
@@ -288,12 +320,15 @@ func LBFGSB(f Objective, x0 []float64, b Bounds, maxIters int) Result {
 			yHist = append(yHist, yv)
 			rhoHist = append(rhoHist, 1/ys)
 			if len(sHist) > memory {
+				s, yv = sHist[0], yHist[0]
 				sHist = sHist[1:]
 				yHist = yHist[1:]
 				rhoHist = rhoHist[1:]
+			} else {
+				s, yv = make([]float64, d), make([]float64, d)
 			}
 		}
-		x, fx, g = xNew, fNew, gNew
+		x, xNew, g, gNew, fx = xNew, x, gNew, g, fNew
 
 		// Projected-gradient convergence test.
 		pg := 0.0

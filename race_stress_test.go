@@ -138,7 +138,7 @@ func TestStressMultistartWorkers(t *testing.T) {
 	}
 	b := optimize.UnitBox(4)
 	local := func(fn optimize.Objective, x0 []float64, bb optimize.Bounds) optimize.Result {
-		return optimize.LBFGSB(fn, x0, bb, 40)
+		return optimize.LBFGSB(fn, nil, x0, bb, 40)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
