@@ -90,9 +90,9 @@ crash-stress:
 # and resumed until it finishes; the stitched result must be
 # bit-identical to an uninterrupted run, with zero completed sessions
 # re-executed (asserted via task-constructor counters). The in-process
-# ledger tests (resume, mid-grid, mid-task, panic containment, budget
-# reallocation, grant replay, refused policy changes, the accounting
-# invariants) run under plain `make test`.
+# ledger tests (resume, mid-grid, mid-task, panic containment, degraded
+# journal reporting, refused policy changes, the accounting invariants)
+# run under plain `make test`.
 crash-stress-campaign:
 	ROBOTUNE_CRASH_STRESS=1 $(GO) test -run 'TestCampaignKillResumeStress' -v -count 1 -timeout 600s ./internal/schedule
 	$(GO) test -run 'TestCampaign|TestLedger|TestDurable' -count 1 ./internal/schedule ./internal/journal ./internal/experiments

@@ -208,6 +208,9 @@ func runComparison(cfg experiments.Config, ledgerPath string) *experiments.Compa
 	for _, f := range info.Failed {
 		fmt.Fprintln(os.Stderr, "campaign journal: task failed:", f)
 	}
+	if info.Err != nil {
+		fmt.Fprintf(os.Stderr, "campaign journal degraded (campaign unaffected): %v\n", info.Err)
+	}
 	return comp
 }
 

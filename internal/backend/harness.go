@@ -3,10 +3,12 @@ package backend
 import (
 	"context"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 
 	"repro/internal/conf"
+	"repro/internal/sample"
 )
 
 // Outcome is what one run of a backend's simulator reports to the
@@ -25,20 +27,22 @@ type Outcome struct {
 }
 
 // RunFunc executes one run of the backend's workload: configuration c
-// at evaluation index idx, under the given noise seed, fault plan,
-// stopping cap and fidelity. The harness guarantees idx is unique per
-// charged evaluation and reserved in dispatch order, so a RunFunc that
-// derives its noise and fault streams from (seed, idx) alone is
-// bit-identical whether runs execute sequentially or in a batch.
-type RunFunc func(c conf.Config, seed uint64, idx int, plan FaultPlan, cap float64, fid Fidelity) Outcome
+// drawing its noise from rng and, when frng is not nil, the plan's
+// incidents from frng, under the stopping cap and at the fidelity.
+// The harness derives both streams from the noise seed and an
+// evaluation index it reserves in dispatch order, so a RunFunc that
+// draws only from them is bit-identical whether runs execute
+// sequentially or in a batch.
+type RunFunc func(c conf.Config, rng, frng *rand.Rand, plan FaultPlan, cap float64, fid Fidelity) Outcome
 
-// Harness is the accounting core shared by backend evaluators: index
-// reservation, cost commit ordering, batch dispatch with cancellation,
-// and the stream-restore half of durable resume. A
-// backend embeds a Harness and supplies its RunFunc; the harness
-// turns it into the full Evaluator + BatchEvaluator + StreamRestorer
-// surface with the exact commit arithmetic the journal and the parity
-// suites pin.
+// Harness is the accounting core shared by backend evaluators: the
+// per-run noise and fault streams, index reservation, cost commit
+// ordering, batch dispatch with cancellation, quality measurement and
+// the stream-restore half of durable resume. A backend embeds a
+// Harness and supplies its RunFunc; the harness turns it into the full
+// Evaluator + BatchEvaluator + StreamRestorer + Measurer surface with
+// the exact stream derivation and commit arithmetic the journal and
+// the parity suites pin.
 //
 // Harness is safe for concurrent use. Faults may be set before the
 // evaluator is shared; mutating it concurrently with evaluations is
@@ -72,6 +76,19 @@ func (h *Harness) Init(seed uint64, cap float64, run RunFunc) {
 	h.CapSeconds = cap
 	h.seed = seed
 	h.run = run
+}
+
+// runAt executes one run at evaluation index idx. The noise stream is
+// seeded seed*1e9+idx; the fault stream mixes the plan's seed into the
+// same index and is built only when the plan injects anything, so a
+// zero plan consumes no randomness.
+func (h *Harness) runAt(c conf.Config, idx int, cap float64, fid Fidelity) Outcome {
+	stream := h.seed*1e9 + uint64(idx)
+	var frng *rand.Rand
+	if h.Faults.Enabled() {
+		frng = sample.NewRNG(h.Faults.Seed ^ stream ^ 0xfa1175ee)
+	}
+	return h.run(c, sample.NewRNG(stream), frng, h.Faults, cap, fid)
 }
 
 // record converts an outcome into the charged observation.
@@ -112,7 +129,7 @@ func (h *Harness) EvaluateSpec(c conf.Config, spec EvalSpec) EvalRecord {
 	h.evals++
 	h.mu.Unlock()
 
-	out := h.run(c, h.seed, n, h.Faults, cap, spec.Fidelity)
+	out := h.runAt(c, n, cap, spec.Fidelity)
 	h.mu.Lock()
 	h.cost += math.Min(out.Seconds, cap)
 	h.mu.Unlock()
@@ -173,7 +190,7 @@ func (h *Harness) EvaluateSpecCtx(ctx context.Context, cfgs []conf.Config, spec 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out := h.run(cfgs[i], h.seed, base+i, h.Faults, cap, spec.Fidelity)
+				out := h.runAt(cfgs[i], base+i, cap, spec.Fidelity)
 				recs[i] = h.record(cfgs[i], out, cap, spec.Fidelity)
 			}
 		}()
@@ -209,6 +226,27 @@ dispatch:
 	}
 	h.mu.Unlock()
 	return recs
+}
+
+// Measure implements Measurer: the mean of reps fresh fault-free,
+// full-fidelity runs under the global cap, seeded seed*31+i+7 for the
+// i-th, with a failed run worth the cap. Nothing is charged: Measure
+// reports what a configuration is worth, not what a faulty session
+// observed.
+func (h *Harness) Measure(c conf.Config, reps int, seed uint64) float64 {
+	if reps < 1 {
+		reps = 1
+	}
+	var sum float64
+	for i := 0; i < reps; i++ {
+		out := h.run(c, sample.NewRNG(seed*31+uint64(i)+7), nil, FaultPlan{}, h.CapSeconds, Fidelity{})
+		s := math.Min(out.Seconds, h.CapSeconds)
+		if !out.Completed {
+			s = h.CapSeconds
+		}
+		sum += s
+	}
+	return sum / float64(reps)
 }
 
 // Evals returns the number of charged evaluations so far.

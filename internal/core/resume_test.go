@@ -258,22 +258,23 @@ func TestResumeUnderFaults(t *testing.T) {
 }
 
 // TestResumeParallelBatch repeats the sweep with concurrent selection
-// evaluation, parallel BO rounds and tuner worker parallelism: a crash
-// mid-batch replays the committed prefix and lands the live remainder
-// on exactly the evaluation indices the original batch reserved.
+// waves and tuner worker parallelism: a crash mid-wave replays the
+// committed prefix and lands the live remainder on exactly the
+// evaluation indices the original wave reserved. Both settings are
+// result-neutral, so the parallel baseline must equal the serial run.
 func TestResumeParallelBatch(t *testing.T) {
 	o := resumeOptions()
 	o.Parallel = 4
-	o.BOBatch = 3
 	o.Workers = 4
 	rs := resumeSetup{opts: o, space: conf.SparkSpace(), budget: 12, seed: 31}
-	// Note: BOBatch rounds legitimately differ from the serial loop
-	// (constant-liar lookahead trades per-step adaptivity), so the
-	// sweep compares against the parallel pipeline's own baseline.
 	baseline, _ := rs.run(t, "")
 	if !baseline.Found {
 		t.Fatal("parallel baseline found nothing")
 	}
+	serial := rs
+	serial.opts.Parallel, serial.opts.Workers = 1, 1
+	want, _ := serial.run(t, "")
+	assertSameResult(t, "parallel vs serial", baseline, want)
 
 	full := filepath.Join(t.TempDir(), "full.jnl")
 	journaled, _ := rs.run(t, full)
@@ -297,7 +298,6 @@ func TestResumeParallelBatchUnderFaults(t *testing.T) {
 		t.Run("retries="+itoa(retries), func(t *testing.T) {
 			o := resumeOptions()
 			o.Parallel = 4
-			o.BOBatch = 3
 			o.Workers = 4
 			rs := resumeSetup{opts: o, space: conf.SparkSpace(), faults: true, retries: retries, budget: 12, seed: 23}
 			baseline, _ := rs.run(t, "")

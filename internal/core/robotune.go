@@ -74,12 +74,6 @@ type Options struct {
 	// evaluations, Workers only affects tuner-internal math; results
 	// are bit-identical for any value under the same seed.
 	Workers int
-	// BOBatch, when > 1, runs the BO loop in parallel rounds: each
-	// round asks the engine for BOBatch constant-liar suggestions and
-	// evaluates them concurrently (requires batch evaluation support).
-	// Wall-clock per round shrinks; per-step adaptivity is traded
-	// away, so expect slightly weaker per-evaluation efficiency.
-	BOBatch int
 	// EarlyStopPatience ends the tuning session early when the best
 	// observed time has not improved by at least EarlyStopEpsilon
 	// (relative) for this many consecutive BO iterations — the

@@ -393,25 +393,3 @@ func TestExplain(t *testing.T) {
 		t.Errorf("cache-hit explanation missing:\n%s", out2)
 	}
 }
-
-func TestBOBatchRounds(t *testing.T) {
-	opts := fastOptions()
-	opts.BOBatch = 4
-	r := New(nil, opts)
-	ev := newEvaluator(sparksim.TeraSort(20), 81)
-	res := r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 40, Seed: 81}))
-	if !res.Found {
-		t.Fatal("batched BO found nothing")
-	}
-	if res.Evals != 40 {
-		t.Errorf("evals = %d, want exactly the budget", res.Evals)
-	}
-	// Quality stays in the same league as sequential BO.
-	seq := New(nil, fastOptions())
-	evSeq := newEvaluator(sparksim.TeraSort(20), 81)
-	resSeq := seq.Run(tuners.NewSession(evSeq, conf.SparkSpace(), tuners.Request{Budget: 40, Seed: 81}))
-	if res.BestSeconds > resSeq.BestSeconds*1.4 {
-		t.Errorf("batched best %v much worse than sequential %v",
-			res.BestSeconds, resSeq.BestSeconds)
-	}
-}

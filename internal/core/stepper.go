@@ -48,13 +48,11 @@ type Stepper struct {
 	seed     uint64
 	workload string
 	dataset  string
-	canBatch bool
 
-	proto     tuners.Protocol
-	phase     phase
-	finished  bool
-	exhausted bool        // phDone was caused by remaining<=0, not early stop
-	slot      map[int]int // proposal sequence → current-phase slot index
+	proto    tuners.Protocol
+	phase    phase
+	finished bool
+	slot     map[int]int // proposal sequence → current-phase slot index
 
 	selected []string
 	selEvals int
@@ -95,9 +93,7 @@ type Stepper struct {
 	stale    int
 	lastBest float64
 
-	roundUs           [][]float64
-	roundPending      int
-	singleOutstanding bool
+	boOutstanding bool
 }
 
 // Stepper builds the external-evaluation form of ROBOTune: the caller
@@ -141,7 +137,6 @@ func (r *ROBOTune) newStepper(s *tuners.Session, space *conf.Space, budget int, 
 	}
 	if s != nil {
 		st.obj = s.Objective()
-		_, st.canBatch = st.obj.(backend.BatchEvaluator)
 	}
 	if workload != "" {
 		if cached, hit := r.store.Selection(workload); hit {
@@ -183,14 +178,10 @@ func (st *Stepper) Done() bool { return st.phase == phDone }
 func (st *Stepper) Inflight() *tuners.Protocol { return &st.proto }
 
 // EvalParallel implements tuners.Batcher: the selection sweep runs
-// under Options.Parallel, BO rounds under Options.BOBatch, everything
-// else sequentially.
+// under Options.Parallel, everything else sequentially.
 func (st *Stepper) EvalParallel() int {
-	switch st.phase {
-	case phSelection:
+	if st.phase == phSelection {
 		return st.opts.Parallel
-	case phBO:
-		return st.opts.BOBatch
 	}
 	return 1
 }
@@ -394,7 +385,6 @@ func (st *Stepper) sealInit() {
 	st.lastBest = st.tr.bestSec
 	if st.remaining <= 0 {
 		st.phase = phDone
-		st.exhausted = true
 	}
 }
 
@@ -453,11 +443,10 @@ func (st *Stepper) suggest() []float64 {
 
 // --- Ask/tell surface ------------------------------------------------
 
-// Propose implements tuners.Stepper. The selection sweep (and each BO
-// batch round) comes out as a multi-trial batch; the probe, init and
-// single-step BO phases propose one trial at a time because each
-// proposal depends on the previous observation (the guard cap and the
-// surrogate posterior).
+// Propose implements tuners.Stepper. The selection sweep comes out as
+// a multi-trial batch; the probe, init and BO phases propose one trial
+// at a time because each proposal depends on the previous observation
+// (the guard cap and the surrogate posterior).
 func (st *Stepper) Propose(n int) []tuners.Proposal {
 	st.proto.CheckPropose(st.Done())
 	switch st.phase {
@@ -496,28 +485,11 @@ func (st *Stepper) Propose(n int) []tuners.Proposal {
 		st.proto.Proposed(props)
 		return props
 	case phBO:
-		if st.roundPending > 0 || st.singleOutstanding {
+		if st.boOutstanding {
 			return nil
 		}
-		// Parallel rounds: q constant-liar suggestions evaluated
-		// concurrently, then told back with the real observations.
-		if st.opts.BOBatch > 1 && st.canBatch && st.remaining >= st.opts.BOBatch {
-			if us, err := st.engine.BatchSuggest(st.opts.BOBatch); err == nil && len(us) > 1 {
-				props := make([]tuners.Proposal, len(us))
-				for i, u := range us {
-					props[i] = tuners.Proposal{Config: st.ss.Decode(u)}
-				}
-				first := st.proto.Proposed(props)
-				for i := range props {
-					st.slot[first+i] = i
-				}
-				st.roundUs = us
-				st.roundPending = len(us)
-				return props
-			}
-		}
 		u := st.suggest()
-		st.singleOutstanding = true
+		st.boOutstanding = true
 		props := []tuners.Proposal{{Config: st.ss.Decode(u), Cap: st.guard()}}
 		st.proto.Proposed(props)
 		return props
@@ -528,7 +500,7 @@ func (st *Stepper) Propose(n int) []tuners.Proposal {
 // Observe implements tuners.Stepper.
 func (st *Stepper) Observe(c conf.Config, rec backend.EvalRecord) {
 	seq := st.proto.Observed(c)
-	idx, hasSlot := st.slot[seq]
+	idx := st.slot[seq]
 	delete(st.slot, seq)
 	switch st.phase {
 	case phProbe:
@@ -556,24 +528,10 @@ func (st *Stepper) Observe(c conf.Config, rec backend.EvalRecord) {
 			st.sealInit()
 		}
 	case phBO:
-		if st.roundPending > 0 && hasSlot {
-			st.roundPending--
-			if !rec.Skipped { // cancelled before dispatch
-				st.remaining--
-				st.tr.observe(c, rec)
-				st.tellEngine(st.roundUs[idx], rec)
-			}
-			if st.roundPending == 0 {
-				st.roundUs = nil
-				st.endRound()
-			}
-			return
-		}
-		st.singleOutstanding = false
+		st.boOutstanding = false
 		st.remaining--
-		rec2 := rec
-		st.tr.observe(c, rec2)
-		st.tellEngine(st.ss.Encode(c), rec2)
+		st.tr.observe(c, rec)
+		st.tellEngine(st.ss.Encode(c), rec)
 		st.endRound()
 	}
 }
@@ -595,36 +553,6 @@ func (st *Stepper) endRound() {
 	}
 	if st.remaining <= 0 {
 		st.phase = phDone
-		st.exhausted = true
-	}
-}
-
-// CanExtend implements tuners.Extender: ROBOTune can absorb a
-// campaign budget grant while its BO loop is live or when it stopped
-// purely on budget exhaustion. A deliberate stop — early-stop
-// patience, a sealed session — declines, so the grant stays in the
-// pool for a session that will actually spend it.
-func (st *Stepper) CanExtend() bool {
-	if st.finished {
-		return false
-	}
-	return st.phase == phBO || (st.phase == phDone && st.exhausted)
-}
-
-// ExtendBudget implements tuners.Extender: the grant grows the budget
-// and remaining counters and, when exhaustion had closed the BO loop,
-// reopens it. The early-stop staleness counter carries over
-// unchanged, so an extended run behaves exactly like one started with
-// the larger budget from the beginning of the BO phase.
-func (st *Stepper) ExtendBudget(n int) {
-	if n <= 0 || !st.CanExtend() {
-		return
-	}
-	st.budget += n
-	st.remaining += n
-	if st.phase == phDone {
-		st.phase = phBO
-		st.exhausted = false
 	}
 }
 

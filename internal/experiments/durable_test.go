@@ -47,7 +47,7 @@ func TestDurableComparisonMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Resumed || info.Reused != 0 || len(info.Failed) != 0 {
+	if info.Resumed || info.Reused != 0 || len(info.Failed) != 0 || info.Err != nil {
 		t.Fatalf("fresh durable run reported %+v", info)
 	}
 	sameSessions(t, "durable vs plain", fresh.Sessions, plain.Sessions)
@@ -88,11 +88,11 @@ func TestDurableComparisonRejectsChangedGrid(t *testing.T) {
 
 // TestDurableComparisonRefusesParentLedger: a grid ledger written
 // before the grid ran on schedule.RunCampaign — a []Session done
-// payload per task and no runner policy in its manifest — is refused
-// rather than misread, and left untouched. testdata/parent-grid.lgr was
-// written by that code for this configuration with the relative ledger
-// path "grid.lgr", so the test opens it from a working directory of its
-// own.
+// payload per task, no runner policy in its manifest and the ROBOLGR1
+// format — is refused for its magic rather than misread, and left
+// untouched. testdata/parent-grid.lgr was written by that code for
+// this configuration with the relative ledger path "grid.lgr", so the
+// test opens it from a working directory of its own.
 func TestDurableComparisonRefusesParentLedger(t *testing.T) {
 	old, err := os.ReadFile("testdata/parent-grid.lgr")
 	if err != nil {
@@ -114,7 +114,7 @@ func TestDurableComparisonRefusesParentLedger(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Budget = 10
 	_, _, err = RunComparisonDurable(cfg, onlyWorkload("TeraSort"), "grid.lgr")
-	if err == nil || !strings.Contains(err.Error(), "different campaign") {
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("parent ledger not refused: %v", err)
 	}
 	if now, err := os.ReadFile("grid.lgr"); err != nil || !bytes.Equal(now, old) {

@@ -26,6 +26,10 @@ type CampaignInfo struct {
 	// their sessions are absent from the comparison. Only a durable
 	// grid reports failures; a ledger-less one panics on them.
 	Failed []string
+	// Err is the first failure of the ledger or a session journal
+	// (schedule.CampaignResult.Err). The grid's numbers stand, but a
+	// later resume may re-run work this run could not record.
+	Err error
 }
 
 // fingerprint condenses the result-affecting configuration into the
@@ -139,7 +143,7 @@ func (g tuningGrid) run(ledgerPath string) ([]Session, *CampaignInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &CampaignInfo{LedgerPath: ledgerPath, Resumed: res.Resumed}
+	info := &CampaignInfo{LedgerPath: ledgerPath, Resumed: res.Resumed, Err: res.Err}
 	var sessions []Session
 	for i, out := range res.Tasks {
 		c := g.cells[i]

@@ -12,9 +12,8 @@ import (
 var ledgerSeq = []ledgerFrame{
 	{T: "start", Start: &TaskStart{Task: 0}},
 	{T: "start", Start: &TaskStart{Task: 1}},
-	{T: "grant", Grant: &Grant{Seq: 0, Task: 1, Session: 1, Evals: 4, Trials: 9}},
-	{T: "done", Done: &TaskDone{Task: 0, Trials: 9, Surplus: 2, Result: []byte(`[{"found":true}]`)}},
-	{T: "failed", Failed: &TaskFailed{Task: 2, Reason: "panic: boom", Trials: 3, Surplus: 5}},
+	{T: "done", Done: &TaskDone{Task: 0, Result: []byte(`[{"found":true}]`)}},
+	{T: "failed", Failed: &TaskFailed{Task: 2, Reason: "panic: boom"}},
 }
 
 // appendLedgerSeq appends the records of seq through the ledger's
@@ -26,8 +25,6 @@ func appendLedgerSeq(t testing.TB, l *Ledger, seq []ledgerFrame) {
 		switch {
 		case fr.Start != nil:
 			err = l.AppendStart(fr.Start.Task)
-		case fr.Grant != nil:
-			err = l.AppendGrant(*fr.Grant)
 		case fr.Done != nil:
 			err = l.AppendTaskDone(*fr.Done)
 		case fr.Failed != nil:
@@ -89,10 +86,11 @@ func writePinned(t testing.TB, dir string) {
 }
 
 // TestJournalFormatPinned writes the pinned call sequence and compares
-// every byte with testdata, which the same sequence wrote before the
-// journal and the ledger shared one record log. It is the one test
-// that pins the on-disk format: a change that fails it is a format
-// change, and needs a new magic, not new testdata.
+// every byte with testdata. The same sequence wrote format.jnl before
+// the journal and the ledger shared one record log, and format.lgr when
+// the ledger format became ROBOLGR2. It is the one test that pins the
+// on-disk format: a change that fails it is a format change, and needs
+// a new magic, not new testdata.
 func TestJournalFormatPinned(t *testing.T) {
 	dir := t.TempDir()
 	writePinned(t, dir)

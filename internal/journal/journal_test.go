@@ -246,7 +246,6 @@ type ledgerState struct {
 	Started []int
 	Done    []TaskDone
 	Failed  []TaskFailed
-	Grants  []Grant
 }
 
 var ledgerCase = logCase{
@@ -265,8 +264,6 @@ var ledgerCase = logCase{
 				s.Done = append(s.Done, *fr.Done)
 			case fr.Failed != nil:
 				s.Failed = append(s.Failed, *fr.Failed)
-			case fr.Grant != nil:
-				s.Grants = append(s.Grants, *fr.Grant)
 			}
 		}
 		return fmt.Sprintf("%+v", s)
@@ -290,8 +287,7 @@ var ledgerCase = logCase{
 				s.Failed = append(s.Failed, f)
 			}
 		}
-		s.Grants = l.Grants()
-		if err := l.AppendGrant(Grant{Seq: 9, Task: 2}); err != nil {
+		if err := l.AppendTaskDone(TaskDone{Task: 1}); err != nil {
 			return "", fmt.Errorf("append after recovery: %w", err)
 		}
 		return fmt.Sprintf("%+v", s), nil

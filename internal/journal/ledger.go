@@ -7,7 +7,7 @@ import (
 
 // ledgerMagic identifies a campaign ledger file; like the session
 // journal's magic it doubles as the format version.
-var ledgerMagic = []byte("ROBOLGR1")
+var ledgerMagic = []byte("ROBOLGR2")
 
 // LedgerMeta identifies the campaign a ledger belongs to. Resume
 // validates the ledger's meta record against this one byte for byte
@@ -28,7 +28,7 @@ type LedgerMeta struct {
 	Journals []string `json:"journals,omitempty"`
 	// Config is a free-form fingerprint of everything else that must
 	// match for the records to be replayable (budgets, fault plan,
-	// reallocation policy, ...).
+	// result format, ...).
 	Config string `json:"config,omitempty"`
 }
 
@@ -39,46 +39,20 @@ type TaskStart struct {
 	Task int `json:"task"`
 }
 
-// TaskDone records a task that ran to completion: how many budgeted
-// trials it consumed, how many evaluations it left unspent (returned
-// to the campaign's budget pool), and an opaque owner-defined result
-// payload that resume hands back without re-running anything.
+// TaskDone records a task that ran to completion with an opaque
+// owner-defined result payload that resume hands back without
+// re-running anything.
 type TaskDone struct {
-	Task    int             `json:"task"`
-	Trials  int             `json:"trials"`
-	Surplus int             `json:"surplus"`
-	Result  json.RawMessage `json:"result,omitempty"`
+	Task   int             `json:"task"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // TaskFailed records a task whose session panicked (or could not
-// start). Its unspent budget is surrendered to the pool like a
-// completed task's; resume does not retry it — a deterministic
-// campaign would only crash the same way again, and retrying would
-// double-spend the surrendered surplus.
+// start). Resume does not retry it: a deterministic campaign would
+// only crash the same way again.
 type TaskFailed struct {
-	Task    int    `json:"task"`
-	Reason  string `json:"reason"`
-	Trials  int    `json:"trials"`
-	Surplus int    `json:"surplus"`
-}
-
-// Grant records one budget-pool decision for a session that ran dry:
-// Evals extra evaluations granted to session Session of Task, or 0
-// when the pool declined and the session finished. Decisions are
-// journaled before they are applied (write-ahead), declines included,
-// so a resumed campaign replays exactly the decisions the original run
-// made, at the same points in each session's trial sequence — a
-// session that ran dry on an empty pool runs dry again on resume, even
-// if the pool has refilled since. Seq is the campaign-wide decision
-// ordinal; Trials is the receiving session's trial count at the
-// decision (diagnostic — replay consumes a session's decisions in
-// order, whenever its tuner runs dry).
-type Grant struct {
-	Seq     int `json:"seq"`
-	Task    int `json:"task"`
-	Session int `json:"session,omitempty"`
-	Evals   int `json:"evals"`
-	Trials  int `json:"trials,omitempty"`
+	Task   int    `json:"task"`
+	Reason string `json:"reason"`
 }
 
 // ledgerFrame is the on-disk record envelope; exactly one pointer is
@@ -89,7 +63,6 @@ type ledgerFrame struct {
 	Start  *TaskStart  `json:"start,omitempty"`
 	Done   *TaskDone   `json:"done,omitempty"`
 	Failed *TaskFailed `json:"failed,omitempty"`
-	Grant  *Grant      `json:"grant,omitempty"`
 }
 
 // Ledger is an open campaign ledger: the durable half of the
@@ -103,7 +76,6 @@ type Ledger struct {
 	started map[int]bool
 	done    map[int]TaskDone
 	failed  map[int]TaskFailed
-	grants  []Grant
 }
 
 // OpenLedger opens or creates the campaign ledger at path. An
@@ -125,7 +97,7 @@ func OpenLedger(path string, meta LedgerMeta, policy SyncPolicy) (*Ledger, error
 }
 
 // decode takes one recovered record after the meta record into the
-// per-task record maps and the grant list.
+// per-task record maps.
 func (l *Ledger) decode(payload []byte, _ int64) string {
 	var fr ledgerFrame
 	if err := json.Unmarshal(payload, &fr); err != nil {
@@ -139,8 +111,6 @@ func (l *Ledger) decode(payload []byte, _ int64) string {
 		l.done[fr.Done.Task] = *fr.Done
 	case fr.T == "failed" && fr.Failed != nil && valid(fr.Failed.Task):
 		l.failed[fr.Failed.Task] = *fr.Failed
-	case fr.T == "grant" && fr.Grant != nil && valid(fr.Grant.Task):
-		l.grants = append(l.grants, *fr.Grant)
 	default:
 		return fmt.Sprintf("unexpected %q record", fr.T)
 	}
@@ -170,14 +140,6 @@ func (l *Ledger) TaskFailed(i int) (TaskFailed, bool) {
 	return f, ok
 }
 
-// Grants returns every recorded grant decision (declines included) in
-// append order.
-func (l *Ledger) Grants() []Grant {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Grant(nil), l.grants...)
-}
-
 // AppendStart commits a start record for task i.
 func (l *Ledger) AppendStart(i int) error {
 	l.mu.Lock()
@@ -192,9 +154,8 @@ func (l *Ledger) AppendStart(i int) error {
 	return nil
 }
 
-// AppendTaskDone commits a completion record. The record is durable
-// before the campaign banks the task's surplus or skips the task on
-// resume.
+// AppendTaskDone commits a completion record; once it is durable a
+// resumed campaign skips the task.
 func (l *Ledger) AppendTaskDone(d TaskDone) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -219,19 +180,5 @@ func (l *Ledger) AppendTaskFailed(f TaskFailed) error {
 		return err
 	}
 	l.failed[f.Task] = f
-	return nil
-}
-
-// AppendGrant commits one budget-pool decision. Write-ahead: the caller
-// only applies the grant after this returns nil, so the set of applied
-// grants is always a prefix of the journaled ones and replay can never
-// disagree with a grant the original run acted on.
-func (l *Ledger) AppendGrant(g Grant) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.append(ledgerFrame{T: "grant", Grant: &g}, false); err != nil {
-		return err
-	}
-	l.grants = append(l.grants, g)
 	return nil
 }

@@ -33,17 +33,11 @@ func TestLedgerFreshAndResume(t *testing.T) {
 	if err := l.AppendStart(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendGrant(Grant{Seq: 0, Task: 1, Evals: 5, Trials: 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendGrant(Grant{Seq: 1, Task: 1, Session: 2, Evals: 0, Trials: 25}); err != nil { // a decline
-		t.Fatal(err)
-	}
 	payload, _ := json.Marshal(map[string]int{"trials": 20})
-	if err := l.AppendTaskDone(TaskDone{Task: 0, Trials: 20, Surplus: 0, Result: payload}); err != nil {
+	if err := l.AppendTaskDone(TaskDone{Task: 0, Result: payload}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendTaskFailed(TaskFailed{Task: 2, Reason: "boom", Trials: 3, Surplus: 17}); err != nil {
+	if err := l.AppendTaskFailed(TaskFailed{Task: 2, Reason: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -58,27 +52,22 @@ func TestLedgerFreshAndResume(t *testing.T) {
 	if !r.Resumed() {
 		t.Fatal("reopened ledger not resumed")
 	}
-	if ri := r.Recovery(); ri.Truncated || ri.Records != 7 {
-		t.Fatalf("recovery = %+v, want 7 records untruncated", ri)
+	if ri := r.Recovery(); ri.Truncated || ri.Records != 5 {
+		t.Fatalf("recovery = %+v, want 5 records untruncated", ri)
 	}
 	if !r.TaskStarted(0) || !r.TaskStarted(1) || r.TaskStarted(2) {
 		t.Fatal("start records wrong")
 	}
 	d, ok := r.TaskDone(0)
-	if !ok || d.Trials != 20 || string(d.Result) != string(payload) {
+	if !ok || string(d.Result) != string(payload) {
 		t.Fatalf("done record = %+v, %v", d, ok)
 	}
 	if _, ok := r.TaskDone(1); ok {
 		t.Fatal("task 1 reported done")
 	}
 	f, ok := r.TaskFailed(2)
-	if !ok || f.Reason != "boom" || f.Surplus != 17 {
+	if !ok || f.Reason != "boom" {
 		t.Fatalf("failed record = %+v, %v", f, ok)
-	}
-	gs := r.Grants()
-	if len(gs) != 2 || gs[0] != (Grant{Seq: 0, Task: 1, Evals: 5, Trials: 20}) ||
-		gs[1] != (Grant{Seq: 1, Task: 1, Session: 2, Evals: 0, Trials: 25}) {
-		t.Fatalf("grants = %+v", gs)
 	}
 }
 
@@ -92,7 +81,7 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 	if err := l.AppendStart(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendTaskDone(TaskDone{Task: 0, Trials: 5}); err != nil {
+	if err := l.AppendTaskDone(TaskDone{Task: 0}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -120,7 +109,7 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 		t.Fatal("torn done record trusted")
 	}
 	// The truncated ledger must append cleanly where the tear was cut.
-	if err := r.AppendTaskDone(TaskDone{Task: 0, Trials: 5}); err != nil {
+	if err := r.AppendTaskDone(TaskDone{Task: 0}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()

@@ -5,29 +5,15 @@
 // one ROBOTune whose selection cache and memo buffer carry from
 // session to session. A CRC-framed campaign ledger (journal.Ledger —
 // same framing as the per-session journals) records which tasks
-// started, finished or failed, where their session journals live, and
-// every adaptive-budget grant. A campaign killed at any point —
-// including SIGKILL — resumes mid-grid: completed tasks are skipped
-// via their done records (their recorded results are returned without
-// constructing a tuner or touching an objective), in-flight tasks
-// re-run their sessions through their session journals (a finished
-// session replays with zero live evaluations, rebuilding whatever its
-// tuner carries into the next one), and the stitched result is
-// bit-identical to an uninterrupted run.
-//
-// On top of the ledger sits the adaptive budget pool: evaluations
-// unspent by early-stopped or failed tasks are banked, and
-// still-running sessions whose tuners exhaust their base budget draw
-// from the bank as extended Request.Budget. Every grant decision —
-// declines on an empty bank included — is journaled before it is
-// applied (write-ahead) and stamped with the session that asked, so a
-// resumed campaign hands each session exactly the decisions the
-// original run made for it, at the same points in its trial sequence —
-// grant replay is what keeps extended sessions bit-identical across
-// kills. With a serial scheduler (sessions=1) the grant sequence is
-// fully deterministic across fresh runs as well; under concurrency it
-// depends on completion timing, and the ledger is precisely what makes
-// that timing-dependent history reproducible on resume.
+// started, finished or failed and where their session journals live.
+// A campaign killed at any point — including SIGKILL — resumes
+// mid-grid: completed tasks are skipped via their done records (their
+// recorded results are returned without constructing a tuner or
+// touching an objective), in-flight tasks re-run their sessions
+// through their session journals (a finished session replays with zero
+// live evaluations, rebuilding whatever its tuner carries into the
+// next one), and the stitched result is bit-identical to an
+// uninterrupted run.
 package schedule
 
 import (
@@ -64,9 +50,9 @@ type Task struct {
 type Session struct {
 	// Objective builds the session's private objective.
 	Objective func() tuners.Objective
-	// Request is the session request; Journal and Grants are owned by
-	// the campaign and must be left nil. A Ctx already cancelled when
-	// the session is due ends the task without starting it.
+	// Request is the session request; Journal is owned by the campaign
+	// and must be left nil. A Ctx already cancelled when the session is
+	// due ends the task without starting it.
 	Request tuners.Request
 	// JournalPath, when set, makes the session durable; Meta is the
 	// session identity its journal is validated against.
@@ -77,21 +63,12 @@ type Session struct {
 // CampaignOptions configures a campaign run.
 type CampaignOptions struct {
 	// LedgerPath is the campaign ledger file; "" runs the campaign
-	// without durability (and without budget reallocation journaling —
-	// grants then live only in memory).
+	// without durability.
 	LedgerPath string
 	// Sync is the fsync policy for the ledger and all session journals.
 	Sync journal.SyncPolicy
-	// Reallocate enables the adaptive budget pool. Off, unspent
-	// evaluations are only reported (CampaignResult.Unused).
-	Reallocate bool
-	// GrantChunk caps a single grant (0 = the receiving session's base
-	// budget). Chunking keeps one insatiable session from draining the
-	// whole bank in one draw.
-	GrantChunk int
 	// Seed and Config fingerprint the campaign in the ledger manifest;
-	// resume validates both, together with the reallocation policy and
-	// the done-record format.
+	// resume validates both, together with the done-record format.
 	Seed   uint64
 	Config string
 }
@@ -114,37 +91,31 @@ type TaskOutcome struct {
 type CampaignResult struct {
 	// Tasks holds one outcome per task, in task order.
 	Tasks []TaskOutcome
-	// Grants is every budget grant applied across the campaign's
-	// lifetime (recorded runs included), in grant order; declines are
-	// recorded in the ledger but not listed.
-	Grants []journal.Grant
-	// Unused is the number of unspent evaluations left in the budget
-	// pool at campaign end: surpluses deposited minus grants drawn.
-	Unused int
 	// Resumed is true when the ledger carried records from a previous
 	// run.
 	Resumed bool
 	// Recovery reports what ledger recovery found and truncated.
 	Recovery journal.RecoveryInfo
+	// Err is the first failure of the campaign's durable files: a
+	// ledger record that could not be appended, a session journal whose
+	// appends failed, or a file that did not close cleanly. Such a
+	// failure degrades durability, not results — the campaign runs to
+	// the end and Tasks stand — but a later resume may re-run work this
+	// run could not record.
+	Err error
 }
 
-// campaign is the run state shared by all task goroutines.
+// campaign is the run state shared by all task goroutines. Each task
+// goroutine writes only its own outcome; out[i].Reused marks the
+// outcomes restore settled from the ledger before any task ran.
 type campaign struct {
 	tasks []Task
 	opts  CampaignOptions
 	led   *journal.Ledger
+	out   []TaskOutcome
 
-	// replay holds the recorded grant decisions per (task, session), in
-	// order; filled by restore before any task runs, read-only after.
-	replay map[[2]int][]int
-
-	mu       sync.Mutex
-	out      []TaskOutcome
-	settled  []bool // outcome prefilled from the ledger; do not run
-	granted  []int  // extra budget applied per task (all runs)
-	grants   []journal.Grant
-	grantSeq int
-	bank     int // unspent evaluations available for reallocation
+	mu  sync.Mutex
+	err error // first durable-file failure
 }
 
 // RunCampaign executes tasks as a campaign over the scheduler's pool
@@ -157,40 +128,49 @@ type campaign struct {
 // released by the unwinding evaluation defers), and the remaining
 // tasks run to completion. On return the pool is asserted idle — a
 // non-zero slot count is a scheduler bug and surfaces as an error
-// rather than a silent leak.
+// rather than a silent leak. A failing ledger or session journal does
+// not stop the campaign; it is reported in CampaignResult.Err.
 func (s *Scheduler) RunCampaign(tasks []Task, opts CampaignOptions) (*CampaignResult, error) {
-	c := &campaign{
-		tasks:   tasks,
-		opts:    opts,
-		out:     make([]TaskOutcome, len(tasks)),
-		settled: make([]bool, len(tasks)),
-		granted: make([]int, len(tasks)),
-		replay:  make(map[[2]int][]int),
-	}
+	c := &campaign{tasks: tasks, opts: opts, out: make([]TaskOutcome, len(tasks))}
 	res := &CampaignResult{}
 	if opts.LedgerPath != "" {
 		led, err := journal.OpenLedger(opts.LedgerPath, ledgerMeta(tasks, opts), opts.Sync)
 		if err != nil {
 			return nil, err
 		}
-		defer led.Close()
 		c.led = led
 		res.Resumed = led.Resumed()
 		res.Recovery = led.Recovery()
 		if err := c.restore(); err != nil {
+			led.Close()
 			return nil, err
 		}
 	}
 
 	s.runTasks(len(tasks), func(i int) { c.runTask(i, s.pool) })
 
+	if c.led != nil {
+		c.note(c.led.Err())
+		c.note(c.led.Close())
+	}
 	if leaked := s.pool.InUse(); leaked != 0 {
 		return nil, fmt.Errorf("schedule: %d evaluation slot(s) still held at campaign teardown (scheduler bug)", leaked)
 	}
 	res.Tasks = c.out
-	res.Grants = append([]journal.Grant(nil), c.grants...)
-	res.Unused = c.bank
+	res.Err = c.err
 	return res, nil
+}
+
+// note records err if it is the campaign's first durable-file failure.
+func (c *campaign) note(err error) {
+	if err == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+	}
 }
 
 // resultsFormat versions the done-record payload: a JSON array with
@@ -198,15 +178,12 @@ func (s *Scheduler) RunCampaign(tasks []Task, opts CampaignOptions) (*CampaignRe
 const resultsFormat = 2
 
 // ledgerMeta is the campaign's ledger manifest. Besides the caller's
-// seed and fingerprint it carries the runner's own result-affecting
-// policy: resuming under a different reallocation policy, grant chunk
-// or done-record format would stitch a campaign that matches neither
-// uninterrupted run, so such a resume is refused.
+// seed and fingerprint it carries the runner's done-record format: a
+// resume that would misread the recorded results is refused.
 func ledgerMeta(tasks []Task, opts CampaignOptions) journal.LedgerMeta {
 	meta := journal.LedgerMeta{
-		Seed: opts.Seed,
-		Config: fmt.Sprintf("%s | reallocate=%t grant-chunk=%d results=v%d",
-			opts.Config, opts.Reallocate, opts.GrantChunk, resultsFormat),
+		Seed:   opts.Seed,
+		Config: fmt.Sprintf("%s | results=v%d", opts.Config, resultsFormat),
 	}
 	for _, t := range tasks {
 		var paths []string
@@ -221,20 +198,9 @@ func ledgerMeta(tasks []Task, opts CampaignOptions) journal.LedgerMeta {
 	return meta
 }
 
-// restore rebuilds the campaign's resume state from the recovered
-// ledger: settled outcomes for done/failed tasks, per-session grant
-// replay queues, and the budget bank (deposits minus draws).
+// restore settles the outcomes of the tasks the recovered ledger
+// records as done or failed.
 func (c *campaign) restore() error {
-	for _, g := range c.led.Grants() {
-		key := [2]int{g.Task, g.Session}
-		c.replay[key] = append(c.replay[key], g.Evals)
-		if g.Evals > 0 {
-			c.granted[g.Task] += g.Evals
-			c.grants = append(c.grants, g)
-			c.bank -= g.Evals
-		}
-		c.grantSeq = max(c.grantSeq, g.Seq+1)
-	}
 	for i, t := range c.tasks {
 		if d, ok := c.led.TaskDone(i); ok {
 			rs, err := decodeResults(t.Space, d.Result)
@@ -245,26 +211,19 @@ func (c *campaign) restore() error {
 				return fmt.Errorf("schedule: task %d (%s): recorded results unreadable: %w", i, t.Name, err)
 			}
 			c.out[i] = TaskOutcome{Results: rs, Reused: true}
-			c.settled[i] = true
-			c.bank += d.Surplus
 		} else if f, ok := c.led.TaskFailed(i); ok {
 			c.out[i] = TaskOutcome{Failed: f.Reason, Reused: true}
-			c.settled[i] = true
-			c.bank += f.Surplus
 		}
 	}
 	return nil
 }
 
 func (c *campaign) runTask(i int, pool *Pool) {
-	c.mu.Lock()
-	skip := c.settled[i]
-	c.mu.Unlock()
-	if skip {
+	if c.out[i].Reused {
 		return
 	}
 	if c.led != nil {
-		_ = c.led.AppendStart(i)
+		c.note(c.led.AppendStart(i))
 	}
 	c.out[i] = c.execute(i, pool)
 }
@@ -272,30 +231,24 @@ func (c *campaign) runTask(i int, pool *Pool) {
 // execute runs one task's sessions in order with panic containment.
 // The recover is the campaign's crash boundary: a panicking tuner or
 // objective unwinds through the pool wrapper's deferred releases (so
-// no slot leaks), lands here, is recorded as failed in the ledger with
-// whatever budget its task left unspent surrendered to the pool, and
+// no slot leaks), lands here, is recorded as failed in the ledger, and
 // the campaign carries on.
 func (c *campaign) execute(i int, pool *Pool) (out TaskOutcome) {
 	t := c.tasks[i]
 	var jn *journal.Journal
-	var ses *tuners.Session // the running session; nil between sessions
-	trials := 0             // trials of the finished sessions
 	defer func() {
 		if p := recover(); p != nil {
-			if ses != nil {
-				trials += ses.Trials()
-			}
 			reason := fmt.Sprintf("panic: %v", p)
-			c.fail(i, reason, trials)
+			if c.led != nil {
+				c.note(c.led.AppendTaskFailed(journal.TaskFailed{Task: i, Reason: reason}))
+			}
 			out = TaskOutcome{Failed: reason}
 		}
-		if jn != nil {
-			jn.Close()
-		}
+		c.closeJournal(jn)
 	}()
 
 	tn := t.New()
-	for k, sp := range t.Sessions {
+	for _, sp := range t.Sessions {
 		req := sp.Request
 		if req.Ctx != nil && req.Ctx.Err() != nil {
 			return out
@@ -311,114 +264,42 @@ func (c *campaign) execute(i int, pool *Pool) (out TaskOutcome) {
 			}
 			req.Journal = jn
 		}
-		if c.opts.Reallocate {
-			req.Grants = &taskGrants{c: c, task: i, session: k, budget: req.Budget, replay: c.replay[[2]int{i, k}]}
-		}
-		ses = tuners.NewSession(pool.Wrap(sp.Objective()), t.Space, req)
-		res := tn.Run(ses)
-		ses = nil
-		if jn != nil {
-			jn.Close()
-			jn = nil
-		}
-		trials += len(res.Trace)
+		res := tn.Run(tuners.NewSession(pool.Wrap(sp.Objective()), t.Space, req))
+		c.closeJournal(jn)
+		jn = nil
 		out.Results = append(out.Results, res)
 		if res.Cancelled {
 			return out
 		}
 	}
-	c.complete(i, out.Results, trials)
+	c.complete(i, out.Results)
 	return out
 }
 
-// surplus is what task i leaves unspent of its sessions' base budgets
-// plus its grants after the given trials. Callers hold c.mu.
-func (c *campaign) surplus(i, trials int) int {
-	n := c.granted[i] - trials
-	for _, s := range c.tasks[i].Sessions {
-		n += s.Request.Budget
+// closeJournal closes a session journal, noting its first append
+// failure and its close error.
+func (c *campaign) closeJournal(jn *journal.Journal) {
+	if jn == nil {
+		return
 	}
-	return max(n, 0)
+	c.note(jn.Err())
+	c.note(jn.Close())
 }
 
-// complete settles a finished task: its surplus is recorded and
-// deposited in the bank. A cancelled task is deliberately not settled
-// — no done record, no deposit — so its journals stay resumable.
-func (c *campaign) complete(i int, results []tuners.Result, trials int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	surplus := c.surplus(i, trials)
-	if c.led != nil {
-		payload, err := encodeResults(results)
-		if err != nil {
-			payload = nil
-		}
-		_ = c.led.AppendTaskDone(journal.TaskDone{Task: i, Trials: trials, Surplus: surplus, Result: payload})
+// complete records a finished task's done record. A cancelled task is
+// deliberately not settled — no done record — so its journals stay
+// resumable, and so is a task whose results cannot be encoded: a done
+// record that resume could not read back would refuse the whole
+// ledger, while an unsettled task resumes through its journals.
+func (c *campaign) complete(i int, results []tuners.Result) {
+	if c.led == nil {
+		return
 	}
-	c.bank += surplus
-}
-
-// fail settles a crashed task; its unspent budget flows back to the
-// pool like a completed task's.
-func (c *campaign) fail(i int, reason string, trials int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	surplus := c.surplus(i, trials)
-	if c.led != nil {
-		_ = c.led.AppendTaskFailed(journal.TaskFailed{Task: i, Reason: reason, Trials: trials, Surplus: surplus})
+	payload, err := encodeResults(results)
+	if err == nil {
+		err = c.led.AppendTaskDone(journal.TaskDone{Task: i, Result: payload})
 	}
-	c.bank += surplus
-}
-
-// taskGrants adapts the campaign's budget pool to one session's
-// tuners.GrantSource.
-type taskGrants struct {
-	c             *campaign
-	task, session int
-	budget        int   // the session's base budget, the default grant chunk
-	replay        []int // the session's recorded decisions not yet re-applied
-}
-
-// Grant implements tuners.GrantSource. Recorded decisions replay first
-// — a resumed session re-applies the grants and declines its original
-// run received, in order, at whatever points it runs dry (the same
-// points the original hit, since the decision path is deterministic).
-// Only once its replay queue is empty are new decisions made: a grant
-// drawn from the bank, or a decline when the bank is empty, journaled
-// write-ahead before being applied.
-func (g *taskGrants) Grant(trials int) int {
-	if len(g.replay) > 0 {
-		n := g.replay[0]
-		g.replay = g.replay[1:]
-		return n
-	}
-	c := g.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := max(c.bank, 0)
-	chunk := c.opts.GrantChunk
-	if chunk <= 0 {
-		chunk = g.budget
-	}
-	if chunk > 0 {
-		n = min(n, chunk)
-	}
-	gr := journal.Grant{Seq: c.grantSeq, Task: g.task, Session: g.session, Evals: n, Trials: trials}
-	if c.led != nil {
-		if err := c.led.AppendGrant(gr); err != nil {
-			// A grant that cannot be journaled must not be applied: an
-			// unrecorded grant would make the resumed run diverge from
-			// this one. Declining costs only optimization opportunity.
-			return 0
-		}
-	}
-	c.grantSeq++
-	if n > 0 {
-		c.bank -= n
-		c.granted[g.task] += n
-		c.grants = append(c.grants, gr)
-	}
-	return n
+	c.note(err)
 }
 
 // savedResult is the ledger's JSON image of a tuners.Result: the

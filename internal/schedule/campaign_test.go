@@ -1,18 +1,13 @@
 package schedule
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"math"
-	"os"
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/conf"
@@ -112,9 +107,6 @@ func TestCampaignLedgerResume(t *testing.T) {
 			t.Fatalf("task %d not satisfied from the ledger", i)
 		}
 		sameResult(t, "ledger resume", res2.Tasks[i].Results[0], res1.Tasks[i].Results[0])
-	}
-	if res2.Unused != res1.Unused {
-		t.Fatalf("unused drifted across resume: %d vs %d", res2.Unused, res1.Unused)
 	}
 }
 
@@ -259,8 +251,7 @@ func TestCampaignPanicContainment(t *testing.T) {
 }
 
 // earlyStopTuner consumes `use` trials of its budget and then stops
-// deliberately — its stepper is not an Extender, so the campaign can
-// never grant it anything and its unspent budget flows to the pool.
+// deliberately, leaving the rest of its budget unspent.
 type earlyStopTuner struct{ use int }
 
 func (t earlyStopTuner) Name() string { return "EarlyStop" }
@@ -287,229 +278,38 @@ func (st *earlyStopStepper) Propose(n int) []tuners.Proposal {
 
 func (st *earlyStopStepper) Observe(c conf.Config, rec backend.EvalRecord) { st.Observed(c) }
 
-// reallocTasks: task 0 early-stops 15 trials short; task 1 is a
-// random search that can absorb every grant.
-func reallocTasks(space *conf.Space, dir string, stopCalls, absorbCalls *int32, hook func(int32), ctx context.Context) []Task {
-	t0 := funcTask(space, "stopper", earlyStopTuner{use: 5}, 20, 21, dir, stopCalls, nil)
-	t1 := funcTask(space, "absorber", tuners.RandomSearch{}, 10, 23, dir, absorbCalls, hook)
-	if ctx != nil {
-		t1.Sessions[0].Request.Ctx = ctx
-	}
-	return []Task{t0, t1}
-}
-
-// TestCampaignBudgetReallocation: evaluations unspent by an
-// early-stopped session flow to a still-running one. The extended
-// session is bit-identical to a session granted the full amount up
-// front, the grant sequence is deterministic across runs, and the
-// campaign finishes with strictly fewer unused evaluations than the
-// non-reallocating scheduler.
-func TestCampaignBudgetReallocation(t *testing.T) {
-	sched := NewScheduler(1, 1)
+// TestCampaignReportsDegradedJournal: a durable campaign whose session
+// journal cannot record an observation still runs to the end and
+// reports the failure in its result. JSON has no +Inf, so the trial
+// whose objective reports +Inf seconds fails to append. The same
+// campaign with finite times reports nothing.
+func TestCampaignReportsDegradedJournal(t *testing.T) {
 	space := conf.SparkSpace()
-
-	var plain, plainA int32
-	off, err := sched.RunCampaign(reallocTasks(space, "", &plain, &plainA, nil, nil), CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Unused != 15 {
-		t.Fatalf("non-reallocating campaign banked %d unused, want 15", off.Unused)
-	}
-	if got := len(off.Tasks[1].Results[0].Trace); got != 10 {
-		t.Fatalf("absorber ran %d trials without reallocation, want 10", got)
-	}
-
-	var on1, on1A int32
-	run1, err := sched.RunCampaign(reallocTasks(space, "", &on1, &on1A, nil, nil), CampaignOptions{Reallocate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run1.Unused >= off.Unused {
-		t.Fatalf("reallocation left %d unused, not fewer than %d", run1.Unused, off.Unused)
-	}
-	if run1.Unused != 0 {
-		t.Fatalf("reallocation left %d unused, want 0 (absorber is insatiable)", run1.Unused)
-	}
-	if got := len(run1.Tasks[1].Results[0].Trace); got != 25 {
-		t.Fatalf("absorber ran %d trials with reallocation, want 25 (10 base + 15 granted)", got)
-	}
-
-	// Extension equivalence: granted budget spends exactly like base
-	// budget — the extended session matches a direct run at 25.
-	var direct int32
-	obj := countingObjective(&direct, nil)
-	want := tuners.RandomSearch{}.Run(tuners.NewSession(obj, space, tuners.Request{Budget: 25, Seed: 23}))
-	sameResult(t, "extended vs direct", run1.Tasks[1].Results[0], want)
-
-	// Grant determinism: a second fresh run decides the same grants.
-	var on2, on2A int32
-	run2, err := sched.RunCampaign(reallocTasks(space, "", &on2, &on2A, nil, nil), CampaignOptions{Reallocate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGrants(t, run1.Grants, run2.Grants)
-}
-
-// TestCampaignGrantReplayAfterKill: kill a reallocating campaign
-// after a grant was journaled but only partially spent; the resumed
-// campaign replays the recorded grant at the same trial boundary and
-// finishes bit-identical to the uninterrupted run, grants included.
-func TestCampaignGrantReplayAfterKill(t *testing.T) {
-	sched := NewScheduler(1, 1)
-	space := conf.SparkSpace()
-
-	var plain, plainA int32
-	want, err := sched.RunCampaign(reallocTasks(space, "", &plain, &plainA, nil, nil), CampaignOptions{Reallocate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Reallocate: true, Seed: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var stop1, killed int32
-	// 15 live absorber calls = 10 base trials + 5 into the first grant
-	// of 10: the kill lands with grant seq 0 journaled and half-spent.
-	res1, err := sched.RunCampaign(reallocTasks(space, dir, &stop1, &killed, func(n int32) {
-		if n == 15 {
-			cancel()
+	for _, inf := range []bool{false, true} {
+		dir := t.TempDir()
+		var calls int32
+		task := funcTask(space, "degraded", tuners.RandomSearch{}, 6, 3, dir, &calls, nil)
+		task.Sessions[0].Objective = func() tuners.Objective {
+			return &tuners.FuncObjective{Fn: func(c conf.Config) (float64, bool) {
+				if atomic.AddInt32(&calls, 1) == 3 && inf {
+					return math.Inf(1), true
+				}
+				return detFn(c), true
+			}}
 		}
-	}, ctx), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res1.Tasks[1].Results[0].Cancelled {
-		t.Fatal("absorber was not interrupted")
-	}
-	if len(res1.Grants) == 0 {
-		t.Fatal("kill landed before any grant was journaled; move the interrupt point")
-	}
-
-	var stop2, resumed int32
-	res2, err := sched.RunCampaign(reallocTasks(space, dir, &stop2, &resumed, nil, nil), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Tasks[0].Reused {
-		t.Fatal("completed stopper re-ran on resume")
-	}
-	if got := int(resumed); got != 25-15 {
-		t.Fatalf("resume spent %d live evaluations, want %d (zero re-execution)", got, 25-15)
-	}
-	sameResult(t, "grant replay", res2.Tasks[1].Results[0], want.Tasks[1].Results[0])
-	assertSameGrants(t, res2.Grants, want.Grants)
-	if res2.Unused != want.Unused {
-		t.Fatalf("unused mismatch: %d resumed vs %d uninterrupted", res2.Unused, want.Unused)
-	}
-}
-
-// declineTasks: task 0 tunes two random-search sessions of 5 trials;
-// task 1 early-stops after one trial of 10 and banks 9. The hooks fix
-// the order at width 2: task 1's trial waits until task 0's second
-// session has begun, and that session's fifth live trial waits until
-// task 1's done record is in the ledger. So the first session runs dry
-// on an empty bank (a declined grant) and the second on a full one
-// (grants of 5 and 4). kill sees each live trial of the second
-// session.
-func declineTasks(space *conf.Space, dir string, calls []int32, ctx context.Context, kill func(n int32)) []Task {
-	second := make(chan struct{})
-	var once sync.Once
-	a := Task{Name: "two-sessions", Space: space, New: func() tuners.Tuner { return tuners.RandomSearch{} }}
-	for k := range 2 {
-		seed := uint64(31 + k)
-		a.Sessions = append(a.Sessions, Session{
-			Objective: func() tuners.Objective {
-				return countingObjective(&calls[k], func(n int32) {
-					if k == 0 {
-						return
-					}
-					once.Do(func() { close(second) })
-					if n == 5 {
-						awaitDoneRecord(dir + "/campaign.lgr")
-					}
-					if kill != nil {
-						kill(n)
-					}
-				})
-			},
-			Request:     tuners.Request{Budget: 5, Seed: seed, Ctx: ctx},
-			JournalPath: fmt.Sprintf("%s/two-sessions.s%d.jnl", dir, k),
-			Meta:        journal.Meta{Seed: seed, Budget: 5, Tuner: "RandomSearch", Workload: "two-sessions"},
-		})
-	}
-	b := funcTask(space, "stopper", earlyStopTuner{use: 1}, 10, 37, dir, &calls[2], func(int32) { <-second })
-	return []Task{a, b}
-}
-
-// awaitDoneRecord polls the ledger file until it holds a done record
-// (or ten seconds pass). The campaign appends the record and banks the
-// task's surplus under one lock, so a grant decided after this returns
-// sees the deposit.
-func awaitDoneRecord(path string) {
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if data, _ := os.ReadFile(path); bytes.Contains(data, []byte(`"t":"done"`)) {
-			return
+		res, err := NewScheduler(1, 1).RunCampaign([]Task{task}, CampaignOptions{LedgerPath: dir + "/campaign.lgr"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestCampaignDeclinedGrantReplay: a multi-session task whose first
-// session ran dry on an empty bank and whose second session drew a
-// grant is killed inside the second session. On resume each session
-// replays only its own grant decisions: the first declines again, even
-// though the restored bank is no longer empty, and replays with zero
-// live evaluations; the second re-applies its grant. The stitched
-// results and grants equal the uninterrupted run's.
-func TestCampaignDeclinedGrantReplay(t *testing.T) {
-	const killAt = 7 // 5 base trials + 2 into the first grant
-	space := conf.SparkSpace()
-	sched := NewScheduler(2, 2)
-
-	wantDir := t.TempDir()
-	base := make([]int32, 3)
-	want, err := sched.RunCampaign(declineTasks(space, wantDir, base, nil, nil),
-		CampaignOptions{LedgerPath: wantDir + "/campaign.lgr", Reallocate: true, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := []int{len(want.Tasks[0].Results[0].Trace), len(want.Tasks[0].Results[1].Trace)}; got[0] != 5 || got[1] != 14 {
-		t.Fatalf("uninterrupted sessions ran %v trials, want [5 14] (a declined grant, then grants of 5 and 4)", got)
-	}
-
-	dir := t.TempDir()
-	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Reallocate: true, Seed: 3}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	killed := make([]int32, 3)
-	res1, err := sched.RunCampaign(declineTasks(space, dir, killed, ctx, func(n int32) {
-		if n == killAt {
-			cancel()
+		if out := res.Tasks[0]; out.Failed != "" || len(out.Results) != 1 || len(out.Results[0].Trace) != 6 {
+			t.Fatalf("inf=%v: campaign did not run to the end: %+v", inf, out)
 		}
-	}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := res1.Tasks[0]; len(out.Results) != 2 || !out.Results[1].Cancelled || len(res1.Grants) != 1 {
-		t.Fatalf("kill did not land in the second session after its first grant: %d results, grants %+v", len(out.Results), res1.Grants)
-	}
-
-	resumed := make([]int32, 3)
-	res2, err := sched.RunCampaign(declineTasks(space, dir, resumed, nil, nil), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed[0] != 0 || resumed[2] != 0 {
-		t.Fatalf("resume re-ran the finished first session (%d live evaluations) or the settled stopper (%d)", resumed[0], resumed[2])
-	}
-	if got := killed[1] + resumed[1]; got != base[1] {
-		t.Fatalf("second session spent %d+%d live evaluations across the kill, want %d (zero re-execution)", killed[1], resumed[1], base[1])
-	}
-	sameResults(t, "stitched vs uninterrupted", res2.Tasks[0].Results, want.Tasks[0].Results)
-	assertSameGrants(t, res2.Grants, want.Grants)
-	if res2.Unused != want.Unused {
-		t.Fatalf("unused mismatch: %d resumed vs %d uninterrupted", res2.Unused, want.Unused)
+		if inf && (res.Err == nil || !strings.Contains(res.Err.Error(), "+Inf")) {
+			t.Fatalf("failed journal append not reported: %v", res.Err)
+		}
+		if !inf && res.Err != nil {
+			t.Fatalf("healthy campaign reported %v", res.Err)
+		}
 	}
 }
 
@@ -543,18 +343,6 @@ func TestCampaignResultCodec(t *testing.T) {
 		g.Best, want.Best = conf.Config{}, conf.Config{}
 		if !reflect.DeepEqual(g, want) {
 			t.Fatalf("result %d: decoded %+v, encoded %+v", k, g, want)
-		}
-	}
-}
-
-func assertSameGrants(t *testing.T, got, want []journal.Grant) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("grant count %d vs %d: %+v vs %+v", len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("grant %d: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 }

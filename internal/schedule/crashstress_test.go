@@ -47,7 +47,6 @@ func stressOptions() core.Options {
 	o.BO.Starts = 4
 	o.BO.GP.Restarts = 3
 	o.Parallel = 4
-	o.BOBatch = 2
 	return o
 }
 
@@ -120,7 +119,7 @@ func TestCampaignCrashChild(t *testing.T) {
 	for i, out := range res.Tasks {
 		fmt.Println(taskLine(i, out))
 	}
-	fmt.Printf("CAMPAIGN_DONE unused=%d resumed=%v\n", res.Unused, res.Resumed)
+	fmt.Printf("CAMPAIGN_DONE resumed=%v\n", res.Resumed)
 }
 
 // TestCampaignKillResumeStress: SIGKILL the campaign runner at

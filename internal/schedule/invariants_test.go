@@ -13,30 +13,24 @@ import (
 )
 
 // TestCampaignInvariants runs random mixes of early-stopping,
-// insatiable and panicking tasks, single- and multi-session, under
-// budget reallocation at random widths and grant chunks. Half the runs
-// are killed at a random live evaluation and resumed from the ledger.
-// After each (stitched) run it checks the campaign's accounting:
+// insatiable and panicking tasks, single- and multi-session, at random
+// widths. Half the runs are killed at a random live evaluation and
+// resumed from the ledger. After each (stitched) run it checks the
+// campaign's accounting:
 //   - no pool slot is still held;
-//   - live evaluations never exceed the base budgets plus the grants;
+//   - live evaluations never exceed the sum of the base budgets;
 //   - no evaluation runs twice: every live evaluation of a task that
-//     did not panic is in its stitched traces;
-//   - Unused equals the surpluses deposited minus the grants drawn
-//     (both read back from the ledger) and is never negative;
-//   - no grant exceeds the chunk (the receiving session's budget when
-//     the chunk is 0).
+//     did not panic is in its stitched traces.
 func TestCampaignInvariants(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 2026))
 	space := conf.SparkSpace()
-	grantsSeen, failuresSeen, killsSeen := 0, 0, 0
+	stopsSeen, failuresSeen, killsSeen := 0, 0, 0
 	for run := 0; run < 40; run++ {
 		dir := t.TempDir()
 		width := 1 + rng.IntN(4)
 		opts := CampaignOptions{
 			LedgerPath: dir + "/campaign.lgr",
 			Sync:       journal.SyncNone,
-			Reallocate: true,
-			GrantChunk: rng.IntN(6),
 			Seed:       uint64(run),
 		}
 		n := 2 + rng.IntN(5)
@@ -44,12 +38,12 @@ func TestCampaignInvariants(t *testing.T) {
 		panicAt := make([]int32, n) // the task's nth live evaluation panics; 0 = never
 		budgets := make([][]int, n)
 		seeds := make([][]uint64, n)
-		maxBudget := make([]int, n)
 		total := 0
 		for i := range n {
 			kind := rng.IntN(3) // 0 early stop, 1 insatiable, 2 panicking
 			if kind == 0 {
 				stopAt[i] = 1 + rng.IntN(3)
+				stopsSeen++
 			}
 			taskBudget := 0
 			for k := 1 + rng.IntN(3); k > 0; k-- {
@@ -57,7 +51,6 @@ func TestCampaignInvariants(t *testing.T) {
 				budgets[i] = append(budgets[i], b)
 				seeds[i] = append(seeds[i], rng.Uint64())
 				taskBudget += b
-				maxBudget[i] = max(maxBudget[i], b)
 			}
 			total += taskBudget
 			if kind == 2 {
@@ -102,7 +95,7 @@ func TestCampaignInvariants(t *testing.T) {
 			return ts
 		}
 
-		label := fmt.Sprintf("run %d (width %d, chunk %d, %d tasks, kill at %d)", run, width, opts.GrantChunk, n, killAt)
+		label := fmt.Sprintf("run %d (width %d, %d tasks, kill at %d)", run, width, n, killAt)
 		sched := NewScheduler(width, width)
 		ctx, cancel := context.WithCancel(context.Background())
 		var live int32
@@ -144,48 +137,15 @@ func TestCampaignInvariants(t *testing.T) {
 			}
 		}
 
-		granted := 0
-		grantsSeen += len(res.Grants)
-		for _, g := range res.Grants {
-			granted += g.Evals
-			limit := opts.GrantChunk
-			if limit == 0 {
-				limit = maxBudget[g.Task]
-			}
-			if g.Evals < 1 || g.Evals > limit {
-				t.Fatalf("%s: grant %+v outside [1, %d]", label, g, limit)
-			}
-		}
 		spent := 0
 		for i := range calls {
 			spent += int(calls[i])
 		}
-		if spent > total+granted {
-			t.Fatalf("%s: %d live evaluations > %d budgeted + %d granted", label, spent, total, granted)
-		}
-
-		led, err := journal.OpenLedger(opts.LedgerPath, ledgerMeta(tasks(nil, nil), opts), journal.SyncNone)
-		if err != nil {
-			t.Fatalf("%s: reopening the ledger: %v", label, err)
-		}
-		deposits, draws := 0, 0
-		for i := range n {
-			if d, ok := led.TaskDone(i); ok {
-				deposits += d.Surplus
-			}
-			if f, ok := led.TaskFailed(i); ok {
-				deposits += f.Surplus
-			}
-		}
-		for _, g := range led.Grants() {
-			draws += g.Evals
-		}
-		led.Close()
-		if draws != granted || res.Unused != deposits-draws || res.Unused < 0 {
-			t.Fatalf("%s: unused %d, deposits %d, draws %d (result grants %d)", label, res.Unused, deposits, draws, granted)
+		if spent > total {
+			t.Fatalf("%s: %d live evaluations > %d budgeted", label, spent, total)
 		}
 	}
-	if grantsSeen == 0 || failuresSeen == 0 || killsSeen == 0 {
-		t.Fatalf("the random mixes drew %d grants, %d failed tasks and %d kills; the invariants went unexercised", grantsSeen, failuresSeen, killsSeen)
+	if stopsSeen == 0 || failuresSeen == 0 || killsSeen == 0 {
+		t.Fatalf("the random mixes drew %d early stoppers, %d failed tasks and %d kills; the invariants went unexercised", stopsSeen, failuresSeen, killsSeen)
 	}
 }

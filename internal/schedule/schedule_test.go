@@ -24,10 +24,9 @@ func smallOptions() core.Options {
 	o.BO.CandidatePool = 32
 	o.BO.Starts = 1
 	o.BO.GP.Restarts = 1
-	// Exercise the batched paths so the pool's opportunistic batch
-	// grants are covered too.
+	// Exercise the batched selection waves so the pool's opportunistic
+	// batch slot grants are covered too.
 	o.Parallel = 4
-	o.BOBatch = 2
 	return o
 }
 

@@ -212,7 +212,7 @@ func TestCampaignResumesMidTask(t *testing.T) {
 	queue := []sparksim.Workload{sparksim.TeraSort(20), sparksim.TeraSort(30), sparksim.KMeans(2)}
 	newTuner := func() tuners.Tuner {
 		o := smallOptions()
-		o.Parallel, o.BOBatch = 0, 0
+		o.Parallel = 0
 		return core.New(nil, o)
 	}
 	mk := func(dir string, calls []int32, hook func(int, int32), ctx context.Context) Task {
@@ -260,41 +260,46 @@ func TestCampaignResumesMidTask(t *testing.T) {
 }
 
 // TestCampaignRefusesChangedPolicy: the ledger manifest fingerprints
-// the runner's own reallocation policy, so a campaign killed after a
-// grant cannot be resumed under a policy that would stitch a history
-// neither run produced.
+// the campaign's seed and configuration, so a campaign killed mid-task
+// cannot be resumed under options that would stitch a history neither
+// run produced; the refused resume runs nothing.
 func TestCampaignRefusesChangedPolicy(t *testing.T) {
 	sched := NewScheduler(1, 1)
 	space := conf.SparkSpace()
 	dir := t.TempDir()
-	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Reallocate: true, Seed: 2}
+	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Seed: 2, Config: "budget=10"}
+	mk := func(calls *int32, hook func(int32), ctx context.Context) []Task {
+		ts := []Task{funcTask(space, "victim", tuners.RandomSearch{}, 10, 23, dir, calls, hook)}
+		ts[0].Sessions[0].Request.Ctx = ctx
+		return ts
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var stop, absorb int32
-	res, err := sched.RunCampaign(reallocTasks(space, dir, &stop, &absorb, func(n int32) {
-		if n == 15 {
+	var killed int32
+	res, err := sched.RunCampaign(mk(&killed, func(n int32) {
+		if n == 5 {
 			cancel()
 		}
 	}, ctx), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Grants) == 0 {
-		t.Fatal("kill landed before any grant was journaled; move the interrupt point")
+	if !res.Tasks[0].Results[0].Cancelled {
+		t.Fatal("kill did not interrupt the task")
 	}
 	for _, change := range []func(*CampaignOptions){
-		func(o *CampaignOptions) { o.Reallocate = false },
-		func(o *CampaignOptions) { o.GrantChunk = 3 },
+		func(o *CampaignOptions) { o.Seed = 3 },
+		func(o *CampaignOptions) { o.Config = "budget=12" },
 	} {
 		o := opts
 		change(&o)
-		var s2, a2 int32
-		_, err := sched.RunCampaign(reallocTasks(space, dir, &s2, &a2, nil, nil), o)
+		var calls int32
+		_, err := sched.RunCampaign(mk(&calls, nil, nil), o)
 		if err == nil || !strings.Contains(err.Error(), "different campaign") {
 			t.Fatalf("resume with %+v accepted (err %v)", o, err)
 		}
-		if s2 != 0 || a2 != 0 {
-			t.Fatalf("refused resume ran %d+%d evaluations", s2, a2)
+		if calls != 0 {
+			t.Fatalf("refused resume ran %d evaluations", calls)
 		}
 	}
 }

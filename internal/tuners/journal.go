@@ -127,17 +127,15 @@ func (s *Session) replay() {
 }
 
 // proposeUntilPending returns the earliest pending proposal of c,
-// drawing single proposals from the stepper (and, when it runs dry
-// with nothing outstanding, campaign grants — exactly where the live
-// run drew them) until one matches. It returns the reason instead when
-// the stepper cannot produce c.
+// drawing single proposals from the stepper until one matches. It
+// returns the reason instead when the stepper cannot produce c.
 func (s *Session) proposeUntilPending(c conf.Config) (Proposal, string) {
 	fl := s.st.Inflight()
 	for {
 		if i := fl.match(c); i >= 0 {
 			return fl.pending[i].Proposal, ""
 		}
-		if s.st.Done() && (fl.Outstanding() > 0 || !s.tryExtend()) {
+		if s.st.Done() {
 			return Proposal{}, "stepper never re-proposed the journaled config"
 		}
 		if len(s.st.Propose(1)) == 0 {

@@ -62,17 +62,3 @@ func (st *randomSearchStepper) Propose(n int) []Proposal {
 func (st *randomSearchStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 	st.Observed(c)
 }
-
-// CanExtend implements Extender: random search only ever stops on
-// budget exhaustion, so extra budget is always spendable. Extension
-// preserves determinism — each trial consumes the same RNG draws
-// whether proposed in one wave or several, so budget b granted as
-// b1 + b2 produces the identical configuration sequence.
-func (st *randomSearchStepper) CanExtend() bool { return true }
-
-// ExtendBudget implements Extender.
-func (st *randomSearchStepper) ExtendBudget(n int) {
-	if n > 0 {
-		st.left += n
-	}
-}

@@ -38,25 +38,6 @@ type Request struct {
 	// replays its records in place of re-evaluating them — the
 	// bit-identical resume path. nil disables journaling.
 	Journal *journal.Journal
-	// Grants, when set, lets the session draw extra evaluations from a
-	// campaign-level budget pool once its tuner has exhausted the base
-	// Budget (the adaptive-budget half of campaign durability). Only
-	// tuners implementing Extender can absorb a grant; the driver asks
-	// the source at most once per exhaustion and stops when it returns
-	// 0. nil disables extension.
-	Grants GrantSource
-}
-
-// GrantSource is the campaign's adaptive budget pool as seen by one
-// session: evaluations unspent by early-stopped or failed sibling
-// sessions, granted to sessions that can still use them.
-type GrantSource interface {
-	// Grant requests extra budget for a session whose tuner has run
-	// dry; trials is the session's trial count at the request — the
-	// sequence point a durable campaign journals so a resumed run
-	// applies the same grant at the same place. It returns the number
-	// of extra evaluations granted (0 = none; the session finishes).
-	Grant(trials int) int
 }
 
 // RetryPolicy bounds how transient evaluation failures (lost
@@ -117,10 +98,10 @@ type FailureStats struct {
 // Session is the ask/tell kernel every tuning session runs on: it owns
 // the stepper's pending proposals, the journal (commit before the
 // stepper acts, replay on resume), the incumbent tracker, the failure
-// ledger, campaign grants and the done record. Two thin drivers sit on
-// top of it: Drive evaluates each proposal in process through eval,
-// and the robotuned wire server relays proposals to remote clients and
-// feeds their observations back through Observe.
+// ledger and the done record. Two thin drivers sit on top of it: Drive
+// evaluates each proposal in process through eval, and the robotuned
+// wire server relays proposals to remote clients and feeds their
+// observations back through Observe.
 //
 // A session built without an Objective is driven externally: eval is
 // unavailable, and the evaluation counter and search cost are counted
@@ -170,7 +151,7 @@ func (s *Session) Space() *conf.Space { return s.space }
 // Ctx returns the session's context (never nil).
 func (s *Session) Ctx() context.Context { return s.req.Ctx }
 
-// Budget returns the trial budget, including campaign grants.
+// Budget returns the trial budget.
 func (s *Session) Budget() int { return s.req.Budget }
 
 // Seed returns the tuner seed.
@@ -406,29 +387,6 @@ func (s *Session) Spent() (evals int, cost float64) {
 		return s.obj.Evals(), s.obj.SearchCost()
 	}
 	return s.spent.evals, s.spent.cost
-}
-
-// tryExtend asks the request's grant source for extra budget on
-// behalf of the exhausted stepper. It returns true when a grant was
-// applied (the stepper proposes again). Steppers that cannot absorb
-// more budget — early-stopped, finished for good, or simply not
-// Extenders — are never charged a grant, so a declined draw stays in
-// the pool for a sibling session.
-func (s *Session) tryExtend() bool {
-	if s.req.Grants == nil || s.Done() {
-		return false
-	}
-	ex, ok := s.st.(Extender)
-	if !ok || !ex.CanExtend() {
-		return false
-	}
-	n := s.req.Grants.Grant(s.Trials())
-	if n <= 0 {
-		return false
-	}
-	ex.ExtendBudget(n)
-	s.req.Budget += n
-	return true
 }
 
 // Best returns the incumbent so far: the best full-fidelity

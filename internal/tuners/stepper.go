@@ -63,20 +63,6 @@ type Batcher interface {
 	EvalParallel() int
 }
 
-// Extender is the optional stepper capability for adaptive budgets: a
-// stepper that stopped only because its evaluation budget ran out can
-// absorb extra evaluations granted from a campaign's budget pool and
-// keep searching. A stepper that stopped deliberately (early-stop
-// patience, nothing left to propose) answers CanExtend false and is
-// never granted anything.
-type Extender interface {
-	// CanExtend reports whether more budget would actually be spent.
-	CanExtend() bool
-	// ExtendBudget adds n evaluations to the remaining budget and
-	// revives the stepper if budget exhaustion had finished it.
-	ExtendBudget(n int)
-}
-
 // Finisher is the optional stepper capability for end-of-session
 // bookkeeping (ROBOTune's memoization): the session calls Finish
 // exactly once, when it seals — whether the stepper completed, the
@@ -287,11 +273,10 @@ func (s *Session) Outstanding() int {
 // Sealed reports whether the session has sealed its result.
 func (s *Session) Sealed() bool { return s.sealed }
 
-// settle runs after every observation: a stepper that is done with
-// nothing outstanding either absorbs a campaign grant and proposes on,
-// or the session seals.
+// settle runs after every observation: the session seals once its
+// stepper is done with nothing outstanding.
 func (s *Session) settle() {
-	if s.sealed || !s.st.Done() || s.Outstanding() > 0 || s.tryExtend() {
+	if s.sealed || !s.st.Done() || s.Outstanding() > 0 {
 		return
 	}
 	s.seal()
@@ -346,7 +331,7 @@ func (s *Session) sealFromDone(d journal.DoneEntry) {
 // Drive runs a stepper to completion under a session — the in-process
 // driver of the kernel: Propose, evaluate through Eval, Observe. The
 // session owns everything else (journal commit and replay, retries,
-// deadlines, the ledger, grants and the done record). Proposal
+// deadlines, the ledger and the done record). Proposal
 // batches sharing one cap and one fidelity go through the session's
 // concurrent batch path when the stepper asks for parallelism;
 // everything else is evaluated sequentially with a cancellation check
