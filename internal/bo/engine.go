@@ -585,6 +585,25 @@ func (e *Engine) Suggest() ([]float64, error) {
 	return append([]float64(nil), nominees[idx]...), nil
 }
 
+// SuggestOr is Suggest for a session that must keep running: when the
+// surrogate cannot propose (fewer than two observations, a fit that
+// fails even at maximum jitter, or a panic deep in the linear algebra)
+// it returns a uniform point drawn from rng instead, so an evaluation
+// budget already paid for is never abandoned over one degenerate fit.
+// fellBack reports a genuine failure, one with at least two
+// observations; the "too few observations" stage of extreme budgets is
+// not one.
+func (e *Engine) SuggestOr(rng *rand.Rand) (u []float64, fellBack bool) {
+	func() {
+		defer func() { _ = recover() }()
+		u, _ = e.Suggest()
+	}()
+	if u != nil {
+		return u, false
+	}
+	return sample.Uniform(1, e.dim, rng)[0], len(e.x) >= 2
+}
+
 // Chosen returns the portfolio index selected by the last Suggest.
 func (e *Engine) Chosen() int { return e.chosen }
 

@@ -102,13 +102,21 @@ func TestSparkBackendParityGolden(t *testing.T) {
 		got["bohb-ladder"] = snapshotOf(res, ev, 7*31+7)
 	}
 
+	checkGolden(t, "spark_parity_golden.json", got)
+}
+
+// checkGolden compares the indented JSON of got with testdata/name
+// byte for byte, or rewrites the file when ROBOTUNE_UPDATE_GOLDEN is
+// set.
+func checkGolden(t *testing.T, name string, got any) {
+	t.Helper()
 	buf, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf = append(buf, '\n')
 
-	golden := filepath.Join("testdata", "spark_parity_golden.json")
+	golden := filepath.Join("testdata", name)
 	if os.Getenv("ROBOTUNE_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -124,6 +132,6 @@ func TestSparkBackendParityGolden(t *testing.T) {
 		t.Fatalf("golden missing (run with ROBOTUNE_UPDATE_GOLDEN=1 on a known-good tree): %v", err)
 	}
 	if !bytes.Equal(buf, want) {
-		t.Fatalf("spark backend diverged from the pre-refactor golden trace\ngot:\n%s\nwant:\n%s", buf, want)
+		t.Fatalf("tuning diverged from the golden trace %s\ngot:\n%s\nwant:\n%s", golden, buf, want)
 	}
 }

@@ -452,14 +452,6 @@ func withSeed(cfg bo.Config, seed uint64) bo.Config {
 	return cfg
 }
 
-func randomUnit(d int, rng interface{ Float64() float64 }) []float64 {
-	u := make([]float64, d)
-	for i := range u {
-		u[i] = rng.Float64()
-	}
-	return u
-}
-
 // Explain renders a human-readable account of the most recent Run:
 // how the subspace was chosen, how the Hedge portfolio ended up
 // weighted, and how the best configuration differs from the framework

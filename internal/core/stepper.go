@@ -10,7 +10,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -52,7 +51,6 @@ type Stepper struct {
 	proto    tuners.Protocol
 	phase    phase
 	finished bool
-	slot     map[int]int // proposal sequence → current-phase slot index
 
 	selected []string
 	selEvals int
@@ -65,16 +63,14 @@ type Stepper struct {
 	// Probe phase (workload mapping).
 	probeCfgs []conf.Config
 	probeSecs []float64
-	probeNext int
-	probeSeen int
+	probeSeen int // probes run one at a time, so also the next one's index
 
 	// Selection phase.
 	selDesign   [][]float64
 	selCfgs     []conf.Config
 	selRecs     []backend.EvalRecord
 	selObserved []bool
-	selNext     int
-	selSeen     int
+	sel         tuners.Wave
 
 	// Tuning state (init + BO), built by sealSelection.
 	ss              *conf.Subspace
@@ -86,14 +82,11 @@ type Stepper struct {
 	tuneCostBefore  float64
 	surrFallbacks   int
 
-	initCfgs        []conf.Config
-	initNext        int
-	initOutstanding bool
+	initCfgs []conf.Config
+	initNext int
 
 	stale    int
 	lastBest float64
-
-	boOutstanding bool
 }
 
 // Stepper builds the external-evaluation form of ROBOTune: the caller
@@ -133,7 +126,6 @@ func (r *ROBOTune) newStepper(s *tuners.Session, space *conf.Space, budget int, 
 		seed:     seed,
 		workload: workload,
 		dataset:  dataset,
-		slot:     make(map[int]int),
 	}
 	if s != nil {
 		st.obj = s.Objective()
@@ -248,6 +240,7 @@ func (st *Stepper) enterSelection() {
 	}
 	st.selRecs = make([]backend.EvalRecord, len(st.selCfgs))
 	st.selObserved = make([]bool, len(st.selCfgs))
+	st.sel.Start(len(st.selCfgs))
 	if len(st.selCfgs) == 0 {
 		st.endSelection()
 	}
@@ -416,31 +409,6 @@ func (st *Stepper) tellEngine(u []float64, rec backend.EvalRecord) {
 	}
 }
 
-// suggest shields the campaign from a surrogate that cannot be fit
-// even at maximum jitter (or that panics deep in the linear algebra):
-// the iteration falls back to a random point and the session keeps
-// running — an evaluation budget already paid for must never be
-// abandoned over one degenerate fit.
-func (st *Stepper) suggest() []float64 {
-	u, err := func() (u []float64, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("bo: suggest panicked: %v", p)
-			}
-		}()
-		return st.engine.Suggest()
-	}()
-	if err != nil {
-		if st.engine.N() >= 2 {
-			// A genuine fit failure, not the normal "too few
-			// observations" stage of extreme budgets.
-			st.surrFallbacks++
-		}
-		u = randomUnit(st.ss.Dim(), st.rng)
-	}
-	return u
-}
-
 // --- Ask/tell surface ------------------------------------------------
 
 // Propose implements tuners.Stepper. The selection sweep comes out as
@@ -449,77 +417,52 @@ func (st *Stepper) suggest() []float64 {
 // (the guard cap and the surrogate posterior).
 func (st *Stepper) Propose(n int) []tuners.Proposal {
 	st.proto.CheckPropose(st.Done())
+	if st.phase == phSelection {
+		return st.sel.Propose(&st.proto, n, func(i int) tuners.Proposal {
+			return tuners.Proposal{Config: st.selCfgs[i]}
+		})
+	}
+	if st.proto.Outstanding() > 0 {
+		return nil // waiting for the outstanding trial
+	}
+	var p tuners.Proposal
 	switch st.phase {
 	case phProbe:
-		if st.probeNext > st.probeSeen {
-			return nil // waiting for the outstanding probe
-		}
-		props := []tuners.Proposal{{Config: st.probeCfgs[st.probeNext]}}
-		st.slot[st.proto.Proposed(props)] = st.probeNext
-		st.probeNext++
-		return props
-	case phSelection:
-		if st.selNext >= len(st.selCfgs) {
-			return nil // waiting for outstanding selection samples
-		}
-		k := len(st.selCfgs) - st.selNext
-		if n > 0 && n < k {
-			k = n
-		}
-		props := make([]tuners.Proposal, k)
-		for i := 0; i < k; i++ {
-			props[i] = tuners.Proposal{Config: st.selCfgs[st.selNext+i]}
-		}
-		first := st.proto.Proposed(props)
-		for i := 0; i < k; i++ {
-			st.slot[first+i] = st.selNext + i
-		}
-		st.selNext += k
-		return props
+		p = tuners.Proposal{Config: st.probeCfgs[st.probeSeen]}
 	case phInit:
-		if st.initOutstanding {
-			return nil
-		}
-		st.initOutstanding = true
-		props := []tuners.Proposal{{Config: st.initCfgs[st.initNext], Cap: st.guard()}}
-		st.proto.Proposed(props)
-		return props
+		p = tuners.Proposal{Config: st.initCfgs[st.initNext], Cap: st.guard()}
 	case phBO:
-		if st.boOutstanding {
-			return nil
+		u, fellBack := st.engine.SuggestOr(st.rng)
+		if fellBack {
+			st.surrFallbacks++
 		}
-		u := st.suggest()
-		st.boOutstanding = true
-		props := []tuners.Proposal{{Config: st.ss.Decode(u), Cap: st.guard()}}
-		st.proto.Proposed(props)
-		return props
+		p = tuners.Proposal{Config: st.ss.Decode(u), Cap: st.guard()}
 	}
-	return nil
+	props := []tuners.Proposal{p}
+	st.proto.Proposed(props)
+	return props
 }
 
 // Observe implements tuners.Stepper.
 func (st *Stepper) Observe(c conf.Config, rec backend.EvalRecord) {
 	seq := st.proto.Observed(c)
-	idx := st.slot[seq]
-	delete(st.slot, seq)
 	switch st.phase {
 	case phProbe:
 		if !rec.Skipped {
-			st.probeSecs[idx] = rec.Seconds
+			st.probeSecs[st.probeSeen] = rec.Seconds
 		}
 		st.probeSeen++
 		if st.probeSeen == len(st.probeCfgs) {
 			st.endProbe()
 		}
 	case phSelection:
+		idx, complete := st.sel.Observed(seq)
 		st.selRecs[idx] = rec
 		st.selObserved[idx] = true
-		st.selSeen++
-		if st.selSeen == len(st.selCfgs) && st.selNext >= len(st.selCfgs) {
+		if complete {
 			st.endSelection()
 		}
 	case phInit:
-		st.initOutstanding = false
 		st.remaining--
 		st.tr.observe(c, rec)
 		st.tellEngine(st.ss.Encode(c), rec)
@@ -528,7 +471,6 @@ func (st *Stepper) Observe(c conf.Config, rec backend.EvalRecord) {
 			st.sealInit()
 		}
 	case phBO:
-		st.boOutstanding = false
 		st.remaining--
 		st.tr.observe(c, rec)
 		st.tellEngine(st.ss.Encode(c), rec)

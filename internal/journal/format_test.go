@@ -10,8 +10,6 @@ import (
 // ledgerSeq is the fixed ledger record sequence the format pin, the
 // byte-offset sweeps and FuzzLedgerOpen write: every record kind.
 var ledgerSeq = []ledgerFrame{
-	{T: "start", Start: &TaskStart{Task: 0}},
-	{T: "start", Start: &TaskStart{Task: 1}},
 	{T: "done", Done: &TaskDone{Task: 0, Result: []byte(`[{"found":true}]`)}},
 	{T: "failed", Failed: &TaskFailed{Task: 2, Reason: "panic: boom"}},
 }
@@ -22,12 +20,9 @@ func appendLedgerSeq(t testing.TB, l *Ledger, seq []ledgerFrame) {
 	t.Helper()
 	for _, fr := range seq {
 		var err error
-		switch {
-		case fr.Start != nil:
-			err = l.AppendStart(fr.Start.Task)
-		case fr.Done != nil:
+		if fr.Done != nil {
 			err = l.AppendTaskDone(*fr.Done)
-		case fr.Failed != nil:
+		} else {
 			err = l.AppendTaskFailed(*fr.Failed)
 		}
 		if err != nil {
@@ -88,7 +83,7 @@ func writePinned(t testing.TB, dir string) {
 // TestJournalFormatPinned writes the pinned call sequence and compares
 // every byte with testdata. The same sequence wrote format.jnl before
 // the journal and the ledger shared one record log, and format.lgr when
-// the ledger format became ROBOLGR2. It is the one test that pins the
+// the ledger format became ROBOLGR3. It is the one test that pins the
 // on-disk format: a change that fails it is a format change, and needs
 // a new magic, not new testdata.
 func TestJournalFormatPinned(t *testing.T) {

@@ -243,9 +243,8 @@ func renderJournal(evals []EvalEntry, done bool) string {
 
 // ledgerState is the recovered ledger as the sweeps compare it.
 type ledgerState struct {
-	Started []int
-	Done    []TaskDone
-	Failed  []TaskFailed
+	Done   []TaskDone
+	Failed []TaskFailed
 }
 
 var ledgerCase = logCase{
@@ -257,12 +256,9 @@ var ledgerCase = logCase{
 	want: func(k int) string {
 		var s ledgerState
 		for _, fr := range ledgerSeq[:k] {
-			switch {
-			case fr.Start != nil:
-				s.Started = append(s.Started, fr.Start.Task)
-			case fr.Done != nil:
+			if fr.Done != nil {
 				s.Done = append(s.Done, *fr.Done)
-			case fr.Failed != nil:
+			} else {
 				s.Failed = append(s.Failed, *fr.Failed)
 			}
 		}
@@ -277,9 +273,6 @@ var ledgerCase = logCase{
 		defer l.Close()
 		var s ledgerState
 		for i := -1; i <= len(meta.Tasks); i++ { // one task either side of the manifest
-			if l.TaskStarted(i) {
-				s.Started = append(s.Started, i)
-			}
 			if d, ok := l.TaskDone(i); ok {
 				s.Done = append(s.Done, d)
 			}

@@ -7,7 +7,7 @@ import (
 
 // ledgerMagic identifies a campaign ledger file; like the session
 // journal's magic it doubles as the format version.
-var ledgerMagic = []byte("ROBOLGR2")
+var ledgerMagic = []byte("ROBOLGR3")
 
 // LedgerMeta identifies the campaign a ledger belongs to. Resume
 // validates the ledger's meta record against this one byte for byte
@@ -32,13 +32,6 @@ type LedgerMeta struct {
 	Config string `json:"config,omitempty"`
 }
 
-// TaskStart marks a task as claimed by a (possibly crashed) run. A
-// started-but-not-done task is the resume signal to replay its session
-// journal rather than skip it.
-type TaskStart struct {
-	Task int `json:"task"`
-}
-
 // TaskDone records a task that ran to completion with an opaque
 // owner-defined result payload that resume hands back without
 // re-running anything.
@@ -60,7 +53,6 @@ type TaskFailed struct {
 type ledgerFrame struct {
 	T      string      `json:"t"`
 	Meta   *LedgerMeta `json:"meta,omitempty"`
-	Start  *TaskStart  `json:"start,omitempty"`
 	Done   *TaskDone   `json:"done,omitempty"`
 	Failed *TaskFailed `json:"failed,omitempty"`
 }
@@ -73,9 +65,8 @@ type Ledger struct {
 	recordLog
 	tasks int // manifest length; a record naming a task outside it is corrupt
 
-	started map[int]bool
-	done    map[int]TaskDone
-	failed  map[int]TaskFailed
+	done   map[int]TaskDone
+	failed map[int]TaskFailed
 }
 
 // OpenLedger opens or creates the campaign ledger at path. An
@@ -86,7 +77,6 @@ func OpenLedger(path string, meta LedgerMeta, policy SyncPolicy) (*Ledger, error
 	l := &Ledger{
 		recordLog: recordLog{policy: policy},
 		tasks:     len(meta.Tasks),
-		started:   make(map[int]bool),
 		done:      make(map[int]TaskDone),
 		failed:    make(map[int]TaskFailed),
 	}
@@ -105,8 +95,6 @@ func (l *Ledger) decode(payload []byte, _ int64) string {
 	}
 	valid := func(i int) bool { return i >= 0 && i < l.tasks }
 	switch {
-	case fr.T == "start" && fr.Start != nil && valid(fr.Start.Task):
-		l.started[fr.Start.Task] = true
 	case fr.T == "done" && fr.Done != nil && valid(fr.Done.Task):
 		l.done[fr.Done.Task] = *fr.Done
 	case fr.T == "failed" && fr.Failed != nil && valid(fr.Failed.Task):
@@ -115,13 +103,6 @@ func (l *Ledger) decode(payload []byte, _ int64) string {
 		return fmt.Sprintf("unexpected %q record", fr.T)
 	}
 	return ""
-}
-
-// TaskStarted reports whether a start record exists for task i.
-func (l *Ledger) TaskStarted(i int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.started[i]
 }
 
 // TaskDone returns task i's completion record, if it finished.
@@ -138,20 +119,6 @@ func (l *Ledger) TaskFailed(i int) (TaskFailed, bool) {
 	defer l.mu.Unlock()
 	f, ok := l.failed[i]
 	return f, ok
-}
-
-// AppendStart commits a start record for task i.
-func (l *Ledger) AppendStart(i int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.started[i] {
-		return nil
-	}
-	if err := l.append(ledgerFrame{T: "start", Start: &TaskStart{Task: i}}, false); err != nil {
-		return err
-	}
-	l.started[i] = true
-	return nil
 }
 
 // AppendTaskDone commits a completion record; once it is durable a

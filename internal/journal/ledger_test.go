@@ -27,12 +27,6 @@ func TestLedgerFreshAndResume(t *testing.T) {
 	if l.Resumed() {
 		t.Fatal("fresh ledger claims resumed")
 	}
-	if err := l.AppendStart(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendStart(1); err != nil {
-		t.Fatal(err)
-	}
 	payload, _ := json.Marshal(map[string]int{"trials": 20})
 	if err := l.AppendTaskDone(TaskDone{Task: 0, Result: payload}); err != nil {
 		t.Fatal(err)
@@ -52,11 +46,8 @@ func TestLedgerFreshAndResume(t *testing.T) {
 	if !r.Resumed() {
 		t.Fatal("reopened ledger not resumed")
 	}
-	if ri := r.Recovery(); ri.Truncated || ri.Records != 5 {
-		t.Fatalf("recovery = %+v, want 5 records untruncated", ri)
-	}
-	if !r.TaskStarted(0) || !r.TaskStarted(1) || r.TaskStarted(2) {
-		t.Fatal("start records wrong")
+	if ri := r.Recovery(); ri.Truncated || ri.Records != 3 {
+		t.Fatalf("recovery = %+v, want 3 records untruncated", ri)
 	}
 	d, ok := r.TaskDone(0)
 	if !ok || string(d.Result) != string(payload) {
@@ -78,7 +69,7 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendStart(0); err != nil {
+	if err := l.AppendTaskFailed(TaskFailed{Task: 1, Reason: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendTaskDone(TaskDone{Task: 0}); err != nil {
@@ -102,8 +93,8 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 	if ri := r.Recovery(); !ri.Truncated || ri.Reason == "" {
 		t.Fatalf("recovery = %+v, want truncation", ri)
 	}
-	if !r.TaskStarted(0) {
-		t.Fatal("intact start record lost")
+	if _, ok := r.TaskFailed(1); !ok {
+		t.Fatal("intact failed record lost")
 	}
 	if _, ok := r.TaskDone(0); ok {
 		t.Fatal("torn done record trusted")
@@ -147,13 +138,36 @@ func TestLedgerMetaMismatch(t *testing.T) {
 	}
 }
 
+// TestLedgerBadMagic checks that a file with another header is refused
+// and left untouched, and that a log of a retired format version is
+// named as one, with both versions and what to do about it.
 func TestLedgerBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "campaign.lgr")
-	if err := os.WriteFile(path, []byte("NOTALGRX plus junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLedger(path, testLedgerMeta(), SyncAlways); err == nil {
-		t.Fatal("bad magic not rejected")
+	for _, tc := range []struct {
+		header string
+		want   []string
+	}{
+		{"ROBOLGR1", []string{`format "ROBOLGR1"`, `reads only "ROBOLGR3"`, "bad magic", "move it aside or delete it"}},
+		{"ROBOLGR2", []string{`format "ROBOLGR2"`, `reads only "ROBOLGR3"`, "bad magic", "move it aside or delete it"}},
+		{"NOTALGRX", []string{"is not a ledger file (bad magic)"}},
+		{"ROBOJNL1", []string{"is not a ledger file (bad magic)"}},
+	} {
+		path := filepath.Join(t.TempDir(), "campaign.lgr")
+		data := []byte(tc.header + " plus records")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenLedger(path, testLedgerMeta(), SyncAlways)
+		if err == nil {
+			t.Fatalf("%s: not rejected", tc.header)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not say %q", tc.header, err, w)
+			}
+		}
+		if got, _ := os.ReadFile(path); string(got) != string(data) {
+			t.Errorf("%s: refused file changed to %q", tc.header, got)
+		}
 	}
 }
 
@@ -164,12 +178,12 @@ func TestLedgerOutOfRangeTaskTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendStart(0); err != nil {
+	if err := l.AppendTaskDone(TaskDone{Task: 0}); err != nil {
 		t.Fatal(err)
 	}
 	// A record for a task index outside the manifest: recovery must
 	// treat it as corruption, not index into a shorter campaign.
-	if err := l.AppendStart(99); err != nil {
+	if err := l.AppendTaskDone(TaskDone{Task: 99}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -181,7 +195,7 @@ func TestLedgerOutOfRangeTaskTruncates(t *testing.T) {
 	if ri := r.Recovery(); !ri.Truncated {
 		t.Fatalf("recovery = %+v, want truncation at out-of-range record", ri)
 	}
-	if !r.TaskStarted(0) {
+	if _, ok := r.TaskDone(0); !ok {
 		t.Fatal("intact record lost")
 	}
 }

@@ -90,10 +90,12 @@ func (l *recordLog) open(path, kind, owner string, magic []byte, meta any, decod
 // or not a meta record, with the discarded bytes reported: the meta
 // record is fsynced at creation, so its absence means the header
 // append itself was torn and nothing after it can have committed.
-// Otherwise the first record must equal rec byte for byte — a log
-// written for another session or campaign is refused and left
-// untouched — and the records after it are decoded up to the first
-// torn, corrupt or rejected one, where the file is truncated.
+// A file with another magic is refused and left untouched, naming the
+// format it holds when only the version byte differs. Otherwise the
+// first record must equal rec byte for byte — a log written for
+// another session or campaign is refused and left untouched — and the
+// records after it are decoded up to the first torn, corrupt or
+// rejected one, where the file is truncated.
 func (l *recordLog) recover(path, kind, owner string, magic, rec []byte, decode func([]byte, int64) string) error {
 	data, err := io.ReadAll(l.f)
 	if err != nil {
@@ -102,7 +104,12 @@ func (l *recordLog) recover(path, kind, owner string, magic, rec []byte, decode 
 	if len(data) < len(magic) {
 		return l.create(path, magic, rec)
 	}
-	if !bytes.Equal(data[:len(magic)], magic) {
+	if got := data[:len(magic)]; !bytes.Equal(got, magic) {
+		// The last magic byte is the format version.
+		if bytes.HasPrefix(got, magic[:len(magic)-1]) {
+			return fmt.Errorf("%s is a %s file in format %q, but this build reads only %q (bad magic); "+
+				"move it aside or delete it", path, kind, got, magic)
+		}
 		return fmt.Errorf("%s is not a %s file (bad magic)", path, kind)
 	}
 	off := int64(len(magic))

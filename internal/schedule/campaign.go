@@ -5,7 +5,7 @@
 // one ROBOTune whose selection cache and memo buffer carry from
 // session to session. A CRC-framed campaign ledger (journal.Ledger —
 // same framing as the per-session journals) records which tasks
-// started, finished or failed and where their session journals live.
+// finished or failed and where their session journals live.
 // A campaign killed at any point — including SIGKILL — resumes
 // mid-grid: completed tasks are skipped via their done records (their
 // recorded results are returned without constructing a tuner or
@@ -221,9 +221,6 @@ func (c *campaign) restore() error {
 func (c *campaign) runTask(i int, pool *Pool) {
 	if c.out[i].Reused {
 		return
-	}
-	if c.led != nil {
-		c.note(c.led.AppendStart(i))
 	}
 	c.out[i] = c.execute(i, pool)
 }

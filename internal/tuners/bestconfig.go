@@ -60,7 +60,6 @@ func (b BestConfig) Stepper(space *conf.Space, budget int, seed uint64) Stepper 
 		lo:        make([]float64, d),
 		hi:        make([]float64, d),
 		prevBest:  math.Inf(1),
-		slot:      make(map[int]int),
 	}
 	st.resetBounds()
 	return st
@@ -78,11 +77,9 @@ type bestConfigStepper struct {
 
 	// Current round state.
 	points       [][]float64 // mapped unit points, index-aligned with the design
-	next         int         // next point index to propose
-	seen         int         // observations received this round
+	round        Wave
 	roundBest    []float64
 	roundBestSec float64
-	slot         map[int]int // proposal sequence → round point index
 }
 
 func (st *bestConfigStepper) resetBounds() {
@@ -92,7 +89,7 @@ func (st *bestConfigStepper) resetBounds() {
 }
 
 func (st *bestConfigStepper) Done() bool {
-	return st.remaining <= 0 && st.next >= len(st.points)
+	return st.remaining <= 0 && st.round.Left() == 0
 }
 
 // startRound draws the next DDS design inside the current bounds and
@@ -113,46 +110,31 @@ func (st *bestConfigStepper) startRound() {
 		}
 		st.points[i] = p
 	}
-	st.next = 0
-	st.seen = 0
+	st.round.Start(n)
 	st.roundBest = nil
 	st.roundBestSec = math.Inf(1)
 }
 
 func (st *bestConfigStepper) Propose(n int) []Proposal {
 	st.CheckPropose(st.Done())
-	if st.next >= len(st.points) {
-		if st.seen < len(st.points) {
+	if st.round.Left() == 0 {
+		if !st.round.Complete() {
 			return nil // waiting for the round's outstanding observations
 		}
 		st.startRound()
 	}
-	k := len(st.points) - st.next
-	if n > 0 && n < k {
-		k = n
-	}
-	props := make([]Proposal, k)
-	for i := 0; i < k; i++ {
-		props[i] = Proposal{Config: st.space.Decode(st.points[st.next+i])}
-	}
-	first := st.Proposed(props)
-	for i := 0; i < k; i++ {
-		st.slot[first+i] = st.next + i
-	}
-	st.next += k
-	return props
+	return st.round.Propose(&st.Protocol, n, func(i int) Proposal {
+		return Proposal{Config: st.space.Decode(st.points[i])}
+	})
 }
 
 func (st *bestConfigStepper) Observe(c conf.Config, rec backend.EvalRecord) {
-	seq := st.Observed(c)
-	idx := st.slot[seq]
-	delete(st.slot, seq)
-	st.seen++
+	idx, complete := st.round.Observed(st.Observed(c))
 	if !rec.Skipped && rec.Completed && rec.Seconds < st.roundBestSec {
 		st.roundBestSec = rec.Seconds
 		st.roundBest = st.points[idx]
 	}
-	if st.seen == len(st.points) && st.next >= len(st.points) {
+	if complete {
 		st.endRound()
 	}
 }

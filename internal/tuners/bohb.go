@@ -137,11 +137,6 @@ func (b BOHB) boConfig(seed uint64) bo.Config {
 	return cfg
 }
 
-type bohbEntry struct {
-	c   conf.Config
-	sec float64 // ranking key: observed seconds (spend floor if failed)
-}
-
 // Stepper returns the ask/tell form of BOHB. Each rung is proposed as
 // one wave at its ladder fidelity; promotion runs once the whole rung
 // has been observed; new brackets start while a full bracket still
@@ -182,7 +177,6 @@ func (b BOHB) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 		remaining:     budget,
 		cohortSize:    n0,
 		bracketTrials: trials,
-		slot:          make(map[int]int),
 	}
 	st.startBracket()
 	return st
@@ -202,11 +196,9 @@ type bohbStepper struct {
 	surrFallbacks int
 
 	// Current rung state.
-	queue []bohbEntry
+	queue []rungEntry
 	rung  int
-	next  int
-	seen  int
-	slot  map[int]int // proposal sequence → rung entry index
+	wave  Wave
 
 	// times holds completed full-equivalent execution times (proxy
 	// measurements scaled up linearly), the population the guard cap's
@@ -217,9 +209,9 @@ type bohbStepper struct {
 func (st *bohbStepper) Done() bool { return st.tail && st.remaining <= 0 }
 
 // EvalParallel implements Batcher: rung waves may be evaluated
-// concurrently. Promotion is order-independent (the engine is fed in
-// queue order at rung end), so results are bit-identical for any
-// worker count.
+// concurrently. The engine is fed on each Observe, in arrival order,
+// but Drive's batch path observes a wave in index order whatever the
+// worker count, so results are bit-identical for any worker count.
 func (st *bohbStepper) EvalParallel() int { return st.cfg.Workers }
 
 // startBracket opens the next bracket — or, when a whole bracket no
@@ -239,7 +231,7 @@ func (st *bohbStepper) startBracket() {
 // bracket (and whenever the surrogate has nothing to say), batch
 // suggestions from the engine afterwards, padded with random points
 // if the constant-liar lookahead stops early.
-func (st *bohbStepper) cohort(n int) []bohbEntry {
+func (st *bohbStepper) cohort(n int) []rungEntry {
 	var us [][]float64
 	if st.bracket > 0 && st.engine.N() >= 2 {
 		us = st.suggestBatch(n)
@@ -247,12 +239,10 @@ func (st *bohbStepper) cohort(n int) []bohbEntry {
 	if len(us) == 0 {
 		us = sample.LHS(n, st.space.Dim(), st.rng)
 	}
-	for len(us) < n {
-		us = append(us, randomUnitVec(st.space.Dim(), st.rng))
-	}
-	entries := make([]bohbEntry, n)
+	us = append(us, sample.Uniform(n-len(us), st.space.Dim(), st.rng)...)
+	entries := make([]rungEntry, n)
 	for i := 0; i < n; i++ {
-		entries[i] = bohbEntry{c: st.space.Decode(us[i])}
+		entries[i] = rungEntry{c: st.space.Decode(us[i])}
 	}
 	return entries
 }
@@ -261,7 +251,7 @@ func (st *bohbStepper) cohort(n int) []bohbEntry {
 // bracket start, so the reservation never truncates a rung).
 func (st *bohbStepper) startRung() {
 	st.remaining -= len(st.queue)
-	st.next, st.seen = 0, 0
+	st.wave.Start(len(st.queue))
 }
 
 // rungFidelity maps a ladder rung to the proposal fidelity along the
@@ -304,31 +294,19 @@ func (st *bohbStepper) Propose(n int) []Proposal {
 		// Sequential full-fidelity suggestions: one at a time, so each
 		// sees every previous observation (and the stepper stays
 		// bit-identical for any Workers setting).
-		u := st.suggestOne()
+		u, fellBack := st.engine.SuggestOr(st.rng)
+		if fellBack {
+			st.surrFallbacks++
+		}
 		st.remaining--
 		props := []Proposal{{Config: st.space.Decode(u), Cap: st.guardCap(len(st.cfg.Ladder) - 1)}}
 		st.Proposed(props)
 		return props
 	}
-	if st.next >= len(st.queue) {
-		return nil // waiting for the rung's outstanding observations
-	}
-	k := len(st.queue) - st.next
-	if n > 0 && n < k {
-		k = n
-	}
-	fid := st.rungFidelity(st.rung)
-	cap := st.guardCap(st.rung)
-	props := make([]Proposal, k)
-	for i := 0; i < k; i++ {
-		props[i] = Proposal{Config: st.queue[st.next+i].c, Cap: cap, Fidelity: fid}
-	}
-	first := st.Proposed(props)
-	for i := 0; i < k; i++ {
-		st.slot[first+i] = st.next + i
-	}
-	st.next += k
-	return props
+	fid, cap := st.rungFidelity(st.rung), st.guardCap(st.rung)
+	return st.wave.Propose(&st.Protocol, n, func(i int) Proposal {
+		return Proposal{Config: st.queue[i].c, Cap: cap, Fidelity: fid}
+	})
 }
 
 func (st *bohbStepper) Observe(c conf.Config, rec backend.EvalRecord) {
@@ -340,8 +318,7 @@ func (st *bohbStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 		st.feedEngine(c, rec, 1)
 		return
 	}
-	idx := st.slot[seq]
-	delete(st.slot, seq)
+	idx, complete := st.wave.Observed(seq)
 	// Ranking key: observed seconds; failed runs carry their consumed
 	// time (they are at least that slow); skipped (cancelled) entries
 	// sort last so they can never be promoted over a measurement.
@@ -359,8 +336,7 @@ func (st *bohbStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 	if !rec.Skipped {
 		st.feedEngine(c, rec, st.cfg.Ladder[st.rung])
 	}
-	st.seen++
-	if st.seen == len(st.queue) && st.next >= len(st.queue) {
+	if complete {
 		st.endRung()
 	}
 }
@@ -387,48 +363,13 @@ func (st *bohbStepper) feedEngine(c conf.Config, rec backend.EvalRecord, scale f
 // endRung promotes the fastest 1/Eta of the rung, or closes the
 // bracket when the ladder is exhausted.
 func (st *bohbStepper) endRung() {
-	evaluated := append([]bohbEntry(nil), st.queue...)
-	sort.SliceStable(evaluated, func(a, b int) bool { return evaluated[a].sec < evaluated[b].sec })
-	keep := len(evaluated) / st.cfg.Eta
-	if keep < 1 {
-		keep = 1
-	}
 	st.rung++
 	if st.rung >= len(st.cfg.Ladder) {
 		st.startBracket()
 		return
 	}
-	st.queue = evaluated[:keep]
-	for i := range st.queue {
-		st.queue[i].sec = 0
-	}
+	st.queue = promote(st.queue, st.cfg.Eta)
 	st.startRung()
-}
-
-// suggestOne asks the engine for the next tail-phase point, falling
-// back to a random unit point when the surrogate cannot help (too few
-// observations, fit failure, or a panic in the numeric stack).
-func (st *bohbStepper) suggestOne() []float64 {
-	if st.engine.N() >= 2 {
-		if u := st.trySuggest(); u != nil {
-			return u
-		}
-		st.surrFallbacks++
-	}
-	return randomUnitVec(st.space.Dim(), st.rng)
-}
-
-func (st *bohbStepper) trySuggest() (u []float64) {
-	defer func() {
-		if recover() != nil {
-			u = nil
-		}
-	}()
-	u, err := st.engine.Suggest()
-	if err != nil {
-		return nil
-	}
-	return u
 }
 
 // suggestBatch asks the engine for a bracket cohort, nil on any
@@ -454,12 +395,4 @@ func (st *bohbStepper) SessionResult(s *Session) Result {
 	res := s.Result()
 	res.SurrogateFallbacks = st.surrFallbacks
 	return res
-}
-
-func randomUnitVec(d int, rng *rand.Rand) []float64 {
-	u := make([]float64, d)
-	for i := range u {
-		u[i] = rng.Float64()
-	}
-	return u
 }

@@ -46,7 +46,6 @@ func (c CMAES) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 		budget: budget,
 		opt: optimize.NewCMAES(x0, optimize.UnitBox(space.Dim()),
 			optimize.CMAESConfig{Sigma0: c.Sigma0, Lambda: c.Lambda, MaxEvals: budget, Seed: seed}, rng),
-		slot: make(map[int]int),
 	}
 	st.startGeneration()
 	return st
@@ -60,15 +59,12 @@ type cmaesStepper struct {
 	gens   int
 	done   bool
 
-	// Current generation state.
-	xs   [][]float64
-	fs   []float64
-	next int
-	seen int
-	slot map[int]int // proposal sequence → generation index
+	// Current generation: its points and their observed values.
+	xs  [][]float64
+	fs  []float64
+	gen Wave
 
-	meanPhase    bool
-	meanProposed bool
+	meanPhase bool
 }
 
 func (st *cmaesStepper) Done() bool { return st.done }
@@ -77,11 +73,9 @@ func (st *cmaesStepper) startGeneration() {
 	if !st.opt.Done() {
 		st.xs = st.opt.Ask()
 		st.fs = make([]float64, len(st.xs))
-		st.next = 0
-		st.seen = 0
+		st.gen.Start(len(st.xs))
 		return
 	}
-	st.xs = nil
 	if st.gens == 0 && st.budget > 0 {
 		// Budget below one generation: evaluate the mean, exactly like
 		// the blocking optimizer's final fallback.
@@ -94,31 +88,16 @@ func (st *cmaesStepper) startGeneration() {
 func (st *cmaesStepper) Propose(n int) []Proposal {
 	st.CheckPropose(st.done)
 	if st.meanPhase {
-		if st.meanProposed {
+		if st.Outstanding() > 0 {
 			return nil
 		}
-		st.meanProposed = true
 		props := []Proposal{{Config: st.space.Decode(st.opt.Mean())}}
 		st.Proposed(props)
 		return props
 	}
-	if st.next >= len(st.xs) {
-		return nil // waiting for the generation's outstanding observations
-	}
-	k := len(st.xs) - st.next
-	if n > 0 && n < k {
-		k = n
-	}
-	props := make([]Proposal, k)
-	for i := 0; i < k; i++ {
-		props[i] = Proposal{Config: st.space.Decode(st.xs[st.next+i])}
-	}
-	first := st.Proposed(props)
-	for i := 0; i < k; i++ {
-		st.slot[first+i] = st.next + i
-	}
-	st.next += k
-	return props
+	return st.gen.Propose(&st.Protocol, n, func(i int) Proposal {
+		return Proposal{Config: st.space.Decode(st.xs[i])}
+	})
 }
 
 func (st *cmaesStepper) Observe(c conf.Config, rec backend.EvalRecord) {
@@ -127,15 +106,12 @@ func (st *cmaesStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 		st.done = true
 		return
 	}
-	idx := st.slot[seq]
-	delete(st.slot, seq)
-	f := rec.Seconds
+	idx, complete := st.gen.Observed(seq)
+	st.fs[idx] = rec.Seconds
 	if rec.Skipped {
-		f = math.Inf(1)
+		st.fs[idx] = math.Inf(1)
 	}
-	st.fs[idx] = f
-	st.seen++
-	if st.seen == len(st.xs) && st.next >= len(st.xs) {
+	if complete {
 		st.opt.Tell(st.fs)
 		st.gens++
 		st.startGeneration()

@@ -40,7 +40,6 @@ func (Gunther) Name() string { return "Gunther" }
 type individual struct {
 	genes   []float64
 	fitness float64 // objective seconds; lower is better
-	valid   bool
 }
 
 // Run implements Tuner by driving the stepper.
@@ -72,7 +71,6 @@ func (g Gunther) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 		rng:    sample.NewRNG(seed),
 		d:      space.Dim(),
 		budget: budget,
-		slot:   make(map[int]int),
 	}
 	st.startInit()
 	return st
@@ -92,12 +90,10 @@ type guntherStepper struct {
 	pop       []individual
 	elites    []individual
 
-	// Current wave state.
-	queue   [][]float64  // genes pending evaluation, in creation order
-	results []individual // slot per queue index, filled at observe
-	next    int          // next queue index to propose
-	seen    int          // observations received this wave
-	slot    map[int]int  // proposal sequence → queue index
+	// Current wave: its individuals in creation order, their fitness
+	// filled in as they are observed.
+	batch []individual
+	wave  Wave
 }
 
 func (st *guntherStepper) Done() bool { return st.done }
@@ -124,23 +120,12 @@ func (st *guntherStepper) startInit() {
 		st.done = true
 		return
 	}
-	queue := make([][]float64, initN)
-	for i := range queue {
-		genes := make([]float64, st.d)
-		for j := range genes {
-			genes[j] = st.rng.Float64()
-		}
-		queue[i] = genes
+	st.batch = make([]individual, initN)
+	for i, genes := range sample.Uniform(initN, st.d, st.rng) {
+		st.batch[i].genes = genes
 	}
 	st.used = initN
-	st.startWave(queue)
-}
-
-func (st *guntherStepper) startWave(queue [][]float64) {
-	st.queue = queue
-	st.results = make([]individual, len(queue))
-	st.next = 0
-	st.seen = 0
+	st.wave.Start(initN)
 }
 
 func (st *guntherStepper) tournament() individual {
@@ -171,8 +156,8 @@ func (st *guntherStepper) startGeneration() {
 		st.done = true
 		return
 	}
-	queue := make([][]float64, k)
-	for i := range queue {
+	st.batch = make([]individual, k)
+	for i := range st.batch {
 		p1, p2 := st.tournament(), st.tournament()
 		child := make([]float64, st.d)
 		for j := 0; j < st.d; j++ {
@@ -186,44 +171,26 @@ func (st *guntherStepper) startGeneration() {
 				child[j] = math.Min(math.Nextafter(1, 0), math.Max(0, child[j]))
 			}
 		}
-		queue[i] = child
+		st.batch[i].genes = child
 	}
 	st.used += k
-	st.startWave(queue)
+	st.wave.Start(k)
 }
 
 func (st *guntherStepper) Propose(n int) []Proposal {
 	st.CheckPropose(st.done)
-	if st.next >= len(st.queue) {
-		return nil // waiting for the wave's outstanding observations
-	}
-	k := len(st.queue) - st.next
-	if n > 0 && n < k {
-		k = n
-	}
-	props := make([]Proposal, k)
-	for i := 0; i < k; i++ {
-		props[i] = Proposal{Config: st.space.Decode(st.queue[st.next+i])}
-	}
-	first := st.Proposed(props)
-	for i := 0; i < k; i++ {
-		st.slot[first+i] = st.next + i
-	}
-	st.next += k
-	return props
+	return st.wave.Propose(&st.Protocol, n, func(i int) Proposal {
+		return Proposal{Config: st.space.Decode(st.batch[i].genes)}
+	})
 }
 
 func (st *guntherStepper) Observe(c conf.Config, rec backend.EvalRecord) {
-	seq := st.Observed(c)
-	idx := st.slot[seq]
-	delete(st.slot, seq)
-	fit := rec.Seconds
+	idx, complete := st.wave.Observed(st.Observed(c))
+	st.batch[idx].fitness = rec.Seconds
 	if rec.Skipped {
-		fit = math.Inf(1)
+		st.batch[idx].fitness = math.Inf(1)
 	}
-	st.results[idx] = individual{genes: st.queue[idx], fitness: fit, valid: rec.Completed}
-	st.seen++
-	if st.seen == len(st.queue) && st.next >= len(st.queue) {
+	if complete {
 		st.endWave()
 	}
 }
@@ -232,7 +199,7 @@ func (st *guntherStepper) endWave() {
 	if st.initPhase {
 		// Aggressive selection: the best PopSize of the random pool
 		// seed the population.
-		pool := append([]individual(nil), st.results...)
+		pool := append([]individual(nil), st.batch...)
 		sort.SliceStable(pool, func(a, b int) bool { return pool[a].fitness < pool[b].fitness })
 		if len(pool) > st.cfg.PopSize {
 			pool = pool[:st.cfg.PopSize]
@@ -241,7 +208,7 @@ func (st *guntherStepper) endWave() {
 	} else {
 		next := make([]individual, 0, st.cfg.PopSize)
 		next = append(next, st.elites...)
-		next = append(next, st.results...)
+		next = append(next, st.batch...)
 		sort.SliceStable(next, func(a, b int) bool { return next[a].fitness < next[b].fitness })
 		st.pop = next
 	}

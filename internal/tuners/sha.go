@@ -19,9 +19,10 @@ import (
 // the full limit. It exploits the same early-kill machinery as
 // ROBOTune's guard, but with a fixed schedule instead of a model.
 //
-// It requires an Objective that supports EvaluateWithCap (the
-// simulator's Evaluator and FuncObjective both do); otherwise every
-// evaluation runs under the full cap and the method degrades to
+// Each rung's proposals carry the rung's cap (Proposal.Cap), which the
+// session hands to the objective in its EvalSpec, tightened by the
+// request deadline. An objective that ignores EvalSpec.Cap runs every
+// trial under the full cap, and the method degrades to
 // repeated-evaluation selection.
 type SuccessiveHalving struct {
 	// Eta is the promotion factor: 1/Eta of each cohort survives and
@@ -43,9 +44,20 @@ func (s SuccessiveHalving) Run(ses *Session) Result {
 	return Drive(s.Stepper(ses.Space(), ses.Budget(), ses.Seed()), ses)
 }
 
-type shaEntry struct {
+// rungEntry is one configuration on a successive-halving rung (SHA's
+// or BOHB's) with its ranking key: the observed seconds, or a floor on
+// them for a run that did not complete.
+type rungEntry struct {
 	c   conf.Config
 	sec float64
+}
+
+// promote returns the fastest 1/eta of a fully observed rung, at least
+// one entry; the sort is stable, so ties keep proposal order.
+func promote(rung []rungEntry, eta int) []rungEntry {
+	ranked := append([]rungEntry(nil), rung...)
+	sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].sec < ranked[b].sec })
+	return ranked[:max(len(ranked)/eta, 1)]
 }
 
 // Stepper returns the ask/tell form of successive halving. Each rung
@@ -89,10 +101,9 @@ func (s SuccessiveHalving) Stepper(space *conf.Space, budget int, seed uint64) S
 		rounds:    rounds,
 		remaining: budget,
 		cap:       s.MinCap,
-		slot:      make(map[int]int),
 	}
 	for _, u := range sample.LHS(cohort, space.Dim(), rng) {
-		st.survivors = append(st.survivors, shaEntry{c: space.Decode(u)})
+		st.survivors = append(st.survivors, rungEntry{c: space.Decode(u)})
 	}
 	st.startRound()
 	return st
@@ -107,15 +118,13 @@ type shaStepper struct {
 	r         int
 	remaining int
 	cap       float64
-	survivors []shaEntry
+	survivors []rungEntry
 	jitter    bool
 
 	// Current rung state.
-	queue    []shaEntry // entries pending evaluation this rung
+	queue    []rungEntry // entries pending evaluation this rung
 	roundCap float64
-	next     int
-	seen     int
-	slot     map[int]int // proposal sequence → rung entry index
+	wave     Wave
 }
 
 func (st *shaStepper) Done() bool { return st.jitter && st.remaining <= 0 }
@@ -139,9 +148,8 @@ func (st *shaStepper) startRound() {
 		k = st.remaining
 	}
 	st.remaining -= k
-	st.queue = append([]shaEntry(nil), st.survivors[:k]...)
-	st.next = 0
-	st.seen = 0
+	st.queue = append([]rungEntry(nil), st.survivors[:k]...)
+	st.wave.Start(k)
 }
 
 func (st *shaStepper) Propose(n int) []Proposal {
@@ -164,23 +172,9 @@ func (st *shaStepper) Propose(n int) []Proposal {
 		st.Proposed(props)
 		return props
 	}
-	if st.next >= len(st.queue) {
-		return nil // waiting for the rung's outstanding observations
-	}
-	k := len(st.queue) - st.next
-	if n > 0 && n < k {
-		k = n
-	}
-	props := make([]Proposal, k)
-	for i := 0; i < k; i++ {
-		props[i] = Proposal{Config: st.queue[st.next+i].c, Cap: st.roundCap}
-	}
-	first := st.Proposed(props)
-	for i := 0; i < k; i++ {
-		st.slot[first+i] = st.next + i
-	}
-	st.next += k
-	return props
+	return st.wave.Propose(&st.Protocol, n, func(i int) Proposal {
+		return Proposal{Config: st.queue[i].c, Cap: st.roundCap}
+	})
 }
 
 func (st *shaStepper) Observe(c conf.Config, rec backend.EvalRecord) {
@@ -188,8 +182,7 @@ func (st *shaStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 	if st.jitter {
 		return // jitter evaluations only feed the session incumbent
 	}
-	idx := st.slot[seq]
-	delete(st.slot, seq)
+	idx, complete := st.wave.Observed(seq)
 	// Runs killed by the tight cap carry their consumed time as the
 	// ranking key (they are at least that slow).
 	sec := rec.Seconds
@@ -197,21 +190,14 @@ func (st *shaStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 		sec = math.Max(rec.Raw, st.roundCap)
 	}
 	st.queue[idx].sec = sec
-	st.seen++
-	if st.seen == len(st.queue) && st.next >= len(st.queue) {
+	if complete {
 		st.endRound()
 	}
 }
 
 // endRound promotes the fastest 1/Eta of the rung and loosens the cap.
 func (st *shaStepper) endRound() {
-	evaluated := append([]shaEntry(nil), st.queue...)
-	sort.SliceStable(evaluated, func(a, b int) bool { return evaluated[a].sec < evaluated[b].sec })
-	keep := len(evaluated) / st.cfg.Eta
-	if keep < 1 {
-		keep = 1
-	}
-	st.survivors = evaluated[:keep]
+	st.survivors = promote(st.queue, st.cfg.Eta)
 	st.cap = math.Min(st.cap*float64(st.cfg.Eta), st.cfg.MaxCap)
 	st.r++
 	st.startRound()

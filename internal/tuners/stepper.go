@@ -176,6 +176,64 @@ func sameValues(m map[string]float64, c conf.Config) bool {
 	return true
 }
 
+// Wave is the bookkeeping of a batch that a stepper hands out in
+// chunks and acts on once every trial in it has been observed: a
+// BestConfig round, a Gunther or CMA-ES generation, a successive-halving
+// or BOHB rung, ROBOTune's selection sweep. Observations may arrive in
+// any order; Observed maps each back to its index in the batch.
+type Wave struct {
+	n, next, seen int
+	slot          map[int]int // proposal sequence → batch index
+}
+
+// Start opens a wave of n trials.
+func (w *Wave) Start(n int) {
+	w.n, w.next, w.seen = n, 0, 0
+	if w.slot == nil {
+		w.slot = make(map[int]int)
+	}
+}
+
+// Propose hands out up to n (n <= 0: all) of the trials not yet
+// handed out, building trial i with at, and registers them with p. It
+// returns nil once the whole wave has been handed out.
+func (w *Wave) Propose(p *Protocol, n int, at func(i int) Proposal) []Proposal {
+	k := w.Left()
+	if n > 0 && n < k {
+		k = n
+	}
+	if k == 0 {
+		return nil
+	}
+	props := make([]Proposal, k)
+	for i := range props {
+		props[i] = at(w.next + i)
+	}
+	first := p.Proposed(props)
+	for i := range props {
+		w.slot[first+i] = w.next + i
+	}
+	w.next += k
+	return props
+}
+
+// Observed maps the sequence number Protocol.Observed returned for a
+// trial of this wave to the trial's index, and reports whether that
+// observation completed the wave.
+func (w *Wave) Observed(seq int) (i int, complete bool) {
+	i = w.slot[seq]
+	delete(w.slot, seq)
+	w.seen++
+	return i, w.Complete()
+}
+
+// Left returns the number of trials not yet handed out.
+func (w *Wave) Left() int { return w.n - w.next }
+
+// Complete reports whether every trial has been handed out and
+// observed; a wave never started is complete.
+func (w *Wave) Complete() bool { return w.seen == w.n }
+
 // ErrNotPending rejects an observation that matches no pending
 // proposal: never proposed, already observed, or handed out before a
 // restart that lost it.

@@ -94,46 +94,100 @@ func TestProposeAfterDonePanics(t *testing.T) {
 	}
 }
 
-// TestStepperInterleavings fuzzes the driver schedule: every stepper
-// must produce a complete run under randomized chunk sizes and
-// randomized out-of-order observation of in-flight trials, exercising
-// the any-order Observe contract the batch driver relies on.
+// detRecord is the outcome of a deterministic objective: a function of
+// the proposed configuration alone, with about one run in ten failing.
+func detRecord(p Proposal) backend.EvalRecord {
+	h := 0.0
+	for j, v := range p.Config.Space().Encode(p.Config) {
+		h += v * float64(j%7+1)
+	}
+	rec := testRecord(p.Config, 50+400*(h-math.Floor(h)))
+	if math.Mod(10*h, 1) < 0.1 {
+		rec.Completed = false
+		rec.Seconds = math.Max(p.Cap, 480)
+	}
+	return rec
+}
+
+// driveShuffled runs st to completion against detRecord and returns its
+// proposals in the order it made them. With a nil rng every Propose
+// asks for everything and observes it in order; otherwise chunk sizes
+// are random, and a random subset of the trials in flight is observed
+// in random order after each Propose.
+func driveShuffled(t *testing.T, name string, st Stepper, rng *rand.Rand) []Proposal {
+	t.Helper()
+	var all, inflight []Proposal
+	for steps := 0; !st.Done(); steps++ {
+		if steps > 10000 {
+			t.Fatalf("%s: stepper never finished", name)
+		}
+		n := 0 // "everything you have"
+		if rng != nil {
+			n = rng.IntN(5)
+		}
+		props := st.Propose(n)
+		all = append(all, props...)
+		inflight = append(inflight, props...)
+		if len(inflight) == 0 {
+			break
+		}
+		k := len(inflight)
+		if rng != nil {
+			k = 1 + rng.IntN(len(inflight))
+		}
+		for j := 0; j < k; j++ {
+			pick := 0
+			if rng != nil {
+				pick = rng.IntN(len(inflight))
+			}
+			p := inflight[pick]
+			inflight = append(inflight[:pick], inflight[pick+1:]...)
+			st.Observe(p.Config, detRecord(p))
+		}
+	}
+	return all
+}
+
+func sameProposals(a, b []Proposal) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Config.Equal(b[i].Config) || a[i].Cap != b[i].Cap || a[i].Fidelity != b[i].Fidelity {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStepperInterleavings fuzzes the driver schedule: randomized chunk
+// sizes and randomized out-of-order observation of in-flight trials,
+// the any-order Observe contract the batch driver relies on. The
+// objective is a function of the configuration, so a stepper that
+// credits an observation to the wrong trial of its batch proposes
+// differently: every stepper must propose exactly the sequence it
+// proposes when driven in order. BOHB is only required to finish: it
+// feeds each observation to its surrogate in arrival order, so
+// shuffled observations legitimately change its later brackets.
 func TestStepperInterleavings(t *testing.T) {
 	space := conf.SparkSpace()
+	want := map[string][]Proposal{}
+	for name, st := range steppersUnderTest(space) {
+		if want[name] = driveShuffled(t, name, st, nil); len(want[name]) == 0 {
+			t.Fatalf("%s: no proposals at all", name)
+		}
+	}
 	for round := 0; round < 20; round++ {
-		rng := rand.New(rand.NewPCG(uint64(round), 99))
+		// One schedule per stepper, so a failing round replays alike
+		// whatever order the map is walked in.
+		schedule := func() *rand.Rand { return rand.New(rand.NewPCG(uint64(round), 99)) }
 		for name, st := range steppersUnderTest(space) {
-			evals := 0
-			var inflight []Proposal
-			for steps := 0; !st.Done(); steps++ {
-				if steps > 10000 {
-					t.Fatalf("%s round %d: stepper never finished", name, round)
-				}
-				props := st.Propose(rng.IntN(5)) // 0 = "everything you have"
-				inflight = append(inflight, props...)
-				if len(inflight) == 0 {
-					break
-				}
-				// Observe a random subset, in random order.
-				k := 1 + rng.IntN(len(inflight))
-				for j := 0; j < k; j++ {
-					pick := rng.IntN(len(inflight))
-					p := inflight[pick]
-					inflight = append(inflight[:pick], inflight[pick+1:]...)
-					sec := 50 + 400*rng.Float64()
-					rec := testRecord(p.Config, sec)
-					if rng.IntN(10) == 0 {
-						// Occasionally a failed (killed) run.
-						rec.Completed = false
-						rec.Seconds = math.Max(p.Cap, 480)
-					}
-					st.Observe(p.Config, rec)
-					evals++
-				}
+			if got := driveShuffled(t, name, st, schedule()); !sameProposals(got, want[name]) {
+				t.Errorf("%s round %d: shuffled driving proposed a different sequence (%d proposals, in order %d)", name, round, len(got), len(want[name]))
 			}
-			if evals == 0 {
-				t.Errorf("%s round %d: no evaluations at all", name, round)
-			}
+		}
+		if got := driveShuffled(t, "BOHB", BOHB{}.Stepper(space, 15, 3), schedule()); len(got) == 0 {
+			t.Errorf("BOHB round %d: no evaluations at all", round)
 		}
 	}
 }
