@@ -20,6 +20,13 @@
 //	    }
 //	}
 //	res, err := sess.Finish()
+//
+// A Session pipelines such a closed loop: the Observe that resolves
+// the last proposal the caller holds also asks the server for the next
+// ones, and the next Propose serves them without a request, so the
+// loop costs one request per trial. When a response that carried
+// proposals is lost, the handle reclaims them (see Session).
+// The two-call protocol stays valid for clients that never pipeline.
 package client
 
 import (
@@ -32,7 +39,9 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/server"
@@ -129,7 +138,8 @@ func IsRetryable(err error) bool {
 //
 // Observing after a retried send can answer 409 conflict when the
 // first attempt was applied but its response was lost; drivers treat
-// that as already-applied (see IsConflict).
+// that as already-applied (see IsConflict). A Propose attempt retried
+// after a lost answer reclaims what that answer carried (see Session).
 type RetryPolicy struct {
 	// MaxRetries is how many times a failed call is re-sent beyond
 	// the first attempt (0 = no retry).
@@ -275,16 +285,29 @@ func (c *Client) do(method, path string, in, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-// doRetry is do under the client's retry policy: transient failures
+// retry runs send under the client's retry policy: transient failures
 // (IsRetryable) are re-sent with backoff until the policy is spent.
-func (c *Client) doRetry(method, path string, in, out any) error {
+func (c *Client) retry(send func() error) error {
 	for attempt := 0; ; attempt++ {
-		err := c.do(method, path, in, out)
+		err := send()
 		if err == nil || attempt >= c.Retry.MaxRetries || !IsRetryable(err) {
 			return err
 		}
 		c.Retry.sleep(c.Retry.backoff(attempt, err))
 	}
+}
+
+// mayBeApplied reports whether a failed request may have been applied
+// by the server with its answer lost: the answer never arrived (a
+// transport error), or a gateway in front of the server answered in
+// its place (502, 504). robotuned's own error answers hand out no
+// proposals.
+func mayBeApplied(err error) bool {
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		return err != nil
+	}
+	return ae.Status == http.StatusBadGateway || ae.Status == http.StatusGatewayTimeout
 }
 
 // parseRetryAfter reads a Retry-After header: delay seconds or an
@@ -304,32 +327,220 @@ func parseRetryAfter(h string) time.Duration {
 	return 0
 }
 
-// Session is a handle to one server-side tuning session.
+// Session is a handle to one server-side tuning session. It is safe
+// for concurrent use.
+//
+// A handle pipelines a closed propose/observe loop: an Observe that
+// resolves every proposal the handle has handed its caller asks for
+// the next proposals in the same request, and the next Propose serves
+// them without one.
+//
+// When an answer that carried proposals may have been lost — a
+// pipelined Observe's or a propose request's — the handle's next
+// propose request, a retried attempt included, reclaims the session's
+// outstanding proposals, but only while the handle runs none of them.
+// A refusal the server sent before changing any state (429, 503)
+// triggers no reclaim. On a session several clients share, a reclaim
+// also hands out the other clients' running trials, so a lost answer
+// costs them a duplicate evaluation.
 type Session struct {
 	c  *Client
 	ID string
+
+	// mu guards the state below; it is never held across a request.
+	mu sync.Mutex
+	// lastN is the n of the latest Propose, which a pipelined Observe
+	// asks for.
+	lastN int
+	// out holds the configurations handed to the caller and not yet
+	// seen observed.
+	out []map[string]float64
+	// held is what a pipelined Observe brought back and no Propose has
+	// served yet: proposals, whether the answer said done, and the n
+	// the Observe asked for.
+	held     []Proposal
+	heldDone bool
+	heldN    int
+	// inflight counts this handle's requests that may hand out
+	// proposals.
+	inflight int
+	// reclaim is set when an answer that carried proposals may have
+	// been lost, until a propose request reclaims them.
+	reclaim bool
 }
 
 // Propose asks for up to n trials (n <= 0 = as many as the tuner can
 // usefully emit). done is true when the tuner will never propose
 // again; an empty non-done batch means the tuner is waiting for
 // outstanding observations.
+//
+// Proposals a pipelined Observe brought back are served first: up to
+// n of them, or all of them when n <= 0. They are what a propose
+// request for the Observe's n would have answered when it landed, so
+// the call sends no request, unless n asks for more than that n did
+// and the held answer is not done: then the same call asks the server
+// for the rest. If that request fails, the call returns the held
+// proposals alone, and the next request surfaces the error.
 func (s *Session) Propose(n int) (props []Proposal, done bool, err error) {
+	s.mu.Lock()
+	s.lastN = n
+	if len(s.held) > 0 || s.heldDone {
+		want := batchSize(n)
+		k := min(len(s.held), want)
+		props, s.held = s.held[:k:k], s.held[k:]
+		if len(s.held) == 0 {
+			done = s.heldDone
+			s.held, s.heldDone = nil, false
+		}
+		s.handOut(props)
+		if done || want <= batchSize(s.heldN) || k == want {
+			s.mu.Unlock()
+			return props, done, nil
+		}
+		n = want - k
+	}
+	s.inflight++
+	s.mu.Unlock()
+
 	var resp server.ProposeResponse
-	body := map[string]int{"n": n}
-	if err := s.c.doRetry("POST", "/v1/sessions/"+s.ID+"/propose", body, &resp); err != nil {
+	var prev error // the failure of the attempt before
+	reclaimed := false
+	err = s.c.retry(func() error {
+		s.mu.Lock()
+		s.reclaim = s.reclaim || mayBeApplied(prev)
+		reclaimed = s.reclaim && s.idle()
+		s.mu.Unlock()
+		req := server.ProposeRequest{N: n, Reclaim: reclaimed}
+		prev = s.c.do("POST", "/v1/sessions/"+s.ID+"/propose", req, &resp)
+		return prev
+	})
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.inflight--
+	if err != nil {
+		s.reclaim = s.reclaim || mayBeApplied(err)
+		if len(props) > 0 {
+			return props, false, nil
+		}
 		return nil, false, err
 	}
-	return resp.Proposals, resp.Done, nil
+	if reclaimed {
+		s.reclaim = false
+	}
+	s.handOut(resp.Proposals)
+	return append(props, resp.Proposals...), resp.Done, nil
+}
+
+// batchSize is the number of proposals a request for n asks for.
+func batchSize(n int) int {
+	if n <= 0 || n > server.MaxBatch {
+		return server.MaxBatch
+	}
+	return n
 }
 
 // Observe reports evaluated trials back. Each observation's Config
-// must exactly match a proposal from Propose.
+// must exactly match a proposal from Propose. When the observations
+// resolve every proposal the handle has handed out, the request also
+// asks for the next proposals (as many as the last Propose asked for);
+// the next Propose serves them, so the returned response carries none.
 func (s *Session) Observe(obs ...Observation) (ObserveResponse, error) {
+	req := server.ObserveRequest{Observations: obs}
+	next := 0
+	s.mu.Lock()
+	if len(s.held) == 0 && !s.heldDone {
+		if k := len(s.matches(obs)); k > 0 && k == len(s.out) {
+			next = max(s.lastN, 0)
+			req.Next = &next
+			s.inflight++
+		}
+	}
+	s.mu.Unlock()
+
 	var resp ObserveResponse
-	body := map[string]any{"observations": obs}
-	err := s.c.doRetry("POST", "/v1/sessions/"+s.ID+"/observe", body, &resp)
+	lost := false // an attempt may have been applied without its answer
+	err := s.c.retry(func() error {
+		err := s.c.do("POST", "/v1/sessions/"+s.ID+"/observe", req, &resp)
+		lost = lost || mayBeApplied(err)
+		return err
+	})
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil || IsConflict(err) {
+		s.resolve(obs)
+	}
+	if req.Next == nil {
+		return resp, err
+	}
+	s.inflight--
+	switch {
+	case err == nil:
+		s.held = append(s.held, resp.Proposals...)
+		s.heldDone = s.heldDone || resp.Done
+		s.heldN = next
+	case lost:
+		// The server may have applied the observations and handed out
+		// the next proposals into the lost answer.
+		s.reclaim = true
+	}
+	resp.Proposals = nil
 	return resp, err
+}
+
+// handOut records proposals as handed to the caller.
+func (s *Session) handOut(props []Proposal) {
+	for _, p := range props {
+		s.out = append(s.out, p.Config)
+	}
+}
+
+// idle reports whether the handle runs none of the session's
+// proposals and expects none: nothing handed out unobserved, nothing
+// held, and no other request in flight that may hand some out. Only
+// an idle handle reclaims.
+func (s *Session) idle() bool {
+	return len(s.out) == 0 && len(s.held) == 0 && s.inflight == 1
+}
+
+// matches returns the indices in out of the distinct handed-out
+// proposals the observations answer, each observation taking the
+// earliest one left.
+func (s *Session) matches(obs []Observation) []int {
+	var idx []int
+	for _, o := range obs {
+		for i, c := range s.out {
+			if !slices.Contains(idx, i) && sameConfig(c, o.Config) {
+				idx = append(idx, i)
+				break
+			}
+		}
+	}
+	return idx
+}
+
+// resolve drops the handed-out proposals the observations answer.
+func (s *Session) resolve(obs []Observation) {
+	idx := s.matches(obs)
+	slices.Sort(idx)
+	for j := len(idx) - 1; j >= 0; j-- {
+		s.out = slices.Delete(s.out, idx[j], idx[j]+1)
+	}
+}
+
+// sameConfig compares configurations value by value; JSON round-trips
+// float64 exactly, so an echoed proposal compares equal.
+func sameConfig(a, b map[string]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
 }
 
 // Skip abandons a proposed trial without running it; the tuner moves

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -94,10 +95,19 @@ func FuzzObserveBody(f *testing.F) {
 	f.Add([]byte(`{"observation":[{"config":{"size_mb":256},"seconds":1}]}`)) // wrong field
 	f.Add([]byte(`"observations"`))
 	f.Add([]byte{0x00})
+	// next: absent (null), 0, 3, negative and past MaxBatch.
+	f.Add([]byte(`{"observations":[{"config":{"size_mb":256,"ttl":5,"policy":0},"seconds":12.5,"completed":true}],"next":null}`))
+	f.Add([]byte(`{"observations":[{"config":{"size_mb":256,"ttl":5,"policy":0},"seconds":12.5,"completed":true}],"next":0}`))
+	f.Add([]byte(`{"observations":[{"config":{"size_mb":256,"ttl":5,"policy":0},"seconds":12.5,"completed":true}],"next":3}`))
+	f.Add([]byte(`{"observations":[{"config":{"size_mb":256,"ttl":5,"policy":0},"seconds":12.5,"completed":true}],"next":-1}`))
+	f.Add([]byte(fmt.Sprintf(`{"observations":[{"config":{"size_mb":256,"ttl":5,"policy":0},"skipped":true}],"next":%d}`, server.MaxBatch+1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := server.DecodeObserveBody(data)
 		if err == nil {
+			if req.Next != nil && (*req.Next < 0 || *req.Next > server.MaxBatch) {
+				t.Fatalf("decoder passed next %d outside [0, %d]", *req.Next, server.MaxBatch)
+			}
 			// Whatever the decoder lets through must be finite.
 			for _, o := range req.Observations {
 				for name, v := range o.Config {

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -90,11 +92,106 @@ func wireObservation(p client.Proposal) client.Observation {
 	}
 }
 
+// wireRun is one way of driving a session over the wire to its end:
+// it returns every trial handed out, in order, and the final status.
+type wireRun func(t *testing.T, srv *server.Server, sp client.SessionSpec) ([]client.Proposal, client.StatusResponse)
+
+// twoCallRun drives the session over raw HTTP, one propose request per
+// batch and one observe request per trial, as a client that knows
+// nothing of pipelining does.
+func twoCallRun(t *testing.T, srv *server.Server, sp client.SessionSpec) ([]client.Proposal, client.StatusResponse) {
+	hc := &http.Client{Transport: handlerTransport{srv.Handler()}}
+	call := func(method, path string, in, out any) {
+		t.Helper()
+		var body io.Reader
+		if in != nil {
+			data, err := json.Marshal(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body = bytes.NewReader(data)
+		}
+		req, err := http.NewRequest(method, "http://robotuned"+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, msg)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var st client.StatusResponse
+	call("POST", "/v1/sessions", sp, &st)
+	var wire []client.Proposal
+	for {
+		var pr server.ProposeResponse
+		call("POST", "/v1/sessions/"+st.ID+"/propose", map[string]int{"n": 0}, &pr)
+		if len(pr.Proposals) == 0 {
+			if !pr.Done {
+				t.Fatal("stepper idle with nothing outstanding")
+			}
+			break
+		}
+		for _, p := range pr.Proposals {
+			wire = append(wire, p)
+			var or client.ObserveResponse
+			call("POST", "/v1/sessions/"+st.ID+"/observe", map[string]any{"observations": []client.Observation{wireObservation(p)}}, &or)
+		}
+	}
+	call("GET", "/v1/sessions/"+st.ID+"?trace=all", nil, &st)
+	return wire, st
+}
+
+// pipelinedRun drives the session through a client handle in a closed
+// Propose(n) loop, which the handle pipelines.
+func pipelinedRun(n int) wireRun {
+	return func(t *testing.T, srv *server.Server, sp client.SessionSpec) ([]client.Proposal, client.StatusResponse) {
+		sess, err := directClient(srv).Create(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire []client.Proposal
+		for {
+			props, done, err := sess.Propose(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(props) == 0 {
+				if !done {
+					t.Fatal("stepper idle with nothing outstanding")
+				}
+				break
+			}
+			for _, p := range props {
+				wire = append(wire, p)
+				if _, err := sess.Observe(wireObservation(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st, err := sess.FullStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire, st
+	}
+}
+
 // TestKernelConformance drives every tuner kind with one seed through
 // robotuned (direct handler dispatch, journaled) and through
-// tuners.Drive over the same deterministic, fidelity-aware objective:
-// both must propose the same trials in the same order and end on the
-// same trace and incumbent.
+// tuners.Drive over the same deterministic, fidelity-aware objective.
+// The wire side runs four ways: raw two-call HTTP, and a client
+// handle's pipelined Propose(0), Propose(1) and Propose(2) loops.
+// Every way must propose the same trials in the same order, with the
+// same caps and fidelities, and end on the same trace and incumbent.
 func TestKernelConformance(t *testing.T) {
 	const budget, seed = 30, 7
 	sp := spec("", budget, seed)
@@ -105,7 +202,6 @@ func TestKernelConformance(t *testing.T) {
 	}
 	srv := server.New(server.Options{JournalDir: t.TempDir()})
 	defer srv.Shutdown()
-	cl := directClient(srv)
 	for _, kind := range cli.TunerKinds() {
 		t.Run(kind, func(t *testing.T) {
 			tn, err := cli.BuildTunerOpts(kind, nil, opts)
@@ -118,55 +214,40 @@ func TestKernelConformance(t *testing.T) {
 			local := s.Result()
 
 			sp.Tuner = kind
-			sess, err := cl.Create(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wire []client.Proposal
-			for {
-				props, done, err := sess.Propose(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(props) == 0 {
-					if !done {
-						t.Fatal("stepper idle with nothing outstanding")
+			for _, way := range []struct {
+				name string
+				run  wireRun
+			}{
+				{"two-call", twoCallRun},
+				{"propose0", pipelinedRun(0)},
+				{"propose1", pipelinedRun(1)},
+				{"propose2", pipelinedRun(2)},
+			} {
+				t.Run(way.name, func(t *testing.T) {
+					wire, st := way.run(t, srv, sp)
+					if len(wire) != len(obj.trial) {
+						t.Fatalf("wire proposed %d trials, Drive evaluated %d", len(wire), len(obj.trial))
 					}
-					break
-				}
-				for _, p := range props {
-					wire = append(wire, p)
-					if _, err := sess.Observe(wireObservation(p)); err != nil {
-						t.Fatal(err)
+					for i, p := range obj.trial {
+						w := wire[i]
+						if !reflect.DeepEqual(p.Config.ToMap(), w.Config) || p.Cap != w.Cap ||
+							p.Fidelity != (backend.Fidelity{InputScale: w.FidelityInput, StageFrac: w.FidelityStage}) {
+							t.Fatalf("trial %d: Drive %v cap %v %s, wire %v cap %v input %v stage %v",
+								i, p.Config.ToMap(), p.Cap, p.Fidelity, w.Config, w.Cap, w.FidelityInput, w.FidelityStage)
+						}
 					}
-				}
-			}
-			st, err := sess.FullStatus()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if len(wire) != len(obj.trial) {
-				t.Fatalf("wire proposed %d trials, Drive evaluated %d", len(wire), len(obj.trial))
-			}
-			for i, p := range obj.trial {
-				w := wire[i]
-				if !reflect.DeepEqual(p.Config.ToMap(), w.Config) || p.Cap != w.Cap ||
-					p.Fidelity != (backend.Fidelity{InputScale: w.FidelityInput, StageFrac: w.FidelityStage}) {
-					t.Fatalf("trial %d: Drive %v cap %v %s, wire %v cap %v input %v stage %v",
-						i, p.Config.ToMap(), p.Cap, p.Fidelity, w.Config, w.Cap, w.FidelityInput, w.FidelityStage)
-				}
-			}
-			if !reflect.DeepEqual(local.Trace, st.Trace) || !reflect.DeepEqual(local.Completed, st.Completed) ||
-				!reflect.DeepEqual(local.Proxy, st.TraceProxy) {
-				t.Fatalf("traces differ:\n Drive %v\n wire  %v", local.Trace, st.Trace)
-			}
-			if !local.Found || !st.Found || local.BestSeconds != st.BestSeconds || !reflect.DeepEqual(local.Best.ToMap(), st.Best) {
-				t.Fatalf("incumbents differ: Drive %v@%v, wire %v@%v", local.Best.ToMap(), local.BestSeconds, st.Best, st.BestSeconds)
-			}
-			if local.Evals != st.Evals || local.SearchCost != st.Cost || local.Failures.Failed != st.Failed {
-				t.Fatalf("spend differs: Drive %d/%v/%d failed, wire %d/%v/%d failed",
-					local.Evals, local.SearchCost, local.Failures.Failed, st.Evals, st.Cost, st.Failed)
+					if !reflect.DeepEqual(local.Trace, st.Trace) || !reflect.DeepEqual(local.Completed, st.Completed) ||
+						!reflect.DeepEqual(local.Proxy, st.TraceProxy) {
+						t.Fatalf("traces differ:\n Drive %v\n wire  %v", local.Trace, st.Trace)
+					}
+					if !local.Found || !st.Found || local.BestSeconds != st.BestSeconds || !reflect.DeepEqual(local.Best.ToMap(), st.Best) {
+						t.Fatalf("incumbents differ: Drive %v@%v, wire %v@%v", local.Best.ToMap(), local.BestSeconds, st.Best, st.BestSeconds)
+					}
+					if local.Evals != st.Evals || local.SearchCost != st.Cost || local.Failures.Failed != st.Failed {
+						t.Fatalf("spend differs: Drive %d/%v/%d failed, wire %d/%v/%d failed",
+							local.Evals, local.SearchCost, local.Failures.Failed, st.Evals, st.Cost, st.Failed)
+					}
+				})
 			}
 		})
 	}

@@ -144,7 +144,10 @@ func (r *stressRig) recover() {
 // TestWireKillResume: drive a campaign against a robotuned child,
 // SIGKILL it at escalating depths, restart on the same journal dir,
 // reattach, continue. The stitched history must match an
-// uninterrupted baseline bit-for-bit.
+// uninterrupted baseline bit-for-bit. The campaign runs twice, once as
+// a Propose(0) loop and once as a Propose(1) loop; the client
+// pipelines both, so kills also land between a proposal an observe
+// answer carried and that proposal's observation.
 func TestWireKillResume(t *testing.T) {
 	if os.Getenv(wireStressEnv) == "" {
 		t.Skip("set " + wireStressEnv + "=1 (or run `make crash-stress`) to enable")
@@ -164,7 +167,14 @@ func TestWireKillResume(t *testing.T) {
 	if !baseSt.Found {
 		t.Fatal("baseline found nothing")
 	}
+	for _, n := range []int{0, 1} {
+		t.Run(fmt.Sprintf("propose%d", n), func(t *testing.T) { stressCampaign(t, n, baseSt) })
+	}
+}
 
+// stressCampaign drives the stressed run in a closed Propose(n) loop
+// and checks it against the baseline's status.
+func stressCampaign(t *testing.T, n int, baseSt client.StatusResponse) {
 	// Stressed run: a real child process, killed and restarted. The
 	// parent kills synchronously at a per-round deadline rather than
 	// from a timer goroutine, so every kill lands between two requests
@@ -192,7 +202,7 @@ func TestWireKillResume(t *testing.T) {
 			rig.killChild()
 			roundStart = time.Now()
 		}
-		props, done, err := rig.sess.Propose(0)
+		props, done, err := rig.sess.Propose(n)
 		if err != nil {
 			if !isNetErr(err) {
 				t.Fatalf("propose: %v", err)

@@ -225,7 +225,7 @@ func (s *Server) handlePropose(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, aerr)
 		return
 	}
-	resp, aerr := sess.propose(req.N)
+	resp, aerr := sess.propose(req.N, req.Reclaim)
 	sess.mu.Unlock()
 	if aerr != nil {
 		s.writeErr(w, aerr)
@@ -277,20 +277,31 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			skips++
 		}
 	}
+	latency := time.Since(start) // the propose part is not observe latency
 	_, best, found := sess.k.Best()
 	resp := ObserveResponse{
 		Applied: applied,
 		Trials:  sess.k.Trials(),
-		Done:    sess.done(),
 		Found:   found,
 	}
 	if found {
 		resp.BestSeconds = best
 	}
+	// The batch is applied and journaled; the next proposals ride on
+	// the same response. A failed propose part still answers 200,
+	// without proposals: the observations are committed, and the
+	// client's next Propose surfaces the error.
+	if req.Next != nil {
+		if next, aerr := sess.propose(*req.Next, false); aerr == nil {
+			resp.Proposals, resp.Outstanding = next.Proposals, next.Outstanding
+		}
+	}
+	resp.Done = sess.done()
 	sess.mu.Unlock()
 	s.metrics.Observations.Add(int64(applied))
 	s.metrics.Skips.Add(int64(skips))
-	s.metrics.ObserveLatency.Observe(time.Since(start))
+	s.metrics.Proposals.Add(int64(len(resp.Proposals)))
+	s.metrics.ObserveLatency.Observe(latency)
 	writeJSON(w, http.StatusOK, resp)
 }
 

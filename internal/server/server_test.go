@@ -198,7 +198,15 @@ func TestDecodersRejectTrailingData(t *testing.T) {
 			_, err := server.DecodeProposeRequest(b)
 			return err
 		}},
+		{"propose-reclaim", `{"n":1,"reclaim":true}`, func(b []byte) error {
+			_, err := server.DecodeProposeRequest(b)
+			return err
+		}},
 		{"observe", `{"observations":[{"config":{"size_mb":256},"seconds":1}]}`, func(b []byte) error {
+			_, err := server.DecodeObserveBody(b)
+			return err
+		}},
+		{"observe-next", `{"observations":[{"config":{"size_mb":256},"seconds":1}],"next":2}`, func(b []byte) error {
 			_, err := server.DecodeObserveBody(b)
 			return err
 		}},
@@ -210,6 +218,32 @@ func TestDecodersRejectTrailingData(t *testing.T) {
 			if body := tc.body + tail; tc.decode([]byte(body)) == nil {
 				t.Errorf("%s: body with trailing data accepted: %s", tc.name, body)
 			}
+		}
+	}
+}
+
+// TestDecodeProposeReclaim: reclaim is an optional boolean beside n,
+// and n keeps its cap whatever reclaim says.
+func TestDecodeProposeReclaim(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		want server.ProposeRequest
+		ok   bool
+	}{
+		{``, server.ProposeRequest{}, true},
+		{`{"reclaim":true}`, server.ProposeRequest{Reclaim: true}, true},
+		{`{"n":3,"reclaim":false}`, server.ProposeRequest{N: 3}, true},
+		{`{"n":3,"reclaim":true}`, server.ProposeRequest{N: 3, Reclaim: true}, true},
+		{`{"n":5000,"reclaim":true}`, server.ProposeRequest{N: server.MaxBatch, Reclaim: true}, true},
+		{`{"reclaim":1}`, server.ProposeRequest{}, false},
+		{`{"reclaim":"yes"}`, server.ProposeRequest{}, false},
+		{`{"reclaim":true,"next":1}`, server.ProposeRequest{}, false},
+		{`{"reclaim":true}{"reclaim":false}`, server.ProposeRequest{}, false},
+		{`{"reclaim":true} x`, server.ProposeRequest{}, false},
+	} {
+		got, err := server.DecodeProposeRequest([]byte(tc.body))
+		if (err == nil) != tc.ok || err == nil && got != tc.want {
+			t.Errorf("decode %q = %+v, %v; want %+v, ok=%v", tc.body, got, err, tc.want, tc.ok)
 		}
 	}
 }

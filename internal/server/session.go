@@ -188,8 +188,12 @@ func (s *session) done() bool { return s.k.Sealed() || s.st.Done() }
 
 // propose hands out up to n trials (n <= 0 or > MaxBatch means
 // MaxBatch): first the unclaimed queue left behind by a resume, then
-// fresh stepper proposals.
-func (s *session) propose(n int) (ProposeResponse, *apiErr) {
+// fresh stepper proposals. With reclaim, a session with proposals
+// outstanding hands out those instead, oldest first: they are what a
+// response lost in transit carried, and a client that had received it
+// would observe them before asking for more. Both the propose and the
+// observe handler call it.
+func (s *session) propose(n int, reclaim bool) (ProposeResponse, *apiErr) {
 	if s.poisoned != nil {
 		return ProposeResponse{}, errInternal("session is poisoned: %v", s.poisoned)
 	}
@@ -198,17 +202,25 @@ func (s *session) propose(n int) (ProposeResponse, *apiErr) {
 		want = MaxBatch
 	}
 	out := make([]WireProposal, 0, min(want, 16))
-	for len(s.unclaimed) > 0 && len(out) < want {
-		out = append(out, wireProposal(s.unclaimed[0]))
-		s.unclaimed = s.unclaimed[1:]
-	}
-	if len(out) < want {
-		var props []tuners.Proposal
-		if err := s.guard(true, func() { props = s.k.Propose(want - len(out)) }); err != nil {
-			return ProposeResponse{}, errConflict("propose: %v", err)
-		}
-		for _, p := range props {
+	if reclaim && s.k.Outstanding() > 0 {
+		pending := s.k.Unobserved()
+		for _, p := range pending[:min(want, len(pending))] {
 			out = append(out, wireProposal(p))
+			s.claim(p.Config)
+		}
+	} else {
+		for len(s.unclaimed) > 0 && len(out) < want {
+			out = append(out, wireProposal(s.unclaimed[0]))
+			s.unclaimed = s.unclaimed[1:]
+		}
+		if len(out) < want {
+			var props []tuners.Proposal
+			if err := s.guard(true, func() { props = s.k.Propose(want - len(out)) }); err != nil {
+				return ProposeResponse{}, errConflict("propose: %v", err)
+			}
+			for _, p := range props {
+				out = append(out, wireProposal(p))
+			}
 		}
 	}
 	return ProposeResponse{
@@ -275,13 +287,19 @@ func (s *session) observe(o Observation) *apiErr {
 	}
 	// An observation may race ahead of the client re-claiming its
 	// proposal.
+	s.claim(cfg)
+	return nil
+}
+
+// claim takes the earliest proposal of cfg off the unclaimed queue, if
+// it is there.
+func (s *session) claim(cfg conf.Config) {
 	for i, u := range s.unclaimed {
 		if u.Config.Equal(cfg) {
 			s.unclaimed = slices.Delete(s.unclaimed, i, i+1)
-			break
+			return
 		}
 	}
-	return nil
 }
 
 // finish seals the session (even mid-campaign — the client owns the

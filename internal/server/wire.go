@@ -310,6 +310,12 @@ type ProposeRequest struct {
 	// N is the maximum number of proposals wanted; <= 0 means "as many
 	// as the tuner can usefully emit", capped at MaxBatch.
 	N int `json:"n"`
+	// Reclaim hands out the session's outstanding proposals, oldest
+	// first, in place of new ones; only a session with none outstanding
+	// proposes anew. A client whose earlier response was lost in
+	// transit gets back the proposals that response carried. A client
+	// sends it only while it runs none of the session's proposals.
+	Reclaim bool `json:"reclaim,omitempty"`
 }
 
 // DecodeProposeRequest parses a propose body (empty means defaults).
@@ -386,6 +392,12 @@ type Observation struct {
 // ObserveRequest is the body of POST /v1/sessions/{id}/observe.
 type ObserveRequest struct {
 	Observations []Observation `json:"observations"`
+	// Next, when present, asks for the next proposals in the same
+	// response, once the whole batch is applied: 0 means as many as the
+	// tuner can usefully emit, n up to n (capped at MaxBatch), exactly
+	// as ProposeRequest.N. A closed propose/observe loop then costs one
+	// request per trial.
+	Next *int `json:"next,omitempty"`
 }
 
 // DecodeObserveBody parses and validates an observe body. Every
@@ -405,6 +417,14 @@ func DecodeObserveBody(data []byte) (ObserveRequest, error) {
 	}
 	if len(req.Observations) > MaxBatch {
 		return ObserveRequest{}, fmt.Errorf("at most %d observations per request, got %d", MaxBatch, len(req.Observations))
+	}
+	if req.Next != nil {
+		switch n := *req.Next; {
+		case n < 0:
+			return ObserveRequest{}, fmt.Errorf("next must be >= 0, got %d", n)
+		case n > MaxBatch:
+			*req.Next = MaxBatch
+		}
 	}
 	for i := range req.Observations {
 		o := &req.Observations[i]
@@ -457,6 +477,11 @@ type ObserveResponse struct {
 	// BestSeconds is the incumbent objective value (present once
 	// Found).
 	BestSeconds float64 `json:"best_seconds,omitempty"`
+	// Proposals and Outstanding answer the request's Next, as a
+	// ProposeResponse would; Done then reflects the state after the
+	// proposals were made. Without Next both are absent.
+	Proposals   []WireProposal `json:"proposals,omitempty"`
+	Outstanding int            `json:"outstanding,omitempty"`
 }
 
 // StatusResponse answers GET /v1/sessions/{id}.

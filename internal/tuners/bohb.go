@@ -195,10 +195,13 @@ type bohbStepper struct {
 	tail          bool
 	surrFallbacks int
 
-	// Current rung state.
-	queue []rungEntry
-	rung  int
-	wave  Wave
+	// Current rung state. rungCap is fixed when the rung starts, so
+	// every trial of the rung carries the same cap however its driver
+	// chunks the proposals.
+	queue   []rungEntry
+	rung    int
+	rungCap float64
+	wave    Wave
 
 	// times holds completed full-equivalent execution times (proxy
 	// measurements scaled up linearly), the population the guard cap's
@@ -248,9 +251,11 @@ func (st *bohbStepper) cohort(n int) []rungEntry {
 }
 
 // startRung reserves the rung's trials (affordability was checked at
-// bracket start, so the reservation never truncates a rung).
+// bracket start, so the reservation never truncates a rung) and fixes
+// the rung's guard cap from the completions seen so far.
 func (st *bohbStepper) startRung() {
 	st.remaining -= len(st.queue)
+	st.rungCap = st.guardCap(st.rung)
 	st.wave.Start(len(st.queue))
 }
 
@@ -303,9 +308,9 @@ func (st *bohbStepper) Propose(n int) []Proposal {
 		st.Proposed(props)
 		return props
 	}
-	fid, cap := st.rungFidelity(st.rung), st.guardCap(st.rung)
+	fid := st.rungFidelity(st.rung)
 	return st.wave.Propose(&st.Protocol, n, func(i int) Proposal {
-		return Proposal{Config: st.queue[i].c, Cap: cap, Fidelity: fid}
+		return Proposal{Config: st.queue[i].c, Cap: st.rungCap, Fidelity: fid}
 	})
 }
 

@@ -2,7 +2,9 @@ package tuners
 
 import (
 	"context"
+	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/backend"
@@ -146,6 +148,73 @@ func TestBOHBKillResumeMidBracket(t *testing.T) {
 	for i := range full.Trace {
 		if res.Trace[i] != full.Trace[i] {
 			t.Fatalf("trace[%d] = %v, want %v", i, res.Trace[i], full.Trace[i])
+		}
+	}
+}
+
+// TestBOHBGuardCapResumeSweep: a session cancelled after k
+// evaluations, for every k, must resume from its journal to exactly
+// the uninterrupted run's result. The objective's times are
+// heavy-tailed, so the median-multiple guard cap binds; replay
+// re-proposes single trials, so a rung's cap must not depend on how
+// its proposals were chunked or on when the live rest of the rung is
+// proposed.
+func TestBOHBGuardCapResumeSweep(t *testing.T) {
+	space := smallSpace(t)
+	const budget, seed = 40, 3
+	meta := journal.Meta{Seed: seed, Budget: budget, Tuner: "BOHB"}
+	// newObj returns the objective; after k > 0 evaluations it cancels
+	// the session's context.
+	newObj := func(k int, cancel context.CancelFunc) *FuncObjective {
+		n := 0
+		return &FuncObjective{Fn: func(c conf.Config) (float64, bool) {
+			sum := 0.0
+			for _, u := range space.Encode(c) {
+				sum += u
+			}
+			if n++; n == k {
+				cancel()
+			}
+			return 10 * math.Exp(3*math.Sin(7*sum)), true
+		}}
+	}
+	full := BOHB{}.Run(NewSession(newObj(0, nil), space, Request{Budget: budget, Seed: seed}))
+	capped := 0
+	for _, done := range full.Completed {
+		if !done {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Fatal("the guard cap never bound; the sweep would show nothing")
+	}
+	for k := 2; k <= 30; k++ {
+		path := filepath.Join(t.TempDir(), "bohb.jnl")
+		jn, err := journal.Open(path, meta, journal.SyncNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		killed := BOHB{}.Run(NewSession(newObj(k, cancel), space, Request{Budget: budget, Seed: seed, Journal: jn, Ctx: ctx}))
+		jn.Close()
+		cancel()
+		if !killed.Cancelled {
+			t.Fatalf("k=%d: session not cancelled", k)
+		}
+		jn, err = journal.Open(path, meta, journal.SyncNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := BOHB{}.Run(NewSession(newObj(0, nil), space, Request{Budget: budget, Seed: seed, Journal: jn}))
+		diverged := jn.Diverged()
+		jn.Close()
+		if diverged != "" {
+			t.Fatalf("k=%d: resume diverged: %s", k, diverged)
+		}
+		if res.SearchCost != full.SearchCost || res.BestSeconds != full.BestSeconds || res.Evals != full.Evals ||
+			!slices.Equal(res.Trace, full.Trace) {
+			t.Errorf("k=%d: resumed cost/best/evals %v/%v/%d, uninterrupted %v/%v/%d",
+				k, res.SearchCost, res.BestSeconds, res.Evals, full.SearchCost, full.BestSeconds, full.Evals)
 		}
 	}
 }

@@ -328,6 +328,15 @@ func (s *Session) Outstanding() int {
 	return s.st.Inflight().Outstanding()
 }
 
+// Unobserved returns the proposed-but-unobserved trials, oldest
+// first; a sealed session has none.
+func (s *Session) Unobserved() []Proposal {
+	if s.sealed {
+		return nil
+	}
+	return s.st.Inflight().proposals()
+}
+
 // Sealed reports whether the session has sealed its result.
 func (s *Session) Sealed() bool { return s.sealed }
 
