@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint race bench bench-smoke bench-gp-scale benchstat fuzz fuzz-journal fuzz-server fault-stress crash-stress crash-stress-campaign
+.PHONY: build test lint race bench bench-smoke bench-gp-scale benchstat fuzz fuzz-journal fuzz-server fuzz-clustersim fault-stress crash-stress crash-stress-campaign
 
 build:
 	$(GO) build ./...
@@ -36,13 +36,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Micro benchmarks: forest training, permutation importance and
-# acquisition multistart at workers=1 vs workers=GOMAXPROCS, and the GP
+# Micro benchmarks: one cluster-simulator trace replay, forest
+# training, permutation importance and acquisition multistart at
+# workers=1 vs workers=GOMAXPROCS, and the GP
 # fast path (surrogate fit, the n=120 Cholesky, posterior prediction
 # one point and one gradient batch at a time, and engine Suggest
 # across training-set sizes, with allocation counts).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkGPPredictBatch|BenchmarkBOSuggestScale|BenchmarkCholesky' -benchmem -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterSimRun|BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkGPPredictBatch|BenchmarkBOSuggestScale|BenchmarkCholesky' -benchmem -benchtime 2x .
 
 # Perf-harness smoke test: every bench/ workload at toy scale, plain and
 # traced, including its set-up repeatability and traced == plain hash
@@ -68,9 +69,12 @@ benchstat:
 	fi
 
 # Robustness suite under the race detector: fault injection, session
-# retries/deadlines, cancellation and censored-observation handling.
+# retries/deadlines, cancellation and censored-observation handling,
+# and the cluster simulator's fault runs and concurrent batch path
+# (each replay owns its scratch buffers).
 fault-stress:
 	$(GO) test -race -count 2 -run 'Fault|Session|Cancel|Censored' ./internal/sparksim ./internal/tuners ./internal/core ./internal/bo
+	$(GO) test -race -count 2 -run 'Fault|Batch' ./internal/clustersim
 
 # Kill/resume stress: re-executes the test binary as a journaled
 # campaign, SIGKILLs it at escalating depths, resumes each time, and
@@ -107,6 +111,11 @@ fuzz:
 fuzz-journal:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 30s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzLedgerOpen -fuzztime 30s ./internal/journal
+
+# Cluster-simulator fuzzing: the scheduling loop that jumps idle ticks
+# must reproduce the tick-by-tick reference loop bit for bit.
+fuzz-clustersim:
+	$(GO) test -run '^$$' -fuzz FuzzSimulateMatchesOracle -fuzztime 30s ./internal/clustersim
 
 # Protocol fuzzing against robotuned: hostile session specs and observe
 # bodies must 4xx cleanly — never panic, never corrupt a session.

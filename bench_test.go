@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/bo"
+	"repro/internal/clustersim"
 	"repro/internal/conf"
 	"repro/internal/forest"
 	"repro/internal/gp"
@@ -129,6 +130,31 @@ func BenchmarkSimulatorRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sparksim.Run(cl, w, c, sample.NewRNG(uint64(i)), 480)
+	}
+}
+
+// BenchmarkClusterSimRun replays the two D3 traces the clustersim-cold
+// bench workload tunes (BatchETL and MLTrain) under 64 random
+// scheduler configurations, one replay per iteration.
+func BenchmarkClusterSimRun(b *testing.B) {
+	sp := clustersim.Space()
+	var ws []clustersim.Workload
+	for _, name := range []string{"BatchETL", "MLTrain"} {
+		w, err := clustersim.WorkloadByName(name, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	rng := sample.NewRNG(9)
+	cfgs := make([]conf.Config, 64)
+	for i := range cfgs {
+		cfgs[i] = sp.Decode(sample.Uniform(1, sp.Dim(), rng)[0])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clustersim.Run(ws[i/len(cfgs)%len(ws)], cfgs[i%len(cfgs)], sample.NewRNG(uint64(i)), clustersim.DefaultCapSeconds)
 	}
 }
 

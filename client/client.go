@@ -96,7 +96,10 @@ func IsThrottled(err error) bool { return hasStatus(err, 429) }
 // IsNotFound reports a 404.
 func IsNotFound(err error) bool { return hasStatus(err, 404) }
 
-// IsFinished reports a 410: the session is sealed.
+// IsFinished reports a 410: the session is sealed. An Observe retried
+// after a lost answer gets it when the first attempt was applied and,
+// being the session's last observation, sealed it: like a 409 there,
+// it means the observation was applied.
 func IsFinished(err error) bool { return hasStatus(err, 410) }
 
 func hasStatus(err error, status int) bool {
@@ -137,9 +140,11 @@ func IsRetryable(err error) bool {
 // others are cheap for the driver to repeat with its own policy.
 //
 // Observing after a retried send can answer 409 conflict when the
-// first attempt was applied but its response was lost; drivers treat
-// that as already-applied (see IsConflict). A Propose attempt retried
-// after a lost answer reclaims what that answer carried (see Session).
+// first attempt was applied but its response was lost, or 410 finished
+// when that attempt was the session's last observation and sealed it;
+// drivers treat either as already-applied (see IsConflict and
+// IsFinished). A Propose attempt retried after a lost answer reclaims
+// what that answer carried (see Session).
 type RetryPolicy struct {
 	// MaxRetries is how many times a failed call is re-sent beyond
 	// the first attempt (0 = no retry).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/conf"
@@ -230,5 +231,47 @@ func TestInfeasible(t *testing.T) {
 	out := Run(w, Space().Default(), sample.NewRNG(1), DefaultCapSeconds)
 	if !out.Infeasible {
 		t.Fatalf("oversized pod not flagged infeasible: %+v", out)
+	}
+}
+
+// TestStuckTraceReturnsCap: a one-node trace whose node is lost can
+// never finish. It ends with the cap outcome, and an unbounded cap
+// (which means 1e9 s) returns at once instead of ticking up to it.
+func TestStuckTraceReturnsCap(t *testing.T) {
+	w := mustWorkload(t, "BatchETL", 0)
+	w.Nodes = 1
+	plan := backend.FaultPlan{ExecutorLossProb: 1}
+	def := Space().Default()
+	for _, tc := range []struct{ cap, want float64 }{{math.Inf(1), 1e9}, {1e6, 1e6}} {
+		done := make(chan backend.Outcome, 1)
+		go func() { done <- RunWithFaults(w, def, sample.NewRNG(1), tc.cap, plan, sample.NewRNG(2)) }()
+		select {
+		case out := <-done:
+			if want := (backend.Outcome{Seconds: tc.want}); out != want {
+				t.Errorf("cap %v: outcome %+v, want %+v", tc.cap, out, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cap %v: no outcome after 5 s", tc.cap)
+		}
+	}
+}
+
+// TestRunAllocationsBounded: one replay allocates its buffers and the
+// per-job noise rows and nothing per scheduler tick, so the count
+// stays under a constant plus the job count at every loop period, with
+// preemption on or off.
+func TestRunAllocationsBounded(t *testing.T) {
+	sp := Space()
+	for _, name := range []string{"BatchETL", "CIBuild"} {
+		w := mustWorkload(t, name, 2)
+		for _, tick := range []float64{0.1, 1, 10} {
+			for _, preempt := range []float64{0, 1} {
+				c := sp.Default().With(SchedInterval, tick).With(PreemptionEnabled, preempt)
+				allocs := testing.AllocsPerRun(3, func() { Run(w, c, sample.NewRNG(1), DefaultCapSeconds) })
+				if limit := float64(16 + len(w.Jobs)); allocs > limit {
+					t.Errorf("%s tick %v preempt %v: %.0f allocations per run, want <= %.0f", w.ID(), tick, preempt, allocs, limit)
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package clustersim
 
 import (
+	"cmp"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"repro/internal/backend"
@@ -128,12 +130,20 @@ func noiseJitter(w Workload, rng *rand.Rand) [][]float64 {
 }
 
 // Run simulates the trace under the configuration without faults.
+//
+// cap bounds the simulated seconds: a run still going at the first
+// scheduler tick past cap returns Outcome{Seconds: cap}. A cap that is
+// +Inf or not positive means 1e9 s. A trace that can make no further
+// progress (a lost node leaves no room for the pods still waiting)
+// returns the cap outcome as soon as no arrival, completion or backoff
+// expiry is left before the cap, without ticking through the idle
+// time.
 func Run(w Workload, c conf.Config, rng *rand.Rand, cap float64) backend.Outcome {
 	return simulate(w, c, rng, cap, faultSchedule{})
 }
 
 // RunWithFaults simulates the trace with the plan's faults realized
-// from frng.
+// from frng. cap means what it means for Run.
 func RunWithFaults(w Workload, c conf.Config, rng *rand.Rand, cap float64, plan backend.FaultPlan, frng *rand.Rand) backend.Outcome {
 	return simulate(w, c, rng, cap, scheduleFaults(plan, frng, w.Nodes, len(w.Jobs)))
 }
@@ -147,10 +157,13 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 
 	// A pod that cannot fit on an empty node under the configured
 	// overcommit can never run.
-	for _, j := range w.Jobs {
+	pods := 0
+	for i := range w.Jobs {
+		j := &w.Jobs[i]
 		if j.CPU > w.NodeCPU*p.ocCPU || j.MemGB > w.NodeMemGB*p.ocMem {
 			return backend.Outcome{Seconds: cap, Infeasible: true}
 		}
+		pods += j.Pods
 	}
 
 	// Scheduler overhead: an aggressive loop period taxes every pod.
@@ -164,7 +177,7 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 		}
 	}
 	span := w.Jobs[len(w.Jobs)-1].Arrival + 60
-	failAt := math.Inf(1)
+	failAt := math.Inf(1) // reset to +Inf once the node has failed
 	if fs.active && fs.failNode >= 0 {
 		failAt = fs.failAt * span
 	}
@@ -173,15 +186,21 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 		transientAt = fs.transientAt * cap
 	}
 
-	var pending, requeued []pod
-	var run []running
+	// Every pod is in exactly one of pending, requeued and run, so
+	// buffers of the trace's pod count never grow. They are local to
+	// the call: batch evaluation runs simulations concurrently.
+	pending := make([]pod, 0, pods)
+	requeued := make([]pod, 0, pods)
+	run := make([]running, 0, pods)
+	victims := make([]int, 0, pods) // preemptFor's scratch
 	remaining := make([]int, len(w.Jobs))
 	doneAt := make([]float64, len(w.Jobs))
 	oomStrikes := make([]int, len(w.Jobs))
-	for i, j := range w.Jobs {
-		remaining[i] = j.Pods
+	for i := range w.Jobs {
+		remaining[i] = w.Jobs[i].Pods
 	}
 	nextArrival, jobsDone := 0, 0
+	sorted := true // pending is in policy order: nothing appended since the last sort
 
 	duration := func(ji, pi, ni int) float64 {
 		d := w.Jobs[ji].Duration * jit[ji][pi] * nodes[ni].straggle * overhead
@@ -211,24 +230,26 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 			return backend.Outcome{Seconds: t, Transient: true}
 		}
 		// Node failure: evict its pods, remove its capacity.
-		if fs.active && fs.failNode >= 0 && !nodes[fs.failNode].dead && t >= failAt {
+		if t >= failAt {
+			failAt = math.Inf(1)
 			nodes[fs.failNode].dead = true
 			kept := run[:0]
-			for _, r := range run {
-				if r.node == fs.failNode {
-					requeue(r, t)
+			for i := range run {
+				if run[i].node == fs.failNode {
+					requeue(run[i], t)
 					continue
 				}
-				kept = append(kept, r)
+				kept = append(kept, run[i])
 			}
 			run = kept
 		}
 		// Completions and spurious OOM kills due by now.
 		kept := run[:0]
-		for _, r := range run {
+		for i := range run {
+			r := &run[i]
 			switch {
 			case r.oomAt > 0 && r.oomAt <= t:
-				requeue(r, r.oomAt)
+				requeue(*r, r.oomAt)
 			case r.end <= t:
 				nodes[r.node].cpu -= w.Jobs[r.job].CPU
 				nodes[r.node].mem -= w.Jobs[r.job].MemGB
@@ -240,39 +261,56 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 					jobsDone++
 				}
 			default:
-				kept = append(kept, r)
+				kept = append(kept, *r)
 			}
 		}
 		run = kept
 		// Arrivals due by now.
 		for nextArrival < len(w.Jobs) && w.Jobs[nextArrival].Arrival <= t {
-			for k := 0; k < w.Jobs[nextArrival].Pods; k++ {
-				pending = append(pending, pod{job: nextArrival, idx: k, ready: w.Jobs[nextArrival].Arrival})
+			j := &w.Jobs[nextArrival]
+			for k := 0; k < j.Pods; k++ {
+				pending = append(pending, pod{job: nextArrival, idx: k, ready: j.Arrival})
 			}
 			nextArrival++
+			sorted = false
 		}
 		if jobsDone == len(w.Jobs) && nextArrival == len(w.Jobs) {
 			break
 		}
-		// Placement pass over the ready queue in policy order.
-		pending = append(pending, requeued...)
-		requeued = requeued[:0]
-		sortQueue(pending, w, p.queue)
-		var still []pod
+		// Placement pass over the ready queue in policy order. The order
+		// is total, so a queue nothing was appended to since the last
+		// sort is still sorted.
+		if len(requeued) > 0 {
+			pending = append(pending, requeued...)
+			requeued = requeued[:0]
+			sorted = false
+		}
+		if !sorted {
+			sortQueue(pending, w, p.queue)
+			sorted = true
+		}
+		// The pods of one job share their demands and priority, so once
+		// one finds no node (and no room by preemption), the job's later
+		// pods fail too until a placement or eviction changes the nodes:
+		// failJob skips them. A failed preemptFor changes nothing.
+		placed, failJob := false, -1
+		still := pending[:0]
 		for _, pd := range pending {
-			if pd.ready > t {
+			if pd.ready > t || pd.job == failJob {
 				still = append(still, pd)
 				continue
 			}
-			j := w.Jobs[pd.job]
+			j := &w.Jobs[pd.job]
 			ni := pickNode(nodes, w, p, j)
 			if ni < 0 && p.preempt && j.Priority > 0 {
-				ni = preemptFor(nodes, &run, w, p, j, t, requeue)
+				ni = preemptFor(nodes, &run, w, p, j, t, requeue, victims)
 			}
 			if ni < 0 {
 				still = append(still, pd)
+				failJob = pd.job
 				continue
 			}
+			placed, failJob = true, -1
 			d := duration(pd.job, pd.idx, ni)
 			if j.Priority > 0 && p.preempt {
 				// The grace period granted to any evicted pod delays the
@@ -301,7 +339,41 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 			run = append(run, r)
 		}
 		pending = append(still, requeued...)
-		requeued = requeued[:0]
+		if len(requeued) > 0 {
+			requeued = requeued[:0]
+			sorted = false
+		}
+		if placed {
+			continue
+		}
+		// A quiet tick: the pass changed nothing, so every later pass
+		// finds the same nodes, run list and queue, and changes nothing
+		// either, until a completion, OOM kill, arrival, backoff expiry,
+		// node failure or transient abort comes due. Jump to the first
+		// tick at or past that time, stepping t exactly as the loop does
+		// so the tick times stay bit-identical.
+		next := min(transientAt, failAt)
+		if nextArrival < len(w.Jobs) {
+			next = min(next, w.Jobs[nextArrival].Arrival)
+		}
+		for i := range run {
+			next = min(next, run[i].end)
+			if run[i].oomAt > 0 {
+				next = min(next, run[i].oomAt)
+			}
+		}
+		for i := range pending {
+			if pending[i].ready > t {
+				next = min(next, pending[i].ready)
+			}
+		}
+		if next > cap {
+			// Every tick up to the first past cap would be quiet.
+			return backend.Outcome{Seconds: cap}
+		}
+		for t+p.tick < next {
+			t += p.tick
+		}
 	}
 
 	// Metric over the completed trace.
@@ -330,36 +402,40 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 }
 
 // sortQueue orders the pending queue by the configured discipline;
-// every discipline tie-breaks by (job, pod) index, so the order is a
-// pure function of the queue contents.
+// every discipline tie-breaks by (job, pod) index, which is unique per
+// pod, so the order is total and the sorted queue is a pure function
+// of the queue contents.
 func sortQueue(pending []pod, w Workload, queue string) {
-	less := func(a, b pod) bool { return a.job < b.job || (a.job == b.job && a.idx < b.idx) }
+	byPod := func(a, b pod) int {
+		if c := cmp.Compare(a.job, b.job); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	}
 	switch queue {
 	case "sjf":
-		sort.SliceStable(pending, func(i, j int) bool {
-			di, dj := w.Jobs[pending[i].job].Duration, w.Jobs[pending[j].job].Duration
-			if di != dj {
-				return di < dj
+		slices.SortStableFunc(pending, func(a, b pod) int {
+			if c := cmp.Compare(w.Jobs[a.job].Duration, w.Jobs[b.job].Duration); c != 0 {
+				return c
 			}
-			return less(pending[i], pending[j])
+			return byPod(a, b)
 		})
 	case "priority":
-		sort.SliceStable(pending, func(i, j int) bool {
-			pi, pj := w.Jobs[pending[i].job].Priority, w.Jobs[pending[j].job].Priority
-			if pi != pj {
-				return pi > pj
+		slices.SortStableFunc(pending, func(a, b pod) int {
+			if c := cmp.Compare(w.Jobs[b.job].Priority, w.Jobs[a.job].Priority); c != 0 {
+				return c
 			}
-			return less(pending[i], pending[j])
+			return byPod(a, b)
 		})
 	default: // fifo
-		sort.SliceStable(pending, func(i, j int) bool { return less(pending[i], pending[j]) })
+		slices.SortStableFunc(pending, byPod)
 	}
 }
 
 // pickNode scores the eligible nodes under the configured policy and
 // returns the winner, or -1 when nothing fits. Ties break by node
 // index.
-func pickNode(nodes []node, w Workload, p policy, j Job) int {
+func pickNode(nodes []node, w Workload, p policy, j *Job) int {
 	best, bestScore := -1, math.Inf(-1)
 	for i := range nodes {
 		n := &nodes[i]
@@ -392,27 +468,28 @@ func pickNode(nodes []node, w Workload, p policy, j Job) int {
 
 // preemptFor tries to make room for a production pod by evicting the
 // most recently placed batch pods from one node, within the
-// per-attempt eviction budget. Returns the freed node or -1.
-func preemptFor(nodes []node, run *[]running, w Workload, p policy, j Job, t float64, requeue func(running, float64)) int {
+// per-attempt eviction budget. Returns the freed node or -1; on -1
+// nothing has changed. victims is scratch space of capacity len(*run).
+func preemptFor(nodes []node, run *[]running, w Workload, p policy, j *Job, t float64, requeue func(running, float64), victims []int) int {
 	for ni := range nodes {
 		n := &nodes[ni]
 		if n.dead {
 			continue
 		}
 		// Newest-first batch victims on this node.
-		var victims []int
-		for ri, r := range *run {
-			if r.node == ni && r.priority == 0 {
+		victims = victims[:0]
+		for ri := range *run {
+			if r := &(*run)[ri]; r.node == ni && r.priority == 0 {
 				victims = append(victims, ri)
 			}
 		}
-		sort.SliceStable(victims, func(a, b int) bool {
-			return (*run)[victims[a]].placedAt > (*run)[victims[b]].placedAt
+		slices.SortStableFunc(victims, func(a, b int) int {
+			return cmp.Compare((*run)[b].placedAt, (*run)[a].placedAt)
 		})
 		cpu, mem := n.cpu, n.mem
-		var take []int
+		take := 0
 		for _, ri := range victims {
-			if int64(len(take)) >= p.maxPreempt {
+			if int64(take) >= p.maxPreempt {
 				break
 			}
 			if cpu+j.CPU <= w.NodeCPU*p.ocCPU && mem+j.MemGB <= w.NodeMemGB*p.ocMem {
@@ -420,18 +497,20 @@ func preemptFor(nodes []node, run *[]running, w Workload, p policy, j Job, t flo
 			}
 			cpu -= (*run)[ri].cpu
 			mem -= (*run)[ri].mem
-			take = append(take, ri)
+			take++
 		}
 		if cpu+j.CPU > w.NodeCPU*p.ocCPU || mem+j.MemGB > w.NodeMemGB*p.ocMem {
 			continue
 		}
-		if len(take) == 0 {
+		if take == 0 {
 			continue
 		}
 		// Evict, newest first; removal indices descend so they stay
 		// valid.
-		sort.Sort(sort.Reverse(sort.IntSlice(take)))
-		for _, ri := range take {
+		evict := victims[:take]
+		slices.Sort(evict)
+		for k := len(evict) - 1; k >= 0; k-- {
+			ri := evict[k]
 			r := (*run)[ri]
 			*run = append((*run)[:ri], (*run)[ri+1:]...)
 			requeue(r, t)

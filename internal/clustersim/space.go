@@ -1,10 +1,13 @@
 // Package clustersim is the second tuning backend: a deterministic
-// discrete-event simulator of a multi-tenant cluster scheduler. Jobs
-// made of pods arrive on a fixed trace and are placed onto nodes by a
-// configurable scheduling policy; the tunables are the policy's knobs
-// — node-scoring weights, bin-packing threshold, preemption policy,
-// eviction backoff, queue discipline and resource overcommit — and
-// the objective is the makespan or the p95 job latency of the trace.
+// simulator of a multi-tenant cluster scheduler. Jobs made of pods
+// arrive on a fixed trace and are placed onto nodes by a configurable
+// scheduling policy, run as a fixed-period scheduling loop (the loop
+// period is itself a tunable) that jumps over idle ticks, where no
+// placement can change until the next arrival, completion, backoff
+// expiry or fault. The tunables are the policy's knobs — node-scoring
+// weights, bin-packing threshold, preemption policy, eviction backoff,
+// queue discipline and resource overcommit — and the objective is the
+// makespan or the p95 job latency of the trace.
 //
 // The package exists to prove the backend seam: it shares nothing
 // with internal/sparksim except the contracts in internal/backend

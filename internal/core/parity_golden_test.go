@@ -15,6 +15,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/backend"
+	"repro/internal/clustersim"
 	"repro/internal/conf"
 	"repro/internal/journal"
 	"repro/internal/sparksim"
@@ -43,7 +45,15 @@ type paritySnapshot struct {
 	ObjCost        float64               `json:"obj_cost"`
 }
 
-func snapshotOf(res tuners.Result, ev *sparksim.Evaluator, measureSeed uint64) paritySnapshot {
+// measured is what a snapshot reads off a session's evaluator: every
+// backend's Harness provides it.
+type measured interface {
+	Evals() int
+	SearchCost() float64
+	Measure(c conf.Config, reps int, seed uint64) float64
+}
+
+func snapshotOf(res tuners.Result, ev measured, measureSeed uint64) paritySnapshot {
 	snap := paritySnapshot{
 		Found:          res.Found,
 		Evals:          res.Evals,
@@ -103,6 +113,46 @@ func TestSparkBackendParityGolden(t *testing.T) {
 	}
 
 	checkGolden(t, "spark_parity_golden.json", got)
+}
+
+// TestClusterSimParityGolden is the same pin for the cluster-scheduler
+// backend: a ROBOTune session on the largest BatchETL trace under the
+// default fault plan (node loss, stragglers, spurious OOM kills and
+// transient aborts all reach the tuner), and BOHB on the fidelity
+// ladder over MLTrain, whose proxy rungs replay truncated, thinned
+// traces. The same rule holds: regenerating the file is only
+// legitimate in a change that deliberately alters tuning behavior or
+// the simulator's outcomes.
+func TestClusterSimParityGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full tuning runs; skipped in -short mode")
+	}
+	space := clustersim.Space()
+	got := map[string]paritySnapshot{}
+	{
+		w, err := clustersim.WorkloadByName("BatchETL", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := clustersim.NewEvaluator(w, 21, 0)
+		plan := backend.DefaultFaultPlan()
+		plan.Seed = 22
+		ev.Faults = plan
+		r := New(nil, fastOptions())
+		res := r.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 40, Seed: 21}))
+		got["robotune-faults"] = snapshotOf(res, ev, 21*31+7)
+	}
+	{
+		w, err := clustersim.WorkloadByName("MLTrain", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := clustersim.NewEvaluator(w, 23, 0)
+		tn := tuners.BOHB{Ladder: tuners.DefaultLadder()}
+		res := tn.Run(tuners.NewSession(ev, space, tuners.Request{Budget: 27, Seed: 23}))
+		got["bohb-ladder"] = snapshotOf(res, ev, 23*31+7)
+	}
+	checkGolden(t, "clustersim_parity_golden.json", got)
 }
 
 // checkGolden compares the indented JSON of got with testdata/name

@@ -368,6 +368,56 @@ func TestLostResponsesReclaimed(t *testing.T) {
 	}
 }
 
+// TestRetriedFinalObserveFinished: when the answer to a session's last
+// observation is lost after the server applied it, the client's retry
+// finds the session that observation sealed and gets 410 finished, not
+// 409. The observation was applied: the status shows the session done,
+// with every observation in its trace and nothing outstanding.
+func TestRetriedFinalObserveFinished(t *testing.T) {
+	const budget = 6
+	srv := server.New(server.Options{JournalDir: t.TempDir()})
+	defer srv.Shutdown()
+	observes := 0
+	tp := &lossyTransport{h: srv.Handler(), drop: func(path string, _ []byte) bool {
+		if !strings.HasSuffix(path, "/observe") {
+			return false
+		}
+		observes++
+		return observes == budget
+	}}
+	cl := &client.Client{BaseURL: "http://robotuned", HTTP: &http.Client{Transport: tp},
+		Retry: client.RetryPolicy{MaxRetries: 2, Sleep: func(time.Duration) {}}}
+	sess, err := cl.Create(spec("randomsearch", budget, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []float64
+	var last error
+	for len(sent) < budget {
+		props, _, err := sess.Propose(1)
+		if err != nil || len(props) != 1 {
+			t.Fatalf("propose after %d trials: %v %v", len(sent), props, err)
+		}
+		obs := wireObservation(props[0])
+		sent = append(sent, obs.Seconds)
+		_, last = sess.Observe(obs)
+		if last != nil && len(sent) < budget {
+			t.Fatalf("observe %d: %v", len(sent), last)
+		}
+	}
+	if tp.dropped != 1 || !client.IsFinished(last) || client.IsConflict(last) {
+		t.Fatalf("final observe after %d lost answers: %v, want 410 finished", tp.dropped, last)
+	}
+	st, err := sess.FullStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Done || st.Trials != budget || st.Outstanding != 0 || !reflect.DeepEqual(st.Trace, sent) {
+		t.Fatalf("status: done=%v trials=%d outstanding=%d trace %v, want done, %d trials, trace %v",
+			st.Done, st.Trials, st.Outstanding, st.Trace, budget, sent)
+	}
+}
+
 // refusingTransport dispatches requests into the server's handler,
 // and answers the next refuse propose requests with a 503 instead: a
 // refusal before any state changed. It counts propose requests.
