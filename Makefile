@@ -55,7 +55,7 @@ bench-smoke:
 # Large-n surrogate scaling: exact (blocked Cholesky) vs sparse
 # local-subset fit/extend/suggest at n in {500, 1000, 2000}.
 bench-gp-scale:
-	$(GO) test -run '^$$' -bench 'BenchmarkGPScale' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkGPScale' -benchmem -benchtime 1x ./internal/bo
 
 # A/B comparison helper: save a baseline, make a change, compare.
 # Uses benchstat when installed, otherwise falls back to diff.

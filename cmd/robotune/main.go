@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/backend"
 	_ "repro/internal/backend/backends"
+	"repro/internal/bo"
 	"repro/internal/cli"
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -54,9 +55,9 @@ func main() {
 		verbose  = flag.Bool("v", false, "print every non-default parameter of the best config")
 		explain  = flag.Bool("explain", false, "print selection ranking, Hedge weights and config diff (ROBOTune only)")
 		workers  = flag.Int("workers", 0, "tuner compute parallelism: goroutines for forest training, importance and acquisition search (0 = all cores, 1 = serial; results are identical)")
-		refitBdg = flag.Float64("refit-budget", 0, "ROBOTune: cap GP hyperparameter-refit time to this fraction of elapsed wall clock, extending the factorization incrementally in between (0 = fixed every-5-evals cadence)")
-		sparse   = flag.Bool("sparse", false, "ROBOTune: past -sparse-threshold observations, fit the GP on a local subset (nearest the incumbent + a uniform reservoir) instead of the full history")
-		sparseAt = flag.Int("sparse-threshold", 0, "ROBOTune: observation count where -sparse kicks in (0 = default 512)")
+		refitBdg = flag.Float64("refit-budget", 0, "ROBOTune and BOHB: cap GP hyperparameter-refit time to this fraction of elapsed wall clock, extending the factorization incrementally in between (0 = fixed every-5-evals cadence)")
+		sparse   = flag.Bool("sparse", false, "ROBOTune and BOHB: past -sparse-threshold observations, fit the GP on a local subset (nearest the incumbent + a uniform reservoir) instead of the full history")
+		sparseAt = flag.Int("sparse-threshold", 0, "ROBOTune and BOHB: observation count where -sparse kicks in (0 = default 512)")
 		deadline = flag.Float64("deadline", 0, "per-evaluation deadline in simulated seconds, layered under the adaptive guard cap (0 = none)")
 		retries  = flag.Int("retries", 0, "max re-evaluations of a transiently-failed configuration")
 		faults   = flag.String("faults", "", "fault-injection plan: 'default', or execloss=,straggler=,stragglerfactor=,transient=,oom=,seed= (empty/off = no faults)")
@@ -105,13 +106,14 @@ func main() {
 	}
 
 	tn, err := cli.BuildTunerOpts(*tuner, store, core.Options{
-		Workers:         *workers,
-		RefitBudget:     *refitBdg,
-		SparseSurrogate: *sparse,
-		SparseThreshold: *sparseAt,
-		CostAware:       *costAwre,
-		FidelityLadder:  ladderVals,
-		FidelityAxis:    *fidAxis,
+		Workers: *workers,
+		BO: bo.Config{
+			RefitBudget:     *refitBdg,
+			SparseThreshold: cli.SparseThreshold(*sparse, *sparseAt),
+			CostAware:       *costAwre,
+		},
+		FidelityLadder: ladderVals,
+		FidelityAxis:   *fidAxis,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -2,11 +2,40 @@ package bo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gp"
 	"repro/internal/sample"
 )
+
+// TestZeroConfigIsDefault: New resolves the zero Config, field by
+// field, to the configuration ROBOTune has always run (the GP-Hedge
+// portfolio, η = 1, a Matérn GP fitted by 4-restart likelihood search,
+// a 256-point pool, 3 starts), and a config that sets one field keeps
+// the defaults of all the others.
+func TestZeroConfigIsDefault(t *testing.T) {
+	want := Config{
+		Portfolio: []Acquisition{PI{Xi: 0.01}, EI{Xi: 0.01}, LCB{Kappa: 1.96}},
+		Eta:       1,
+		GP: gp.Config{
+			Kernel:   gp.Matern52,
+			FitHyper: true,
+			Init:     gp.Params{LogVariance: 0, LogLength: math.Log(0.5), LogNoise: math.Log(1e-3)},
+			Restarts: 4,
+		},
+		CandidatePool: 256,
+		Starts:        3,
+	}
+	if got := New(3, Config{}).cfg; !reflect.DeepEqual(got, want) {
+		t.Errorf("New(Config{}) resolves to\n%+v\nwant\n%+v", got, want)
+	}
+	want.CandidatePool = 32
+	if got := New(3, Config{CandidatePool: 32}).cfg; !reflect.DeepEqual(got, want) {
+		t.Errorf("New(Config{CandidatePool: 32}) resolves to\n%+v\nwant\n%+v", got, want)
+	}
+}
 
 func TestPIMonotoneInImprovement(t *testing.T) {
 	a := PI{Xi: 0.01}
@@ -126,9 +155,7 @@ func seedEngine(e *Engine, n int, seed uint64) {
 }
 
 func TestEngineConvergesOnQuadratic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 1
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 1})
 	seedEngine(e, 8, 1)
 	for i := 0; i < 20; i++ {
 		x, err := e.Suggest()
@@ -158,9 +185,7 @@ func TestEngineBeatsRandomSearchOnMultimodal(t *testing.T) {
 	var boTotal, rsTotal float64
 	const trials = 3
 	for trial := uint64(0); trial < trials; trial++ {
-		cfg := DefaultConfig()
-		cfg.Seed = trial
-		e := New(2, cfg)
+		e := New(2, Config{Seed: trial})
 		rng := sample.NewRNG(trial * 7)
 		for _, p := range sample.LHS(10, 2, rng) {
 			e.Tell(p, f(p))
@@ -189,7 +214,7 @@ func TestEngineBeatsRandomSearchOnMultimodal(t *testing.T) {
 }
 
 func TestSuggestRequiresObservations(t *testing.T) {
-	e := New(2, DefaultConfig())
+	e := New(2, Config{})
 	if _, err := e.Suggest(); err == nil {
 		t.Error("Suggest with no data should error")
 	}
@@ -200,9 +225,7 @@ func TestSuggestRequiresObservations(t *testing.T) {
 }
 
 func TestSuggestInUnitCube(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 3
-	e := New(3, cfg)
+	e := New(3, Config{Seed: 3})
 	rng := sample.NewRNG(3)
 	for _, p := range sample.LHS(6, 3, rng) {
 		e.Tell(p, p[0]+p[1]*p[2])
@@ -222,9 +245,7 @@ func TestSuggestInUnitCube(t *testing.T) {
 }
 
 func TestHedgeGainsUpdate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 4
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 4})
 	seedEngine(e, 6, 4)
 	if g := e.Gains(); g[0] != 0 || g[1] != 0 || g[2] != 0 {
 		t.Fatalf("initial gains %v", g)
@@ -258,10 +279,7 @@ func TestHedgeGainsUpdate(t *testing.T) {
 }
 
 func TestSingleAcquisitionPortfolio(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Portfolio = []Acquisition{EI{Xi: 0.01}}
-	cfg.Seed = 5
-	e := New(2, cfg)
+	e := New(2, Config{Portfolio: []Acquisition{EI{Xi: 0.01}}, Seed: 5})
 	seedEngine(e, 8, 5)
 	for i := 0; i < 10; i++ {
 		x, err := e.Suggest()
@@ -281,9 +299,7 @@ func TestSingleAcquisitionPortfolio(t *testing.T) {
 
 func TestEngineDeterministic(t *testing.T) {
 	run := func() []float64 {
-		cfg := DefaultConfig()
-		cfg.Seed = 6
-		e := New(2, cfg)
+		e := New(2, Config{Seed: 6})
 		seedEngine(e, 6, 6)
 		x, err := e.Suggest()
 		if err != nil {
@@ -300,7 +316,7 @@ func TestEngineDeterministic(t *testing.T) {
 }
 
 func TestPortfolioNames(t *testing.T) {
-	e := New(2, DefaultConfig())
+	e := New(2, Config{})
 	names := e.PortfolioNames()
 	if len(names) != 3 || names[0] != "PI" || names[1] != "EI" || names[2] != "LCB" {
 		t.Errorf("names = %v", names)
@@ -308,7 +324,7 @@ func TestPortfolioNames(t *testing.T) {
 }
 
 func TestBestTracksMinimum(t *testing.T) {
-	e := New(1, DefaultConfig())
+	e := New(1, Config{})
 	e.Tell([]float64{0.1}, 5)
 	e.Tell([]float64{0.2}, 2)
 	e.Tell([]float64{0.3}, 7)
@@ -324,13 +340,11 @@ func TestNewPanicsOnZeroDim(t *testing.T) {
 			t.Error("New(0) should panic")
 		}
 	}()
-	New(0, DefaultConfig())
+	New(0, Config{})
 }
 
 func TestHedgeProbabilitiesShiftFromUniform(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 10
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 10})
 	seedEngine(e, 8, 10)
 	for i := 0; i < 12; i++ {
 		x, err := e.Suggest()
@@ -352,9 +366,7 @@ func TestHedgeProbabilitiesShiftFromUniform(t *testing.T) {
 }
 
 func TestSurrogateReusesHyperparametersBetweenRefits(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 11
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 11})
 	seedEngine(e, 10, 11)
 	g1, err := e.Surrogate()
 	if err != nil {
@@ -377,9 +389,7 @@ func TestSurrogateReusesHyperparametersBetweenRefits(t *testing.T) {
 
 func TestSuggestAfterManyIdenticalObservations(t *testing.T) {
 	// Degenerate data (identical ys) must not break the engine.
-	cfg := DefaultConfig()
-	cfg.Seed = 12
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 12})
 	rng := sample.NewRNG(12)
 	for _, p := range sample.LHS(10, 2, rng) {
 		e.Tell(p, 42)
@@ -396,9 +406,7 @@ func TestSuggestAfterManyIdenticalObservations(t *testing.T) {
 }
 
 func TestForkIsIndependent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 20
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 20})
 	seedEngine(e, 8, 20)
 	f := e.Fork()
 	if f.N() != e.N() {
@@ -418,9 +426,7 @@ func TestForkIsIndependent(t *testing.T) {
 }
 
 func TestBatchSuggestDiversity(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 21
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 21})
 	seedEngine(e, 10, 21)
 	batch, err := e.BatchSuggest(4)
 	if err != nil {
@@ -446,7 +452,7 @@ func TestBatchSuggestDiversity(t *testing.T) {
 }
 
 func TestBatchSuggestNeedsData(t *testing.T) {
-	e := New(2, DefaultConfig())
+	e := New(2, Config{})
 	if _, err := e.BatchSuggest(3); err == nil {
 		t.Error("BatchSuggest without observations should error")
 	}

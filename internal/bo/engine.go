@@ -24,15 +24,21 @@ type batchScratch struct {
 
 var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// Config controls the BO engine.
+// Config controls the BO engine. The zero value is the engine
+// ROBOTune runs: New fills every zero field with its default, so a
+// config that sets some fields keeps the defaults of the others.
 type Config struct {
 	// Portfolio lists the acquisition functions in the Hedge
 	// portfolio. Empty selects DefaultPortfolio. A single entry
 	// disables hedging (used by the hedge-vs-single ablation).
 	Portfolio []Acquisition
-	// Eta is the Hedge learning rate for the softmax over gains.
+	// Eta is the Hedge learning rate for the softmax over gains
+	// (default 1).
 	Eta float64
-	// GP configures the surrogate fit.
+	// GP configures the surrogate fit. The engine owns FitHyper: it
+	// searches the hyperparameters on its refit cadence and reuses
+	// them in between. A zero Init starts the search from gp's default
+	// and zero Restarts selects gp's default count.
 	GP gp.Config
 	// CandidatePool is the size of the LHS pool scored to seed the
 	// local optimizer (default 256).
@@ -51,14 +57,12 @@ type Config struct {
 	// hyperparameter refits. Results are identical either way; this
 	// exists for parity testing and ablation.
 	DisableIncremental bool
-	// Sparse gates the GP's local-subset approximation: past
-	// SparseThreshold observations the surrogate is fitted exactly on
-	// the observations nearest the incumbent plus a uniform reservoir
-	// of the rest, bounding per-iteration cost by the subset size.
-	// Off by default — the exact surrogate is used at every size.
-	Sparse bool
-	// SparseThreshold is the observation count past which the sparse
-	// path engages (default 512; only meaningful with Sparse set).
+	// SparseThreshold, when > 0, gates the GP's local-subset
+	// approximation: past this many observations the surrogate is
+	// fitted exactly on the observations nearest the incumbent plus a
+	// uniform reservoir of the rest, bounding per-iteration cost by
+	// the subset size. 0 (the default) uses the exact surrogate at
+	// every size.
 	SparseThreshold int
 	// CostAware divides positive acquisition scores by the predicted
 	// evaluation cost (a k-nearest-neighbor model over the costs fed
@@ -80,17 +84,6 @@ type Config struct {
 	// Now overrides the clock used for refit budgeting (tests inject a
 	// fake clock). nil = time.Now.
 	Now func() time.Time
-}
-
-// DefaultConfig returns the engine configuration used by ROBOTune.
-func DefaultConfig() Config {
-	return Config{
-		Portfolio:     DefaultPortfolio(),
-		Eta:           1.0,
-		GP:            gp.DefaultConfig(),
-		CandidatePool: 256,
-		Starts:        3,
-	}
 }
 
 // Engine runs Algorithm 1: it accumulates (x, y) observations in the
@@ -145,7 +138,7 @@ type Engine struct {
 }
 
 // New builds an engine over the unit hypercube of the given
-// dimension.
+// dimension, filling every zero field of cfg with its default.
 func New(dim int, cfg Config) *Engine {
 	if dim < 1 {
 		panic("bo: dimension must be >= 1")
@@ -162,14 +155,19 @@ func New(dim int, cfg Config) *Engine {
 	if cfg.Starts <= 0 {
 		cfg.Starts = 3
 	}
+	gpDefault := gp.DefaultConfig()
+	cfg.GP.FitHyper = true // Surrogate turns it off between refits
+	if cfg.GP.Init.Equal(gp.Params{}) {
+		cfg.GP.Init = gpDefault.Init
+	}
+	if cfg.GP.Restarts <= 0 {
+		cfg.GP.Restarts = gpDefault.Restarts
+	}
 	cfg.GP.Seed = cfg.Seed
 	if cfg.GP.Workers == 0 {
 		cfg.GP.Workers = cfg.Workers
 	}
-	if cfg.Sparse {
-		if cfg.SparseThreshold <= 0 {
-			cfg.SparseThreshold = DefaultSparseThreshold
-		}
+	if cfg.SparseThreshold > 0 {
 		cfg.GP.SparseThreshold = cfg.SparseThreshold
 	}
 	now := cfg.Now
@@ -186,9 +184,9 @@ func New(dim int, cfg Config) *Engine {
 	}
 }
 
-// DefaultSparseThreshold is the observation count past which
-// Config.Sparse switches the surrogate to the local-subset path when
-// no explicit threshold is configured.
+// DefaultSparseThreshold is the SparseThreshold a caller that turns
+// the sparse surrogate on without choosing a threshold gets
+// (robotune -sparse, the wire's options.sparse).
 const DefaultSparseThreshold = 512
 
 // Tell adds an observation. x must be in the unit cube of the

@@ -13,9 +13,7 @@ func ExampleEngine() {
 	f := func(x []float64) float64 {
 		return (x[0]-0.7)*(x[0]-0.7) + (x[1]-0.3)*(x[1]-0.3)
 	}
-	cfg := bo.DefaultConfig()
-	cfg.Seed = 1
-	engine := bo.New(2, cfg)
+	engine := bo.New(2, bo.Config{Seed: 1})
 	for _, u := range sample.LHS(8, 2, sample.NewRNG(1)) {
 		engine.Tell(u, f(u))
 	}

@@ -13,12 +13,7 @@ import (
 // result.
 func TestIncrementalMatchesFullRefit(t *testing.T) {
 	run := func(disable bool) ([][]float64, []float64, float64) {
-		cfg := DefaultConfig()
-		cfg.Seed = 5
-		cfg.CandidatePool = 64
-		cfg.Starts = 1
-		cfg.DisableIncremental = disable
-		e := New(2, cfg)
+		e := New(2, Config{Seed: 5, CandidatePool: 64, Starts: 1, DisableIncremental: disable})
 		seedEngine(e, 6, 5)
 		var xs [][]float64
 		// Long enough to cross two hyperparameter refits (every 5
@@ -64,12 +59,7 @@ func TestIncrementalMatchesFullRefit(t *testing.T) {
 // the fork extends the shared GP or refits from scratch.
 func TestIncrementalBatchSuggestParity(t *testing.T) {
 	build := func(disable bool) *Engine {
-		cfg := DefaultConfig()
-		cfg.Seed = 8
-		cfg.CandidatePool = 64
-		cfg.Starts = 1
-		cfg.DisableIncremental = disable
-		e := New(2, cfg)
+		e := New(2, Config{Seed: 8, CandidatePool: 64, Starts: 1, DisableIncremental: disable})
 		seedEngine(e, 8, 8)
 		// Advance past a hyper refit so the forks start inside the
 		// reuse window with a cached surrogate.
@@ -107,9 +97,7 @@ func TestIncrementalBatchSuggestParity(t *testing.T) {
 // (extends rather than refits), and fitting counts as refit only every
 // hyperRefitEvery observations.
 func TestSurrogateExtendsBetweenRefits(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 3
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 3})
 	seedEngine(e, 6, 3)
 	g0, err := e.Surrogate()
 	if err != nil {
@@ -145,9 +133,7 @@ func TestSurrogateExtendsBetweenRefits(t *testing.T) {
 // fork serves the identical posterior without refitting, and its
 // Tells leave the parent's surrogate untouched.
 func TestForkSharesSurrogate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 4
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 4})
 	seedEngine(e, 6, 4)
 	g, err := e.Surrogate()
 	if err != nil {

@@ -8,10 +8,7 @@ import "testing"
 // scheduling cannot change the suggestion.
 func TestSuggestWorkersParity(t *testing.T) {
 	run := func(workers int) [][]float64 {
-		cfg := DefaultConfig()
-		cfg.Seed = 9
-		cfg.Workers = workers
-		e := New(2, cfg)
+		e := New(2, Config{Seed: 9, Workers: workers})
 		seedEngine(e, 8, 9)
 		var xs [][]float64
 		for i := 0; i < 3; i++ {
@@ -40,14 +37,11 @@ func TestSuggestWorkersParity(t *testing.T) {
 // TestWorkersPropagatesToGP asserts the engine forwards its worker
 // budget to the GP hyperparameter optimizer unless the GP sets its own.
 func TestWorkersPropagatesToGP(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 4
-	e := New(2, cfg)
+	e := New(2, Config{Workers: 4})
 	if e.cfg.GP.Workers != 4 {
 		t.Errorf("GP.Workers = %d, want 4", e.cfg.GP.Workers)
 	}
-	cfg = DefaultConfig()
-	cfg.Workers = 4
+	cfg := Config{Workers: 4}
 	cfg.GP.Workers = 2
 	e = New(2, cfg)
 	if e.cfg.GP.Workers != 2 {

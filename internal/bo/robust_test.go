@@ -8,9 +8,7 @@ import (
 // TestTellRejectsNonFinite: NaN/Inf observations must be refused at
 // the engine boundary, never reach the GP, and never panic.
 func TestTellRejectsNonFinite(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 3
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 3})
 	seedEngine(e, 6, 3)
 	n := e.N()
 	for _, y := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -38,9 +36,7 @@ func TestTellRejectsNonFinite(t *testing.T) {
 // TestJitterRetriesMonotone: the counter only accumulates, and a
 // healthy fit sequence reports zero.
 func TestJitterRetriesMonotone(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	e := New(2, cfg)
+	e := New(2, Config{Seed: 7})
 	seedEngine(e, 8, 7)
 	if _, err := e.Suggest(); err != nil {
 		t.Fatal(err)
@@ -52,7 +48,7 @@ func TestJitterRetriesMonotone(t *testing.T) {
 	// Duplicate points force a singular kernel matrix: the escalating
 	// jitter ladder must rescue the factorization (no error, no panic)
 	// and account its retries.
-	dup := New(2, cfg)
+	dup := New(2, Config{Seed: 7})
 	for i := 0; i < 10; i++ {
 		if err := dup.Tell([]float64{0.5, 0.5}, 1.0); err != nil {
 			t.Fatal(err)

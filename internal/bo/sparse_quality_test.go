@@ -43,13 +43,9 @@ func TestSparseQualityRegression(t *testing.T) {
 		budget = 60
 	)
 	run := func(f func([]float64) float64, sparse bool) float64 {
-		cfg := DefaultConfig()
-		cfg.Seed = 17
-		cfg.CandidatePool = 96
-		cfg.Starts = 1
+		cfg := Config{Seed: 17, CandidatePool: 96, Starts: 1}
 		cfg.GP.Restarts = 1
 		if sparse {
-			cfg.Sparse = true
 			cfg.SparseThreshold = 24
 		}
 		e := New(dim, cfg)

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/backend"
+	"repro/internal/bo"
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/memo"
@@ -154,8 +155,8 @@ func lookupTuner(name string) (int, bool) {
 // alias. ROBOTune is backed by the given store (nil for in-memory) and
 // configured by opts; opts.Workers runs its internal math on that many
 // goroutines (0 = GOMAXPROCS, 1 = serial; results are identical either
-// way). BOHB takes its ladder, axis and cost-aware toggle from opts;
-// the other baselines ignore it. Every tuner runs under a
+// way). BOHB takes its ladder, axis and engine config (opts.BO) from
+// opts; the other baselines ignore it. Every tuner runs under a
 // tuners.Session, so callers can attach a context, deadline and retry
 // policy via tuners.NewSession.
 func BuildTunerOpts(name string, store *memo.Store, opts core.Options) (tuners.Tuner, error) {
@@ -167,9 +168,11 @@ func BuildTunerOpts(name string, store *memo.Store, opts core.Options) (tuners.T
 }
 
 // buildBOHB maps the shared Options onto the multi-fidelity tuner:
-// the fidelity ladder, axis and cost-aware toggle come straight from
-// Options, Parallel becomes the rung-wave worker count, and Workers
-// drives the engine's internal math like everywhere else.
+// the fidelity ladder and axis come straight from Options, BOHB's
+// engine takes Options.BO as ROBOTune's does (so the refit budget, the
+// sparse threshold and the cost-aware toggle reach both), Parallel
+// becomes the rung-wave worker count, and Workers drives the engine's
+// internal math like everywhere else.
 func buildBOHB(opts core.Options) (tuners.BOHB, error) {
 	if opts.FidelityLadder != nil {
 		if err := tuners.ValidFidelityLadder(opts.FidelityLadder); err != nil {
@@ -181,11 +184,25 @@ func buildBOHB(opts core.Options) (tuners.BOHB, error) {
 		return tuners.BOHB{}, err
 	}
 	bocfg := opts.BO
-	bocfg.CostAware = bocfg.CostAware || opts.CostAware
 	if bocfg.Workers == 0 {
 		bocfg.Workers = opts.Workers
 	}
 	return tuners.BOHB{Ladder: opts.FidelityLadder, Axis: axis, BO: bocfg, Workers: opts.Parallel}, nil
+}
+
+// SparseThreshold maps the sparse-surrogate switch and its threshold
+// (robotune -sparse and -sparse-threshold, the wire's options.sparse
+// and options.sparse_threshold) onto bo.Config.SparseThreshold: 0
+// while the switch is off, otherwise the threshold, or
+// bo.DefaultSparseThreshold when it is 0.
+func SparseThreshold(sparse bool, threshold int) int {
+	switch {
+	case !sparse:
+		return 0
+	case threshold <= 0:
+		return bo.DefaultSparseThreshold
+	}
+	return threshold
 }
 
 // ParseFidelityAxis maps the textual fidelity axis ("", "input",

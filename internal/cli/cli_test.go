@@ -3,8 +3,10 @@ package cli
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/bo"
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/sparksim"
@@ -154,6 +156,36 @@ func TestBuildTunerOpts(t *testing.T) {
 	}
 	if _, err := BuildStepper("simulated-annealing", conf.SparkSpace(), 5, 1, "", "", core.Options{}); err == nil {
 		t.Error("BuildStepper accepted an unknown tuner")
+	}
+}
+
+// TestBOHBTakesOptionsBO: BOHB's engine takes Options.BO as ROBOTune's
+// does, so the refit budget, the sparse threshold and the cost-aware
+// toggle reach it, with Options.Workers filling an unset engine
+// worker count.
+func TestBOHBTakesOptionsBO(t *testing.T) {
+	engine := bo.Config{RefitBudget: 0.2, SparseThreshold: 16, CostAware: true}
+	tn, err := BuildTunerOpts("bohb", nil, core.Options{Workers: 3, BO: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.Workers = 3
+	if got := tn.(tuners.BOHB).BO; !reflect.DeepEqual(got, engine) {
+		t.Errorf("BOHB engine config %+v, want %+v", got, engine)
+	}
+}
+
+func TestSparseThreshold(t *testing.T) {
+	for _, c := range []struct {
+		sparse          bool
+		threshold, want int
+	}{
+		{false, 0, 0}, {false, 16, 0},
+		{true, 0, bo.DefaultSparseThreshold}, {true, -3, bo.DefaultSparseThreshold}, {true, 16, 16},
+	} {
+		if got := SparseThreshold(c.sparse, c.threshold); got != c.want {
+			t.Errorf("SparseThreshold(%v, %d) = %d, want %d", c.sparse, c.threshold, got, c.want)
+		}
 	}
 }
 

@@ -35,7 +35,8 @@ import (
 )
 
 // Options are the ROBOTune knobs; zero values select the paper's
-// constants.
+// constants, field by field, down to the Forest and BO sub-configs,
+// which their own packages default.
 type Options struct {
 	// GenericSamples is the LHS sample count for parameter selection
 	// on a cache miss (paper: 100, validated in §5.5/Figure 7).
@@ -43,9 +44,6 @@ type Options struct {
 	// TuningSamples is the size of the BO initial training set
 	// (paper: 20).
 	TuningSamples int
-	// MemoConfigs is how many Best Recent Configs replace LHS samples
-	// for repeated workloads (paper: 4, so 16 LHS + 4 memoized).
-	MemoConfigs int
 	// ImportanceThreshold is the minimum mean OOB-R² drop for a
 	// parameter group to be selected (paper: 0.05).
 	ImportanceThreshold float64
@@ -83,9 +81,13 @@ type Options struct {
 	// EarlyStopEpsilon is the relative improvement that resets the
 	// patience counter (default 0.01 when patience is enabled).
 	EarlyStopEpsilon float64
-	// Forest configures the selection model.
+	// Forest configures the selection model. Selection always trains
+	// with bootstrap (MDA importance is out-of-bag).
 	Forest forest.Config
-	// BO configures the Bayesian-Optimization engine.
+	// BO configures the Bayesian-Optimization engine, including the
+	// surrogate-scaling knobs (RefitBudget, SparseThreshold) and
+	// cost-aware acquisition (CostAware), which the cli and the wire
+	// server share with BOHB's engine.
 	BO bo.Config
 	// Mapper, when set, enables OtterTune-style workload mapping (an
 	// extension; see internal/mapping): on a selection-cache miss the
@@ -97,28 +99,6 @@ type Options struct {
 	// MapThreshold is the minimum signature correlation for adopting
 	// another family's selection (default 0.9).
 	MapThreshold float64
-	// RefitBudget, when > 0, switches the BO engine's hyperparameter
-	// refits from the fixed every-5-observations cadence to a
-	// cost-budgeted one: refit only while cumulative refit time stays
-	// at or below this fraction of session wall clock (e.g. 0.2),
-	// extending the cached Cholesky factor otherwise. Long sessions
-	// keep a bounded surrogate overhead at the price of bit-exact
-	// journal-replay reproducibility.
-	RefitBudget float64
-	// SparseSurrogate gates the GP's local-subset approximation: past
-	// SparseThreshold observations the surrogate is fitted on the
-	// points nearest the incumbent plus a uniform reservoir, bounding
-	// per-iteration cost by the subset size.
-	SparseSurrogate bool
-	// SparseThreshold is the observation count past which the sparse
-	// surrogate engages (default 512; only meaningful with
-	// SparseSurrogate set).
-	SparseThreshold int
-	// CostAware divides positive acquisition scores by the engine's
-	// predicted evaluation cost (EI-per-second): among equally
-	// promising configurations the search prefers the cheaper one.
-	// The BOHB multi-fidelity tuner shares the toggle via the cli.
-	CostAware bool
 	// FidelityLadder is the fidelity ladder for the BOHB multi-fidelity
 	// tuner (see tuners.BOHB); ROBOTune itself ignores it. The cli
 	// threads it here so one Options value configures whichever tuner
@@ -137,9 +117,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TuningSamples <= 0 {
 		o.TuningSamples = 20
-	}
-	if o.MemoConfigs <= 0 {
-		o.MemoConfigs = 4
 	}
 	if o.ImportanceThreshold <= 0 {
 		o.ImportanceThreshold = 0.05
@@ -162,31 +139,11 @@ func (o Options) withDefaults() Options {
 	if o.MapThreshold <= 0 {
 		o.MapThreshold = 0.9
 	}
-	if o.Forest.Trees == 0 {
-		o.Forest = forest.RFDefaults()
-	}
-	if len(o.BO.Portfolio) == 0 && o.BO.CandidatePool == 0 {
-		o.BO = bo.DefaultConfig()
-	}
 	if o.Forest.Workers == 0 {
 		o.Forest.Workers = o.Workers
 	}
 	if o.BO.Workers == 0 {
 		o.BO.Workers = o.Workers
-	}
-	// The scaling knobs live on Options (not o.BO) so they survive the
-	// BO-defaulting block above; map them onto the engine config last.
-	if o.RefitBudget > 0 {
-		o.BO.RefitBudget = o.RefitBudget
-	}
-	if o.SparseSurrogate {
-		o.BO.Sparse = true
-		if o.SparseThreshold > 0 {
-			o.BO.SparseThreshold = o.SparseThreshold
-		}
-	}
-	if o.CostAware {
-		o.BO.CostAware = true
 	}
 	return o
 }
@@ -445,11 +402,6 @@ func contains(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-func withSeed(cfg bo.Config, seed uint64) bo.Config {
-	cfg.Seed = seed
-	return cfg
 }
 
 // Explain renders a human-readable account of the most recent Run:

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bo"
 	"repro/internal/conf"
+	"repro/internal/gp"
 	"repro/internal/mapping"
 	"repro/internal/memo"
 	"repro/internal/sparksim"
@@ -183,7 +185,7 @@ func TestSelectFromDataValidation(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.GenericSamples != 100 || o.TuningSamples != 20 || o.MemoConfigs != 4 {
+	if o.GenericSamples != 100 || o.TuningSamples != 20 {
 		t.Errorf("sampling defaults: %+v", o)
 	}
 	if o.ImportanceThreshold != 0.05 || o.PermuteRepeats != 10 {
@@ -191,6 +193,28 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.GuardMultiple != 3 {
 		t.Errorf("guard default: %v", o.GuardMultiple)
+	}
+}
+
+// TestPartialBOConfigKeepsDefaults: a session whose BO config sets
+// only the candidate pool keeps every other engine default, the
+// hyperparameter search included: the engine refits the GP's
+// hyperparameters on its fixed cadence and extends the factor in
+// between, instead of running at the zero hyperparameters.
+func TestPartialBOConfigKeepsDefaults(t *testing.T) {
+	r := New(nil, Options{GenericSamples: 30, PermuteRepeats: 2, BO: bo.Config{CandidatePool: 32}})
+	ev := newEvaluator(sparksim.TeraSort(20), 3)
+	r.Run(tuners.NewSession(ev, conf.SparkSpace(), tuners.Request{Budget: 32, Seed: 3}))
+	st := r.LastEngine.RefitStats()
+	if st.HyperRefits == 0 || st.Extends == 0 {
+		t.Errorf("surrogate cadence %+v: want hyperparameter refits and incremental extends", st)
+	}
+	g, err := r.LastEngine.Surrogate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Params().Equal(gp.Params{}) {
+		t.Errorf("surrogate runs at the zero hyperparameters %+v", g.Params())
 	}
 }
 

@@ -283,12 +283,16 @@ func (st *Stepper) endSelection() {
 			Values:  sel.BestSample.ToMap(),
 			Seconds: sel.BestSeconds,
 			Dataset: st.dataset,
-		}}, st.opts.MemoConfigs*4)
+		}}, memoConfigs*4)
 	}
 	st.sealSelection()
 }
 
 // --- Tuning setup (subspace + memoized sampling, §3.2) ---------------
+
+// memoConfigs is how many Best Recent Configs replace LHS samples for
+// a repeated workload (paper: 4, so 16 LHS + 4 memoized).
+const memoConfigs = 4
 
 // sealSelection fixes the selection outcome (falling back to the
 // executor-size trio when selection failed entirely), builds the
@@ -333,7 +337,9 @@ func (st *Stepper) sealSelection() {
 		st.tuneEvalsBefore, st.tuneCostBefore = st.obj.Evals(), st.obj.SearchCost()
 	}
 	st.tr = &runTracker{bestSec: math.Inf(1)}
-	st.engine = bo.New(ss.Dim(), withSeed(opts.BO, st.seed))
+	bocfg := opts.BO
+	bocfg.Seed = st.seed
+	st.engine = bo.New(ss.Dim(), bocfg)
 	st.r.LastEngine = st.engine
 	st.remaining = st.budget
 
@@ -343,7 +349,7 @@ func (st *Stepper) sealSelection() {
 		// configurations of one session are near-duplicates, and seeding
 		// the GP with four copies of the same point over-anchors
 		// exploitation on the previous dataset's optimum.
-		memoCfgs = diverseConfigs(space, st.r.store.BestConfigs(st.workload, opts.MemoConfigs*4), opts.MemoConfigs)
+		memoCfgs = diverseConfigs(space, st.r.store.BestConfigs(st.workload, memoConfigs*4), memoConfigs)
 	}
 	lhsCount := opts.TuningSamples - len(memoCfgs)
 	if lhsCount < 0 {
@@ -527,7 +533,7 @@ func (st *Stepper) finish() {
 	// retains a wider slate (4x) than the per-session pull so the
 	// diverse subset has real choices.
 	if st.workload != "" && st.tr.found {
-		top := st.tr.topK(st.opts.MemoConfigs)
+		top := st.tr.topK(memoConfigs)
 		saved := make([]memo.SavedConfig, 0, len(top))
 		for _, e := range top {
 			saved = append(saved, memo.SavedConfig{
@@ -536,7 +542,7 @@ func (st *Stepper) finish() {
 				Dataset: st.dataset,
 			})
 		}
-		st.r.store.AddConfigs(st.workload, saved, st.opts.MemoConfigs*4)
+		st.r.store.AddConfigs(st.workload, saved, memoConfigs*4)
 	}
 }
 

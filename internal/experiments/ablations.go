@@ -114,10 +114,7 @@ func Ablations(cfg Config) AblationResult {
 
 // rawBOQuality runs plain BO over all 44 dimensions.
 func rawBOQuality(cfg Config, space *conf.Space, ev sparkEval, budget int, seed uint64) float64 {
-	ecfg := bo.DefaultConfig()
-	ecfg.Seed = seed
-	ecfg.CandidatePool = 128
-	ecfg.Starts = 1
+	ecfg := bo.Config{Seed: seed, CandidatePool: 128, Starts: 1}
 	ecfg.GP.Restarts = 1
 	engine := bo.New(space.Dim(), ecfg)
 	rng := sample.NewRNG(seed)

@@ -26,10 +26,8 @@ import (
 	"strings"
 
 	"repro/internal/backend"
-	"repro/internal/bo"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/forest"
 	"repro/internal/memo"
 	"repro/internal/sample"
 	"repro/internal/tuners"
@@ -101,9 +99,7 @@ func (c Config) robotuneOptions() core.Options {
 	if c.Fast {
 		o.GenericSamples = 100
 		o.PermuteRepeats = 4
-		o.Forest = forest.RFDefaults()
 		o.Forest.Trees = 60
-		o.BO = bo.DefaultConfig()
 		o.BO.CandidatePool = 128
 		o.BO.Starts = 1
 		o.BO.GP.Restarts = 1

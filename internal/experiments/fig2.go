@@ -66,9 +66,7 @@ func Fig2ModelComparison(cfg Config, samples int) Fig2Result {
 					// The model comparison always uses the full
 					// ensemble size; Fast mode only shrinks tuning
 					// runs.
-					fc := forest.RFDefaults()
-					fc.Seed = seed
-					return forest.Train(xi, yi, fc)
+					return forest.Train(xi, yi, forest.Config{Bootstrap: true, Seed: seed})
 				}),
 				"ExtraTrees": cvR2(x, y, seed, func(xi [][]float64, yi []float64) predictor {
 					fc := forest.ETDefaults()

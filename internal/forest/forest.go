@@ -15,9 +15,10 @@ type Config struct {
 	Trees int
 	// Tree configures individual tree growth.
 	Tree TreeConfig
-	// Bootstrap draws each tree's training set with replacement
-	// (Random Forest). Extremely Randomized Trees conventionally use
-	// the full sample (set Bootstrap=false, Tree.Extra=true).
+	// Bootstrap draws each tree's training set with replacement:
+	// Config{Bootstrap: true} is the Random Forest ROBOTune's parameter
+	// selection trains. Extremely Randomized Trees conventionally use
+	// the full sample (see ETDefaults).
 	Bootstrap bool
 	// Seed makes training deterministic.
 	Seed uint64
@@ -25,12 +26,6 @@ type Config struct {
 	// GOMAXPROCS). Each tree draws from its own RNG split off the seed,
 	// so any worker count yields the bit-identical forest.
 	Workers int
-}
-
-// RFDefaults returns the Random-Forest configuration used by
-// ROBOTune's parameter selection.
-func RFDefaults() Config {
-	return Config{Trees: 100, Bootstrap: true, Tree: TreeConfig{MinLeaf: 1}}
 }
 
 // ETDefaults returns the Extremely-Randomized-Trees configuration

@@ -215,9 +215,9 @@ func TestForestPredictionWithinRangeProperty(t *testing.T) {
 
 func TestTrainPanicsOnBadInput(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"empty":    func() { Train(nil, nil, RFDefaults()) },
-		"mismatch": func() { Train([][]float64{{1}}, []float64{1, 2}, RFDefaults()) },
-		"ragged":   func() { Train([][]float64{{1, 2}, {3}}, []float64{1, 2}, RFDefaults()) },
+		"empty":    func() { Train(nil, nil, Config{Bootstrap: true}) },
+		"mismatch": func() { Train([][]float64{{1}}, []float64{1, 2}, Config{Bootstrap: true}) },
+		"ragged":   func() { Train([][]float64{{1, 2}, {3}}, []float64{1, 2}, Config{Bootstrap: true}) },
 	} {
 		func() {
 			defer func() {

@@ -54,7 +54,7 @@ func TestTrainAllocations(t *testing.T) {
 	for i, u := range x {
 		y[i] = u[0]*100 + u[1]*u[2]*50
 	}
-	cfg := RFDefaults()
+	cfg := Config{Bootstrap: true}
 	allocs := testing.AllocsPerRun(3, func() { Train(x, y, cfg) })
 	if allocs > 40000 {
 		t.Errorf("Train allocates %.0f times per forest, want <= 40000", allocs)

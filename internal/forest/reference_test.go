@@ -338,7 +338,7 @@ func TestReferenceSparkSelection(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			label := fmt.Sprintf("%s/seed=%d", family, seed)
 			x, y, groups := sparkSelectionData(t, family, seed)
-			cfg := RFDefaults()
+			cfg := Config{Bootstrap: true}
 			cfg.Seed = seed ^ 0xf02e57
 			got := Train(x, y, cfg)
 			assertSameForest(t, label, got, refTrain(x, y, cfg))

@@ -379,8 +379,7 @@ func TestPredictBatchMatchesPredictInto(t *testing.T) {
 				cfg.ARD = ard
 				cfg.Restarts = 1
 				if sparse {
-					cfg.SparseThreshold = 24
-					cfg.SparseSubset = 21
+					cfg.SparseThreshold = 21
 				}
 				g, err := Fit(x, y, cfg)
 				if err != nil {

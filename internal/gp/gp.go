@@ -127,15 +127,13 @@ type Config struct {
 	Workers int
 	// SparseThreshold, when > 0, switches Fit to a local-subset sparse
 	// approximation once the training set exceeds it: the exact GP is
-	// built on the SparseSubset observations nearest the incumbent
-	// (lowest target, distance in the normalized config space) plus a
-	// uniform reservoir of the rest, bounding fit and predict cost by
-	// the subset size. 0 (the default) keeps the exact GP at every
-	// size, bit-identical to the pre-sparse implementation.
+	// built on an active set of SparseThreshold observations, those
+	// nearest the incumbent (lowest target, distance in the normalized
+	// config space) plus a uniform reservoir of the rest, bounding fit
+	// and predict cost by the threshold. 0 (the default) keeps the
+	// exact GP at every size, bit-identical to the pre-sparse
+	// implementation.
 	SparseThreshold int
-	// SparseSubset is the active-set size the sparse path targets
-	// (default: SparseThreshold).
-	SparseSubset int
 }
 
 // DefaultConfig returns the fitting configuration used by the BO
@@ -272,11 +270,7 @@ func Fit(x [][]float64, y []float64, cfg Config) (*GP, error) {
 		}
 	}
 	if cfg.SparseThreshold > 0 && n > cfg.SparseThreshold {
-		k := cfg.SparseSubset
-		if k <= 0 {
-			k = cfg.SparseThreshold
-		}
-		idx := sparseSubset(x, y, k, cfg.Seed)
+		idx := sparseSubset(x, y, cfg.SparseThreshold, cfg.Seed)
 		sx := make([][]float64, len(idx))
 		sy := make([]float64, len(idx))
 		for i, j := range idx {

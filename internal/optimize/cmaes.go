@@ -6,18 +6,15 @@ import (
 	"sort"
 )
 
-// CMAESConfig controls the separable CMA-ES optimizer.
+// CMAESConfig controls the separable CMA-ES optimizer. The initial
+// step size is 0.25 of the unit cube, and the caller's rng drives the
+// sampling.
 type CMAESConfig struct {
 	// Lambda is the population size per generation (default
 	// 4 + 3·ln d, the standard rule).
 	Lambda int
-	// Sigma0 is the initial step size in unit-cube coordinates
-	// (default 0.25).
-	Sigma0 float64
 	// MaxEvals bounds objective evaluations (default 1000·d).
 	MaxEvals int
-	// Seed drives the sampling.
-	Seed uint64
 }
 
 // CMAESState is the ask/tell form of the separable CMA-ES in CMAES:
@@ -59,10 +56,7 @@ func NewCMAES(x0 []float64, b Bounds, cfg CMAESConfig, rng *rand.Rand) *CMAESSta
 		lambda = 4
 	}
 	mu := lambda / 2
-	sigma := cfg.Sigma0
-	if sigma <= 0 {
-		sigma = 0.25
-	}
+	sigma := 0.25
 	maxEvals := cfg.MaxEvals
 	if maxEvals <= 0 {
 		maxEvals = 1000 * d

@@ -208,7 +208,7 @@ func TestNelderMeadHighDim(t *testing.T) {
 func TestCMAESSphere(t *testing.T) {
 	b := UnitBox(6)
 	x0 := []float64{0.9, 0.1, 0.5, 0.7, 0.2, 0.8}
-	r := CMAES(sphere, x0, b, CMAESConfig{MaxEvals: 3000, Seed: 1}, sample.NewRNG(1))
+	r := CMAES(sphere, x0, b, CMAESConfig{MaxEvals: 3000}, sample.NewRNG(1))
 	if r.F > 1e-4 {
 		t.Errorf("CMAES sphere min = %v at %v", r.F, r.X)
 	}
@@ -223,7 +223,7 @@ func TestCMAESRosenbrock2D(t *testing.T) {
 	// so only require solid progress, not the exact optimum.
 	b := UnitBox(2)
 	start := rosenbrock([]float64{0.2, 0.8})
-	r := CMAES(rosenbrock, []float64{0.2, 0.8}, b, CMAESConfig{MaxEvals: 6000, Seed: 2}, sample.NewRNG(2))
+	r := CMAES(rosenbrock, []float64{0.2, 0.8}, b, CMAESConfig{MaxEvals: 6000}, sample.NewRNG(2))
 	if r.F > 0.3 || r.F > start/100 {
 		t.Errorf("CMAES rosenbrock min = %v (start %v)", r.F, start)
 	}
@@ -242,7 +242,7 @@ func TestCMAESMultimodal(t *testing.T) {
 		return s
 	}
 	b := UnitBox(4)
-	r := CMAES(f, []float64{0.9, 0.9, 0.9, 0.9}, b, CMAESConfig{MaxEvals: 5000, Seed: 3}, sample.NewRNG(3))
+	r := CMAES(f, []float64{0.9, 0.9, 0.9, 0.9}, b, CMAESConfig{MaxEvals: 5000}, sample.NewRNG(3))
 	if r.F > 0.02 {
 		t.Errorf("CMAES multimodal min = %v", r.F)
 	}
@@ -251,7 +251,7 @@ func TestCMAESMultimodal(t *testing.T) {
 func TestCMAESRespectsBounds(t *testing.T) {
 	f := func(x []float64) float64 { return -x[0] } // optimum at the boundary
 	b := UnitBox(1)
-	r := CMAES(f, []float64{0.5}, b, CMAESConfig{MaxEvals: 600, Seed: 4}, sample.NewRNG(4))
+	r := CMAES(f, []float64{0.5}, b, CMAESConfig{MaxEvals: 600}, sample.NewRNG(4))
 	if r.X[0] < 0 || r.X[0] > 1 {
 		t.Fatalf("solution %v outside box", r.X)
 	}
@@ -264,7 +264,7 @@ func TestCMAESDeterministic(t *testing.T) {
 	b := UnitBox(3)
 	run := func() float64 {
 		return CMAES(sphere, []float64{0.8, 0.8, 0.8}, b,
-			CMAESConfig{MaxEvals: 800, Seed: 5}, sample.NewRNG(5)).F
+			CMAESConfig{MaxEvals: 800}, sample.NewRNG(5)).F
 	}
 	if run() != run() {
 		t.Error("same seed differs")
@@ -274,7 +274,7 @@ func TestCMAESDeterministic(t *testing.T) {
 func TestCMAESTinyBudget(t *testing.T) {
 	b := UnitBox(8)
 	x0 := make([]float64, 8)
-	r := CMAES(sphere, x0, b, CMAESConfig{MaxEvals: 5, Seed: 6}, sample.NewRNG(6))
+	r := CMAES(sphere, x0, b, CMAESConfig{MaxEvals: 5}, sample.NewRNG(6))
 	if r.X == nil || math.IsInf(r.F, 1) {
 		t.Errorf("tiny budget returned nothing: %+v", r)
 	}

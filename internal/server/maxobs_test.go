@@ -109,3 +109,32 @@ func TestMetricsSurrogateSection(t *testing.T) {
 		t.Fatalf("ObsCapped=%d on an uncapped server", doc.Requests.ObsCapped)
 	}
 }
+
+// TestSparseOptionReachesEngine: the spec's options.sparse and
+// sparse_threshold become the engine's SparseThreshold, so a robotune
+// session past the threshold fits its surrogate on the active set.
+func TestSparseOptionReachesEngine(t *testing.T) {
+	env := newEnv(t, server.Options{})
+	sp := spec("robotune", 25, 7)
+	sp.Options.Sparse = true
+	sp.Options.SparseThreshold = 16
+	sess, err := env.cl.Create(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, sess)
+	resp, err := http.Get(env.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Surrogate server.SurrogateView `json:"surrogate"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if s := doc.Surrogate; s.SparseSessions != 1 || s.ActivePoints >= s.Observations {
+		t.Fatalf("sparse session not on its active set: %+v", s)
+	}
+}

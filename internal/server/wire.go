@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/backend"
+	"repro/internal/bo"
 	"repro/internal/cli"
 	"repro/internal/conf"
 	"repro/internal/core"
@@ -90,10 +91,12 @@ type SpecOptions struct {
 	EarlyStopEpsilon    float64 `json:"early_stop_epsilon,omitempty"`
 	Workers             int     `json:"workers,omitempty"`
 	// RefitBudget caps GP hyperparameter-refit time at this fraction
-	// of session wall clock (0 = fixed every-5 cadence).
+	// of session wall clock (0 = fixed every-5 cadence); applies to
+	// robotune and bohb.
 	RefitBudget float64 `json:"refit_budget,omitempty"`
 	// Sparse switches the surrogate to the bounded local-subset path
-	// past SparseThreshold observations (default threshold 512).
+	// past SparseThreshold observations (default threshold 512);
+	// applies to robotune and bohb.
 	Sparse          bool `json:"sparse,omitempty"`
 	SparseThreshold int  `json:"sparse_threshold,omitempty"`
 	// FidelityLadder is the fidelity ladder for the bohb tuner: 1-16
@@ -123,12 +126,13 @@ func (o SpecOptions) coreOptions() core.Options {
 		EarlyStopPatience:   o.EarlyStopPatience,
 		EarlyStopEpsilon:    o.EarlyStopEpsilon,
 		Workers:             o.Workers,
-		RefitBudget:         o.RefitBudget,
-		SparseSurrogate:     o.Sparse,
-		SparseThreshold:     o.SparseThreshold,
-		FidelityLadder:      o.FidelityLadder,
-		FidelityAxis:        o.FidelityAxis,
-		CostAware:           o.CostAware,
+		BO: bo.Config{
+			RefitBudget:     o.RefitBudget,
+			SparseThreshold: cli.SparseThreshold(o.Sparse, o.SparseThreshold),
+			CostAware:       o.CostAware,
+		},
+		FidelityLadder: o.FidelityLadder,
+		FidelityAxis:   o.FidelityAxis,
 	}
 }
 

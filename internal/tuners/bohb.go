@@ -50,8 +50,8 @@ type BOHB struct {
 	// An invalid ladder (see ValidFidelityLadder) falls back to the
 	// default.
 	Ladder []float64
-	// BO configures the shared surrogate engine. The zero value
-	// selects bo.DefaultConfig (preserving CostAware and Workers).
+	// BO configures the shared surrogate engine; bo.New defaults its
+	// zero fields, and the session seed replaces its Seed.
 	BO bo.Config
 	// Axis selects which workload dimension the ladder scales: input
 	// volumes (the default) or the stage-plan prefix. Batch jobs whose
@@ -62,12 +62,13 @@ type BOHB struct {
 	Axis FidelityAxis
 	// Workers is the parallelism hint for rung waves (default 1).
 	Workers int
-	// Guard is the median-multiple stopping cap, the same mechanism as
-	// ROBOTune's Options.GuardMultiple: each proposal carries a cap of
-	// Guard × the median completed full-equivalent time, scaled to the
-	// rung's fidelity. Default 3; < 0 disables.
-	Guard float64
 }
+
+// bohbGuard is the median-multiple stopping cap, the same mechanism as
+// ROBOTune's Options.GuardMultiple (and its default): each proposal
+// carries a cap of bohbGuard × the median completed full-equivalent
+// time, scaled to the rung's fidelity.
+const bohbGuard = 3
 
 // FidelityAxis selects which workload dimension a BOHB fidelity
 // ladder scales down.
@@ -122,21 +123,6 @@ func (b BOHB) Run(ses *Session) Result {
 	return Drive(b.Stepper(ses.Space(), ses.Budget(), ses.Seed()), ses)
 }
 
-// boConfig resolves the engine configuration: a zero BO field selects
-// the defaults while preserving the orthogonal CostAware and Workers
-// toggles, and the session seed always wins.
-func (b BOHB) boConfig(seed uint64) bo.Config {
-	cfg := b.BO
-	if cfg.Portfolio == nil && cfg.CandidatePool == 0 {
-		d := bo.DefaultConfig()
-		d.CostAware = cfg.CostAware
-		d.Workers = cfg.Workers
-		cfg = d
-	}
-	cfg.Seed = seed
-	return cfg
-}
-
 // Stepper returns the ask/tell form of BOHB. Each rung is proposed as
 // one wave at its ladder fidelity; promotion runs once the whole rung
 // has been observed; new brackets start while a full bracket still
@@ -152,9 +138,8 @@ func (b BOHB) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 	if b.Workers < 1 {
 		b.Workers = 1
 	}
-	if b.Guard == 0 {
-		b.Guard = 3
-	}
+	bocfg := b.BO
+	bocfg.Seed = seed
 
 	// A bracket costs n0 + n0/Eta + ... trials for n0 = Eta^(rungs-1).
 	n0 := 1
@@ -173,7 +158,7 @@ func (b BOHB) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 		cfg:           b,
 		space:         space,
 		rng:           sample.NewRNG(seed ^ 0xb0bb),
-		engine:        bo.New(space.Dim(), b.boConfig(seed)),
+		engine:        bo.New(space.Dim(), bocfg),
 		remaining:     budget,
 		cohortSize:    n0,
 		bracketTrials: trials,
@@ -273,15 +258,15 @@ func (st *bohbStepper) rungFidelity(r int) backend.Fidelity {
 	return backend.Fidelity{InputScale: s}
 }
 
-// guardCap is the stopping cap for a trial at the given rung: Guard ×
-// the median completed full-equivalent time, shrunk linearly to the
+// guardCap is the stopping cap for a trial at the given rung: bohbGuard
+// × the median completed full-equivalent time, shrunk linearly to the
 // rung's input scale (0 while nothing has completed — an all-failed
 // prefix must not manufacture a cap). The cap deliberately stays on
 // the linear assumption rather than the learned calibration: a cap
 // exists to kill pathological stragglers, and tightening it with a
 // still-noisy learned ratio kills good runs instead.
 func (st *bohbStepper) guardCap(rung int) float64 {
-	if st.cfg.Guard <= 0 || len(st.times) == 0 {
+	if len(st.times) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), st.times...)
@@ -290,7 +275,7 @@ func (st *bohbStepper) guardCap(rung int) float64 {
 	if len(sorted)%2 == 0 {
 		med = (med + sorted[len(sorted)/2-1]) / 2
 	}
-	return med * st.cfg.Guard * st.cfg.Ladder[rung]
+	return med * bohbGuard * st.cfg.Ladder[rung]
 }
 
 func (st *bohbStepper) Propose(n int) []Proposal {
@@ -299,6 +284,9 @@ func (st *bohbStepper) Propose(n int) []Proposal {
 		// Sequential full-fidelity suggestions: one at a time, so each
 		// sees every previous observation (and the stepper stays
 		// bit-identical for any Workers setting).
+		if st.Outstanding() > 0 {
+			return nil // waiting for the outstanding trial
+		}
 		u, fellBack := st.engine.SuggestOr(st.rng)
 		if fellBack {
 			st.surrFallbacks++

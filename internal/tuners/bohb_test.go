@@ -292,6 +292,30 @@ func TestValidFidelityLadder(t *testing.T) {
 
 // TestBOHBDegenerateSettings: nonsense settings fall back to sane
 // defaults without panics.
+// TestBOHBTailWaitsForOutstanding: the tail phase proposes one
+// full-fidelity trial at a time and, like every other sequential
+// phase, proposes nothing while that trial is unobserved. A budget
+// below one bracket (13 trials on the default ladder) starts the
+// stepper in its tail.
+func TestBOHBTailWaitsForOutstanding(t *testing.T) {
+	st := BOHB{}.Stepper(smallSpace(t), 5, 3)
+	first := st.Propose(1)
+	if len(first) != 1 {
+		t.Fatalf("first tail Propose returned %d proposals, want 1", len(first))
+	}
+	if again := st.Propose(1); len(again) != 0 {
+		t.Fatalf("Propose with the tail trial outstanding returned %d proposals, want 0", len(again))
+	}
+	if n := st.Inflight().Outstanding(); n != 1 {
+		t.Fatalf("outstanding = %d, want 1", n)
+	}
+	c := first[0].Config
+	st.Observe(c, backend.EvalRecord{Config: c, Seconds: 60, Raw: 60, Completed: true})
+	if next := st.Propose(1); len(next) != 1 {
+		t.Fatalf("tail Propose after the observation returned %d proposals, want 1", len(next))
+	}
+}
+
 func TestBOHBDegenerateSettings(t *testing.T) {
 	obj := newSynth(smoothObjective)
 	res := BOHB{Eta: 1, Ladder: []float64{0.7, 0.2}}.Run(NewSession(obj, smallSpace(t), Request{Budget: 20, Seed: 3}))

@@ -16,8 +16,6 @@ import (
 // per-coordinate variance adaptation instead of ad-hoc mutation
 // rates.
 type CMAES struct {
-	// Sigma0 is the initial step size (default 0.25 of the cube).
-	Sigma0 float64
 	// Lambda is the population size (default 4+3·ln d).
 	Lambda int
 }
@@ -45,7 +43,7 @@ func (c CMAES) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 		space:  space,
 		budget: budget,
 		opt: optimize.NewCMAES(x0, optimize.UnitBox(space.Dim()),
-			optimize.CMAESConfig{Sigma0: c.Sigma0, Lambda: c.Lambda, MaxEvals: budget, Seed: seed}, rng),
+			optimize.CMAESConfig{Lambda: c.Lambda, MaxEvals: budget}, rng),
 	}
 	st.startGeneration()
 	return st

@@ -24,15 +24,18 @@ import (
 type Gunther struct {
 	// PopSize is the evolving population size (default 16).
 	PopSize int
-	// MutationRate is the per-gene mutation probability (default 0.25,
-	// the "aggressive mutation" of the original).
-	MutationRate float64
-	// MutationSigma is the Gaussian mutation step (default 0.15).
-	MutationSigma float64
 	// Elite is the number of best individuals copied unchanged
 	// (default 2).
 	Elite int
 }
+
+// Gunther's Gaussian mutation: each gene mutates with probability
+// mutationRate (the "aggressive mutation" of the original) by a step
+// of standard deviation mutationSigma.
+const (
+	mutationRate  = 0.25
+	mutationSigma = 0.15
+)
 
 // Name implements Tuner.
 func (Gunther) Name() string { return "Gunther" }
@@ -55,12 +58,6 @@ func (g Gunther) Run(s *Session) Result {
 func (g Gunther) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 	if g.PopSize <= 0 {
 		g.PopSize = 16
-	}
-	if g.MutationRate <= 0 {
-		g.MutationRate = 0.25
-	}
-	if g.MutationSigma <= 0 {
-		g.MutationSigma = 0.15
 	}
 	if g.Elite <= 0 {
 		g.Elite = 2
@@ -166,8 +163,8 @@ func (st *guntherStepper) startGeneration() {
 			} else {
 				child[j] = p2.genes[j]
 			}
-			if st.rng.Float64() < st.cfg.MutationRate {
-				child[j] += st.rng.NormFloat64() * st.cfg.MutationSigma
+			if st.rng.Float64() < mutationRate {
+				child[j] += st.rng.NormFloat64() * mutationSigma
 				child[j] = math.Min(math.Nextafter(1, 0), math.Max(0, child[j]))
 			}
 		}

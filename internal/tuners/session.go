@@ -3,7 +3,6 @@ package tuners
 import (
 	"context"
 	"math"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/conf"
@@ -41,37 +40,21 @@ type Request struct {
 }
 
 // RetryPolicy bounds how transient evaluation failures (lost
-// heartbeats, fetch storms — EvalRecord.Transient) are retried with
-// exponential backoff. The zero value never retries.
+// heartbeats, fetch storms — EvalRecord.Transient) are retried. The
+// zero value never retries.
 type RetryPolicy struct {
 	// MaxRetries is the number of re-attempts per trial (0 = none).
 	MaxRetries int
-	// BackoffBase is the first backoff in seconds (default 5).
-	BackoffBase float64
-	// BackoffFactor multiplies the backoff per attempt (default 2).
-	BackoffFactor float64
-	// Sleep, when set, is called with each backoff so real systems can
-	// wait out the incident; the simulator leaves it nil and only
-	// accounts the backoff in FailureStats.BackoffSeconds. The session
-	// runs Sleep on its own goroutine and abandons the wait when its
-	// context is cancelled, so a SIGINT unwinds immediately instead of
-	// waiting out the backoff.
-	Sleep func(d time.Duration)
 }
 
-func (p RetryPolicy) base() float64 {
-	if p.BackoffBase <= 0 {
-		return 5
-	}
-	return p.BackoffBase
-}
-
-func (p RetryPolicy) factor() float64 {
-	if p.BackoffFactor <= 1 {
-		return 2
-	}
-	return p.BackoffFactor
-}
+// The retry backoff is exponential: retryBackoffBase seconds before the
+// first re-attempt, retryBackoffFactor times longer before each next
+// one. No wall-clock time passes; the backoff is accounted in
+// FailureStats.BackoffSeconds.
+const (
+	retryBackoffBase   = 5.0
+	retryBackoffFactor = 2.0
+)
 
 // FailureStats aggregates what went wrong during a session — the
 // graceful-degradation ledger reported in Result.Failures.
@@ -290,7 +273,7 @@ func (s *Session) evalOne(c conf.Config, spec backend.EvalSpec) trial {
 	if t.rec.Transient {
 		t.transient++
 	}
-	backoff := s.req.Retry.base()
+	backoff := retryBackoffBase
 	aborted := false // retry loop cut short by cancellation
 	for attempt := 0; t.rec.Transient && attempt < s.req.Retry.MaxRetries; attempt++ {
 		if s.Done() {
@@ -299,11 +282,7 @@ func (s *Session) evalOne(c conf.Config, spec backend.EvalSpec) trial {
 		}
 		t.retries++
 		t.backoff += backoff
-		if !s.sleepBackoff(backoff) {
-			aborted = true
-			break
-		}
-		backoff *= s.req.Retry.factor()
+		backoff *= retryBackoffFactor
 		t.rec = s.obj.EvaluateSpec(c, backend.EvalSpec{Cap: cap, Fidelity: fid})
 		if t.rec.Transient {
 			t.transient++
@@ -316,30 +295,6 @@ func (s *Session) evalOne(c conf.Config, spec backend.EvalSpec) trial {
 	// uninterrupted retry sequence bit-identically.
 	t.pos, t.commit = s.position(), !aborted
 	return t
-}
-
-// sleepBackoff waits out one retry backoff via the policy's Sleep,
-// returning false when the session's context is cancelled first — the
-// cancellation must unwind immediately, not wait out the incident.
-// The simulator leaves Sleep nil, so no wall-clock time passes and
-// the answer only reflects cancellation.
-func (s *Session) sleepBackoff(seconds float64) bool {
-	if s.req.Retry.Sleep == nil {
-		return !s.Done()
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.req.Retry.Sleep(time.Duration(seconds * float64(time.Second)))
-	}()
-	select {
-	case <-done:
-		return !s.Done()
-	case <-s.req.Ctx.Done():
-		// The Sleep goroutine finishes on its own; the session just
-		// stops waiting for it.
-		return false
-	}
 }
 
 // account applies one final observation to the tracker, the failure

@@ -21,18 +21,24 @@ import (
 //
 // Each rung's proposals carry the rung's cap (Proposal.Cap), which the
 // session hands to the objective in its EvalSpec, tightened by the
-// request deadline. An objective that ignores EvalSpec.Cap runs every
+// request deadline. The caps start at shaMinCap and grow by shaEta;
+// the final rung, the first whose cap would reach shaMaxCap, and the
+// jitter trials after it run under the evaluator's own limit (Cap 0),
+// so a backend whose limit is far above the Spark paper's 480 s is
+// not cut short. An objective that ignores EvalSpec.Cap runs every
 // trial under the full cap, and the method degrades to
 // repeated-evaluation selection.
-type SuccessiveHalving struct {
-	// Eta is the promotion factor: 1/Eta of each cohort survives and
-	// the cap grows by Eta (default 3, Hyperband's usual choice).
-	Eta int
-	// MinCap is the tightest initial cap in seconds (default 60).
-	MinCap float64
-	// MaxCap is the final cap (default 480, the paper's limit).
-	MaxCap float64
-}
+type SuccessiveHalving struct{}
+
+// The successive-halving schedule: 1/shaEta of each cohort survives
+// and the cap grows by shaEta (Hyperband's usual choice), from
+// shaMinCap seconds until it would reach shaMaxCap (the paper's
+// limit), where the final, uncapped rung takes over.
+const (
+	shaEta    = 3
+	shaMinCap = 60.0
+	shaMaxCap = 480.0
+)
 
 // Name implements Tuner.
 func (SuccessiveHalving) Name() string { return "SuccessiveHalving" }
@@ -65,21 +71,13 @@ func promote(rung []rungEntry, eta int) []rungEntry {
 // promotion runs once the whole rung has been observed. Leftover
 // budget after the final rung is spent on jittered copies of the best
 // survivor, proposed on demand.
-func (s SuccessiveHalving) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
-	if s.Eta < 2 {
-		s.Eta = 3
-	}
-	if s.MinCap <= 0 {
-		s.MinCap = 60
-	}
-	if s.MaxCap <= s.MinCap {
-		s.MaxCap = 480
-	}
+func (SuccessiveHalving) Stepper(space *conf.Space, budget int, seed uint64) Stepper {
 	rng := sample.NewRNG(seed)
 
-	// Rounds: caps MinCap, MinCap*Eta, ... up to MaxCap.
+	// Rounds: caps shaMinCap, shaMinCap*shaEta, ... below shaMaxCap,
+	// then the final rung.
 	rounds := 1
-	for cap := s.MinCap; cap < s.MaxCap; cap *= float64(s.Eta) {
+	for cap := shaMinCap; cap < shaMaxCap; cap *= shaEta {
 		rounds++
 	}
 	// Cohort sizing: n + n/eta + n/eta² + ... <= budget.
@@ -87,7 +85,7 @@ func (s SuccessiveHalving) Stepper(space *conf.Space, budget int, seed uint64) S
 	f := 1.0
 	for r := 0; r < rounds; r++ {
 		denom += f
-		f /= float64(s.Eta)
+		f /= shaEta
 	}
 	cohort := int(float64(budget) / denom)
 	if cohort < 1 {
@@ -95,12 +93,11 @@ func (s SuccessiveHalving) Stepper(space *conf.Space, budget int, seed uint64) S
 	}
 
 	st := &shaStepper{
-		cfg:       s,
 		space:     space,
 		rng:       rng,
 		rounds:    rounds,
 		remaining: budget,
-		cap:       s.MinCap,
+		cap:       shaMinCap,
 	}
 	for _, u := range sample.LHS(cohort, space.Dim(), rng) {
 		st.survivors = append(st.survivors, rungEntry{c: space.Decode(u)})
@@ -111,7 +108,6 @@ func (s SuccessiveHalving) Stepper(space *conf.Space, budget int, seed uint64) S
 
 type shaStepper struct {
 	Protocol
-	cfg       SuccessiveHalving
 	space     *conf.Space
 	rng       *rand.Rand
 	rounds    int
@@ -121,7 +117,8 @@ type shaStepper struct {
 	survivors []rungEntry
 	jitter    bool
 
-	// Current rung state.
+	// Current rung state. roundCap is 0 on the final rung: the
+	// evaluator's own limit.
 	queue    []rungEntry // entries pending evaluation this rung
 	roundCap float64
 	wave     Wave
@@ -141,7 +138,7 @@ func (st *shaStepper) startRound() {
 	}
 	st.roundCap = st.cap
 	if st.r == st.rounds-1 {
-		st.roundCap = st.cfg.MaxCap
+		st.roundCap = 0
 	}
 	k := len(st.survivors)
 	if k > st.remaining {
@@ -166,7 +163,7 @@ func (st *shaStepper) Propose(n int) []Proposal {
 			for j := range u {
 				u[j] = clampUnit(u[j] + 0.03*st.rng.NormFloat64())
 			}
-			props[i] = Proposal{Config: st.space.Decode(u), Cap: st.cfg.MaxCap}
+			props[i] = Proposal{Config: st.space.Decode(u)}
 		}
 		st.remaining -= k
 		st.Proposed(props)
@@ -184,10 +181,16 @@ func (st *shaStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 	}
 	idx, complete := st.wave.Observed(seq)
 	// Runs killed by the tight cap carry their consumed time as the
-	// ranking key (they are at least that slow).
+	// ranking key (they are at least that slow); a failed final-rung
+	// run, under the evaluator's own limit, at least the limit it
+	// reports as Seconds.
 	sec := rec.Seconds
 	if !rec.Completed {
-		sec = math.Max(rec.Raw, st.roundCap)
+		floor := st.roundCap
+		if floor == 0 {
+			floor = rec.Seconds
+		}
+		sec = math.Max(rec.Raw, floor)
 	}
 	st.queue[idx].sec = sec
 	if complete {
@@ -195,10 +198,11 @@ func (st *shaStepper) Observe(c conf.Config, rec backend.EvalRecord) {
 	}
 }
 
-// endRound promotes the fastest 1/Eta of the rung and loosens the cap.
+// endRound promotes the fastest 1/shaEta of the rung and loosens the
+// cap.
 func (st *shaStepper) endRound() {
-	st.survivors = promote(st.queue, st.cfg.Eta)
-	st.cap = math.Min(st.cap*float64(st.cfg.Eta), st.cfg.MaxCap)
+	st.survivors = promote(st.queue, shaEta)
+	st.cap *= shaEta
 	st.r++
 	st.startRound()
 }

@@ -3,6 +3,7 @@ package tuners
 import (
 	"testing"
 
+	"repro/internal/clustersim"
 	"repro/internal/conf"
 	"repro/internal/sparksim"
 )
@@ -63,12 +64,23 @@ func TestSHAHandlesFailures(t *testing.T) {
 	}
 }
 
-func TestSHADefaults(t *testing.T) {
-	// Degenerate settings fall back to sane defaults without panics.
-	obj := newSynth(smoothObjective)
-	res := SuccessiveHalving{Eta: 1, MinCap: -5, MaxCap: -1}.Run(NewSession(obj, smallSpace(t), Request{Budget: 20, Seed: 3}))
-	if res.Evals == 0 {
-		t.Error("no evaluations performed")
+// TestSHAFinalRungUsesEvaluatorLimit: the final rung and the jitter
+// trials run under the evaluator's own limit, not the Spark paper's
+// 480 s. MLTrain at D3 on clustersim (2400 s limit) runs well past
+// 480 s under any configuration, so a final rung capped at 480 s fails
+// every trial and finds nothing.
+func TestSHAFinalRungUsesEvaluatorLimit(t *testing.T) {
+	w, err := clustersim.WorkloadByName("MLTrain", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := clustersim.NewEvaluator(w, 5, 0)
+	res := SuccessiveHalving{}.Run(NewSession(ev, clustersim.Space(), Request{Budget: 30, Seed: 5}))
+	if !res.Found {
+		t.Fatalf("found nothing: %d of %d runs failed", res.Failures.Failed, res.Evals)
+	}
+	if res.BestSeconds <= 480 || res.BestSeconds >= clustersim.DefaultCapSeconds {
+		t.Errorf("best %v s, want a completed run between 480 s and the %v s limit", res.BestSeconds, clustersim.DefaultCapSeconds)
 	}
 }
 
