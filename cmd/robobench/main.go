@@ -40,7 +40,7 @@ func main() {
 		outPath = flag.String("out", "", "write a Markdown report of Figures 2-9, Table 2 and §5.2 to this file instead of running -exp")
 		csvDir  = flag.String("csv", "", "write machine-readable CSVs (sessions, fig3, fig4, traces) into this directory")
 		workers = flag.Int("workers", 0, "tuner compute parallelism (0 = all cores, 1 = serial; results are identical)")
-		conc    = flag.Int("concurrent", 0, "campaign concurrency: tuning sessions scheduled at once over a shared evaluation pool (<= 1 = serial; results are identical)")
+		conc    = flag.Int("concurrent", 0, "campaign concurrency: tuning tasks run at once (<= 1 = serial; results are identical)")
 		faults  = flag.String("faults", "", "fault-injection plan for tuning evaluations: 'default', or execloss=,straggler=,stragglerfactor=,transient=,oom=,seed= (empty/off = no faults; quality measurement stays fault-free)")
 		retries = flag.Int("retries", 0, "max re-evaluations of a transiently-failed configuration per session")
 		lgrPath = flag.String("campaign-journal", "", "campaign ledger path for the comparison grid: a killed run resumes mid-grid (completed sessions reused, in-flight ones continued from their session journals)")

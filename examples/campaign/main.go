@@ -64,7 +64,7 @@ func main() {
 			Request:   tuners.Request{Budget: 60, Seed: seed(i)},
 		})
 	}
-	res, err := schedule.NewScheduler(1, 1).RunCampaign([]schedule.Task{task}, schedule.CampaignOptions{})
+	res, err := schedule.RunCampaign([]schedule.Task{task}, schedule.CampaignOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -243,8 +243,10 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 			}
 			run = kept
 		}
-		// Completions and spurious OOM kills due by now.
-		kept := run[:0]
+		// Completions and spurious OOM kills due by now. The survivors
+		// close ranks in order; those before the first removal are
+		// already in place and are not copied.
+		kept := 0
 		for i := range run {
 			r := &run[i]
 			switch {
@@ -261,10 +263,13 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 					jobsDone++
 				}
 			default:
-				kept = append(kept, *r)
+				if kept != i {
+					run[kept] = *r
+				}
+				kept++
 			}
 		}
-		run = kept
+		run = run[:kept]
 		// Arrivals due by now.
 		for nextArrival < len(w.Jobs) && w.Jobs[nextArrival].Arrival <= t {
 			j := &w.Jobs[nextArrival]
@@ -286,7 +291,7 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 			sorted = false
 		}
 		if !sorted {
-			sortQueue(pending, w, p.queue)
+			sortQueue(pending, &w, p.queue)
 			sorted = true
 		}
 		// The pods of one job share their demands and priority, so once
@@ -301,9 +306,9 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 				continue
 			}
 			j := &w.Jobs[pd.job]
-			ni := pickNode(nodes, w, p, j)
+			ni := pickNode(nodes, &w, &p, j)
 			if ni < 0 && p.preempt && j.Priority > 0 {
-				ni = preemptFor(nodes, &run, w, p, j, t, requeue, victims)
+				ni = preemptFor(nodes, &run, &w, &p, j, t, requeue, victims)
 			}
 			if ni < 0 {
 				still = append(still, pd)
@@ -405,7 +410,7 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 // every discipline tie-breaks by (job, pod) index, which is unique per
 // pod, so the order is total and the sorted queue is a pure function
 // of the queue contents.
-func sortQueue(pending []pod, w Workload, queue string) {
+func sortQueue(pending []pod, w *Workload, queue string) {
 	byPod := func(a, b pod) int {
 		if c := cmp.Compare(a.job, b.job); c != 0 {
 			return c
@@ -435,7 +440,7 @@ func sortQueue(pending []pod, w Workload, queue string) {
 // pickNode scores the eligible nodes under the configured policy and
 // returns the winner, or -1 when nothing fits. Ties break by node
 // index.
-func pickNode(nodes []node, w Workload, p policy, j *Job) int {
+func pickNode(nodes []node, w *Workload, p *policy, j *Job) int {
 	best, bestScore := -1, math.Inf(-1)
 	for i := range nodes {
 		n := &nodes[i]
@@ -470,7 +475,7 @@ func pickNode(nodes []node, w Workload, p policy, j *Job) int {
 // most recently placed batch pods from one node, within the
 // per-attempt eviction budget. Returns the freed node or -1; on -1
 // nothing has changed. victims is scratch space of capacity len(*run).
-func preemptFor(nodes []node, run *[]running, w Workload, p policy, j *Job, t float64, requeue func(running, float64), victims []int) int {
+func preemptFor(nodes []node, run *[]running, w *Workload, p *policy, j *Job, t float64, requeue func(running, float64), victims []int) int {
 	for ni := range nodes {
 		n := &nodes[ni]
 		if n.dead {

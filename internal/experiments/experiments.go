@@ -61,10 +61,9 @@ type Config struct {
 	// per session.
 	Retry tuners.RetryPolicy
 	// Concurrency is the campaign width: how many (workload, tuner,
-	// repeat) tuning tasks run at once, and the capacity of the shared
-	// evaluation pool they are scheduled over (<= 1 = serial). Results
-	// are identical for any value — the scheduler only changes
-	// wall-clock, never outcomes.
+	// repeat) tuning tasks run at once (<= 1 = serial). Results are
+	// identical for any value: every task owns its tuner and
+	// evaluators, so concurrency changes wall-clock, never outcomes.
 	Concurrency int
 }
 

@@ -93,10 +93,10 @@ func (g tuningGrid) measure(workload string, di int, c conf.Config) float64 {
 func (c Config) measureSeed(di int) uint64 { return c.Seed*77 + uint64(di) }
 
 // run tunes every cell as one task of a schedule.RunCampaign campaign,
-// up to cfg.Concurrency cells at once over a shared evaluation pool of
-// the same size, and returns the sessions in cell order. With a
-// ledgerPath the campaign is durable: the ledger records every cell
-// and each session keeps a journal next to it (<ledger>.tNN.dK.jnl).
+// up to cfg.Concurrency cells at once, and returns the sessions in
+// cell order. With a ledgerPath the campaign is durable: the ledger
+// records every cell and each session keeps a journal next to it
+// (<ledger>.tNN.dK.jnl).
 // Every cell owns its evaluators and its tuner, so concurrency and
 // resumption change only wall-clock — the sessions and every number
 // in them are bit-identical either way. Quality is measured from the
@@ -134,11 +134,12 @@ func (g tuningGrid) run(ledgerPath string) ([]Session, *CampaignInfo, error) {
 			tasks[i].Sessions = append(tasks[i].Sessions, s)
 		}
 	}
-	res, err := schedule.NewScheduler(cfg.Concurrency, cfg.Concurrency).RunCampaign(tasks, schedule.CampaignOptions{
-		LedgerPath: ledgerPath,
-		Sync:       journal.SyncAlways,
-		Seed:       cfg.Seed,
-		Config:     cfg.fingerprint(),
+	res, err := schedule.RunCampaign(tasks, schedule.CampaignOptions{
+		LedgerPath:  ledgerPath,
+		Sync:        journal.SyncAlways,
+		Seed:        cfg.Seed,
+		Config:      cfg.fingerprint(),
+		Concurrency: cfg.Concurrency,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -1,19 +1,32 @@
-// Campaigns: the one runner for many tuning sessions. A campaign is a
-// list of tasks multiplexed over the scheduler's pool; a task is one
-// tuner plus the sessions it tunes in order — a single session, a
-// grid cell's D1 → D2 → D3, or a whole recurring-workload queue over
-// one ROBOTune whose selection cache and memo buffer carry from
-// session to session. A CRC-framed campaign ledger (journal.Ledger —
-// same framing as the per-session journals) records which tasks
-// finished or failed and where their session journals live.
-// A campaign killed at any point — including SIGKILL — resumes
-// mid-grid: completed tasks are skipped via their done records (their
-// recorded results are returned without constructing a tuner or
-// touching an objective), in-flight tasks re-run their sessions
-// through their session journals (a finished session replays with zero
-// live evaluations, rebuilding whatever its tuner carries into the
-// next one), and the stitched result is bit-identical to an
-// uninterrupted run.
+// Package schedule runs many tuning sessions as campaigns, and gates
+// shared compute by priority.
+//
+// RunCampaign is the one runner of many sessions. A campaign is a
+// list of tasks, at most CampaignOptions.Concurrency of them in
+// flight; a task is one tuner plus the sessions it tunes in order — a
+// single session, a grid cell's D1 → D2 → D3, or a whole
+// recurring-workload queue over one ROBOTune whose selection cache and
+// memo buffer carry from session to session. Every session owns a
+// private objective, so a campaign's results are bit-identical for
+// any concurrency, including 1; the tests assert it. A CRC-framed
+// campaign ledger (journal.Ledger — same framing as the per-session
+// journals) records which tasks finished or failed and where their
+// session journals live. A campaign killed at any point — including
+// SIGKILL — resumes mid-grid: completed tasks are skipped via their
+// done records (their recorded results are returned without
+// constructing a tuner or touching an objective), in-flight tasks
+// re-run their sessions through their session journals (a finished
+// session replays with zero live evaluations, rebuilding whatever its
+// tuner carries into the next one), and the stitched result is
+// bit-identical to an uninterrupted run.
+//
+// Pool is a counting semaphore with priority classes; robotuned's
+// -propose-slots gate charges each session's propose computation
+// against one. Latency-sensitive sessions (an analyst waiting on an
+// interactive ask/tell session) overtake queued bulk work, and within
+// a class waiters are served strictly FIFO. A queue jump is counted
+// as a preemption and the pool tracks per-class wait time, so a
+// deployment can see exactly what the priority split buys.
 package schedule
 
 import (
@@ -71,6 +84,9 @@ type CampaignOptions struct {
 	// resume validates both, together with the done-record format.
 	Seed   uint64
 	Config string
+	// Concurrency is how many tasks run at once (<= 1 = one at a
+	// time). It changes wall-clock only, never results.
+	Concurrency int
 }
 
 // TaskOutcome is one task's stitched outcome.
@@ -118,19 +134,16 @@ type campaign struct {
 	err error // first durable-file failure
 }
 
-// RunCampaign executes tasks as a campaign over the scheduler's pool
-// and task limit, durably when opts.LedgerPath is set. Each task
-// builds its tuner once and tunes its sessions in order; the first
-// cancelled session ends the task unsettled (no done record, so a
-// resume picks it up), and a completed task's done record holds every
-// session's result. Each task runs with panic containment: a
-// panicking session fails its task in the ledger (its pool slots are
-// released by the unwinding evaluation defers), and the remaining
-// tasks run to completion. On return the pool is asserted idle — a
-// non-zero slot count is a scheduler bug and surfaces as an error
-// rather than a silent leak. A failing ledger or session journal does
-// not stop the campaign; it is reported in CampaignResult.Err.
-func (s *Scheduler) RunCampaign(tasks []Task, opts CampaignOptions) (*CampaignResult, error) {
+// RunCampaign executes tasks as a campaign, up to opts.Concurrency
+// at once, durably when opts.LedgerPath is set. Each task builds its
+// tuner once and tunes its sessions in order; the first cancelled
+// session ends the task unsettled (no done record, so a resume picks
+// it up), and a completed task's done record holds every session's
+// result. Each task runs with panic containment: a panicking session
+// fails its task in the ledger, and the remaining tasks run to
+// completion. A failing ledger or session journal does not stop the
+// campaign; it is reported in CampaignResult.Err.
+func RunCampaign(tasks []Task, opts CampaignOptions) (*CampaignResult, error) {
 	c := &campaign{tasks: tasks, opts: opts, out: make([]TaskOutcome, len(tasks))}
 	res := &CampaignResult{}
 	if opts.LedgerPath != "" {
@@ -147,18 +160,37 @@ func (s *Scheduler) RunCampaign(tasks []Task, opts CampaignOptions) (*CampaignRe
 		}
 	}
 
-	s.runTasks(len(tasks), func(i int) { c.runTask(i, s.pool) })
+	runTasks(len(tasks), opts.Concurrency, func(i int) {
+		if !c.out[i].Reused {
+			c.out[i] = c.execute(i)
+		}
+	})
 
 	if c.led != nil {
 		c.note(c.led.Err())
 		c.note(c.led.Close())
 	}
-	if leaked := s.pool.InUse(); leaked != 0 {
-		return nil, fmt.Errorf("schedule: %d evaluation slot(s) still held at campaign teardown (scheduler bug)", leaked)
-	}
 	res.Tasks = c.out
 	res.Err = c.err
 	return res, nil
+}
+
+// runTasks invokes task(i) for i in [0, n) on concurrent goroutines,
+// at most limit at once (<= 1 = one at a time), and returns when all
+// have finished.
+func runTasks(n, limit int, task func(i int)) {
+	gate := make(chan struct{}, max(limit, 1))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		gate <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-gate }()
+			task(i)
+		}(i)
+	}
+	wg.Wait()
 }
 
 // note records err if it is the campaign's first durable-file failure.
@@ -218,19 +250,11 @@ func (c *campaign) restore() error {
 	return nil
 }
 
-func (c *campaign) runTask(i int, pool *Pool) {
-	if c.out[i].Reused {
-		return
-	}
-	c.out[i] = c.execute(i, pool)
-}
-
 // execute runs one task's sessions in order with panic containment.
 // The recover is the campaign's crash boundary: a panicking tuner or
-// objective unwinds through the pool wrapper's deferred releases (so
-// no slot leaks), lands here, is recorded as failed in the ledger, and
+// objective unwinds to here, is recorded as failed in the ledger, and
 // the campaign carries on.
-func (c *campaign) execute(i int, pool *Pool) (out TaskOutcome) {
+func (c *campaign) execute(i int) (out TaskOutcome) {
 	t := c.tasks[i]
 	var jn *journal.Journal
 	defer func() {
@@ -261,7 +285,7 @@ func (c *campaign) execute(i int, pool *Pool) (out TaskOutcome) {
 			}
 			req.Journal = jn
 		}
-		res := tn.Run(tuners.NewSession(pool.Wrap(sp.Objective()), t.Space, req))
+		res := tn.Run(tuners.NewSession(sp.Objective(), t.Space, req))
 		c.closeJournal(jn)
 		jn = nil
 		out.Results = append(out.Results, res)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/conf"
 	"repro/internal/journal"
-	"repro/internal/sparksim"
 	"repro/internal/tuners"
 )
 
@@ -64,7 +63,7 @@ func funcTask(space *conf.Space, name string, tn tuners.Tuner, budget int, seed 
 // constructed, no objective is called, and the results are identical.
 func TestCampaignLedgerResume(t *testing.T) {
 	dir := t.TempDir()
-	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Seed: 42, Config: "test"}
+	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Seed: 42, Config: "test", Concurrency: 2}
 	space := conf.SparkSpace()
 	var calls1 int32
 	mk := func(calls *int32) []Task {
@@ -74,8 +73,7 @@ func TestCampaignLedgerResume(t *testing.T) {
 			funcTask(space, "rs-b", tuners.RandomSearch{}, 8, 7, dir, calls, nil),
 		}
 	}
-	sched := NewScheduler(2, 2)
-	res1, err := sched.RunCampaign(mk(&calls1), opts)
+	res1, err := RunCampaign(mk(&calls1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +90,7 @@ func TestCampaignLedgerResume(t *testing.T) {
 	}
 
 	var calls2 int32
-	res2, err := sched.RunCampaign(mk(&calls2), opts)
+	res2, err := RunCampaign(mk(&calls2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +130,7 @@ func TestCampaignResumesMidGrid(t *testing.T) {
 
 	// Uninterrupted baseline, no durability.
 	var base int32
-	sched := NewScheduler(1, 1)
-	want, err := sched.RunCampaign(baselineTasks("", &base, nil, nil), CampaignOptions{})
+	want, err := RunCampaign(baselineTasks("", &base, nil, nil), CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +150,7 @@ func TestCampaignResumesMidGrid(t *testing.T) {
 	run1Tasks := baselineTasks(dir, &calls1, nil, ctx)
 	run1Tasks[1] = funcTask(space, "victim", tuners.RandomSearch{}, 10, 13, dir, &victimCalls, hook)
 	run1Tasks[1].Sessions[0].Request.Ctx = ctx
-	res1, err := sched.RunCampaign(run1Tasks, opts)
+	res1, err := RunCampaign(run1Tasks, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +166,7 @@ func TestCampaignResumesMidGrid(t *testing.T) {
 	var calls2, victimCalls2 int32
 	run2Tasks := baselineTasks(dir, &calls2, nil, nil)
 	run2Tasks[1] = funcTask(space, "victim", tuners.RandomSearch{}, 10, 13, dir, &victimCalls2, nil)
-	res2, err := sched.RunCampaign(run2Tasks, opts)
+	res2, err := RunCampaign(run2Tasks, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +199,10 @@ func panicObjective(calls *int32, at int32) *tuners.FuncObjective {
 
 // TestCampaignPanicContainment: a session that panics mid-evaluation
 // is recorded as failed in the ledger; every other session completes,
-// no pool slot leaks (RunCampaign's teardown assertion would error),
 // and a resumed campaign does not re-run the crashed task.
 func TestCampaignPanicContainment(t *testing.T) {
 	dir := t.TempDir()
-	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Seed: 9}
+	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Seed: 9, Concurrency: 3}
 	space := conf.SparkSpace()
 	var ok1, boom1 int32
 	mk := func(ok, boom *int32) []Task {
@@ -218,8 +214,7 @@ func TestCampaignPanicContainment(t *testing.T) {
 		ts[1].Sessions[0].Objective = func() tuners.Objective { return panicObjective(boom, 4) }
 		return ts
 	}
-	sched := NewScheduler(2, 3)
-	res1, err := sched.RunCampaign(mk(&ok1, &boom1), opts)
+	res1, err := RunCampaign(mk(&ok1, &boom1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +226,11 @@ func TestCampaignPanicContainment(t *testing.T) {
 			t.Fatalf("sibling task %d did not complete: %+v", i, res1.Tasks[i])
 		}
 	}
-	if sched.Pool().InUse() != 0 {
-		t.Fatalf("%d pool slots leaked past containment", sched.Pool().InUse())
-	}
 
 	// Resume: the failed task stays failed (a deterministic panic would
 	// only repeat) and costs zero evaluations.
 	var ok2, boom2 int32
-	res2, err := sched.RunCampaign(mk(&ok2, &boom2), opts)
+	res2, err := RunCampaign(mk(&ok2, &boom2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +289,7 @@ func TestCampaignReportsDegradedJournal(t *testing.T) {
 				return detFn(c), true
 			}}
 		}
-		res, err := NewScheduler(1, 1).RunCampaign([]Task{task}, CampaignOptions{LedgerPath: dir + "/campaign.lgr"})
+		res, err := RunCampaign([]Task{task}, CampaignOptions{LedgerPath: dir + "/campaign.lgr"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,32 +336,5 @@ func TestCampaignResultCodec(t *testing.T) {
 		if !reflect.DeepEqual(g, want) {
 			t.Fatalf("result %d: decoded %+v, encoded %+v", k, g, want)
 		}
-	}
-}
-
-// TestBatchGateCancelled: the batch gate re-checks cancellation before
-// acquiring slots — a batch dispatched after its campaign died returns
-// all-skipped records immediately instead of blocking on a full pool.
-func TestBatchGateCancelled(t *testing.T) {
-	p := NewPool(1)
-	p.acquire(Bulk) // saturate: any acquire would block forever
-	defer p.release()
-
-	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.TeraSort(10), 3, 480)
-	w := p.Wrap(ev).(backend.BatchEvaluator)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfgs := []conf.Config{conf.SparkSpace().Default(), conf.SparkSpace().Default()}
-	recs := w.EvaluateSpecCtx(ctx, cfgs, backend.EvalSpec{Workers: 2})
-	if len(recs) != len(cfgs) {
-		t.Fatalf("got %d records for %d configs", len(recs), len(cfgs))
-	}
-	for i, r := range recs {
-		if !r.Skipped {
-			t.Fatalf("record %d not skipped after cancellation: %+v", i, r)
-		}
-	}
-	if p.InUse() != 1 {
-		t.Fatalf("cancelled batch changed pool occupancy: InUse=%d", p.InUse())
 	}
 }

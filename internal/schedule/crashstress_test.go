@@ -84,10 +84,11 @@ func stressTasks(space *conf.Space, dir string, newCount *int32) []Task {
 
 func stressCampaignOptions(dir string) CampaignOptions {
 	return CampaignOptions{
-		LedgerPath: dir + "/campaign.lgr",
-		Sync:       journal.SyncAlways,
-		Seed:       97,
-		Config:     "campaign-crash-stress",
+		LedgerPath:  dir + "/campaign.lgr",
+		Sync:        journal.SyncAlways,
+		Seed:        97,
+		Config:      "campaign-crash-stress",
+		Concurrency: 4,
 	}
 }
 
@@ -111,7 +112,7 @@ func TestCampaignCrashChild(t *testing.T) {
 	}
 	dir := os.Getenv(campaignDirEnv)
 	var news int32
-	res, err := NewScheduler(3, 4).RunCampaign(stressTasks(conf.SparkSpace(), dir, &news), stressCampaignOptions(dir))
+	res, err := RunCampaign(stressTasks(conf.SparkSpace(), dir, &news), stressCampaignOptions(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestCampaignKillResumeStress(t *testing.T) {
 	}
 
 	// Uninterrupted baseline: same tasks, no durability, run in-process.
-	base, err := NewScheduler(3, 4).RunCampaign(stressTasks(conf.SparkSpace(), t.TempDir(), nil), CampaignOptions{})
+	base, err := RunCampaign(stressTasks(conf.SparkSpace(), t.TempDir(), nil), CampaignOptions{Concurrency: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

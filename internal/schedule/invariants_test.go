@@ -17,7 +17,6 @@ import (
 // widths. Half the runs are killed at a random live evaluation and
 // resumed from the ledger. After each (stitched) run it checks the
 // campaign's accounting:
-//   - no pool slot is still held;
 //   - live evaluations never exceed the sum of the base budgets;
 //   - no evaluation runs twice: every live evaluation of a task that
 //     did not panic is in its stitched traces.
@@ -29,9 +28,10 @@ func TestCampaignInvariants(t *testing.T) {
 		dir := t.TempDir()
 		width := 1 + rng.IntN(4)
 		opts := CampaignOptions{
-			LedgerPath: dir + "/campaign.lgr",
-			Sync:       journal.SyncNone,
-			Seed:       uint64(run),
+			LedgerPath:  dir + "/campaign.lgr",
+			Sync:        journal.SyncNone,
+			Seed:        uint64(run),
+			Concurrency: width,
 		}
 		n := 2 + rng.IntN(5)
 		stopAt := make([]int, n)    // an early stopper's trials; 0 = insatiable
@@ -96,10 +96,9 @@ func TestCampaignInvariants(t *testing.T) {
 		}
 
 		label := fmt.Sprintf("run %d (width %d, %d tasks, kill at %d)", run, width, n, killAt)
-		sched := NewScheduler(width, width)
 		ctx, cancel := context.WithCancel(context.Background())
 		var live int32
-		res, err := sched.RunCampaign(tasks(ctx, func() {
+		res, err := RunCampaign(tasks(ctx, func() {
 			if atomic.AddInt32(&live, 1) == killAt {
 				cancel()
 			}
@@ -111,12 +110,9 @@ func TestCampaignInvariants(t *testing.T) {
 		}
 		if killed {
 			killsSeen++
-			if res, err = sched.RunCampaign(tasks(nil, nil), opts); err != nil {
+			if res, err = RunCampaign(tasks(nil, nil), opts); err != nil {
 				t.Fatalf("%s: resume: %v", label, err)
 			}
-		}
-		if n := sched.Pool().InUse(); n != 0 {
-			t.Fatalf("%s: %d pool slots still held", label, n)
 		}
 		for i, out := range res.Tasks {
 			if out.Failed != "" {

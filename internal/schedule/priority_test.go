@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -142,14 +141,12 @@ func TestReentryDeterministicWithinClass(t *testing.T) {
 }
 
 // TestPoolInUseNeverLeaks hammers a small pool from both classes with
-// mixed Acquire/Release and tryAcquire traffic (run under -race in
-// CI); afterwards InUse must be exactly zero and the class accounting
-// must add up.
+// Acquire/Release traffic (run under -race in CI); afterwards InUse
+// must be exactly zero and the class accounting must add up.
 func TestPoolInUseNeverLeaks(t *testing.T) {
 	p := NewPool(3)
 	const goroutines = 16
 	const iters = 200
-	var tries, missed atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -160,18 +157,8 @@ func TestPoolInUseNeverLeaks(t *testing.T) {
 				class = Latency
 			}
 			for i := 0; i < iters; i++ {
-				switch {
-				case i%7 == 3:
-					if p.tryAcquire() {
-						tries.Add(1)
-						p.Release()
-					} else {
-						missed.Add(1) // pool full: nothing acquired
-					}
-				default:
-					p.Acquire(class)
-					p.Release()
-				}
+				p.Acquire(class)
+				p.Release()
 			}
 		}(g)
 	}
@@ -180,9 +167,8 @@ func TestPoolInUseNeverLeaks(t *testing.T) {
 		t.Fatalf("InUse = %d after all traffic drained, want 0", got)
 	}
 	st := p.Stats()
-	total := st.PerClass[Bulk].Acquires + st.PerClass[Latency].Acquires + tries.Load()
-	if total+missed.Load() != goroutines*iters {
-		t.Fatalf("acquire accounting %d + %d missed tries, want %d", total, missed.Load(), goroutines*iters)
+	if total := st.PerClass[Bulk].Acquires + st.PerClass[Latency].Acquires; total != goroutines*iters {
+		t.Fatalf("acquire accounting %d, want %d", total, goroutines*iters)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backend"
-
 	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/sparksim"
@@ -24,8 +22,8 @@ func smallOptions() core.Options {
 	o.BO.CandidatePool = 32
 	o.BO.Starts = 1
 	o.BO.GP.Restarts = 1
-	// Exercise the batched selection waves so the pool's opportunistic
-	// batch slot grants are covered too.
+	// Exercise the batched selection waves too: their results must
+	// not depend on campaign concurrency either.
 	o.Parallel = 4
 	return o
 }
@@ -56,11 +54,11 @@ func campaignTasks(space *conf.Space) []Task {
 	}
 }
 
-// runResults runs tasks as a non-durable campaign and returns each
-// task's single session result.
-func runResults(t *testing.T, sched *Scheduler, tasks []Task) []tuners.Result {
+// runResults runs tasks as a non-durable campaign, concurrency tasks
+// at once, and returns each task's single session result.
+func runResults(t *testing.T, concurrency int, tasks []Task) []tuners.Result {
 	t.Helper()
-	res, err := sched.RunCampaign(tasks, CampaignOptions{})
+	res, err := RunCampaign(tasks, CampaignOptions{Concurrency: concurrency})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +103,11 @@ func sameResult(t *testing.T, label string, a, b tuners.Result) {
 	}
 }
 
-// TestCampaignPoolSizeInvariance is the scheduler's core promise: a
-// five-session campaign produces bit-identical results whether the
-// evaluation pool has one slot (fully serialized evaluations) or
-// enough for everyone, and matches unscheduled direct runs.
-func TestCampaignPoolSizeInvariance(t *testing.T) {
+// TestCampaignConcurrencyInvariance is the campaign's core promise: a
+// five-session campaign produces bit-identical results whether its
+// tasks run one at a time or all at once, and matches unscheduled
+// direct runs.
+func TestCampaignConcurrencyInvariance(t *testing.T) {
 	space := conf.SparkSpace()
 	direct := make([]tuners.Result, 0, 5)
 	for _, tk := range campaignTasks(space) {
@@ -117,23 +115,23 @@ func TestCampaignPoolSizeInvariance(t *testing.T) {
 		direct = append(direct, tk.New().Run(tuners.NewSession(s.Objective(), tk.Space, s.Request)))
 	}
 
-	serial := runResults(t, NewScheduler(1, 0), campaignTasks(space))
-	wide := runResults(t, NewScheduler(8, 8), campaignTasks(space))
+	serial := runResults(t, 1, campaignTasks(space))
+	wide := runResults(t, 8, campaignTasks(space))
 
 	if len(serial) != len(direct) || len(wide) != len(direct) {
 		t.Fatalf("result count mismatch: %d direct, %d serial, %d wide",
 			len(direct), len(serial), len(wide))
 	}
 	for i := range direct {
-		sameResult(t, "pool=1 vs direct", serial[i], direct[i])
-		sameResult(t, "pool=8 vs direct", wide[i], direct[i])
+		sameResult(t, "concurrency=1 vs direct", serial[i], direct[i])
+		sameResult(t, "concurrency=8 vs direct", wide[i], direct[i])
 	}
 }
 
 // TestSessionLimit bounds in-flight tasks without dropping any.
 func TestSessionLimit(t *testing.T) {
 	tasks := campaignTasks(conf.SparkSpace())[:4]
-	res := runResults(t, NewScheduler(2, 2), tasks)
+	res := runResults(t, 2, tasks)
 	if len(res) != len(tasks) {
 		t.Fatalf("got %d results for %d tasks", len(res), len(tasks))
 	}
@@ -144,13 +142,14 @@ func TestSessionLimit(t *testing.T) {
 	}
 }
 
-// TestSchedulerZeroSessionsIsSerial: a session limit <= 0 means one
-// task at a time ("<= 1 = serial"), not every task at once. Each
+// TestSchedulerZeroSessionsIsSerial: a concurrency <= 0 means one
+// task at a time ("<= 1 = serial"), not every task at once, and a
+// concurrency of 2 never has more than two tasks in flight. Each
 // objective yields mid-evaluation and records how many tasks are
 // between their first and their last evaluation.
 func TestSchedulerZeroSessionsIsSerial(t *testing.T) {
 	const budget = 5
-	for _, limit := range []int{0, -3} {
+	for _, limit := range []int{0, -3, 2} {
 		var mu sync.Mutex
 		inFlight, peak := 0, 0
 		tasks := make([]Task, 4)
@@ -184,37 +183,9 @@ func TestSchedulerZeroSessionsIsSerial(t *testing.T) {
 				}},
 			}
 		}
-		runResults(t, NewScheduler(1, limit), tasks)
-		if peak != 1 {
-			t.Fatalf("NewScheduler(1, %d): %d tasks in flight at once, want 1", limit, peak)
+		runResults(t, limit, tasks)
+		if want := max(limit, 1); peak > want {
+			t.Fatalf("Concurrency %d: %d tasks in flight at once, want at most %d", limit, peak, want)
 		}
-	}
-}
-
-// TestPoolWrapCapabilities checks the wrapper's capability surface:
-// batch evaluation is claimed only when the inner objective claims it,
-// and identity/guard capabilities degrade instead of disappearing.
-func TestPoolWrapCapabilities(t *testing.T) {
-	p := NewPool(2)
-	ev := sparksim.NewEvaluator(sparksim.PaperCluster(), sparksim.TeraSort(20), 3, 480)
-	w := p.Wrap(ev)
-	if _, ok := w.(backend.BatchEvaluator); !ok {
-		t.Fatal("wrapping a batch evaluator must preserve the batch capability")
-	}
-	id, ok := w.(interface{ WorkloadName() string })
-	if !ok || id.WorkloadName() != ev.WorkloadName() {
-		t.Fatalf("wrapped workload identity mismatch")
-	}
-
-	// A plain functional objective has no batch capability; the
-	// wrapper must not invent one (its presence changes tuner paths).
-	fo := &tuners.FuncObjective{Fn: func(c conf.Config) (float64, bool) { return 1, true }}
-	wf := p.Wrap(fo)
-	if _, ok := wf.(backend.BatchEvaluator); ok {
-		t.Fatal("wrapper must not add a batch capability the inner objective lacks")
-	}
-	rec := wf.EvaluateSpec(conf.SparkSpace().Default(), backend.EvalSpec{})
-	if !rec.Completed || rec.Seconds != 1 {
-		t.Fatalf("gated evaluation altered the record: %+v", rec)
 	}
 }

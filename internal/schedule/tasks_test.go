@@ -79,9 +79,9 @@ func queueTask(newTuner func() tuners.Tuner, queue []sparksim.Workload, budget i
 }
 
 // onlyTask runs one task and returns its outcome.
-func onlyTask(t *testing.T, sched *Scheduler, task Task, opts CampaignOptions) TaskOutcome {
+func onlyTask(t *testing.T, task Task, opts CampaignOptions) TaskOutcome {
 	t.Helper()
-	res, err := sched.RunCampaign([]Task{task}, opts)
+	res, err := RunCampaign([]Task{task}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCampaignAccumulatesKnowledge(t *testing.T) {
 	calls := make([]int32, len(queue))
 	rt := core.New(nil, smallOptions())
 	task := queueTask(func() tuners.Tuner { return rt }, queue, 25, 71, backend.FaultPlan{}, "", calls, nil)
-	out := onlyTask(t, NewScheduler(2, 1), task, CampaignOptions{})
+	out := onlyTask(t, task, CampaignOptions{})
 	if out.Failed != "" || len(out.Results) != len(queue) {
 		t.Fatalf("queue outcome: failed %q, %d results", out.Failed, len(out.Results))
 	}
@@ -154,7 +154,7 @@ func TestCampaignWithFaultsDeterministic(t *testing.T) {
 		for k := range task.Sessions {
 			task.Sessions[k].Request.Retry = tuners.RetryPolicy{MaxRetries: 1}
 		}
-		return onlyTask(t, NewScheduler(1, 1), task, CampaignOptions{}).Results
+		return onlyTask(t, task, CampaignOptions{}).Results
 	}
 	a := run()
 	if len(a) != len(queue) {
@@ -191,11 +191,11 @@ func TestCampaignCancelledStopsSessions(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := onlyTask(t, NewScheduler(1, 1), mk(ctx), opts)
+	out := onlyTask(t, mk(ctx), opts)
 	if len(out.Results) != 0 || out.Failed != "" || built != 0 {
 		t.Fatalf("cancelled task ran: %d results, failed %q, %d objectives built", len(out.Results), out.Failed, built)
 	}
-	out = onlyTask(t, NewScheduler(1, 1), mk(context.Background()), opts)
+	out = onlyTask(t, mk(context.Background()), opts)
 	if out.Reused || len(out.Results) != len(queue) {
 		t.Fatalf("resumed task: reused=%v, %d results; want a full fresh run", out.Reused, len(out.Results))
 	}
@@ -222,9 +222,8 @@ func TestCampaignResumesMidTask(t *testing.T) {
 		}
 		return task
 	}
-	sched := NewScheduler(1, 1)
 	base := make([]int32, len(queue))
-	want := onlyTask(t, sched, mk("", base, nil, nil), CampaignOptions{})
+	want := onlyTask(t, mk("", base, nil, nil), CampaignOptions{})
 	if len(want.Results) != len(queue) || want.Results[1].SelectionEvals != 0 {
 		t.Fatalf("uninterrupted queue: %d results; the second session must be a cache hit", len(want.Results))
 	}
@@ -234,7 +233,7 @@ func TestCampaignResumesMidTask(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killed := make([]int32, len(queue))
-	out := onlyTask(t, sched, mk(dir, killed, func(k int, n int32) {
+	out := onlyTask(t, mk(dir, killed, func(k int, n int32) {
 		if k == 1 && n == killAt {
 			cancel()
 		}
@@ -245,7 +244,7 @@ func TestCampaignResumesMidTask(t *testing.T) {
 	}
 
 	resumed := make([]int32, len(queue))
-	out = onlyTask(t, sched, mk(dir, resumed, nil, nil), opts)
+	out = onlyTask(t, mk(dir, resumed, nil, nil), opts)
 	if out.Reused {
 		t.Fatal("an interrupted task was settled from the ledger")
 	}
@@ -264,7 +263,6 @@ func TestCampaignResumesMidTask(t *testing.T) {
 // cannot be resumed under options that would stitch a history neither
 // run produced; the refused resume runs nothing.
 func TestCampaignRefusesChangedPolicy(t *testing.T) {
-	sched := NewScheduler(1, 1)
 	space := conf.SparkSpace()
 	dir := t.TempDir()
 	opts := CampaignOptions{LedgerPath: dir + "/campaign.lgr", Seed: 2, Config: "budget=10"}
@@ -276,7 +274,7 @@ func TestCampaignRefusesChangedPolicy(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var killed int32
-	res, err := sched.RunCampaign(mk(&killed, func(n int32) {
+	res, err := RunCampaign(mk(&killed, func(n int32) {
 		if n == 5 {
 			cancel()
 		}
@@ -294,7 +292,7 @@ func TestCampaignRefusesChangedPolicy(t *testing.T) {
 		o := opts
 		change(&o)
 		var calls int32
-		_, err := sched.RunCampaign(mk(&calls, nil, nil), o)
+		_, err := RunCampaign(mk(&calls, nil, nil), o)
 		if err == nil || !strings.Contains(err.Error(), "different campaign") {
 			t.Fatalf("resume with %+v accepted (err %v)", o, err)
 		}

@@ -123,6 +123,34 @@ func TestSparseOptionReachesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(t, sess)
+	if s := surrogateView(t, env); s.SparseSessions != 1 || s.ActivePoints >= s.Observations {
+		t.Fatalf("sparse session not on its active set: %+v", s)
+	}
+}
+
+// TestMetricsSurrogateCountsBOHB: a bohb session's engine reports its
+// refit cadence on /metrics like a robotune session's.
+func TestMetricsSurrogateCountsBOHB(t *testing.T) {
+	env := newEnv(t, server.Options{})
+	sp := bohbSpec(20, 5)
+	sp.Options.RefitBudget = 0.5
+	sess, err := env.cl.Create(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := drive(t, sess)
+	s := surrogateView(t, env)
+	if s.Sessions != 1 {
+		t.Fatalf("surrogate sessions=%d, want 1 (the bohb session): %+v", s.Sessions, s)
+	}
+	if s.HyperRefits < 1 || s.Observations < 1 || s.Observations > n {
+		t.Fatalf("implausible surrogate aggregation over %d observations: %+v", n, s)
+	}
+}
+
+// surrogateView reads the surrogate section of GET /metrics.
+func surrogateView(t *testing.T, env *testEnv) server.SurrogateView {
+	t.Helper()
 	resp, err := http.Get(env.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +162,5 @@ func TestSparseOptionReachesEngine(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if s := doc.Surrogate; s.SparseSessions != 1 || s.ActivePoints >= s.Observations {
-		t.Fatalf("sparse session not on its active set: %+v", s)
-	}
+	return doc.Surrogate
 }

@@ -125,9 +125,10 @@ type MetricsView struct {
 
 // SurrogateView is the /metrics "surrogate" section: refit-cadence
 // accounting summed across every live session whose stepper exposes it
-// (ROBOTune sessions with a fitted surrogate). Unlike the atomic
-// counters it is computed on demand by walking the session table —
-// /metrics is cold-path, so the walk is fine.
+// (ROBOTune sessions that reached their BO phase, and every BOHB
+// session). Unlike the atomic counters it is computed on demand by
+// walking the session table — /metrics is cold-path, so the walk is
+// fine.
 type SurrogateView struct {
 	Sessions        int     `json:"sessions"`
 	SparseSessions  int     `json:"sparse_sessions"`

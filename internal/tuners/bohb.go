@@ -389,3 +389,11 @@ func (st *bohbStepper) SessionResult(s *Session) Result {
 	res.SurrogateFallbacks = st.surrFallbacks
 	return res
 }
+
+// SurrogateStats returns the engine's refit-cadence accounting, the
+// same view core.Stepper gives; robotuned's /metrics sums it over
+// live sessions. The engine is built with the stepper, so ok is
+// always true.
+func (st *bohbStepper) SurrogateStats() (stats bo.RefitStats, ok bool) {
+	return st.engine.RefitStats(), true
+}
