@@ -40,8 +40,9 @@ race:
 # training, permutation importance and acquisition multistart at
 # workers=1 vs workers=GOMAXPROCS, and the GP
 # fast path (surrogate fit, the n=120 Cholesky, posterior prediction
-# one point and one gradient batch at a time, and engine Suggest
-# across training-set sizes, with allocation counts).
+# of one point, one analytic acquisition gradient against the 16
+# finite-difference probes it replaced, and engine Suggest across
+# training-set sizes, with allocation counts).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterSimRun|BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkGPPredictBatch|BenchmarkBOSuggestScale|BenchmarkCholesky' -benchmem -benchtime 2x .
 

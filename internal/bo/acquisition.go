@@ -4,7 +4,9 @@
 // Probability of Improvement, Expected Improvement and Lower
 // Confidence Bound — each adapted to minimization as in equations
 // (2)–(4) of the paper. Acquisition surfaces are optimized with
-// multistart L-BFGS-B (§4).
+// multistart L-BFGS-B (§4) on their analytic gradients: each
+// acquisition's partials in (μ, σ) chained through the GP posterior's
+// gradient.
 package bo
 
 import (
@@ -14,11 +16,13 @@ import (
 )
 
 // Acquisition scores a candidate's posterior (μ, σ) against the
-// incumbent best observation. Higher scores are more desirable. All
-// three functions are minimization-adapted per §3.4.
+// incumbent best observation, and returns the score's partial
+// derivatives in μ and σ with it, which the acquisition search chains
+// through the posterior's gradient. Higher scores are more desirable.
+// All three functions are minimization-adapted per §3.4.
 type Acquisition interface {
 	Name() string
-	Score(mu, sigma, fBest float64) float64
+	Score(mu, sigma, fBest float64) (score, dMu, dSigma float64)
 }
 
 // PI is the Probability of Improvement (eq. 2):
@@ -31,16 +35,19 @@ type PI struct {
 // Name implements Acquisition.
 func (PI) Name() string { return "PI" }
 
-// Score implements Acquisition.
-func (a PI) Score(mu, sigma, fBest float64) float64 {
+// Score implements Acquisition: with z = d/σ, ∂PI/∂μ = −φ(z)/σ and
+// ∂PI/∂σ = −z·φ(z)/σ. At σ = 0 PI is a step in μ, flat on each side.
+func (a PI) Score(mu, sigma, fBest float64) (score, dMu, dSigma float64) {
 	d := fBest - mu - a.Xi
 	if sigma <= 0 {
 		if d > 0 {
-			return 1
+			return 1, 0, 0
 		}
-		return 0
+		return 0, 0, 0
 	}
-	return stats.NormCDF(d / sigma)
+	z := d / sigma
+	pdf := stats.NormPDF(z)
+	return stats.NormCDF(z), -pdf / sigma, -z * pdf / sigma
 }
 
 // EI is the Expected Improvement (eq. 3):
@@ -53,26 +60,29 @@ type EI struct {
 // Name implements Acquisition.
 func (EI) Name() string { return "EI" }
 
-// Score implements Acquisition.
-func (a EI) Score(mu, sigma, fBest float64) float64 {
+// Score implements Acquisition: with z = d/σ, ∂EI/∂μ = −Φ(z) and
+// ∂EI/∂σ = φ(z). Every branch that returns a constant returns zero
+// partials.
+func (a EI) Score(mu, sigma, fBest float64) (score, dMu, dSigma float64) {
 	if sigma <= 0 {
-		return 0
+		return 0, 0, 0
 	}
 	d := fBest - mu - a.Xi
 	if math.IsInf(d, -1) || math.IsNaN(d) {
-		return 0
+		return 0, 0, 0
 	}
 	if math.IsInf(d, 1) {
-		return math.MaxFloat64
+		return math.MaxFloat64, 0, 0
 	}
 	z := d / sigma
-	v := d*stats.NormCDF(z) + sigma*stats.NormPDF(z)
+	cdf, pdf := stats.NormCDF(z), stats.NormPDF(z)
+	v := d*cdf + sigma*pdf
 	if v < 0 || math.IsNaN(v) {
 		// Guard against catastrophic cancellation far below the
 		// incumbent.
-		return 0
+		return 0, 0, 0
 	}
-	return v
+	return v, -cdf, pdf
 }
 
 // LCB is the Lower Confidence Bound (eq. 4): LCB(x) = μ(x) − κσ(x).
@@ -85,9 +95,9 @@ type LCB struct {
 // Name implements Acquisition.
 func (LCB) Name() string { return "LCB" }
 
-// Score implements Acquisition.
-func (a LCB) Score(mu, sigma, _ float64) float64 {
-	return -(mu - a.Kappa*sigma)
+// Score implements Acquisition: ∂/∂μ = −1 and ∂/∂σ = κ.
+func (a LCB) Score(mu, sigma, _ float64) (score, dMu, dSigma float64) {
+	return -(mu - a.Kappa*sigma), -1, a.Kappa
 }
 
 // DefaultPortfolio returns the paper's three-function portfolio with

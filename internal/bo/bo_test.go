@@ -37,37 +37,43 @@ func TestZeroConfigIsDefault(t *testing.T) {
 	}
 }
 
+// score is a's score alone, without its partials.
+func score(a Acquisition, mu, sigma, fBest float64) float64 {
+	s, _, _ := a.Score(mu, sigma, fBest)
+	return s
+}
+
 func TestPIMonotoneInImprovement(t *testing.T) {
 	a := PI{Xi: 0.01}
 	// Lower predicted mean (bigger improvement) → higher PI.
-	if a.Score(0.2, 0.1, 1.0) <= a.Score(0.8, 0.1, 1.0) {
+	if score(a, 0.2, 0.1, 1.0) <= score(a, 0.8, 0.1, 1.0) {
 		t.Error("PI should prefer lower means")
 	}
 	// Degenerate σ=0: 1 when strictly better, 0 otherwise.
-	if a.Score(0.5, 0, 1.0) != 1 || a.Score(1.5, 0, 1.0) != 0 {
+	if score(a, 0.5, 0, 1.0) != 1 || score(a, 1.5, 0, 1.0) != 0 {
 		t.Error("PI σ=0 edge cases wrong")
 	}
 	// Probability bounds.
-	if s := a.Score(0.5, 0.3, 1.0); s < 0 || s > 1 {
+	if s := score(a, 0.5, 0.3, 1.0); s < 0 || s > 1 {
 		t.Errorf("PI out of [0,1]: %v", s)
 	}
 }
 
 func TestEIProperties(t *testing.T) {
 	a := EI{Xi: 0.01}
-	if a.Score(0.5, 0, 1.0) != 0 {
+	if score(a, 0.5, 0, 1.0) != 0 {
 		t.Error("EI with σ=0 must be 0 (eq. 3)")
 	}
-	if a.Score(0.2, 0.1, 1.0) <= a.Score(0.8, 0.1, 1.0) {
+	if score(a, 0.2, 0.1, 1.0) <= score(a, 0.8, 0.1, 1.0) {
 		t.Error("EI should prefer lower means")
 	}
 	// More uncertainty → more expected improvement when means equal.
-	if a.Score(1.0, 0.5, 1.0) <= a.Score(1.0, 0.1, 1.0) {
+	if score(a, 1.0, 0.5, 1.0) <= score(a, 1.0, 0.1, 1.0) {
 		t.Error("EI should grow with σ at equal mean")
 	}
 	// EI is nonnegative.
 	f := func(mu, sigma, best float64) bool {
-		s := a.Score(mu, math.Abs(sigma), best)
+		s := score(a, mu, math.Abs(sigma), best)
 		return s >= 0 && !math.IsNaN(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -78,11 +84,11 @@ func TestEIProperties(t *testing.T) {
 func TestLCBTradeoff(t *testing.T) {
 	a := LCB{Kappa: 1.96}
 	// Lower mean is better...
-	if a.Score(0.2, 0.1, 0) <= a.Score(0.8, 0.1, 0) {
+	if score(a, 0.2, 0.1, 0) <= score(a, 0.8, 0.1, 0) {
 		t.Error("LCB should prefer lower means")
 	}
 	// ...and higher variance is better (exploration).
-	if a.Score(0.5, 0.5, 0) <= a.Score(0.5, 0.1, 0) {
+	if score(a, 0.5, 0.5, 0) <= score(a, 0.5, 0.1, 0) {
 		t.Error("LCB should prefer higher uncertainty")
 	}
 }

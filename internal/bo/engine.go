@@ -13,16 +13,20 @@ import (
 	"repro/internal/sample"
 )
 
-// batchScratch is one batched posterior evaluation's buffers. The
-// acquisition multistart evaluates batches from several goroutines;
-// each call borrows one from batchScratches, which keeps the calls
-// allocation-free without tying the engine to the worker count.
-type batchScratch struct {
-	ps gp.PredictScratch
-	v  []float64
+// gradScratch is one posterior evaluation's buffers: the prediction
+// scratch and the variance gradient. The acquisition multistart
+// evaluates from several goroutines; each call borrows one from
+// gradScratches, which keeps the calls allocation-free without tying
+// the engine to the worker count.
+type gradScratch struct {
+	ps   gp.PredictScratch
+	dvar []float64
 }
 
-var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
+var gradScratches = sync.Pool{New: func() any { return new(gradScratch) }}
+
+// acquisitionIters caps each L-BFGS-B run of the acquisition search.
+const acquisitionIters = 100
 
 // Config controls the BO engine. The zero value is the engine
 // ROBOTune runs: New fills every zero field with its default, so a
@@ -496,9 +500,9 @@ func (e *Engine) Suggest() ([]float64, error) {
 	// both are computed once, the posterior batched.
 	costAware := e.cfg.CostAware && len(e.costX) > 0
 	poolMu, poolVar, poolCost := make([]float64, len(pool)), make([]float64, len(pool)), make([]float64, len(pool))
-	ws := batchScratches.Get().(*batchScratch)
+	ws := gradScratches.Get().(*gradScratch)
 	g.PredictBatchInto(&ws.ps, pool, poolMu, poolVar)
-	batchScratches.Put(ws)
+	gradScratches.Put(ws)
 	if costAware {
 		for p, x := range pool {
 			poolCost[p] = e.predictCost(x)
@@ -508,35 +512,7 @@ func (e *Engine) Suggest() ([]float64, error) {
 	bounds := optimize.UnitBox(e.dim)
 	nominees := make([][]float64, len(e.cfg.Portfolio))
 	for i, acq := range e.cfg.Portfolio {
-		// value is the multistart's objective at x with posterior
-		// (mu, v): the negated score. Cost-aware acquisition
-		// (EI-per-second) discounts positive promise by the predicted
-		// cost (cost, or predicted here when 0); non-positive scores
-		// are left alone so dividing by cost cannot make a bad point
-		// look less bad.
-		value := func(x []float64, mu, v, cost float64) float64 {
-			score := acq.Score(mu, math.Sqrt(v), fBest)
-			if costAware && score > 0 {
-				if cost == 0 {
-					cost = e.predictCost(x)
-				}
-				score /= cost
-			}
-			return -score
-		}
-		neg := func(x []float64) float64 {
-			mu, v := g.Predict(x)
-			return value(x, mu, v, 0)
-		}
-		negBatch := func(xs [][]float64, out []float64) {
-			ws := batchScratches.Get().(*batchScratch)
-			ws.v = slices.Grow(ws.v[:0], len(xs))[:len(xs)]
-			g.PredictBatchInto(&ws.ps, xs, out, ws.v)
-			for j, x := range xs {
-				out[j] = value(x, out[j], ws.v[j], 0)
-			}
-			batchScratches.Put(ws)
-		}
+		obj := acqObjective{e: e, g: g, acq: acq, fBest: fBest, costAware: costAware}
 		// Seed local search with the best pool candidates.
 		type cand struct {
 			x []float64
@@ -544,7 +520,7 @@ func (e *Engine) Suggest() ([]float64, error) {
 		}
 		best1, best2 := cand{f: math.Inf(1)}, cand{f: math.Inf(1)}
 		for p, x := range pool {
-			f := value(x, poolMu[p], poolVar[p], poolCost[p])
+			f, _, _ := obj.at(x, poolMu[p], math.Sqrt(poolVar[p]), poolCost[p])
 			switch {
 			case f < best1.f:
 				best2 = best1
@@ -557,9 +533,9 @@ func (e *Engine) Suggest() ([]float64, error) {
 		if best2.x != nil {
 			seeds = append(seeds, best2.x)
 		}
-		res := optimize.Multistart(neg, bounds, e.cfg.Starts, seeds, e.rng, e.cfg.Workers,
-			func(f optimize.Objective, x0 []float64, b optimize.Bounds) optimize.Result {
-				return optimize.LBFGSB(f, negBatch, x0, b, 40)
+		res := optimize.Multistart(bounds, e.cfg.Starts, seeds, e.rng, e.cfg.Workers,
+			func(x0 []float64) optimize.Result {
+				return optimize.LBFGSB(obj.valueGrad, x0, bounds, acquisitionIters)
 			})
 		nominees[i] = res.X
 	}
@@ -581,6 +557,55 @@ func (e *Engine) Suggest() ([]float64, error) {
 	e.nominees = nominees
 	e.chosen = idx
 	return append([]float64(nil), nominees[idx]...), nil
+}
+
+// acqObjective is the acquisition search's objective for one
+// portfolio member: acq's score against fBest under the posterior g,
+// negated for the minimizer. Cost-aware acquisition (EI-per-second)
+// discounts positive promise by the predicted cost; non-positive
+// scores are left alone so dividing by cost cannot make a bad point
+// look less bad.
+type acqObjective struct {
+	e         *Engine
+	g         *gp.GP
+	acq       Acquisition
+	fBest     float64
+	costAware bool
+}
+
+// at is the objective at x with posterior (mu, sigma), and its partials
+// in μ and σ. cost is x's predicted cost, or 0 to predict it here. The
+// k-NN cost is piecewise constant, so dividing the score by it divides
+// the partials too.
+func (o acqObjective) at(x []float64, mu, sigma, cost float64) (f, dMu, dSigma float64) {
+	score, dMu, dSigma := o.acq.Score(mu, sigma, o.fBest)
+	if o.costAware && score > 0 {
+		if cost == 0 {
+			cost = o.e.predictCost(x)
+		}
+		score, dMu, dSigma = score/cost, dMu/cost, dSigma/cost
+	}
+	return -score, -dMu, -dSigma
+}
+
+// valueGrad is the objective at x with its gradient in x: the partials
+// chained through the posterior's ∇μ and ∇σ = ∇σ²/(2σ), with no σ term
+// at σ = 0.
+func (o acqObjective) valueGrad(x, grad []float64) float64 {
+	ws := gradScratches.Get().(*gradScratch)
+	ws.dvar = slices.Grow(ws.dvar[:0], len(x))[:len(x)]
+	mu, v := o.g.PredictGradInto(&ws.ps, x, grad, ws.dvar)
+	sigma := math.Sqrt(v)
+	f, dMu, dSigma := o.at(x, mu, sigma, 0)
+	dVar := 0.0
+	if sigma > 0 {
+		dVar = dSigma / (2 * sigma)
+	}
+	for j := range grad {
+		grad[j] = dMu*grad[j] + dVar*ws.dvar[j]
+	}
+	gradScratches.Put(ws)
+	return f
 }
 
 // SuggestOr is Suggest for a session that must keep running: when the

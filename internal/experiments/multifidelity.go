@@ -33,6 +33,11 @@ type MultiFidelityRow struct {
 	// BOHBProxyEvals is how many of BOHB's trials ran at reduced
 	// fidelity.
 	BOHBProxyEvals int `json:"bohb_proxy_evals"`
+	// RoboFallbacks / BOHBFallbacks count each tuner's BO iterations
+	// that fell back to a uniform draw because the surrogate could not
+	// propose (tuners.Result.SurrogateFallbacks).
+	RoboFallbacks int `json:"robotune_surrogate_fallbacks"`
+	BOHBFallbacks int `json:"bohb_surrogate_fallbacks"`
 	// Reached reports BOHB's incumbent ever coming within 5% of
 	// RoboBest; CostToReach is the simulated seconds it had spent at
 	// that point (including every proxy trial), and CostRatio is
@@ -149,6 +154,8 @@ func RunMultiFidelity(cfg Config, workloads []string) []MultiFidelityRow {
 			RoboEvals:      robo.Evals,
 			BOHBEvals:      bohb.Evals,
 			BOHBProxyEvals: proxies,
+			RoboFallbacks:  robo.SurrogateFallbacks,
+			BOHBFallbacks:  bohb.SurrogateFallbacks,
 		}
 		if robo.Found {
 			row.CostToReach, row.Reached = costToWithin(bohb, 1.05*robo.BestSeconds)

@@ -53,3 +53,18 @@ func TestMultiFidelityQualityRegression(t *testing.T) {
 			passed, len(rows), RenderMultiFidelity(rows))
 	}
 }
+
+// TestMultiFidelityNoSurrogateFallbacks: SuggestOr turns a failed fit
+// or a panic in the acquisition search into a uniform point, so a
+// broken surrogate or gradient could show only as worse tuning. At the
+// gate's scale (seed 3), neither ROBOTune nor BOHB falls back once on
+// any of the three workloads.
+func TestMultiFidelityNoSurrogateFallbacks(t *testing.T) {
+	cfg := Config{Seed: 3, Budget: 40, Repeats: 1, MeasureReps: 2, Fast: true}
+	for _, r := range RunMultiFidelity(cfg, nil) {
+		if r.RoboFallbacks != 0 || r.BOHBFallbacks != 0 {
+			t.Errorf("%s: %d ROBOTune and %d BOHB iterations fell back to a uniform draw",
+				r.Workload, r.RoboFallbacks, r.BOHBFallbacks)
+		}
+	}
+}

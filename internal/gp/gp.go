@@ -16,7 +16,9 @@
 // that keep the hyperparameters fixed can extend a cached Cholesky
 // factor in O(n²) via Extend instead of refitting in O(n³).
 // PredictBatchInto forward-solves four points per pass over the factor
-// (a gradient's probes, a candidate pool), bit-identical to PredictInto.
+// (a candidate pool), bit-identical to PredictInto. PredictGradInto
+// adds the gradients of the posterior mean and variance, which the
+// acquisition search needs, for one back-solve more than a prediction.
 package gp
 
 import (
@@ -406,9 +408,9 @@ func (g *GP) optimizeHyper(cfg Config, cache *distCache) Params {
 
 	rng := sample.NewRNG(cfg.Seed ^ 0x5ca1ab1e)
 	budget := 250 + 60*nLen
-	res := optimize.Multistart(obj, bounds, cfg.Restarts, [][]float64{seed}, rng, cfg.Workers,
-		func(f optimize.Objective, x0 []float64, b optimize.Bounds) optimize.Result {
-			return optimize.NelderMead(f, x0, b, budget)
+	res := optimize.Multistart(bounds, cfg.Restarts, [][]float64{seed}, rng, cfg.Workers,
+		func(x0 []float64) optimize.Result {
+			return optimize.NelderMead(obj, x0, bounds, budget)
 		})
 	return unpack(res.X)
 }
@@ -416,23 +418,33 @@ func (g *GP) optimizeHyper(cfg Config, cache *distCache) Params {
 // kernelResolved evaluates the covariance with pre-hoisted
 // exponentials: no math.Exp in the pairwise loop.
 func (g *GP) kernelResolved(rk *resolved, a, b []float64) float64 {
-	var r float64
+	return kernelShape(g.cfg.Kernel, rk.variance, rk.dist(a, b))
+}
+
+// dist is the length-scaled distance r between a and b.
+func (rk *resolved) dist(a, b []float64) float64 {
+	var sq float64
 	if rk.weights != nil {
-		var sq float64
 		for i := range a {
 			d := a[i] - b[i]
 			sq += (d * d) * rk.weights[i]
 		}
-		r = math.Sqrt(sq)
-	} else {
-		var sq float64
-		for i := range a {
-			d := a[i] - b[i]
-			sq += d * d
-		}
-		r = math.Sqrt(sq) / rk.length
+		return math.Sqrt(sq)
 	}
-	return kernelShape(g.cfg.Kernel, rk.variance, r)
+	for i := range a {
+		d := a[i] - b[i]
+		sq += d * d
+	}
+	return math.Sqrt(sq) / rk.length
+}
+
+// weight is dimension j's inverse squared length scale w_j, with
+// r² = Σ_j w_j·(a_j − b_j)².
+func (rk *resolved) weight(j int) float64 {
+	if rk.weights != nil {
+		return rk.weights[j]
+	}
+	return 1 / (rk.length * rk.length)
 }
 
 // kernelShape applies the stationary kernel form to a scaled distance.
@@ -443,6 +455,22 @@ func kernelShape(kind KernelKind, variance, r float64) float64 {
 	default: // Matern52
 		s5 := math.Sqrt(5) * r
 		return variance * (1 + s5 + 5*r*r/3) * math.Exp(-s5)
+	}
+}
+
+// kernelShapeGrad is kernelShape, bit for bit, that also returns
+// c = (dk/dr)/r from the same exponential, so that
+// ∂k(t, x)/∂x_j = c·w_j·(x_j − t_j). c stays finite at r = 0: −σ_f²
+// for RBF, −(5/3)·σ_f² for Matérn 5/2.
+func kernelShapeGrad(kind KernelKind, variance, r float64) (k, c float64) {
+	switch kind {
+	case RBF:
+		k = variance * math.Exp(-0.5*r*r)
+		return k, -k
+	default: // Matern52
+		s5 := math.Sqrt(5) * r
+		e := math.Exp(-s5)
+		return variance * (1 + s5 + 5*r*r/3) * e, -5.0 / 3 * variance * (1 + s5) * e
 	}
 }
 
@@ -774,6 +802,50 @@ func (g *GP) PredictBatchInto(s *PredictScratch, xs [][]float64, mu, variance []
 			mu[p+r], variance[p+r] = g.posterior(xs[p+r], s.ks[r], s.v[r])
 		}
 	}
+}
+
+// PredictGradInto is PredictInto at x, bit for bit, that also writes
+// the gradients of the mean and the variance in x into dmu and dvar
+// (each of length Dim()). The kernel vector's exponentials give its
+// Jacobian J as well, so on top of the prediction the gradients cost
+// one back-solve and O(n·d) sums: ∇μ = yStd·Jᵀα and
+// ∇σ² = −2·yStd²·Jᵀ(L⁻ᵀv), with v = L⁻¹k the prediction's forward
+// solve. Where the variance clamps at 0, ∇σ² is 0. Zero heap
+// allocations once the scratch is warm.
+func (g *GP) PredictGradInto(s *PredictScratch, x, dmu, dvar []float64) (mu, variance float64) {
+	if len(dmu) != len(x) || len(dvar) != len(x) {
+		panic("gp: PredictGradInto gradient length mismatch")
+	}
+	s.grow(len(g.x))
+	ks, c, v, kinv := s.ks[0], s.ks[1], s.v[0], s.v[1]
+	for i, t := range g.x {
+		ks[i], c[i] = kernelShapeGrad(g.cfg.Kernel, g.rk.variance, g.rk.dist(t, x))
+	}
+	linalg.SolveLowerInto(g.chol, ks, v)
+	mu, variance = g.posterior(x, ks, v)
+	// The back-solve is bound by no bit-for-bit contract, so it takes
+	// the row-contiguous form.
+	linalg.SolveUpperTRowsInto(g.chol, v, kinv)
+	clear(dmu)
+	clear(dvar)
+	for i, t := range g.x {
+		a, b := g.alpha[i]*c[i], kinv[i]*c[i]
+		for j, tj := range t {
+			dx := x[j] - tj
+			dmu[j] += a * dx
+			dvar[j] += b * dx
+		}
+	}
+	muScale, varScale := g.yStd, -2*g.yStd*g.yStd
+	if variance == 0 {
+		varScale = 0
+	}
+	for j := range dmu {
+		w := g.rk.weight(j)
+		dmu[j] *= muScale * w
+		dvar[j] *= varScale * w
+	}
+	return mu, variance
 }
 
 // kernelVecInto fills ks with the covariances between the training

@@ -145,14 +145,15 @@ func tryCholeskyBlockedInto(dst, a *Matrix, jitter float64, workers int) bool {
 	return true
 }
 
-// solveUpperTBlockedInto solves Lᵀx = y right-looking: as soon as x[i]
+// SolveUpperTRowsInto solves Lᵀx = y right-looking: as soon as x[i]
 // is known, its contribution L[i][j]·x[i] is subtracted from every
 // remaining y[j], which reads L one contiguous row at a time instead
 // of walking columns with stride n. The per-element sums accumulate in
 // descending-k order (the unblocked kernel uses ascending), so results
 // agree to 1e-9 rather than bitwise; SolveUpperTInto only dispatches
-// here above blockedMin.
-func solveUpperTBlockedInto(l *Matrix, y, dst []float64) []float64 {
+// here above blockedMin, and callers bound by no bit-for-bit contract
+// (the GP's posterior gradient) call it directly. dst may alias y.
+func SolveUpperTRowsInto(l *Matrix, y, dst []float64) []float64 {
 	n := l.Rows
 	if &dst[0] != &y[0] {
 		copy(dst, y)

@@ -181,7 +181,7 @@ func TestBlockedSolvesEquivalenceSweep(t *testing.T) {
 		}
 		refY := solveLowerRef(l, b)
 		refX := solveUpperTRef(l, refY)
-		blX := solveUpperTBlockedInto(l, refY, make([]float64, n))
+		blX := SolveUpperTRowsInto(l, refY, make([]float64, n))
 		if d := maxRelDiff(refX, blX); d > 1e-9 {
 			t.Fatalf("n=%d: blocked transpose solve rel diff %g > 1e-9", n, d)
 		}

@@ -188,7 +188,7 @@ func SolveUpperTInto(l *Matrix, y, dst []float64) []float64 {
 	if n > blockedMin {
 		// Row-contiguous right-looking form; agrees to 1e-9 (not
 		// bitwise) with the column-walking loop below.
-		return solveUpperTBlockedInto(l, y, dst)
+		return SolveUpperTRowsInto(l, y, dst)
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]

@@ -1,11 +1,10 @@
 // Package optimize provides the numerical optimizers behind ROBOTune:
 // a box-constrained Nelder-Mead simplex (used for GP hyperparameter
-// fitting) and a projected-gradient L-BFGS-B with numerical gradients
-// (used to optimize acquisition functions, following §4 of the
-// paper), plus a multistart driver for both. L-BFGS-B hands all
-// central-difference probes of a gradient to an optional
-// BatchObjective in one call, so an objective that evaluates several
-// points faster together (the GP posterior) gets them at once.
+// fitting) and a projected-gradient L-BFGS-B that takes the
+// objective's value and gradient from its caller in one call (used to
+// optimize acquisition functions, following §4 of the paper, with the
+// analytic gradients of PI, EI and LCB), plus a multistart driver for
+// both.
 package optimize
 
 import (
@@ -19,9 +18,10 @@ import (
 // Objective is a function to minimize over a box.
 type Objective func(x []float64) float64
 
-// BatchObjective writes f(xs[i]) to out[i] for the Objective f it
-// batches, bit for bit, without retaining or modifying xs.
-type BatchObjective func(xs [][]float64, out []float64)
+// ObjectiveGrad is a function to minimize over a box that returns its
+// value at x and writes its gradient at x into grad (len(x) entries),
+// without retaining x or grad.
+type ObjectiveGrad func(x, grad []float64) float64
 
 // Bounds is the box constraint: Lo[i] <= x[i] <= Hi[i].
 type Bounds struct {
@@ -176,77 +176,22 @@ func NelderMead(f Objective, x0 []float64, b Bounds, maxEvals int) Result {
 }
 
 // LBFGSB minimizes f within bounds from x0 using a limited-memory
-// BFGS direction with gradient projection for the box constraints.
-// Gradients are central finite differences, as the black-box
-// acquisition surfaces here have no analytic form exposed: per
-// coordinate a probe at x[i]+h then one at x[i]−h, clipped to the box
-// (a zero gradient where clipping leaves no width), all of them
-// evaluated by one call of fb, or by a loop over f when fb is nil.
-// Evals counts every probe and every line-search point.
-func LBFGSB(f Objective, fb BatchObjective, x0 []float64, b Bounds, maxIters int) Result {
+// BFGS direction with gradient projection for the box constraints. fg
+// returns f and ∇f in one call, at the start point and at every
+// line-search point, so the accepted point's gradient is already in
+// hand. Evals counts those calls.
+func LBFGSB(fg ObjectiveGrad, x0 []float64, b Bounds, maxIters int) Result {
 	d := len(x0)
 	if maxIters <= 0 {
 		maxIters = 100
 	}
 	const memory = 8
-	const gradEps = 1e-6
 
 	evals := 0
-	eval := func(x []float64) float64 {
-		evals++
-		return f(x)
-	}
-	if fb == nil {
-		fb = func(xs [][]float64, out []float64) {
-			for i, x := range xs {
-				out[i] = f(x)
-			}
-		}
-	}
-	// Every gradient reuses the probe buffers; g[i] holds coordinate
-	// i's hi − lo (0 when skipped) until the probes are evaluated.
-	flat, fProbes := make([]float64, 2*d*d), make([]float64, 2*d)
-	probes := make([][]float64, 2*d)
-	for i := range probes {
-		probes[i] = flat[i*d : (i+1)*d]
-	}
-	grad := func(x []float64, g []float64) {
-		m := 0
-		for i := 0; i < d; i++ {
-			h := gradEps * math.Max(1, math.Abs(x[i]))
-			xi := x[i]
-			lo, hi := xi-h, xi+h
-			if lo < b.Lo[i] {
-				lo = b.Lo[i]
-			}
-			if hi > b.Hi[i] {
-				hi = b.Hi[i]
-			}
-			g[i] = 0
-			if hi == lo {
-				continue
-			}
-			g[i] = hi - lo
-			copy(probes[m], x)
-			probes[m][i] = hi
-			copy(probes[m+1], x)
-			probes[m+1][i] = lo
-			m += 2
-		}
-		fb(probes[:m], fProbes[:m])
-		evals += m
-		for i, k := 0, 0; i < d; i++ {
-			if g[i] != 0 {
-				g[i] = (fProbes[k] - fProbes[k+1]) / g[i]
-				k += 2
-			}
-		}
-	}
-
 	x := b.Clamp(append([]float64(nil), x0...))
-	fx := eval(x)
 	g := make([]float64, d)
-	grad(x, g)
+	fx := fg(x, g)
+	evals++
 
 	// Iterations reuse these buffers: an accepted trial point swaps with
 	// the iterate, and a pair dropped from the history stores the next.
@@ -299,7 +244,8 @@ func LBFGSB(f Objective, fb BatchObjective, x0 []float64, b Bounds, maxIters int
 				xNew[i] = x[i] + step*dir[i]
 			}
 			b.Clamp(xNew)
-			fNew = eval(xNew)
+			fNew = fg(xNew, gNew)
+			evals++
 			if fNew < fx-1e-4*step*math.Abs(dot(dir, g)) || fNew < fx-1e-12 {
 				improved = true
 				break
@@ -310,7 +256,6 @@ func LBFGSB(f Objective, fb BatchObjective, x0 []float64, b Bounds, maxIters int
 			break
 		}
 
-		grad(xNew, gNew)
 		for i := range s {
 			s[i] = xNew[i] - x[i]
 			yv[i] = gNew[i] - g[i]
@@ -364,19 +309,19 @@ func axpy(dst []float64, a float64, x []float64) {
 }
 
 // Multistart runs the given local optimizer from several random
-// starting points (plus any provided seeds) and returns the best
-// result, with Evals summed over every run. local is typically LBFGSB
-// or NelderMead.
+// starting points in b (plus any provided seeds) and returns the best
+// result, with Evals summed over every run. local closes over its own
+// objective; it typically wraps LBFGSB or NelderMead.
 //
 // All starting points are drawn from rng up front (so the rng stream
 // is consumed identically for any worker count), then the local runs
 // execute on up to `workers` goroutines (<= 0 selects GOMAXPROCS) and
 // the winner is the lowest F at the lowest run index — the same
 // tie-breaking the serial loop uses, making results bit-identical
-// across worker counts. With workers > 1, f and local must be safe
-// for concurrent calls.
-func Multistart(f Objective, b Bounds, starts int, seeds [][]float64, rng *rand.Rand, workers int,
-	local func(Objective, []float64, Bounds) Result) Result {
+// across worker counts. With workers > 1, local must be safe for
+// concurrent calls.
+func Multistart(b Bounds, starts int, seeds [][]float64, rng *rand.Rand, workers int,
+	local func(x0 []float64) Result) Result {
 	d := len(b.Lo)
 	x0s := make([][]float64, 0, len(seeds)+starts)
 	for _, s := range seeds {
@@ -392,7 +337,7 @@ func Multistart(f Objective, b Bounds, starts int, seeds [][]float64, rng *rand.
 
 	results := make([]Result, len(x0s))
 	par.ForEach(workers, len(x0s), func(i int) {
-		results[i] = local(f, x0s[i], b)
+		results[i] = local(x0s[i])
 	})
 
 	best := Result{F: math.Inf(1)}

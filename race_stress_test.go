@@ -129,23 +129,24 @@ func TestStressForestWorkers(t *testing.T) {
 }
 
 func TestStressMultistartWorkers(t *testing.T) {
-	sphere := func(x []float64) float64 {
+	sphere := func(x, grad []float64) float64 {
 		var s float64
-		for _, v := range x {
+		for i, v := range x {
 			s += (v - 0.4) * (v - 0.4)
+			grad[i] = 2 * (v - 0.4)
 		}
 		return s
 	}
 	b := optimize.UnitBox(4)
-	local := func(fn optimize.Objective, x0 []float64, bb optimize.Bounds) optimize.Result {
-		return optimize.LBFGSB(fn, nil, x0, bb, 40)
+	local := func(x0 []float64) optimize.Result {
+		return optimize.LBFGSB(sphere, x0, b, 40)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			r := optimize.Multistart(sphere, b, 12, nil, sample.NewRNG(uint64(g)), stressG, local)
+			r := optimize.Multistart(b, 12, nil, sample.NewRNG(uint64(g)), stressG, local)
 			if r.F > 1e-6 {
 				t.Errorf("goroutine %d: multistart min %v", g, r.F)
 			}
