@@ -44,7 +44,7 @@ race:
 # finite-difference probes it replaced, and engine Suggest across
 # training-set sizes, with allocation counts).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterSimRun|BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPFitARDScale|BenchmarkGPPredict|BenchmarkGPPredictBatch|BenchmarkBOSuggestScale|BenchmarkCholesky' -benchmem -benchtime 2x .
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterSimRun|BenchmarkForestTrain|BenchmarkPermImportance|BenchmarkMultistart|BenchmarkGPFitScale|BenchmarkGPPredict|BenchmarkGPPredictBatch|BenchmarkBOSuggestScale|BenchmarkCholesky' -benchmem -benchtime 2x .
 
 # Perf-harness smoke test: every bench/ workload at toy scale, plain and
 # traced, including its set-up repeatability and traced == plain hash

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/gp"
 	"repro/internal/sample"
 )
 
@@ -17,14 +16,9 @@ import (
 // the defaults of all the others.
 func TestZeroConfigIsDefault(t *testing.T) {
 	want := Config{
-		Portfolio: []Acquisition{PI{Xi: 0.01}, EI{Xi: 0.01}, LCB{Kappa: 1.96}},
-		Eta:       1,
-		GP: gp.Config{
-			Kernel:   gp.Matern52,
-			FitHyper: true,
-			Init:     gp.Params{LogVariance: 0, LogLength: math.Log(0.5), LogNoise: math.Log(1e-3)},
-			Restarts: 4,
-		},
+		Portfolio:     []Acquisition{PI{Xi: 0.01}, EI{Xi: 0.01}, LCB{Kappa: 1.96}},
+		Eta:           1,
+		GPRestarts:    4,
 		CandidatePool: 256,
 		Starts:        3,
 	}
@@ -385,7 +379,7 @@ func TestSurrogateReusesHyperparametersBetweenRefits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g1.Params().Equal(g2.Params()) {
+	if g1.Params() != g2.Params() {
 		t.Error("hyperparameters refit despite being within the reuse window")
 	}
 	if g2.N() != g1.N()+1 {

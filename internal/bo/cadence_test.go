@@ -35,8 +35,7 @@ func cadenceObjective(u []float64) float64 {
 // the clock instrumentation must not perturb a single suggestion.
 func TestRefitBudgetZeroMatchesFixedCadence(t *testing.T) {
 	mk := func(withClock bool) *Engine {
-		cfg := Config{Seed: 21, CandidatePool: 64, Starts: 1}
-		cfg.GP.Restarts = 1
+		cfg := Config{Seed: 21, CandidatePool: 64, Starts: 1, GPRestarts: 1}
 		if withClock {
 			cfg.Now = (&stepClock{t: time.Unix(0, 0), step: time.Second}).Now
 		}
@@ -83,8 +82,7 @@ func TestRefitBudgetZeroMatchesFixedCadence(t *testing.T) {
 // budget the engine must switch to incremental extensions until
 // enough wall clock accumulates, then refit again.
 func TestRefitBudgetCadence(t *testing.T) {
-	cfg := Config{Seed: 33, CandidatePool: 64, Starts: 1}
-	cfg.GP.Restarts = 1
+	cfg := Config{Seed: 33, CandidatePool: 64, Starts: 1, GPRestarts: 1}
 	cfg.RefitBudget = 0.1
 	cfg.Now = (&stepClock{t: time.Unix(0, 0), step: time.Second}).Now
 	e := New(3, cfg)
@@ -130,8 +128,7 @@ func TestRefitBudgetCadence(t *testing.T) {
 // surrogate past the threshold must be the bounded local-subset GP and
 // the cadence stats must surface it.
 func TestSparseEngineSurrogate(t *testing.T) {
-	cfg := Config{Seed: 9, CandidatePool: 64, Starts: 1}
-	cfg.GP.Restarts = 1
+	cfg := Config{Seed: 9, CandidatePool: 64, Starts: 1, GPRestarts: 1}
 	cfg.SparseThreshold = 16
 	e := New(4, cfg)
 	rng := sample.NewRNG(6)

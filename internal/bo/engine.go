@@ -39,11 +39,12 @@ type Config struct {
 	// Eta is the Hedge learning rate for the softmax over gains
 	// (default 1).
 	Eta float64
-	// GP configures the surrogate fit. The engine owns FitHyper: it
-	// searches the hyperparameters on its refit cadence and reuses
-	// them in between. A zero Init starts the search from gp's default
-	// and zero Restarts selects gp's default count.
-	GP gp.Config
+	// GPRestarts is the number of random restarts of each surrogate
+	// hyperparameter search (default 4). The engine builds the rest of
+	// the GP's configuration itself: it searches the hyperparameters on
+	// its refit cadence, from gp's default start, and reuses them in
+	// between.
+	GPRestarts int
 	// CandidatePool is the size of the LHS pool scored to seed the
 	// local optimizer (default 256).
 	CandidatePool int
@@ -159,20 +160,8 @@ func New(dim int, cfg Config) *Engine {
 	if cfg.Starts <= 0 {
 		cfg.Starts = 3
 	}
-	gpDefault := gp.DefaultConfig()
-	cfg.GP.FitHyper = true // Surrogate turns it off between refits
-	if cfg.GP.Init.Equal(gp.Params{}) {
-		cfg.GP.Init = gpDefault.Init
-	}
-	if cfg.GP.Restarts <= 0 {
-		cfg.GP.Restarts = gpDefault.Restarts
-	}
-	cfg.GP.Seed = cfg.Seed
-	if cfg.GP.Workers == 0 {
-		cfg.GP.Workers = cfg.Workers
-	}
-	if cfg.SparseThreshold > 0 {
-		cfg.GP.SparseThreshold = cfg.SparseThreshold
+	if cfg.GPRestarts <= 0 {
+		cfg.GPRestarts = gp.DefaultConfig().Restarts
 	}
 	now := cfg.Now
 	if now == nil {
@@ -365,7 +354,7 @@ func (e *Engine) Surrogate() (*gp.GP, error) {
 		return e.g, nil
 	}
 	const hyperRefitEvery = 5
-	cfg := e.cfg.GP
+	cfg := e.gpConfig()
 	reuseHyper := false
 	if e.hyperFitAtN > 0 {
 		if e.cfg.RefitBudget > 0 {
@@ -385,7 +374,7 @@ func (e *Engine) Surrogate() (*gp.GP, error) {
 		cfg.FitHyper = false
 		cfg.Init = e.lastHyper
 		if !e.cfg.DisableIncremental && e.g != nil && e.gN < len(e.x) &&
-			e.g.Params().Equal(e.lastHyper) {
+			e.g.Params() == e.lastHyper {
 			// Extend the cached factor by the new observations in
 			// O(n²) per point; the result is identical to a full
 			// refit at the same hyperparameters. Extend falls back
@@ -421,6 +410,17 @@ func (e *Engine) Surrogate() (*gp.GP, error) {
 	e.gN = len(e.x)
 	e.jitterRetries += g.JitterRetries()
 	return g, nil
+}
+
+// gpConfig is the surrogate fit the engine runs on a hyperparameter
+// refit; Surrogate turns FitHyper off in between.
+func (e *Engine) gpConfig() gp.Config {
+	cfg := gp.DefaultConfig()
+	cfg.Restarts = e.cfg.GPRestarts
+	cfg.Seed = e.cfg.Seed
+	cfg.Workers = e.cfg.Workers
+	cfg.SparseThreshold = e.cfg.SparseThreshold
+	return cfg
 }
 
 // RefitStats describes how the engine has been spending its surrogate

@@ -113,7 +113,7 @@ func TestSurrogateExtendsBetweenRefits(t *testing.T) {
 	if g1 == g0 {
 		t.Fatal("surrogate not refreshed after Tell")
 	}
-	if !g1.Params().Equal(g0.Params()) {
+	if g1.Params() != g0.Params() {
 		t.Fatal("extension changed hyperparameters inside the reuse window")
 	}
 	if g1.N() != g0.N()+1 {

@@ -35,16 +35,10 @@ func TestSuggestWorkersParity(t *testing.T) {
 }
 
 // TestWorkersPropagatesToGP asserts the engine forwards its worker
-// budget to the GP hyperparameter optimizer unless the GP sets its own.
+// budget to the GP hyperparameter optimizer.
 func TestWorkersPropagatesToGP(t *testing.T) {
 	e := New(2, Config{Workers: 4})
-	if e.cfg.GP.Workers != 4 {
-		t.Errorf("GP.Workers = %d, want 4", e.cfg.GP.Workers)
-	}
-	cfg := Config{Workers: 4}
-	cfg.GP.Workers = 2
-	e = New(2, cfg)
-	if e.cfg.GP.Workers != 2 {
-		t.Errorf("explicit GP.Workers overridden: %d, want 2", e.cfg.GP.Workers)
+	if w := e.gpConfig().Workers; w != 4 {
+		t.Errorf("GP Workers = %d, want 4", w)
 	}
 }

@@ -2,7 +2,10 @@ package bo
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/sample"
 )
 
 // TestTellRejectsNonFinite: NaN/Inf observations must be refused at
@@ -63,5 +66,38 @@ func TestJitterRetriesMonotone(t *testing.T) {
 	}
 	if dup.JitterRetries() < first {
 		t.Fatalf("retry counter decreased: %d -> %d", first, dup.JitterRetries())
+	}
+}
+
+// panicAfter scores as EI for its first n calls and panics after.
+type panicAfter struct {
+	EI
+	n     int64
+	calls atomic.Int64
+}
+
+func (a *panicAfter) Score(mu, sigma, fBest float64) (score, dMu, dSigma float64) {
+	if a.calls.Add(1) > a.n {
+		panic("acquisition failed")
+	}
+	return a.EI.Score(mu, sigma, fBest)
+}
+
+// TestSuggestOrRecoversWorkerPanic: an acquisition that panics only
+// after the serial scoring of the 40-point candidate pool, inside the
+// multistart, reaches SuggestOr's recover at every worker count and
+// counts as one fallback.
+func TestSuggestOrRecoversWorkerPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		acq := &panicAfter{EI: EI{Xi: 0.01}, n: 40}
+		e := New(2, Config{Seed: 5, Workers: workers, CandidatePool: 32, Portfolio: []Acquisition{acq}})
+		seedEngine(e, 8, 5)
+		u, fellBack := e.SuggestOr(sample.NewRNG(1))
+		if !fellBack || len(u) != 2 {
+			t.Errorf("workers=%d: SuggestOr = %v, fellBack %v; want a uniform fallback", workers, u, fellBack)
+		}
+		if calls := acq.calls.Load(); calls <= acq.n {
+			t.Errorf("workers=%d: %d scores, the multistart never ran", workers, calls)
+		}
 	}
 }

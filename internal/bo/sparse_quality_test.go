@@ -43,8 +43,7 @@ func TestSparseQualityRegression(t *testing.T) {
 		budget = 60
 	)
 	run := func(f func([]float64) float64, sparse bool) float64 {
-		cfg := Config{Seed: 17, CandidatePool: 96, Starts: 1}
-		cfg.GP.Restarts = 1
+		cfg := Config{Seed: 17, CandidatePool: 96, Starts: 1, GPRestarts: 1}
 		if sparse {
 			cfg.SparseThreshold = 24
 		}

@@ -103,12 +103,11 @@ type pod struct {
 	evictions int
 }
 
+// running is a placed pod; its demands and priority are its job's.
 type running struct {
 	job, idx  int
 	node      int
 	end       float64
-	cpu, mem  float64
-	priority  int
 	placedAt  float64
 	evictions int
 	oomAt     float64 // spurious-OOM kill time; 0 = none
@@ -326,8 +325,7 @@ func simulate(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faultSc
 			nodes[ni].cpu += j.CPU
 			nodes[ni].mem += j.MemGB
 			r := running{job: pd.job, idx: pd.idx, node: ni, end: t + d,
-				cpu: j.CPU, mem: j.MemGB, priority: j.Priority, placedAt: t,
-				evictions: pd.evictions}
+				placedAt: t, evictions: pd.evictions}
 			// Memory pressure past physical capacity OOM-kills the
 			// newcomer; three strikes fail the run.
 			if nodes[ni].mem > w.NodeMemGB*1.2 {
@@ -484,7 +482,7 @@ func preemptFor(nodes []node, run *[]running, w *Workload, p *policy, j *Job, t 
 		// Newest-first batch victims on this node.
 		victims = victims[:0]
 		for ri := range *run {
-			if r := &(*run)[ri]; r.node == ni && r.priority == 0 {
+			if r := &(*run)[ri]; r.node == ni && w.Jobs[r.job].Priority == 0 {
 				victims = append(victims, ri)
 			}
 		}
@@ -500,8 +498,9 @@ func preemptFor(nodes []node, run *[]running, w *Workload, p *policy, j *Job, t 
 			if cpu+j.CPU <= w.NodeCPU*p.ocCPU && mem+j.MemGB <= w.NodeMemGB*p.ocMem {
 				break
 			}
-			cpu -= (*run)[ri].cpu
-			mem -= (*run)[ri].mem
+			victim := &w.Jobs[(*run)[ri].job]
+			cpu -= victim.CPU
+			mem -= victim.MemGB
 			take++
 		}
 		if cpu+j.CPU > w.NodeCPU*p.ocCPU || mem+j.MemGB > w.NodeMemGB*p.ocMem {

@@ -342,8 +342,7 @@ func simulateRef(w Workload, c conf.Config, rng *rand.Rand, cap float64, fs faul
 			}
 			nodes[ni].cpu += j.CPU
 			nodes[ni].mem += j.MemGB
-			r := running{job: pd.job, idx: pd.idx, node: ni, end: t + d,
-				cpu: j.CPU, mem: j.MemGB, priority: j.Priority, placedAt: t,
+			r := running{job: pd.job, idx: pd.idx, node: ni, end: t + d, placedAt: t,
 				evictions: pd.evictions}
 			// Memory pressure past physical capacity OOM-kills the
 			// newcomer; three strikes fail the run.
@@ -462,7 +461,7 @@ func preemptForRef(nodes []node, run *[]running, w Workload, p policy, j Job, t 
 		// Newest-first batch victims on this node.
 		var victims []int
 		for ri, r := range *run {
-			if r.node == ni && r.priority == 0 {
+			if r.node == ni && w.Jobs[r.job].Priority == 0 {
 				victims = append(victims, ri)
 			}
 		}
@@ -478,8 +477,8 @@ func preemptForRef(nodes []node, run *[]running, w Workload, p policy, j Job, t 
 			if cpu+j.CPU <= w.NodeCPU*p.ocCPU && mem+j.MemGB <= w.NodeMemGB*p.ocMem {
 				break
 			}
-			cpu -= (*run)[ri].cpu
-			mem -= (*run)[ri].mem
+			cpu -= w.Jobs[(*run)[ri].job].CPU
+			mem -= w.Jobs[(*run)[ri].job].MemGB
 			take = append(take, ri)
 		}
 		if cpu+j.CPU > w.NodeCPU*p.ocCPU || mem+j.MemGB > w.NodeMemGB*p.ocMem {

@@ -37,7 +37,7 @@ func crashStressSetup() resumeSetup {
 	o.PermuteRepeats = 8
 	o.BO.CandidatePool = 256
 	o.BO.Starts = 4
-	o.BO.GP.Restarts = 3
+	o.BO.GPRestarts = 3
 	return resumeSetup{opts: o, space: conf.SparkSpace(), faults: true, retries: 1, budget: 80, seed: 97}
 }
 

@@ -25,7 +25,7 @@ func fastOptions() Options {
 	o.PermuteRepeats = 3
 	o.BO.CandidatePool = 64
 	o.BO.Starts = 1
-	o.BO.GP.Restarts = 1
+	o.BO.GPRestarts = 1
 	return o
 }
 
@@ -213,7 +213,7 @@ func TestPartialBOConfigKeepsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Params().Equal(gp.Params{}) {
+	if g.Params() == (gp.Params{}) {
 		t.Errorf("surrogate runs at the zero hyperparameters %+v", g.Params())
 	}
 }

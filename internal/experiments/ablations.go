@@ -114,9 +114,7 @@ func Ablations(cfg Config) AblationResult {
 
 // rawBOQuality runs plain BO over all 44 dimensions.
 func rawBOQuality(cfg Config, space *conf.Space, ev sparkEval, budget int, seed uint64) float64 {
-	ecfg := bo.Config{Seed: seed, CandidatePool: 128, Starts: 1}
-	ecfg.GP.Restarts = 1
-	engine := bo.New(space.Dim(), ecfg)
+	engine := bo.New(space.Dim(), bo.Config{Seed: seed, CandidatePool: 128, Starts: 1, GPRestarts: 1})
 	rng := sample.NewRNG(seed)
 	best := math.Inf(1)
 	var bestCfg conf.Config

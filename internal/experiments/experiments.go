@@ -101,7 +101,7 @@ func (c Config) robotuneOptions() core.Options {
 		o.Forest.Trees = 60
 		o.BO.CandidatePool = 128
 		o.BO.Starts = 1
-		o.BO.GP.Restarts = 1
+		o.BO.GPRestarts = 1
 	}
 	return o
 }

@@ -7,12 +7,12 @@
 // bounds are scale-free.
 //
 // The fit is the BO engine's per-iteration bottleneck, so the package
-// keeps a fast path through the likelihood search: squared pairwise
-// differences are precomputed once per Fit (they depend only on the
-// data, not the hyperparameters), length-scale and variance
-// exponentials are hoisted out of the per-pair kernel loops, and the
-// kernel/Cholesky/solve buffers are pooled across the hundreds of
-// likelihood evaluations a multistart performs. Posterior updates
+// keeps a fast path through the likelihood search: pairwise distances
+// are precomputed once per Fit (they depend only on the data, not the
+// hyperparameters), length-scale and variance exponentials are hoisted
+// out of the per-pair kernel loops, and the kernel/Cholesky/solve
+// buffers are pooled across the hundreds of likelihood evaluations a
+// multistart performs. Posterior updates
 // that keep the hyperparameters fixed can extend a cached Cholesky
 // factor in O(n²) via Extend instead of refitting in O(n³).
 // PredictBatchInto forward-solves four points per pass over the factor
@@ -34,85 +34,27 @@ import (
 	"repro/internal/stats"
 )
 
-// KernelKind selects the covariance family.
-type KernelKind int
-
-const (
-	// Matern52 is the Matérn ν=5/2 kernel preferred for practical
-	// functions (§4, citing CherryPick and Snoek et al.).
-	Matern52 KernelKind = iota
-	// RBF is the squared-exponential kernel, retained for ablations.
-	RBF
-)
-
 // Params are kernel hyperparameters in log space.
 type Params struct {
 	LogVariance float64 // signal variance σ_f²
-	LogLength   float64 // isotropic length scale ℓ
-	// LogLengths, when non-empty, gives per-dimension length scales
-	// (ARD — automatic relevance determination) and overrides
-	// LogLength. Inert dimensions get long scales, letting the GP
-	// ignore them.
-	LogLengths []float64
-	LogNoise   float64 // white-noise variance σ_n²
-}
-
-// Equal reports parameter equality (Params contains a slice, so ==
-// is unavailable).
-func (p Params) Equal(q Params) bool {
-	if p.LogVariance != q.LogVariance || p.LogLength != q.LogLength || p.LogNoise != q.LogNoise {
-		return false
-	}
-	if len(p.LogLengths) != len(q.LogLengths) {
-		return false
-	}
-	for i := range p.LogLengths {
-		if p.LogLengths[i] != q.LogLengths[i] {
-			return false
-		}
-	}
-	return true
+	LogLength   float64 // length scale ℓ
+	LogNoise    float64 // white-noise variance σ_n²
 }
 
 // resolved caches the exponentials of one Params value so the per-pair
-// kernel loops never call math.Exp: the signal variance, the noise
-// variance, the isotropic length scale, and for ARD the per-dimension
-// inverse squared length scales.
+// kernel loops never call math.Exp.
 type resolved struct {
-	variance float64   // exp(LogVariance)
-	noise    float64   // exp(LogNoise)
-	length   float64   // exp(LogLength); isotropic path only
-	weights  []float64 // 1/exp(LogLengths[i])² per dimension; nil = isotropic
+	variance float64 // exp(LogVariance)
+	noise    float64 // exp(LogNoise)
+	length   float64 // exp(LogLength)
 }
 
-// resolveInto hoists p's exponentials, reusing buf for the ARD weights
-// when it has capacity.
-func resolveInto(p Params, buf []float64) resolved {
-	rk := resolved{variance: math.Exp(p.LogVariance), noise: math.Exp(p.LogNoise)}
-	if len(p.LogLengths) > 0 {
-		if cap(buf) < len(p.LogLengths) {
-			buf = make([]float64, len(p.LogLengths))
-		}
-		buf = buf[:len(p.LogLengths)]
-		for i, ll := range p.LogLengths {
-			il := 1 / math.Exp(ll)
-			buf[i] = il * il
-		}
-		rk.weights = buf
-	} else {
-		rk.length = math.Exp(p.LogLength)
-	}
-	return rk
+func resolve(p Params) resolved {
+	return resolved{variance: math.Exp(p.LogVariance), noise: math.Exp(p.LogNoise), length: math.Exp(p.LogLength)}
 }
 
 // Config controls GP fitting.
 type Config struct {
-	Kernel KernelKind
-	// ARD fits a separate length scale per input dimension instead of
-	// one isotropic scale. More hyperparameters to optimize (slower
-	// fits), but anisotropic objectives — where some selected
-	// parameters matter far more than others — are modeled better.
-	ARD bool
 	// FitHyper enables marginal-likelihood hyperparameter search
 	// (multistart Nelder-Mead); when false, Init is used as-is.
 	FitHyper bool
@@ -142,7 +84,6 @@ type Config struct {
 // engine.
 func DefaultConfig() Config {
 	return Config{
-		Kernel:   Matern52,
 		FitHyper: true,
 		Init:     Params{LogVariance: 0, LogLength: math.Log(0.5), LogNoise: math.Log(1e-3)},
 		Restarts: 4,
@@ -306,16 +247,10 @@ func Fit(x [][]float64, y []float64, cfg Config) (*GP, error) {
 		g.yNorm[i] = (v - g.yMean) / g.yStd
 	}
 
-	// The squared-difference cache depends only on the data, so one
-	// build serves every likelihood evaluation of the hyperparameter
-	// search and the final factorization. Its shape follows the
-	// parameter shape actually evaluated: the search's (cfg.ARD) when
-	// fitting, Init's when the hyperparameters are fixed.
-	ard := cfg.ARD
-	if !cfg.FitHyper {
-		ard = len(cfg.Init.LogLengths) > 0
-	}
-	cache := newDistCache(x, ard)
+	// The distance cache depends only on the data, so one build serves
+	// every likelihood evaluation of the hyperparameter search and the
+	// final factorization.
+	cache := newDistCache(x)
 
 	if cfg.FitHyper {
 		g.params = g.optimizeHyper(cfg, cache)
@@ -328,39 +263,25 @@ func Fit(x [][]float64, y []float64, cfg Config) (*GP, error) {
 	return g, nil
 }
 
-// hyperBounds are log-space search boxes for (variance, length,
+// hyperBounds is the log-space search box for (variance, length,
 // noise) on normalized targets in the unit cube.
 var hyperBounds = optimize.Bounds{
 	Lo: []float64{math.Log(1e-2), math.Log(5e-2), math.Log(1e-7)},
 	Hi: []float64{math.Log(1e2), math.Log(1e1), math.Log(1e0)},
 }
 
+// hyperEvals caps each Nelder-Mead run of the likelihood search.
+const hyperEvals = 310
+
 // lmlScratch is one worker's reusable buffers for likelihood
-// evaluations: kernel matrix, Cholesky factor, solve vector, and the
-// unpacked/resolved hyperparameter slices.
+// evaluations: kernel matrix, Cholesky factor and solve vector.
 type lmlScratch struct {
-	k       *linalg.Matrix
-	chol    *linalg.Matrix
-	v       []float64
-	weights []float64
-	logLens []float64
+	k    *linalg.Matrix
+	chol *linalg.Matrix
+	v    []float64
 }
 
 func (g *GP) optimizeHyper(cfg Config, cache *distCache) Params {
-	d := len(g.x[0])
-	nLen := 1
-	if cfg.ARD {
-		nLen = d
-	}
-	unpack := func(v []float64) Params {
-		p := Params{LogVariance: v[0], LogNoise: v[1+nLen]}
-		if cfg.ARD {
-			p.LogLengths = append([]float64(nil), v[1:1+nLen]...)
-		} else {
-			p.LogLength = v[1]
-		}
-		return p
-	}
 	// The multistart evaluates the objective concurrently, so each
 	// in-flight evaluation borrows a scratch set from a pool instead
 	// of allocating kernel and factor matrices afresh (the naive path
@@ -369,160 +290,70 @@ func (g *GP) optimizeHyper(cfg Config, cache *distCache) Params {
 	pool := sync.Pool{New: func() any { return &lmlScratch{} }}
 	obj := func(v []float64) float64 {
 		s := pool.Get().(*lmlScratch)
-		p := Params{LogVariance: v[0], LogNoise: v[1+nLen]}
-		if cfg.ARD {
-			if cap(s.logLens) < nLen {
-				s.logLens = make([]float64, nLen)
-			}
-			p.LogLengths = s.logLens[:nLen]
-			copy(p.LogLengths, v[1:1+nLen])
-		} else {
-			p.LogLength = v[1]
-		}
-		lml, ok := g.logMarginalCached(p, cache, s)
+		lml, ok := g.logMarginalCached(Params{LogVariance: v[0], LogLength: v[1], LogNoise: v[2]}, cache, s)
 		pool.Put(s)
 		if !ok || math.IsNaN(lml) {
 			return 1e10
 		}
 		return -lml
 	}
-	bounds := optimize.Bounds{
-		Lo: make([]float64, 2+nLen),
-		Hi: make([]float64, 2+nLen),
-	}
-	bounds.Lo[0], bounds.Hi[0] = hyperBounds.Lo[0], hyperBounds.Hi[0]
-	for i := 0; i < nLen; i++ {
-		bounds.Lo[1+i], bounds.Hi[1+i] = hyperBounds.Lo[1], hyperBounds.Hi[1]
-	}
-	bounds.Lo[1+nLen], bounds.Hi[1+nLen] = hyperBounds.Lo[2], hyperBounds.Hi[2]
-
-	seed := make([]float64, 2+nLen)
-	seed[0] = cfg.Init.LogVariance
-	for i := 0; i < nLen; i++ {
-		seed[1+i] = cfg.Init.LogLength
-		if len(cfg.Init.LogLengths) == nLen {
-			seed[1+i] = cfg.Init.LogLengths[i]
-		}
-	}
-	seed[1+nLen] = cfg.Init.LogNoise
-
+	seed := []float64{cfg.Init.LogVariance, cfg.Init.LogLength, cfg.Init.LogNoise}
 	rng := sample.NewRNG(cfg.Seed ^ 0x5ca1ab1e)
-	budget := 250 + 60*nLen
-	res := optimize.Multistart(bounds, cfg.Restarts, [][]float64{seed}, rng, cfg.Workers,
+	res := optimize.Multistart(hyperBounds, cfg.Restarts, [][]float64{seed}, rng, cfg.Workers,
 		func(x0 []float64) optimize.Result {
-			return optimize.NelderMead(obj, x0, bounds, budget)
+			return optimize.NelderMead(obj, x0, hyperBounds, hyperEvals)
 		})
-	return unpack(res.X)
+	return Params{LogVariance: res.X[0], LogLength: res.X[1], LogNoise: res.X[2]}
 }
 
-// kernelResolved evaluates the covariance with pre-hoisted
-// exponentials: no math.Exp in the pairwise loop.
-func (g *GP) kernelResolved(rk *resolved, a, b []float64) float64 {
-	return kernelShape(g.cfg.Kernel, rk.variance, rk.dist(a, b))
+// kernel evaluates the covariance between a and b (without the
+// white-noise term, which only applies on the diagonal).
+func (rk *resolved) kernel(a, b []float64) float64 {
+	return matern(dist(a, b)/rk.length, rk.variance)
 }
 
-// dist is the length-scaled distance r between a and b.
-func (rk *resolved) dist(a, b []float64) float64 {
+// dist is the Euclidean distance between a and b, accumulated in
+// dimension order.
+func dist(a, b []float64) float64 {
 	var sq float64
-	if rk.weights != nil {
-		for i := range a {
-			d := a[i] - b[i]
-			sq += (d * d) * rk.weights[i]
-		}
-		return math.Sqrt(sq)
-	}
 	for i := range a {
 		d := a[i] - b[i]
 		sq += d * d
 	}
-	return math.Sqrt(sq) / rk.length
+	return math.Sqrt(sq)
 }
 
-// weight is dimension j's inverse squared length scale w_j, with
-// r² = Σ_j w_j·(a_j − b_j)².
-func (rk *resolved) weight(j int) float64 {
-	if rk.weights != nil {
-		return rk.weights[j]
-	}
-	return 1 / (rk.length * rk.length)
+// matern is the Matérn 5/2 kernel at length-scaled distance r. With r
+// first, resolved.kernel takes its square root in place, not into a
+// register that still holds the previous call's exponential.
+func matern(r, variance float64) float64 {
+	s5 := math.Sqrt(5) * r
+	return variance * (1 + s5 + 5*r*r/3) * math.Exp(-s5)
 }
 
-// kernelShape applies the stationary kernel form to a scaled distance.
-func kernelShape(kind KernelKind, variance, r float64) float64 {
-	switch kind {
-	case RBF:
-		return variance * math.Exp(-0.5*r*r)
-	default: // Matern52
-		s5 := math.Sqrt(5) * r
-		return variance * (1 + s5 + 5*r*r/3) * math.Exp(-s5)
-	}
-}
-
-// kernelShapeGrad is kernelShape, bit for bit, that also returns
+// maternGrad is matern, bit for bit, that also returns
 // c = (dk/dr)/r from the same exponential, so that
-// ∂k(t, x)/∂x_j = c·w_j·(x_j − t_j). c stays finite at r = 0: −σ_f²
-// for RBF, −(5/3)·σ_f² for Matérn 5/2.
-func kernelShapeGrad(kind KernelKind, variance, r float64) (k, c float64) {
-	switch kind {
-	case RBF:
-		k = variance * math.Exp(-0.5*r*r)
-		return k, -k
-	default: // Matern52
-		s5 := math.Sqrt(5) * r
-		e := math.Exp(-s5)
-		return variance * (1 + s5 + 5*r*r/3) * e, -5.0 / 3 * variance * (1 + s5) * e
-	}
+// ∂k(t, x)/∂x_j = c·(x_j − t_j)/ℓ². c stays finite at r = 0: −(5/3)·σ_f².
+func maternGrad(r, variance float64) (k, c float64) {
+	s5 := math.Sqrt(5) * r
+	e := math.Exp(-s5)
+	return variance * (1 + s5 + 5*r*r/3) * e, -5.0 / 3 * variance * (1 + s5) * e
 }
 
-// distCache precomputes the squared pairwise differences of the
-// training inputs, packed over the upper triangle (i <= j, row-major
-// cursor order). The isotropic cache stores the total squared
-// distance per pair; the ARD cache stores per-dimension squared
-// differences (pair-major) so any length-scale vector can be applied
-// with one multiply-add per dimension.
+// distCache precomputes the pairwise distances of the training inputs,
+// packed over the upper triangle (i <= j, row-major cursor order).
 type distCache struct {
-	n, d  int
-	m     int       // n*(n+1)/2 packed pairs
-	sqIso []float64 // [m] Σ_k (x_i[k]-x_j[k])²; isotropic only
-	sqDim []float64 // [m*d] (x_i[k]-x_j[k])² at t*d+k; ARD only
+	n    int
+	dist []float64 // [n(n+1)/2] ‖x_i − x_j‖
 }
 
-func newDistCache(x [][]float64, ard bool) *distCache {
+func newDistCache(x [][]float64) *distCache {
 	n := len(x)
-	d := len(x[0])
-	c := &distCache{n: n, d: d, m: n * (n + 1) / 2}
-	if ard {
-		c.sqDim = make([]float64, c.m*d)
-		t := 0
-		for i := 0; i < n; i++ {
-			xi := x[i]
-			for j := i; j < n; j++ {
-				xj := x[j]
-				row := c.sqDim[t*d : t*d+d]
-				for k := range row {
-					dv := xi[k] - xj[k]
-					row[k] = dv * dv
-				}
-				t++
-			}
-		}
-		return c
-	}
-	c.sqIso = make([]float64, c.m)
+	c := &distCache{n: n, dist: make([]float64, n*(n+1)/2)}
 	t := 0
-	for i := 0; i < n; i++ {
-		xi := x[i]
-		for j := i; j < n; j++ {
-			xj := x[j]
-			// Accumulate in dimension order, matching kernelResolved
-			// exactly so cached and direct evaluations are
-			// bit-identical.
-			var sq float64
-			for k := range xi {
-				dv := xi[k] - xj[k]
-				sq += dv * dv
-			}
-			c.sqIso[t] = sq
+	for i, xi := range x {
+		for _, xj := range x[i:] {
+			c.dist[t] = dist(xi, xj)
 			t++
 		}
 	}
@@ -530,25 +361,15 @@ func newDistCache(x [][]float64, ard bool) *distCache {
 }
 
 // kernelMatrixInto fills k with the covariance matrix (plus the
-// white-noise diagonal) from the cached squared differences — no
-// subtraction and no math.Exp in the O(n²) pair loop.
+// white-noise diagonal) from the cached distances: no subtraction, no
+// square root and no math.Exp of a hyperparameter in the O(n²) pair
+// loop.
 func (g *GP) kernelMatrixInto(rk *resolved, c *distCache, k *linalg.Matrix) {
 	n := c.n
 	t := 0
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			var r float64
-			if rk.weights != nil {
-				row := c.sqDim[t*c.d : t*c.d+c.d]
-				var sq float64
-				for kk, w := range rk.weights {
-					sq += row[kk] * w
-				}
-				r = math.Sqrt(sq)
-			} else {
-				r = math.Sqrt(c.sqIso[t]) / rk.length
-			}
-			v := kernelShape(g.cfg.Kernel, rk.variance, r)
+			v := matern(c.dist[t]/rk.length, rk.variance)
 			if i == j {
 				v += rk.noise
 			}
@@ -576,10 +397,7 @@ func (g *GP) logMarginalCached(p Params, c *distCache, s *lmlScratch) (float64, 
 		s.k = linalg.NewMatrix(n, n)
 		s.chol = nil
 	}
-	rk := resolveInto(p, s.weights)
-	if rk.weights != nil {
-		s.weights = rk.weights
-	}
+	rk := resolve(p)
 	g.kernelMatrixInto(&rk, c, s.k)
 	chol, _, err := linalg.CholeskyInto(s.chol, s.k, jitterStart, jitterMaxTries)
 	if err != nil {
@@ -618,7 +436,7 @@ func jitterTriesFor(jitter float64) int {
 // a second time just to report it.
 func (g *GP) factorize(p Params, c *distCache) error {
 	n := len(g.x)
-	rk := resolveInto(p, nil)
+	rk := resolve(p)
 	k := linalg.NewMatrix(n, n)
 	g.kernelMatrixInto(&rk, c, k)
 	// The final factorization is the one place worth spreading the
@@ -706,9 +524,9 @@ func (g *GP) Extend(x [][]float64, y []float64) (*GP, error) {
 	for m := len(ax) - (n - n0); m < len(ax); m++ {
 		kvec := make([]float64, m)
 		for i := 0; i < m; i++ {
-			kvec[i] = g.kernelResolved(&g.rk, ax[i], ax[m])
+			kvec[i] = g.rk.kernel(ax[i], ax[m])
 		}
-		diag := g.kernelResolved(&g.rk, ax[m], ax[m]) + g.rk.noise
+		diag := g.rk.kernel(ax[m], ax[m]) + g.rk.noise
 		next, err := linalg.CholAppend(chol, kvec, diag, g.jitter)
 		if err != nil {
 			// Near-singular extension: refit from scratch so the
@@ -818,8 +636,14 @@ func (g *GP) PredictGradInto(s *PredictScratch, x, dmu, dvar []float64) (mu, var
 	}
 	s.grow(len(g.x))
 	ks, c, v, kinv := s.ks[0], s.ks[1], s.v[0], s.v[1]
+	// The distances take a pass of their own: fused into the kernel
+	// pass, the square root waits on the previous iteration's
+	// exponential for its destination register.
 	for i, t := range g.x {
-		ks[i], c[i] = kernelShapeGrad(g.cfg.Kernel, g.rk.variance, g.rk.dist(t, x))
+		c[i] = dist(t, x) / g.rk.length
+	}
+	for i, r := range c {
+		ks[i], c[i] = maternGrad(r, g.rk.variance)
 	}
 	linalg.SolveLowerInto(g.chol, ks, v)
 	mu, variance = g.posterior(x, ks, v)
@@ -840,8 +664,8 @@ func (g *GP) PredictGradInto(s *PredictScratch, x, dmu, dvar []float64) (mu, var
 	if variance == 0 {
 		varScale = 0
 	}
+	w := 1 / (g.rk.length * g.rk.length)
 	for j := range dmu {
-		w := g.rk.weight(j)
 		dmu[j] *= muScale * w
 		dvar[j] *= varScale * w
 	}
@@ -852,7 +676,7 @@ func (g *GP) PredictGradInto(s *PredictScratch, x, dmu, dvar []float64) (mu, var
 // points and x, and returns it.
 func (g *GP) kernelVecInto(x, ks []float64) []float64 {
 	for i := range ks {
-		ks[i] = g.kernelResolved(&g.rk, g.x[i], x)
+		ks[i] = g.rk.kernel(g.x[i], x)
 	}
 	return ks
 }
@@ -861,7 +685,7 @@ func (g *GP) kernelVecInto(x, ks []float64) []float64 {
 // forward solve v = L⁻¹ks, in the original target scale.
 func (g *GP) posterior(x, ks, v []float64) (mu, variance float64) {
 	muN := linalg.Dot(ks, g.alpha)
-	varN := g.kernelResolved(&g.rk, x, x) - linalg.Dot(v, v)
+	varN := g.rk.kernel(x, x) - linalg.Dot(v, v)
 	if varN < 0 {
 		varN = 0
 	}

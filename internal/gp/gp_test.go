@@ -152,37 +152,21 @@ func TestMultiDim(t *testing.T) {
 	}
 }
 
-func TestRBFKernelOption(t *testing.T) {
-	xs, ys := grid1d(12)
-	cfg := DefaultConfig()
-	cfg.Kernel = RBF
-	g, err := Fit(xs, ys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, _ := g.Predict([]float64{0.5})
-	if math.Abs(mu-smooth1d(0.5)) > 0.1 {
-		t.Errorf("RBF GP mu=%v want %v", mu, smooth1d(0.5))
-	}
-}
-
 func TestFixedHyperparameters(t *testing.T) {
 	xs, ys := grid1d(8)
-	cfg := Config{Kernel: Matern52, FitHyper: false,
-		Init: Params{LogVariance: 0, LogLength: math.Log(0.3), LogNoise: math.Log(1e-4)}}
+	cfg := Config{Init: Params{LogVariance: 0, LogLength: math.Log(0.3), LogNoise: math.Log(1e-4)}}
 	g, err := Fit(xs, ys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Params().Equal(cfg.Init) {
+	if g.Params() != cfg.Init {
 		t.Errorf("params changed despite FitHyper=false: %+v", g.Params())
 	}
 }
 
 func TestHyperFitImprovesLML(t *testing.T) {
 	xs, ys := grid1d(15)
-	bad := Config{Kernel: Matern52, FitHyper: false,
-		Init: Params{LogVariance: math.Log(50), LogLength: math.Log(5), LogNoise: math.Log(0.5)}}
+	bad := Config{Init: Params{LogVariance: math.Log(50), LogLength: math.Log(5), LogNoise: math.Log(0.5)}}
 	gBad, err := Fit(xs, ys, bad)
 	if err != nil {
 		t.Fatal(err)
@@ -263,71 +247,7 @@ func TestDeterministicFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Params().Equal(b.Params()) {
+	if a.Params() != b.Params() {
 		t.Error("same seed produced different hyperparameters")
-	}
-}
-
-func TestARDLearnsRelevance(t *testing.T) {
-	// Anisotropic target: only dimension 0 matters. ARD should learn
-	// a much longer length scale for the inert dimension and fit
-	// held-out data at least as well as the isotropic model.
-	rng := sample.NewRNG(7)
-	n := 50
-	xs := make([][]float64, n)
-	ys := make([]float64, n)
-	f := func(x []float64) float64 { return math.Sin(6 * x[0]) }
-	for i := 0; i < n; i++ {
-		xs[i] = []float64{rng.Float64(), rng.Float64()}
-		ys[i] = f(xs[i])
-	}
-	iso := DefaultConfig()
-	ard := DefaultConfig()
-	ard.ARD = true
-	gIso, err := Fit(xs, ys, iso)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gArd, err := Fit(xs, ys, ard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gArd.Params().LogLengths) != 2 {
-		t.Fatalf("ARD length scales: %v", gArd.Params().LogLengths)
-	}
-	// The inert dimension's scale should be longer than the active one's.
-	ls := gArd.Params().LogLengths
-	if ls[1] <= ls[0] {
-		t.Errorf("inert dim scale %v should exceed active dim scale %v", ls[1], ls[0])
-	}
-	// Held-out error comparison.
-	var mseIso, mseArd float64
-	for k := 0; k < 40; k++ {
-		p := []float64{rng.Float64(), rng.Float64()}
-		mi, _ := gIso.Predict(p)
-		ma, _ := gArd.Predict(p)
-		mseIso += (mi - f(p)) * (mi - f(p))
-		mseArd += (ma - f(p)) * (ma - f(p))
-	}
-	if mseArd > mseIso*1.5 {
-		t.Errorf("ARD MSE %v should not be materially worse than isotropic %v", mseArd/40, mseIso/40)
-	}
-}
-
-func TestARDFixedHyper(t *testing.T) {
-	xs := [][]float64{{0.1, 0.2}, {0.5, 0.9}, {0.9, 0.3}, {0.3, 0.7}}
-	ys := []float64{1, 2, 3, 2.5}
-	cfg := Config{Kernel: Matern52, FitHyper: false,
-		Init: Params{LogVariance: 0, LogLengths: []float64{math.Log(0.5), math.Log(2)}, LogNoise: math.Log(1e-4)}}
-	g, err := Fit(xs, ys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Params().Equal(cfg.Init) {
-		t.Errorf("fixed ARD params changed: %+v", g.Params())
-	}
-	mu, v := g.Predict([]float64{0.1, 0.2})
-	if math.Abs(mu-1) > 0.1 || v < 0 {
-		t.Errorf("ARD prediction mu=%v v=%v", mu, v)
 	}
 }

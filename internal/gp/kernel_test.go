@@ -9,38 +9,32 @@ import (
 	"repro/internal/sample"
 )
 
-// TestKernelSymmetryProperty: k(a,b) == k(b,a) for both kernels.
+// TestKernelSymmetryProperty: k(a,b) == k(b,a).
 func TestKernelSymmetryProperty(t *testing.T) {
-	for _, kind := range []KernelKind{Matern52, RBF} {
-		g := &GP{cfg: Config{Kernel: kind}}
-		p := Params{LogVariance: 0.3, LogLength: -0.5}
-		f := func(seed uint64) bool {
-			rng := sample.NewRNG(seed)
-			a := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			b := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-			return math.Abs(g.kernel(p, a, b)-g.kernel(p, b, a)) < 1e-14
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("kind %v: %v", kind, err)
-		}
+	p := Params{LogVariance: 0.3, LogLength: -0.5}
+	f := func(seed uint64) bool {
+		rng := sample.NewRNG(seed)
+		a := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		b := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		return math.Abs(kernel(p, a, b)-kernel(p, b, a)) < 1e-14
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestKernelDiagonalDominance: k(x,x) >= k(x,y) for stationary
-// kernels with positive variance.
+// TestKernelDiagonalDominance: k(x,x) >= k(x,y) for a stationary
+// kernel with positive variance.
 func TestKernelDiagonalDominance(t *testing.T) {
-	for _, kind := range []KernelKind{Matern52, RBF} {
-		g := &GP{cfg: Config{Kernel: kind}}
-		p := Params{LogVariance: 0, LogLength: math.Log(0.4)}
-		f := func(seed uint64) bool {
-			rng := sample.NewRNG(seed)
-			x := []float64{rng.Float64(), rng.Float64()}
-			y := []float64{rng.Float64(), rng.Float64()}
-			return g.kernel(p, x, x) >= g.kernel(p, x, y)-1e-12
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("kind %v: %v", kind, err)
-		}
+	p := Params{LogVariance: 0, LogLength: math.Log(0.4)}
+	f := func(seed uint64) bool {
+		rng := sample.NewRNG(seed)
+		x := []float64{rng.Float64(), rng.Float64()}
+		y := []float64{rng.Float64(), rng.Float64()}
+		return kernel(p, x, x) >= kernel(p, x, y)-1e-12
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -54,7 +48,7 @@ func TestKernelMatrixPSDProperty(t *testing.T) {
 		for i := range x {
 			x[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		}
-		g := &GP{cfg: Config{Kernel: Matern52}, x: x}
+		g := &GP{x: x}
 		k := g.kernelMatrix(Params{LogVariance: 0, LogLength: math.Log(0.5), LogNoise: math.Log(1e-4)})
 		_, _, err := linalg.Cholesky(k, 1e-10, 8)
 		return err == nil
@@ -66,12 +60,11 @@ func TestKernelMatrixPSDProperty(t *testing.T) {
 
 // TestKernelDistanceDecay: covariance decreases with distance.
 func TestKernelDistanceDecay(t *testing.T) {
-	g := &GP{cfg: Config{Kernel: Matern52}}
 	p := Params{LogVariance: 0, LogLength: math.Log(0.3)}
 	origin := []float64{0}
 	prev := math.Inf(1)
 	for d := 0.0; d <= 2.0; d += 0.1 {
-		v := g.kernel(p, origin, []float64{d})
+		v := kernel(p, origin, []float64{d})
 		if v > prev+1e-12 {
 			t.Fatalf("kernel not decaying at distance %v", d)
 		}
@@ -80,15 +73,14 @@ func TestKernelDistanceDecay(t *testing.T) {
 }
 
 // TestMaternHeavierTailThanRBF: at moderate distance the Matérn 5/2
-// kernel retains more covariance than the squared exponential with
-// the same length scale — the reason it suits rougher objectives.
+// kernel retains more covariance than the squared exponential (RBF)
+// with the same length scale — the reason it suits rougher objectives.
 func TestMaternHeavierTailThanRBF(t *testing.T) {
-	m := &GP{cfg: Config{Kernel: Matern52}}
-	r := &GP{cfg: Config{Kernel: RBF}}
 	p := Params{LogVariance: 0, LogLength: math.Log(0.3)}
 	a, b := []float64{0}, []float64{0.9}
-	if m.kernel(p, a, b) <= r.kernel(p, a, b) {
-		t.Errorf("Matern (%v) should exceed RBF (%v) at 3 length scales",
-			m.kernel(p, a, b), r.kernel(p, a, b))
+	r := 0.9 / 0.3
+	rbf := math.Exp(-0.5 * r * r)
+	if m := kernel(p, a, b); m <= rbf {
+		t.Errorf("Matern (%v) should exceed RBF (%v) at 3 length scales", m, rbf)
 	}
 }

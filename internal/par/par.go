@@ -51,6 +51,12 @@ func Workers(n int) int {
 // depend only on i and write only slot i of any shared output.
 // workers <= 1 (or n <= 1) degenerates to a plain serial loop with no
 // goroutine or synchronization overhead.
+//
+// A panic in fn reaches the caller for any worker count, as the panic
+// the serial loop would raise: the workers stop taking new items, wait
+// for the running ones, and ForEach re-panics with the value of the
+// lowest panicking index. Every index below a handed-out one was
+// handed out before it, so that index is the serial loop's first.
 func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -67,12 +73,25 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var mu sync.Mutex
+	first, value := n, any(nil) // the lowest panicking index and its value
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			i := 0
+			defer func() {
+				if v := recover(); v != nil {
+					mu.Lock()
+					if i < first {
+						first, value = i, v
+					}
+					mu.Unlock()
+					next.Store(int64(n))
+				}
+			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -81,4 +100,7 @@ func ForEach(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if first < n {
+		panic(value)
+	}
 }

@@ -89,6 +89,36 @@ func TestForEachDeterministicSlots(t *testing.T) {
 	}
 }
 
+// TestForEachPanicReachesCaller: a panic in fn reaches the caller at
+// every worker count, with the value the serial loop raises: the
+// lowest panicking index's. In parallel, index 9 panics only after
+// index 40 has, so a ForEach that re-raised the first panic to arrive
+// would report 40.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		late := make(chan struct{})
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			ForEach(workers, 64, func(i int) {
+				switch i {
+				case 9:
+					if workers > 1 {
+						<-late
+					}
+					panic("index 9")
+				case 40:
+					close(late)
+					panic("index 40")
+				}
+			})
+			return nil
+		}()
+		if got != "index 9" {
+			t.Errorf("workers=%d: caller recovered %v, want index 9", workers, got)
+		}
+	}
+}
+
 // FuzzSeedSplit asserts the non-aliasing contract for arbitrary base
 // seeds: two distinct streams of the same seed never map to the same
 // derived seed (SplitSeed composes bijections, so this is structural,

@@ -45,7 +45,7 @@ func stressOptions() core.Options {
 	o.PermuteRepeats = 8
 	o.BO.CandidatePool = 256
 	o.BO.Starts = 4
-	o.BO.GP.Restarts = 3
+	o.BO.GPRestarts = 3
 	o.Parallel = 4
 	return o
 }

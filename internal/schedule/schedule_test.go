@@ -21,7 +21,7 @@ func smallOptions() core.Options {
 	o.PermuteRepeats = 2
 	o.BO.CandidatePool = 32
 	o.BO.Starts = 1
-	o.BO.GP.Restarts = 1
+	o.BO.GPRestarts = 1
 	// Exercise the batched selection waves too: their results must
 	// not depend on campaign concurrency either.
 	o.Parallel = 4
