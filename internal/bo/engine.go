@@ -108,7 +108,7 @@ type Engine struct {
 	// eligible for incremental extension) when gN < len(x).
 	gN   int
 	gain []float64
-	// Hyperparameter refits are expensive (multistart Nelder-Mead
+	// Hyperparameter refits are expensive (multistart L-BFGS-B
 	// over the marginal likelihood); the engine refits every
 	// hyperRefitEvery observations and reuses the last fitted
 	// hyperparameters in between.
@@ -535,7 +535,7 @@ func (e *Engine) Suggest() ([]float64, error) {
 		}
 		res := optimize.Multistart(bounds, e.cfg.Starts, seeds, e.rng, e.cfg.Workers,
 			func(x0 []float64) optimize.Result {
-				return optimize.LBFGSB(obj.valueGrad, x0, bounds, acquisitionIters)
+				return optimize.LBFGSB(obj.valueGrad, x0, bounds, acquisitionIters, optimize.Search)
 			})
 		nominees[i] = res.X
 	}

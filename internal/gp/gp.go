@@ -3,16 +3,18 @@
 // §4, the covariance is the sum of a Matérn 5/2 kernel and a white
 // noise kernel (observation noise assumed i.i.d. Gaussian), and
 // hyperparameters are chosen by maximizing the log marginal
-// likelihood. Targets are normalized internally, so hyperparameter
-// bounds are scale-free.
+// likelihood, as scikit-learn does: multistart L-BFGS-B on the
+// likelihood and its analytic gradient. Targets are normalized
+// internally, so hyperparameter bounds are scale-free.
 //
 // The fit is the BO engine's per-iteration bottleneck, so the package
 // keeps a fast path through the likelihood search: pairwise distances
 // are precomputed once per Fit (they depend only on the data, not the
 // hyperparameters), length-scale and variance exponentials are hoisted
-// out of the per-pair kernel loops, and the kernel/Cholesky/solve
-// buffers are pooled across the hundreds of likelihood evaluations a
-// multistart performs. Posterior updates
+// out of the per-pair kernel loops, the gradient reuses the
+// likelihood's kernel entries, and the kernel/Cholesky/inverse
+// buffers are pooled across the couple of hundred value-and-gradient
+// evaluations a multistart performs. Posterior updates
 // that keep the hyperparameters fixed can extend a cached Cholesky
 // factor in O(n²) via Extend instead of refitting in O(n³).
 // PredictBatchInto forward-solves four points per pass over the factor
@@ -56,7 +58,8 @@ func resolve(p Params) resolved {
 // Config controls GP fitting.
 type Config struct {
 	// FitHyper enables marginal-likelihood hyperparameter search
-	// (multistart Nelder-Mead); when false, Init is used as-is.
+	// (multistart L-BFGS-B on the likelihood's analytic gradient); when
+	// false, Init is used as-is.
 	FitHyper bool
 	// Init seeds the hyperparameter search.
 	Init Params
@@ -270,30 +273,36 @@ var hyperBounds = optimize.Bounds{
 	Hi: []float64{math.Log(1e2), math.Log(1e1), math.Log(1e0)},
 }
 
-// hyperEvals caps each Nelder-Mead run of the likelihood search.
-const hyperEvals = 310
+// hyperIters caps each L-BFGS-B run of the likelihood search.
+const hyperIters = 100
 
 // lmlScratch is one worker's reusable buffers for likelihood
-// evaluations: kernel matrix, Cholesky factor and solve vector.
+// evaluations: kernel matrix, Cholesky factor and solve vector, and
+// for the gradient the upper triangle of the inverse kernel matrix.
 type lmlScratch struct {
 	k    *linalg.Matrix
 	chol *linalg.Matrix
 	v    []float64
+	kinv *linalg.Matrix
 }
 
 func (g *GP) optimizeHyper(cfg Config, cache *distCache) Params {
 	// The multistart evaluates the objective concurrently, so each
 	// in-flight evaluation borrows a scratch set from a pool instead
 	// of allocating kernel and factor matrices afresh (the naive path
-	// allocates ~3 n×n matrices per evaluation, hundreds of times per
+	// allocates ~4 n×n matrices per evaluation, hundreds of times per
 	// fit).
 	pool := sync.Pool{New: func() any { return &lmlScratch{} }}
-	obj := func(v []float64) float64 {
+	obj := func(v, grad []float64) float64 {
 		s := pool.Get().(*lmlScratch)
-		lml, ok := g.logMarginalCached(Params{LogVariance: v[0], LogLength: v[1], LogNoise: v[2]}, cache, s)
+		lml, ok := g.logMarginalGrad(Params{LogVariance: v[0], LogLength: v[1], LogNoise: v[2]}, cache, s, grad)
 		pool.Put(s)
-		if !ok || math.IsNaN(lml) {
+		if !ok || math.IsNaN(lml) || math.IsNaN(grad[0]+grad[1]+grad[2]) {
+			clear(grad)
 			return 1e10
+		}
+		for i := range grad {
+			grad[i] = -grad[i]
 		}
 		return -lml
 	}
@@ -301,7 +310,7 @@ func (g *GP) optimizeHyper(cfg Config, cache *distCache) Params {
 	rng := sample.NewRNG(cfg.Seed ^ 0x5ca1ab1e)
 	res := optimize.Multistart(hyperBounds, cfg.Restarts, [][]float64{seed}, rng, cfg.Workers,
 		func(x0 []float64) optimize.Result {
-			return optimize.NelderMead(obj, x0, hyperBounds, hyperEvals)
+			return optimize.LBFGSB(obj, x0, hyperBounds, hyperIters, optimize.Converge)
 		})
 	return Params{LogVariance: res.X[0], LogLength: res.X[1], LogNoise: res.X[2]}
 }
@@ -409,6 +418,50 @@ func (g *GP) logMarginalCached(p Params, c *distCache, s *lmlScratch) (float64, 
 	}
 	alpha := linalg.CholSolveInto(chol, g.yNorm, s.v)
 	return lmlFrom(g.yNorm, alpha, chol), true
+}
+
+// logMarginalGrad is logMarginalCached that also writes the gradient
+// of the LML in (log σ_f², log ℓ, log σ_n²) into grad (3 entries):
+// ½·tr((ααᵀ − K⁻¹)·∂K/∂θ), with ∂K/∂log σ_f² = K_f (the kernel part
+// of K), ∂K/∂log σ_n² = σ_n²I and, for Matérn 5/2 at s = √5·r/ℓ,
+// ∂K/∂log ℓ = K_f ⊙ s²(1+s)/(3+3s+s²). The kernel entries come from
+// the likelihood's own matrix, so the gradient's pair loop takes no
+// math.Exp; its cost is K⁻¹ = L⁻ᵀL⁻¹ (linalg.CholInverseInto). Zero
+// heap allocations once the scratch is warm.
+func (g *GP) logMarginalGrad(p Params, c *distCache, s *lmlScratch, grad []float64) (float64, bool) {
+	lml, ok := g.logMarginalCached(p, c, s)
+	if !ok {
+		return lml, false
+	}
+	n := len(g.x)
+	if s.kinv == nil || s.kinv.Rows != n {
+		s.kinv = linalg.NewMatrix(n, n)
+	}
+	linalg.CholInverseInto(s.chol, s.kinv)
+	rk := resolve(p)
+	alpha := s.v
+	scale := math.Sqrt(5) / rk.length
+	var gVar, gLen, gNoise float64
+	t := 0
+	for i := 0; i < n; i++ {
+		ai, krow, irow := alpha[i], s.k.Row(i), s.kinv.Row(i)
+		// The diagonal: K_f = σ_f², and r = 0 zeroes ∂K/∂log ℓ.
+		w := ai*ai - irow[i]
+		gVar += w * rk.variance
+		gNoise += w
+		t++
+		for j := i + 1; j < n; j++ {
+			// Off-diagonal pairs count twice: W and ∂K are symmetric.
+			w := 2 * (ai*alpha[j] - irow[j])
+			kf := krow[j] * w
+			sc := c.dist[t] * scale
+			gVar += kf
+			gLen += kf * sc * sc * (1 + sc) / (3 + 3*sc + sc*sc)
+			t++
+		}
+	}
+	grad[0], grad[1], grad[2] = 0.5*gVar, 0.5*gLen, 0.5*rk.noise*gNoise
+	return lml, true
 }
 
 // jitterStart and jitterMaxTries define the escalating-jitter ladder

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/sample"
 )
 
@@ -179,6 +180,108 @@ func TestHyperFitImprovesLML(t *testing.T) {
 		t.Errorf("fitted LML %v should beat fixed bad LML %v",
 			gFit.LogMarginalLikelihood(), gBad.LogMarginalLikelihood())
 	}
+}
+
+// nelderMeadLML is the log marginal likelihood the multistart
+// Nelder–Mead search (310 evaluations per run) reached on each pin
+// problem of TestHyperFitMatchesNelderMeadOptimum before the fit moved
+// to L-BFGS-B on the analytic gradient: {seed, n, d, LML}.
+var nelderMeadLML = [][4]float64{
+	{1, 10, 3, -12.911557487421232},
+	{1, 10, 6, -13.570930688966083},
+	{1, 10, 9, -13.518295006674787},
+	{1, 20, 3, -13.533699271131184},
+	{1, 20, 6, -24.037917363610873},
+	{1, 20, 9, -26.051672625689662},
+	{1, 40, 3, -13.29435333769856},
+	{1, 40, 6, -44.8427034994266},
+	{1, 40, 9, -50.32598619183665},
+	{1, 60, 3, 0.21595128820325726},
+	{1, 60, 6, -44.995901999254116},
+	{1, 60, 9, -73.62724420422249},
+	{1, 90, 3, 20.728563939818642},
+	{1, 90, 6, -36.110805359415934},
+	{1, 90, 9, -86.17630743366237},
+	{1, 120, 3, 36.67413888325807},
+	{1, 120, 6, -36.66013633628987},
+	{1, 120, 9, -84.43603786554627},
+	{2, 10, 3, -9.9685721360379},
+	{2, 10, 6, -13.611219194919556},
+	{2, 10, 9, -12.687670299644946},
+	{2, 20, 3, -18.065061775720835},
+	{2, 20, 6, -26.436985496802574},
+	{2, 20, 9, -22.31342093506178},
+	{2, 40, 3, -9.184418429048815},
+	{2, 40, 6, -41.541245669225496},
+	{2, 40, 9, -48.01753993920062},
+	{2, 60, 3, -1.6881821921240032},
+	{2, 60, 6, -47.94693280992969},
+	{2, 60, 9, -69.69425268337073},
+	{2, 90, 3, 9.097664122070626},
+	{2, 90, 6, -43.37319507214531},
+	{2, 90, 9, -87.31132657997699},
+	{2, 120, 3, 34.01654131629276},
+	{2, 120, 6, -31.35732074525015},
+	{2, 120, 9, -76.87579043077253},
+	{3, 10, 3, -11.844124886777768},
+	{3, 10, 6, -13.662582759194777},
+	{3, 10, 9, -13.662582753768161},
+	{3, 20, 3, -12.197399540922437},
+	{3, 20, 6, -27.110993436973516},
+	{3, 20, 9, -25.713248008449867},
+	{3, 40, 3, -19.515624407224767},
+	{3, 40, 6, -49.91393304496184},
+	{3, 40, 9, -47.464023034531124},
+	{3, 60, 3, 1.9820619036010427},
+	{3, 60, 6, -58.06365476153155},
+	{3, 60, 9, -66.60676797914145},
+	{3, 90, 3, 16.530346174801295},
+	{3, 90, 6, -34.72812233184958},
+	{3, 90, 9, -81.78681849074277},
+	{3, 120, 3, 25.330067309250055},
+	{3, 120, 6, -40.07819215801392},
+	{3, 120, 9, -87.34661117634553},
+}
+
+// TestHyperFitMatchesNelderMeadOptimum pins the fit's quality on 54
+// seeded problems: n ∈ {10, 20, 40, 60, 90, 120}, d ∈ {3, 6, 9}, seeds
+// 1–3, LHS inputs and y = sin(3x₀) + x₁² + 0.3x₂ + 0.05·N(0, 1). No fit
+// may end more than 1e-3 nats below the likelihood Nelder–Mead found.
+func TestHyperFitMatchesNelderMeadOptimum(t *testing.T) {
+	// The problems run concurrently; each fit keeps to one worker.
+	lml := make([]float64, len(nelderMeadLML))
+	errs := make([]error, len(nelderMeadLML))
+	par.ForEach(0, len(nelderMeadLML), func(k int) {
+		seed, n, d := uint64(nelderMeadLML[k][0]), int(nelderMeadLML[k][1]), int(nelderMeadLML[k][2])
+		rng := sample.NewRNG(1000*seed + 10*uint64(n) + uint64(d))
+		x := sample.LHS(n, d, rng)
+		y := make([]float64, n)
+		for i, r := range x {
+			y[i] = math.Sin(3*r[0]) + r[1]*r[1] + 0.3*r[2] + 0.05*rng.NormFloat64()
+		}
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Workers = 1
+		g, err := Fit(x, y, cfg)
+		if err != nil {
+			errs[k] = err
+			return
+		}
+		lml[k] = g.LogMarginalLikelihood()
+	})
+	worst := math.Inf(1)
+	for k, row := range nelderMeadLML {
+		seed, n, d, want := int(row[0]), int(row[1]), int(row[2]), row[3]
+		if errs[k] != nil {
+			t.Fatalf("seed %d n=%d d=%d: %v", seed, n, d, errs[k])
+		}
+		got := lml[k]
+		worst = math.Min(worst, got-want)
+		if got < want-1e-3 {
+			t.Errorf("seed %d n=%d d=%d: LML %.9g, Nelder–Mead reached %.9g (%.3g nats lower)", seed, n, d, got, want, want-got)
+		}
+	}
+	t.Logf("worst LML change against Nelder–Mead over %d problems: %+.3g nats", len(nelderMeadLML), worst)
 }
 
 func TestConstantTargets(t *testing.T) {

@@ -208,6 +208,55 @@ func CholSolveInto(l *Matrix, b, dst []float64) []float64 {
 	return SolveUpperTInto(l, dst, dst)
 }
 
+// CholInverseInto writes the upper triangle (diagonal included) of
+// A⁻¹ = L⁻ᵀL⁻¹ into dst, given A's lower Cholesky factor L, and leaves
+// the strict lower triangle of dst as it was; dst must not alias l.
+// Both passes are dot products over contiguous row slices: first
+// U = L⁻ᵀ row by row (U_jj = 1/L_jj, U_ji = −(Σ_{k=j}^{i−1} L_ik·U_jk)/L_ii),
+// then A⁻¹_ab = Σ_{i≥b} U_ai·U_bi in place over U, row a reading only
+// itself and the rows below it. Each dot product runs four
+// accumulators, so entries agree with solving A x = e_j to rounding,
+// not bitwise.
+func CholInverseInto(l, dst *Matrix) {
+	n := l.Rows
+	if l.Cols != n || dst.Rows != n || dst.Cols != n {
+		panic("linalg: CholInverseInto shape mismatch")
+	}
+	for j := 0; j < n; j++ {
+		u := dst.Row(j)
+		u[j] = 1 / l.At(j, j)
+		for i := j + 1; i < n; i++ {
+			li := l.Row(i)
+			u[i] = -dot4(li[j:i], u[j:i]) / li[i]
+		}
+	}
+	for a := 0; a < n; a++ {
+		ua := dst.Row(a)
+		for b := a; b < n; b++ {
+			ua[b] = dot4(ua[b:], dst.Row(b)[b:])
+		}
+	}
+}
+
+// dot4 is the inner product of a and b[:len(a)] over four
+// accumulators, which keeps four multiply-adds in flight.
+func dot4(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		a4, b4 := a[k:k+4:k+4], b[k:k+4:k+4]
+		s0 += a4[0] * b4[0]
+		s1 += a4[1] * b4[1]
+		s2 += a4[2] * b4[2]
+		s3 += a4[3] * b4[3]
+	}
+	for ; k < len(a); k++ {
+		s0 += a[k] * b[k]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
 // CholAppend extends the lower Cholesky factor L of an n×n matrix A
 // to the factor of the bordered matrix [[A, b], [bᵀ, c]] in O(n²):
 // the new row is the forward substitution L·r = b and the new pivot

@@ -416,3 +416,40 @@ func TestSolveLowerMultiPanicsOnShape(t *testing.T) {
 		}()
 	}
 }
+
+// TestCholInverseMatchesSolves: CholInverseInto's upper triangle is
+// A⁻¹ column by column, as CholSolveInto finds it from the unit
+// vectors, to 1e-10 relative, for orders past a multiple of four and
+// past blockedMin; it leaves the strict lower triangle alone.
+func TestCholInverseMatchesSolves(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 33, blockedMin + 3} {
+		a := randomSPD(n, uint64(n))
+		l, _, err := Cholesky(a, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := NewMatrix(n, n)
+		for i := range inv.Data {
+			inv.Data[i] = math.NaN()
+		}
+		CholInverseInto(l, inv)
+		e := make([]float64, n)
+		for j := 0; j < n; j++ {
+			clear(e)
+			e[j] = 1
+			col := CholSolveInto(l, e, nil)
+			for i := 0; i < n; i++ {
+				got := inv.At(i, j)
+				if i > j {
+					if !math.IsNaN(got) {
+						t.Fatalf("n=%d: strict lower entry (%d,%d) written: %v", n, i, j, got)
+					}
+					continue
+				}
+				if math.Abs(got-col[i]) > 1e-10*math.Max(1, math.Abs(col[i])) {
+					t.Fatalf("n=%d: A⁻¹[%d][%d] = %v, solve gives %v", n, i, j, got, col[i])
+				}
+			}
+		}
+	}
+}

@@ -1,16 +1,15 @@
 // Package optimize provides the numerical optimizers behind ROBOTune:
-// a box-constrained Nelder-Mead simplex (used for GP hyperparameter
-// fitting) and a projected-gradient L-BFGS-B that takes the
-// objective's value and gradient from its caller in one call (used to
-// optimize acquisition functions, following §4 of the paper, with the
-// analytic gradients of PI, EI and LCB), plus a multistart driver for
-// both.
+// a projected-gradient L-BFGS-B that takes the objective's value and
+// gradient from its caller in one call, used both to fit the GP
+// hyperparameters on the analytic gradient of the log marginal
+// likelihood and to optimize acquisition functions (following §4 of
+// the paper, with the analytic gradients of PI, EI and LCB), a
+// multistart driver for it, and the separable CMA-ES baseline tuner.
 package optimize
 
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -58,129 +57,33 @@ type Result struct {
 	Evals int
 }
 
-// NelderMead minimizes f within bounds starting from x0 using the
-// downhill-simplex method with adaptive parameters and projection
-// onto the box. maxEvals limits objective calls (default 200·d).
-func NelderMead(f Objective, x0 []float64, b Bounds, maxEvals int) Result {
-	d := len(x0)
-	if maxEvals <= 0 {
-		maxEvals = 200 * d
-	}
-	evals := 0
-	eval := func(x []float64) float64 {
-		evals++
-		return f(b.Clamp(x))
-	}
+// Mode selects how LBFGSB treats the box and when a run stops.
+type Mode uint8
 
-	// Adaptive coefficients (Gao & Han) help in higher dimensions.
-	alpha := 1.0
-	beta := 1.0 + 2.0/float64(d)
-	gamma := 0.75 - 1.0/(2.0*float64(d))
-	delta := 1.0 - 1.0/float64(d)
-
-	type vertex struct {
-		x []float64
-		f float64
-	}
-	simplex := make([]vertex, d+1)
-	x0 = b.Clamp(append([]float64(nil), x0...))
-	simplex[0] = vertex{x: x0, f: eval(append([]float64(nil), x0...))}
-	for i := 0; i < d; i++ {
-		x := append([]float64(nil), x0...)
-		step := 0.1 * (b.Hi[i] - b.Lo[i])
-		if step == 0 {
-			step = 0.05
-		}
-		if x[i]+step > b.Hi[i] {
-			x[i] -= step
-		} else {
-			x[i] += step
-		}
-		simplex[i+1] = vertex{x: x, f: eval(append([]float64(nil), x...))}
-	}
-
-	order := func() {
-		sort.Slice(simplex, func(a, bb int) bool { return simplex[a].f < simplex[bb].f })
-	}
-	centroid := make([]float64, d)
-	for evals < maxEvals {
-		order()
-		// Convergence: simplex collapsed in value.
-		if math.Abs(simplex[d].f-simplex[0].f) < 1e-12*(math.Abs(simplex[0].f)+1e-12) {
-			break
-		}
-		for j := range centroid {
-			centroid[j] = 0
-		}
-		for i := 0; i < d; i++ {
-			for j := range centroid {
-				centroid[j] += simplex[i].x[j]
-			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(d)
-		}
-		worst := simplex[d]
-
-		reflect := make([]float64, d)
-		for j := range reflect {
-			reflect[j] = centroid[j] + alpha*(centroid[j]-worst.x[j])
-		}
-		fr := eval(reflect)
-		switch {
-		case fr < simplex[0].f:
-			// Try expansion.
-			expand := make([]float64, d)
-			for j := range expand {
-				expand[j] = centroid[j] + beta*(reflect[j]-centroid[j])
-			}
-			fe := eval(expand)
-			if fe < fr {
-				simplex[d] = vertex{x: expand, f: fe}
-			} else {
-				simplex[d] = vertex{x: reflect, f: fr}
-			}
-		case fr < simplex[d-1].f:
-			simplex[d] = vertex{x: reflect, f: fr}
-		default:
-			// Contraction.
-			contract := make([]float64, d)
-			if fr < worst.f {
-				for j := range contract {
-					contract[j] = centroid[j] + gamma*(reflect[j]-centroid[j])
-				}
-			} else {
-				for j := range contract {
-					contract[j] = centroid[j] - gamma*(centroid[j]-worst.x[j])
-				}
-			}
-			fc := eval(contract)
-			if fc < math.Min(fr, worst.f) {
-				simplex[d] = vertex{x: contract, f: fc}
-			} else {
-				// Shrink toward the best vertex.
-				for i := 1; i <= d; i++ {
-					for j := range simplex[i].x {
-						simplex[i].x[j] = simplex[0].x[j] + delta*(simplex[i].x[j]-simplex[0].x[j])
-					}
-					simplex[i].f = eval(append([]float64(nil), simplex[i].x...))
-					if evals >= maxEvals {
-						break
-					}
-				}
-			}
-		}
-	}
-	order()
-	return Result{X: b.Clamp(simplex[0].x), F: simplex[0].f, Evals: evals}
-}
+const (
+	// Search, the zero value, is the acquisition search's iteration.
+	// The direction ignores the box: the line search projects each
+	// trial point back into it. A run stops on a projected gradient
+	// below 1e-9, a line search that finds no decrease, or the
+	// iteration cap.
+	Search Mode = iota
+	// Converge is the likelihood fit's iteration. It zeroes every
+	// direction component that would push a coordinate already on a
+	// bound out of the box, and falls back to steepest descent, masked
+	// the same way, when what is left is not a descent direction. A run
+	// also stops once an accepted step lowers f by no more than
+	// 1e-12·max(|f_prev|, |f|, 1), the rounding level of f, or once no
+	// masked direction descends.
+	Converge
+)
 
 // LBFGSB minimizes f within bounds from x0 using a limited-memory
 // BFGS direction with gradient projection for the box constraints. fg
 // returns f and ∇f in one call, at the start point and at every
 // line-search point, so the accepted point's gradient is already in
-// hand. Evals counts those calls.
-func LBFGSB(fg ObjectiveGrad, x0 []float64, b Bounds, maxIters int) Result {
+// hand. Evals counts those calls. mode selects the handling of the
+// box and the stopping rules.
+func LBFGSB(fg ObjectiveGrad, x0 []float64, b Bounds, maxIters int, mode Mode) Result {
 	d := len(x0)
 	if maxIters <= 0 {
 		maxIters = 100
@@ -228,10 +131,19 @@ func LBFGSB(fg ObjectiveGrad, x0 []float64, b Bounds, maxIters int) Result {
 		for i := range dir {
 			dir[i] = -q[i]
 		}
+		if mode == Converge {
+			b.maskOutward(x, dir)
+		}
 		// Ensure descent; otherwise fall back to steepest descent.
 		if dot(dir, g) >= 0 {
 			for i := range dir {
 				dir[i] = -g[i]
+			}
+			if mode == Converge {
+				b.maskOutward(x, dir)
+				if dot(dir, g) >= 0 {
+					break // every free component of ∇f is zero
+				}
 			}
 		}
 
@@ -273,7 +185,11 @@ func LBFGSB(fg ObjectiveGrad, x0 []float64, b Bounds, maxIters int) Result {
 				s, yv = make([]float64, d), make([]float64, d)
 			}
 		}
+		fPrev := fx
 		x, xNew, g, gNew, fx = xNew, x, gNew, g, fNew
+		if mode == Converge && fPrev-fx <= 1e-12*math.Max(math.Max(math.Abs(fPrev), math.Abs(fx)), 1) {
+			break
+		}
 
 		// Projected-gradient convergence test.
 		pg := 0.0
@@ -294,6 +210,16 @@ func LBFGSB(fg ObjectiveGrad, x0 []float64, b Bounds, maxIters int) Result {
 	return Result{X: x, F: fx, Evals: evals}
 }
 
+// maskOutward zeroes every component of dir that would move a
+// coordinate of x already on a bound out of the box.
+func (b Bounds) maskOutward(x, dir []float64) {
+	for i, v := range dir {
+		if (v < 0 && x[i] <= b.Lo[i]) || (v > 0 && x[i] >= b.Hi[i]) {
+			dir[i] = 0
+		}
+	}
+}
+
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -311,7 +237,7 @@ func axpy(dst []float64, a float64, x []float64) {
 // Multistart runs the given local optimizer from several random
 // starting points in b (plus any provided seeds) and returns the best
 // result, with Evals summed over every run. local closes over its own
-// objective; it typically wraps LBFGSB or NelderMead.
+// objective; it typically wraps LBFGSB.
 //
 // All starting points are drawn from rng up front (so the rng stream
 // is consumed identically for any worker count), then the local runs

@@ -45,35 +45,9 @@ func rosenbrockGrad(x, grad []float64) float64 {
 	return rosenbrock(x)
 }
 
-func TestNelderMeadSphere(t *testing.T) {
-	b := UnitBox(4)
-	r := NelderMead(sphere, []float64{0.9, 0.9, 0.9, 0.9}, b, 4000)
-	if r.F > 1e-6 {
-		t.Errorf("NM sphere min = %v at %v", r.F, r.X)
-	}
-	for _, v := range r.X {
-		if math.Abs(v-0.3) > 1e-2 {
-			t.Errorf("NM sphere solution %v, want 0.3", r.X)
-		}
-	}
-}
-
-func TestNelderMeadRespectsBounds(t *testing.T) {
-	// Minimum of (x+1)^2 over [0,1] is at the boundary x=0.
-	f := func(x []float64) float64 { return (x[0] + 1) * (x[0] + 1) }
-	b := UnitBox(1)
-	r := NelderMead(f, []float64{0.8}, b, 500)
-	if r.X[0] < 0 || r.X[0] > 1 {
-		t.Fatalf("solution %v outside box", r.X)
-	}
-	if r.X[0] > 0.02 {
-		t.Errorf("boundary optimum not found: %v", r.X)
-	}
-}
-
 func TestLBFGSBSphere(t *testing.T) {
 	b := UnitBox(6)
-	r := LBFGSB(sphereGrad, []float64{0.9, 0.1, 0.5, 0.7, 0.2, 0.8}, b, 100)
+	r := LBFGSB(sphereGrad, []float64{0.9, 0.1, 0.5, 0.7, 0.2, 0.8}, b, 100, Search)
 	if r.F > 1e-8 {
 		t.Errorf("LBFGSB sphere min = %v", r.F)
 	}
@@ -82,7 +56,7 @@ func TestLBFGSBSphere(t *testing.T) {
 func TestLBFGSBRosenbrock(t *testing.T) {
 	// Optimum (1,1) sits at the box corner of [0,1]^2.
 	b := UnitBox(2)
-	r := LBFGSB(rosenbrockGrad, []float64{0.2, 0.8}, b, 400)
+	r := LBFGSB(rosenbrockGrad, []float64{0.2, 0.8}, b, 400, Search)
 	if r.F > 1e-4 {
 		t.Errorf("LBFGSB rosenbrock min = %v at %v", r.F, r.X)
 	}
@@ -94,7 +68,7 @@ func TestLBFGSBBoundaryOptimum(t *testing.T) {
 		return -x[0] - 2*x[1]
 	}
 	b := UnitBox(2)
-	r := LBFGSB(f, []float64{0.5, 0.5}, b, 100)
+	r := LBFGSB(f, []float64{0.5, 0.5}, b, 100, Search)
 	if math.Abs(r.X[0]-1) > 1e-6 || math.Abs(r.X[1]-1) > 1e-6 {
 		t.Errorf("boundary solution %v, want (1,1)", r.X)
 	}
@@ -106,7 +80,7 @@ func TestLBFGSBHandlesFlatFunction(t *testing.T) {
 		return 42
 	}
 	b := UnitBox(3)
-	r := LBFGSB(f, []float64{0.5, 0.5, 0.5}, b, 50)
+	r := LBFGSB(f, []float64{0.5, 0.5, 0.5}, b, 50, Search)
 	if r.F != 42 {
 		t.Errorf("flat function value %v", r.F)
 	}
@@ -117,12 +91,98 @@ func TestLBFGSBHandlesFlatFunction(t *testing.T) {
 // the free coordinates still reach their optimum.
 func TestLBFGSBPinnedCoordinate(t *testing.T) {
 	b := Bounds{Lo: []float64{0, 0.4, 0}, Hi: []float64{1, 0.4, 1}}
-	r := LBFGSB(sphereGrad, []float64{0.9, 0.4, 0.1}, b, 100)
+	r := LBFGSB(sphereGrad, []float64{0.9, 0.4, 0.1}, b, 100, Search)
 	if r.X[1] != 0.4 || math.Abs(r.X[0]-0.3) > 1e-6 || math.Abs(r.X[2]-0.3) > 1e-6 {
 		t.Errorf("pinned solution %v, want (0.3, 0.4, 0.3)", r.X)
 	}
 	if math.Abs(r.F-0.01) > 1e-10 {
 		t.Errorf("pinned min = %v, want 0.01", r.F)
+	}
+}
+
+// coupledQuadratic is Σ w_i(x_i − c_i)² + k·x_a·x_b on [0,1]³, with
+// its gradient: ill-scaled (w spans four decades), and the coupling
+// makes the bounds interact.
+func coupledQuadratic(w, c []float64, k float64, a, b int) ObjectiveGrad {
+	return func(x, grad []float64) float64 {
+		var s float64
+		for i, v := range x {
+			d := v - c[i]
+			s += w[i] * d * d
+			grad[i] = 2 * w[i] * d
+		}
+		grad[a] += k * x[b]
+		grad[b] += k * x[a]
+		return s + k*x[a]*x[b]
+	}
+}
+
+// TestLBFGSBConvergeReachesCorner: with Converge, L-BFGS-B reaches a
+// minimiser on a box corner where every component of ∇f points out of
+// the box, exactly and in a few calls, from any start. (Search stalls
+// on the corner (0, 0, 1): its direction keeps pushing x₁ out of the
+// box, so the projected steps stop decreasing f.)
+func TestLBFGSBConvergeReachesCorner(t *testing.T) {
+	f := coupledQuadratic([]float64{1, 1e2, 1e4}, []float64{1.3, -0.2, 1.1}, 30, 0, 1)
+	corner := []float64{1, 0, 1}
+	g := make([]float64, 3)
+	want := f(corner, g)
+	if g[0] >= 0 || g[1] <= 0 || g[2] >= 0 {
+		t.Fatalf("test premise broken: ∇f at the corner %v does not point out of the box", g)
+	}
+	b := UnitBox(3)
+	for _, x0 := range [][]float64{{0.5, 0.5, 0.5}, {0.1, 0.9, 0.2}, {0.9, 0.05, 0.95}, {0, 1, 0}} {
+		r := LBFGSB(f, x0, b, 100, Converge)
+		for i, v := range corner {
+			if r.X[i] != v {
+				t.Errorf("from %v: X = %v, want the corner %v", x0, r.X, corner)
+				break
+			}
+		}
+		if r.F != want || r.Evals > 10 {
+			t.Errorf("from %v: F = %v in %d calls, want %v in at most 10", x0, r.F, r.Evals, want)
+		}
+	}
+}
+
+// TestLBFGSBConvergeEndsOnDecreaseRule: on a minimiser with x₀ on its
+// lower face (∂f/∂x₀ > 0 there) and x₁, x₂ inside the box, Converge
+// reaches the minimum to f's rounding level and stops on the decrease
+// rule: its last accepted step lowers f by no more than
+// 1e-12·max(|f_prev|, |f|, 1), while the projected gradient is still
+// above the 1e-9 test. The run's iterates are read back by re-running
+// it with smaller iteration caps.
+func TestLBFGSBConvergeEndsOnDecreaseRule(t *testing.T) {
+	f := coupledQuadratic([]float64{1, 1e2, 1e4}, []float64{0.3, 0.6, 0.45}, 3, 0, 2)
+	xStar, fStar := []float64{0, 0.6, 0.45}, 0.09
+	b := UnitBox(3)
+	g := make([]float64, 3)
+	for _, x0 := range [][]float64{{0.5, 0.5, 0.5}, {0.1, 0.9, 0.2}, {0.9, 0.05, 0.95}, {0, 1, 0}} {
+		r := LBFGSB(f, x0, b, 1000, Converge)
+		if r.X[0] != 0 || math.Abs(r.X[1]-xStar[1]) > 1e-6 || math.Abs(r.X[2]-xStar[2]) > 1e-6 || r.F-fStar > 1e-11 {
+			t.Errorf("from %v: X = %v, F = %v; want %v, %v", x0, r.X, r.F, xStar, fStar)
+			continue
+		}
+		iters := 1
+		for ; iters < 1000; iters++ {
+			if c := LBFGSB(f, x0, b, iters, Converge); c.F == r.F && c.Evals == r.Evals {
+				break
+			}
+		}
+		// A last iteration that accepted no step (drop 0) ended on the
+		// line search, not on the decrease rule.
+		prev := LBFGSB(f, x0, b, iters-1, Converge)
+		if drop := prev.F - r.F; iters == 1000 || drop <= 0 || drop > 1e-12*math.Max(math.Max(math.Abs(prev.F), math.Abs(r.F)), 1) {
+			t.Errorf("from %v: the run ended after %d iterations, its last step lowering f by %v", x0, iters, drop)
+		}
+		f(r.X, g)
+		pg := 0.0
+		for i, v := range r.X {
+			pg = math.Max(pg, math.Abs(min(max(v-g[i], 0), 1)-v))
+		}
+		if pg < 1e-9 {
+			t.Errorf("from %v: projected gradient %v: the run may have ended on the gradient test", x0, pg)
+		}
 	}
 }
 
@@ -142,7 +202,7 @@ func TestMultistartEscapesLocalMinima(t *testing.T) {
 		return bb + 1
 	}
 	b := UnitBox(1)
-	local := func(x0 []float64) Result { return LBFGSB(f, x0, b, 60) }
+	local := func(x0 []float64) Result { return LBFGSB(f, x0, b, 60, Search) }
 	single := local([]float64{0.1})
 	multi := Multistart(b, 20, [][]float64{{0.1}}, sample.NewRNG(1), 1, local)
 	if single.F < 0.5 {
@@ -162,7 +222,7 @@ func TestMultistartUsesSeeds(t *testing.T) {
 	f := func(x, grad []float64) float64 { calls++; return sphereGrad(x, grad) }
 	b := UnitBox(2)
 	r := Multistart(b, 0, [][]float64{{0.31, 0.29}}, sample.NewRNG(2), 1,
-		func(x0 []float64) Result { return LBFGSB(f, x0, b, 50) })
+		func(x0 []float64) Result { return LBFGSB(f, x0, b, 50, Search) })
 	if r.F > 1e-8 {
 		t.Errorf("seeded multistart min = %v", r.F)
 	}
@@ -185,7 +245,7 @@ func TestMultistartWorkersParity(t *testing.T) {
 		return s
 	}
 	b := UnitBox(3)
-	local := func(x0 []float64) Result { return LBFGSB(f, x0, b, 60) }
+	local := func(x0 []float64) Result { return LBFGSB(f, x0, b, 60, Search) }
 	run := func(workers int) Result {
 		return Multistart(b, 12, [][]float64{{0.9, 0.9, 0.9}}, sample.NewRNG(11), workers, local)
 	}
@@ -210,7 +270,7 @@ func TestMultistartEvalsSummed(t *testing.T) {
 	f := func(x, grad []float64) float64 { calls.Add(1); return sphereGrad(x, grad) }
 	b := UnitBox(2)
 	r := Multistart(b, 4, nil, sample.NewRNG(3), 1,
-		func(x0 []float64) Result { return LBFGSB(f, x0, b, 20) })
+		func(x0 []float64) Result { return LBFGSB(f, x0, b, 20, Search) })
 	if int64(r.Evals) != calls.Load() {
 		t.Errorf("Evals = %d, objective called %d times", r.Evals, calls.Load())
 	}
@@ -226,27 +286,9 @@ func TestClamp(t *testing.T) {
 
 func TestEvalsCounted(t *testing.T) {
 	b := UnitBox(2)
-	r := NelderMead(sphere, []float64{0.9, 0.9}, b, 100)
-	if r.Evals == 0 || r.Evals > 110 {
-		t.Errorf("NM evals = %d", r.Evals)
-	}
-	r = LBFGSB(sphereGrad, []float64{0.9, 0.9}, b, 50)
+	r := LBFGSB(sphereGrad, []float64{0.9, 0.9}, b, 50, Search)
 	if r.Evals == 0 {
 		t.Error("LBFGSB evals not counted")
-	}
-}
-
-func TestNelderMeadHighDim(t *testing.T) {
-	// The acquisition optimizer may run in up to ~10 selected dims.
-	d := 10
-	b := UnitBox(d)
-	x0 := make([]float64, d)
-	for i := range x0 {
-		x0[i] = 0.9
-	}
-	r := NelderMead(sphere, x0, b, 6000)
-	if r.F > 1e-3 {
-		t.Errorf("NM 10-dim sphere min = %v", r.F)
 	}
 }
 

@@ -75,9 +75,9 @@ func stressTasks(space *conf.Space, dir string, newCount *int32) []Task {
 		}
 	}
 	return []Task{
-		mk("robotune-terasort", core.New(nil, stressOptions()), sparksim.TeraSort(20), 17, 70, 11),
+		mk("robotune-terasort", core.New(nil, stressOptions()), sparksim.TeraSort(20), 17, 90, 11),
 		mk("random-kmeans", tuners.RandomSearch{}, sparksim.KMeans(4), 23, 60, 5),
-		mk("robotune-kmeans", core.New(nil, stressOptions()), sparksim.KMeans(2), 53, 70, 13),
+		mk("robotune-kmeans", core.New(nil, stressOptions()), sparksim.KMeans(2), 53, 90, 13),
 		mk("bestconfig-pagerank", tuners.BestConfig{RoundSize: 8}, sparksim.PageRank(2), 31, 60, 7),
 	}
 }

@@ -139,7 +139,7 @@ func TestStressMultistartWorkers(t *testing.T) {
 	}
 	b := optimize.UnitBox(4)
 	local := func(x0 []float64) optimize.Result {
-		return optimize.LBFGSB(sphere, x0, b, 40)
+		return optimize.LBFGSB(sphere, x0, b, 40, optimize.Search)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
